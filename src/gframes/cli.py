@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import serialization as ser
-from .controlled import controlled_classify, reconstruct, validate_commutation
+from .controlled import controlled_classify, reconstruct
 from .errors import GFrameError, NotAFrame, SchemaError
 from .frames import FRAME, classify
 from .generators import generate
@@ -142,8 +142,7 @@ def cmd_analyze(args) -> int:
     verdict = classify(family, tol=tol)
     kind, bounds, witnesses = _verdict_fields(verdict)
 
-    commutation = validate_commutation(family, pair.c, pair.cp,
-                                       tol=pair.commutation.tol)
+    commutation = pair.commutation
     controlled_kind = None
     controlled_bounds = None
     controlled_witnesses = {}
@@ -253,8 +252,7 @@ def cmd_reconstruct(args) -> int:
     err = result.error
     scale = max(1.0, vec_norm(x))
     rel = err / scale
-    cv = controlled_classify(scenario)
-    cond = cv.bounds.upper / cv.bounds.lower if cv.kind == FRAME else float("inf")
+    cond = result.condition_number
     passed = rel <= tol * max(1.0, cond)
     report = {
         "version": ser.REPORT_VERSION,

@@ -19,7 +19,7 @@ lists and put the weights into the sums, matching the defining formulas.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +50,30 @@ class CommutationReport:
 class ControlPair:
     """Two certified positive invertible controls with the square root of
     their product cached.  ``product_sqrt`` is only meaningful when the
-    commutation certificate passed."""
+    commutation certificate passed.
+
+    The pair keeps every certificate it has computed, one per family, so a
+    family is certified once however many two-family operations use it.
+    ``dataclasses.replace`` starts an empty record, because the stored
+    reports belong to these controls at this tolerance.
+    """
 
     c: PositiveInvertibleOperator
     cp: PositiveInvertibleOperator
     product_sqrt: ModuleOperator
     commutation: CommutationReport
+    _reports: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def report_on(self, family: GFrameFamily) -> CommutationReport:
+        """Certificate of the controls against ``family`` at
+        ``commutation.tol``, computed on first use and then kept."""
+        report = self._reports.get(family)
+        if report is None:
+            report = validate_commutation(family, self.c, self.cp,
+                                          self.commutation.tol)
+            self._reports[family] = report
+        return report
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +89,10 @@ class ControlledScenario:
             raise ValueError("control shape does not match the family")
 
 
-def _rel_commutator(a: np.ndarray, b: np.ndarray) -> float:
+def _rel_commutator(a: np.ndarray, b: np.ndarray, norm_a: float,
+                    norm_b: float) -> float:
     num = float(np.linalg.norm(a @ b - b @ a, 2))
-    scale = max(1.0, float(np.linalg.norm(a, 2)) * float(np.linalg.norm(b, 2)))
-    return num / scale
+    return num / max(1.0, norm_a * norm_b)
 
 
 def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
@@ -82,15 +100,21 @@ def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
                          tol: float = DEFAULT_TOL) -> CommutationReport:
     """Measure every commutator the controlled formulas rely on.
 
-    Never raises; the report carries the verdict so callers can decide.
+    Each commutator norm is taken relative to the product of its factors'
+    norms; every factor norm is computed once.  Never raises; the report
+    carries the verdict so callers can decide.
     """
     ca, cpa = c.base.action, cp.base.action
-    cc = _rel_commutator(ca, cpa)
+    nc = float(np.linalg.norm(ca, 2))
+    ncp = float(np.linalg.norm(cpa, 2))
+    cc = _rel_commutator(ca, cpa, nc, ncp)
     rows = []
     for p in family.points:
         l = p.lam.action
         gram = l @ l.conj().T
-        rows.append((_rel_commutator(ca, gram), _rel_commutator(cpa, gram)))
+        ng = float(np.linalg.norm(gram, 2))
+        rows.append((_rel_commutator(ca, gram, nc, ng),
+                     _rel_commutator(cpa, gram, ncp, ng)))
     entries = [cc] + [r for pair in rows for r in pair]
     passed = all(e <= tol for e in entries)
     return CommutationReport(cc, tuple(rows), tol, passed)
@@ -111,7 +135,9 @@ def make_control_pair(family: GFrameFamily, c: PositiveInvertibleOperator,
     product_sqrt = ModuleOperator(c.base.algebra_dim, c.base.domain_rank,
                                   c.base.domain_rank, root)
     report = validate_commutation(family, c, cp, tol)
-    return ControlPair(c, cp, product_sqrt, report)
+    pair = ControlPair(c, cp, product_sqrt, report)
+    pair._reports[family] = report
+    return pair
 
 
 def make_scenario(family: GFrameFamily, c: PositiveInvertibleOperator,
@@ -242,7 +268,7 @@ def _check_same_measure(lam: GFrameFamily, gam: GFrameFamily) -> None:
 
 def _require_pair_on(family: GFrameFamily, pair: ControlPair,
                      what: str) -> CommutationReport:
-    report = validate_commutation(family, pair.c, pair.cp, pair.commutation.tol)
+    report = pair.report_on(family)
     if not report.passed:
         raise CommutationViolated(f"controls do not commute with the {what} family")
     return report
@@ -359,14 +385,19 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
+    """Reconstructed vector, its norm error, and ``upper / lower`` of the
+    controlled frame bounds."""
+
     xhat: ModuleVector
     error: float
+    condition_number: float
 
 
 def reconstruct(scenario: ControlledScenario, x: ModuleVector,
                 tol: float | None = None) -> ReconstructionResult:
     """Round-trip a vector through analysis, synthesis, and the inverse of the
-    controlled operator; returns the reconstruction and its norm error.
+    controlled operator; returns the reconstruction, its norm error, and the
+    condition number of the controlled operator.
 
     Raises ``NotAFrame`` when the controlled verdict is not a frame.
     """
@@ -378,4 +409,5 @@ def reconstruct(scenario: ControlledScenario, x: ModuleVector,
     # y.flat @ inverse(sc.action), via a solve against the transposed action
     xhat_flat = np.linalg.solve(sc.action.T, y.flat.T).T
     xhat = ModuleVector(x.algebra_dim, x.rank, xhat_flat)
-    return ReconstructionResult(xhat, vec_norm(x - xhat))
+    return ReconstructionResult(xhat, vec_norm(x - xhat),
+                                verdict.bounds.upper / verdict.bounds.lower)

@@ -24,7 +24,7 @@ from .controlled import (ControlledScenario, bounds_cc_from_plain,
                          bounds_plain_from_cc, controlled_classify,
                          controlled_frame_operator, cross_adjoint_resolve,
                          cross_operator, make_control_pair, synthesis_operator,
-                         surjectivity_transfer, validate_commutation)
+                         surjectivity_transfer)
 from .frames import FRAME, classify, frame_operator, sandwich_sum
 from .generators import GeneratorSpec, generate_pair
 from .module_space import ModuleVector, inner, vec_norm
@@ -243,7 +243,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
                                            "synthesis norm above bound" if excess > 0 else "")
 
     # Two-family checks against the twin.
-    rep_twin = validate_commutation(twin, pair.c, pair.cp, pair.commutation.tol)
+    rep_twin = pair.report_on(twin)
     pair_twin = dataclasses.replace(pair, commutation=rep_twin)
     scen_twin = ControlledScenario(twin, pair_twin)
     verdict_twin = controlled_classify(scen_twin)

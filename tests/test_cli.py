@@ -74,6 +74,17 @@ def test_analyze_bounds_match_library_oracle(tmp_path):
     assert lo == b.lower and hi == b.upper
 
 
+def test_analyze_reports_the_pair_certificate(scen, tmp_path,
+                                              certificate_calls):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(scen), "--out", str(out)]) == 0
+    assert len(certificate_calls) == 1
+    sc = ser.scenario_from_obj(read(scen))
+    rep = read(out)["commutation"]
+    assert rep["cc_commutator"] == sc.pair.commutation.cc_commutator
+    assert rep["per_point"] == [list(r) for r in sc.pair.commutation.per_point]
+
+
 def test_analyze_schema_error_names_path(scen, tmp_path, capsys):
     obj = read(scen)
     obj["points"][0]["weight"] = -1

@@ -1,5 +1,7 @@
 """Controlled frame operators, synthesis/analysis, cross operators, transfers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from gframes import (FRAME, AlgebraElement, ControlledScenario, GFrameFamily,
                      loewner_leq, make_control_pair, make_positive_invertible,
                      make_scenario, op_apply, op_norm, optimal_bounds,
                      reconstruct, surjectivity_transfer, synthesis,
-                     synthesis_norm_check, synthesis_operator, vec_norm)
-from gframes.errors import PreconditionViolated
+                     synthesis_norm_check, synthesis_operator,
+                     validate_commutation, vec_norm)
+from gframes.errors import CommutationViolated, PreconditionViolated
 from gframes.generators import GeneratorSpec
 from gframes.rng import complex_normal, stream
+from gframes.verifier import run_suite
 
 
 def diag_control(n, d, *vals):
@@ -72,6 +76,99 @@ def test_commutation_failure_is_reported_not_raised():
     skew = diag_control(1, 2, 1.0, 5.0)
     pair = make_control_pair(fam, skew, skew)
     assert not pair.commutation.passed
+
+
+def random_control(seed, n, d):
+    """Dense positive invertible control: commutes with no generic gram."""
+    a = complex_normal(stream(seed, 0), (d * n, d * n))
+    action = a @ a.conj().T + np.eye(d * n)
+    return make_positive_invertible(ModuleOperator(n, d, d, action))
+
+
+def reference_rel_commutator(a, b):
+    """The certificate's relative commutator with every norm taken afresh:
+    three spectral norms per commutator."""
+    num = float(np.linalg.norm(a @ b - b @ a, 2))
+    scale = max(1.0, float(np.linalg.norm(a, 2)) * float(np.linalg.norm(b, 2)))
+    return num / scale
+
+
+def reference_certificate(family, c, cp):
+    ca, cpa = c.base.action, cp.base.action
+    rows = []
+    for p in family.points:
+        gram = p.lam.action @ p.lam.action.conj().T
+        rows.append((reference_rel_commutator(ca, gram),
+                     reference_rel_commutator(cpa, gram)))
+    return reference_rel_commutator(ca, cpa), tuple(rows)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4), (8, 4, 16)])
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_commutation_matches_reference_loop_bit_for_bit(flavor, shape):
+    n, d, m = shape
+    sc, twin = generate_pair(GeneratorSpec(seed=181, n=n, d=d, m=m,
+                                           flavor=flavor))
+    c, cp = sc.pair.c, sc.pair.cp
+    skew = random_control(182, n, d)
+    for fam, x, y in ((sc.family, c, cp), (twin, c, cp), (sc.family, c, c),
+                      (twin, skew, cp)):
+        rep = validate_commutation(fam, x, y)
+        cc, rows = reference_certificate(fam, x, y)
+        assert rep.cc_commutator == cc
+        assert rep.per_point == rows
+
+
+# ------------------------------------------------- certify once
+
+
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_suite_certifies_each_control_pair_and_family_once(certificate_calls,
+                                                           flavor):
+    # (family, C, C'), (twin, C, C') and (family, C, C)
+    run_suite([GeneratorSpec(seed=191, n=2, d=2, m=4, flavor=flavor)])
+    assert len(certificate_calls) == 3
+
+
+def test_pair_returns_the_certificate_it_was_built_with(certificate_calls):
+    sc, twin = generate_pair(GeneratorSpec(seed=192, n=2, d=2, m=4,
+                                           flavor="commuting"))
+    assert len(certificate_calls) == 1
+    assert sc.pair.report_on(sc.family) is sc.pair.commutation
+    rep = sc.pair.report_on(twin)
+    assert sc.pair.report_on(twin) is rep
+    cross_operator(sc.family, twin, sc.pair)
+    surjectivity_transfer(sc.family, twin, sc.pair)
+    assert certificate_calls == [sc.family, twin]
+
+
+def test_unseen_noncommuting_family_is_rejected():
+    sc = generate(GeneratorSpec(seed=193, n=2, d=2, m=4, flavor="commuting"))
+    rng = stream(194, 0)
+    other = GFrameFamily(2, 2, tuple(
+        MeasurePoint(p.weight, ModuleOperator(
+            2, 2, p.codomain_rank, complex_normal(rng, (4, 2 * p.codomain_rank))))
+        for p in sc.family.points))
+    assert not validate_commutation(other, sc.pair.c, sc.pair.cp).passed
+    for call in (cross_operator, cross_adjoint_resolve, surjectivity_transfer):
+        with pytest.raises(CommutationViolated, match="second"):
+            call(sc.family, other, sc.pair)
+        with pytest.raises(CommutationViolated, match="first"):
+            call(other, sc.family, sc.pair)
+
+
+def test_replaced_pair_keeps_no_stored_report(certificate_calls):
+    sc = generate(GeneratorSpec(seed=197, n=2, d=2, m=4, flavor="commuting"))
+    moved = dataclasses.replace(sc.pair, cp=random_control(198, 2, 2))
+    del certificate_calls[:]
+    rep = moved.report_on(sc.family)
+    assert certificate_calls == [sc.family]
+    assert rep is not sc.pair.commutation
+    assert not rep.passed
+    assert moved.report_on(sc.family) is rep
+    assert len(certificate_calls) == 1
 
 
 # ------------------------------------------------- controlled operator
@@ -426,3 +523,10 @@ def test_reconstruct_rejects_non_frame():
     sc = generate(GeneratorSpec(seed=163, n=2, d=2, m=4, flavor="bessel_only"))
     with pytest.raises(NotAFrame):
         reconstruct(sc, random_vec(stream(164, 0), 2, 2))
+
+
+def test_reconstruct_reports_condition_number():
+    sc = generate(GeneratorSpec(seed=167, n=2, d=2, m=5, flavor="commuting"))
+    v = controlled_classify(sc)
+    result = reconstruct(sc, random_vec(stream(168, 0), 2, 2))
+    assert result.condition_number == v.bounds.upper / v.bounds.lower
