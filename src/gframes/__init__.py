@@ -23,10 +23,9 @@ from .errors import (CommutationViolated, GFrameError, InvalidSpec,
                      MeasureMismatch, NotAFrame, NotHermitian, NotPositive,
                      NotPositiveDefinite, NotSurjective, PreconditionViolated,
                      SchemaError)
-from .frames import (BESSEL_ONLY, FRAME, FRAME_TOL_RELATIVE, NOT_BESSEL,
-                     FrameBounds, FrameVerdict, GFrameFamily, MeasurePoint,
-                     check_sandwich, classify, frame_operator, optimal_bounds,
-                     sandwich_sum)
+from .frames import (BESSEL_ONLY, FRAME, FRAME_TOL_RELATIVE, FrameBounds,
+                     FrameVerdict, GFrameFamily, MeasurePoint, check_sandwich,
+                     classify, frame_operator, optimal_bounds, sandwich_sum)
 from .generators import FLAVORS, GeneratorSpec, generate, generate_pair
 from .module_space import (ModuleVector, a_valued_abs, inner, module_action,
                            vec_norm)
@@ -61,6 +60,6 @@ __all__ = [
     "cross_operator", "cross_adjoint_resolve", "bounds_plain_from_cc",
     "bounds_cc_from_plain", "surjectivity_transfer", "reconstruct",
     "generate", "generate_pair", "default_batch", "run_suite", "suite_passed",
-    "FRAME", "BESSEL_ONLY", "NOT_BESSEL", "FLAVORS", "CHECKS",
+    "FRAME", "BESSEL_ONLY", "FLAVORS", "CHECKS",
     "DEFAULT_TOL", "FRAME_TOL_RELATIVE", "SURJECTIVITY_TOL",
 ]

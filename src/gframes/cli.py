@@ -55,15 +55,11 @@ def _build_parser() -> _Parser:
     pv.add_argument("--default", action="store_true",
                     help="use the built-in batch (the default when --batch is absent)")
     pv.add_argument("--tol", type=float, default=None, help="check tolerance")
-    pv.add_argument("--threads", type=int, default=1,
-                    help="worker threads; results are byte-identical for any count")
     pv.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     pg = sub.add_parser("generate", help="generate a scenario from a spec")
     pg.add_argument("--spec", required=True,
                     help="generator spec: a JSON file path or an inline JSON object")
-    pg.add_argument("--threads", type=int, default=1,
-                    help="worker threads; output bytes are identical for any count")
     pg.add_argument("--out", default=None, help="write the scenario here instead of stdout")
 
     pr = sub.add_parser("reconstruct",
@@ -79,25 +75,24 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _env_tol() -> float | None:
-    raw = os.environ.get("GFRAME_TOL")
-    if raw is None or raw == "":
-        return None
-    try:
-        v = float(raw)
-    except ValueError:
-        raise GFrameError(f"GFRAME_TOL is not a number: {raw!r}")
-    if not (v > 0):
-        raise GFrameError(f"GFRAME_TOL must be positive, got {raw!r}")
-    return v
-
-
 def _resolve_tol(arg_tol: float | None) -> float | None:
+    """``--tol`` if given, else ``GFRAME_TOL`` if set, else None.  Either
+    source must give a finite number in (0, 1)."""
     if arg_tol is not None:
-        if not (arg_tol > 0):
-            raise GFrameError(f"--tol must be positive, got {arg_tol}")
-        return arg_tol
-    return _env_tol()
+        source, value = "--tol", arg_tol
+    else:
+        raw = os.environ.get("GFRAME_TOL")
+        if not raw:
+            return None
+        source = "GFRAME_TOL"
+        try:
+            value = float(raw)
+        except ValueError:
+            raise GFrameError(f"GFRAME_TOL is not a number: {raw!r}")
+    # NaN fails both comparisons and infinity fails the upper one
+    if not 0 < value < 1:
+        raise GFrameError(f"{source} must be a finite number in (0, 1), got {value!r}")
+    return value
 
 
 def _load_json(path: str):
@@ -182,8 +177,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args.tol)
-    if args.threads < 1:
-        raise GFrameError(f"--threads must be >= 1, got {args.threads}")
     if args.batch is not None and args.default:
         raise GFrameError("--batch and --default are mutually exclusive")
     if args.batch is not None:
@@ -191,11 +184,10 @@ def cmd_verify(args) -> int:
     else:
         batch = default_batch()
     kwargs = {} if tol is None else {"tol": tol}
-    results = run_suite(batch, workers=args.threads, **kwargs)
+    results = run_suite(batch, **kwargs)
     for r in results:
         sys.stderr.write(f"{r.check_id}: {r.status} "
                          f"({r.passes}/{r.scenarios_run})\n")
-    # no thread count in the report: output bytes must not depend on it
     effective = DEFAULT_TOL if tol is None else tol
     report = {
         "version": ser.REPORT_VERSION,
@@ -212,8 +204,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.threads < 1:
-        raise GFrameError(f"--threads must be >= 1, got {args.threads}")
     raw = args.spec.strip()
     if raw.startswith("{"):
         try:

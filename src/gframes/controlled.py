@@ -27,8 +27,8 @@ import numpy as np
 from .algebra import DEFAULT_TOL
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
-from .frames import (BESSEL_ONLY, FRAME, FrameBounds, FrameVerdict,
-                     GFrameFamily, _frame_threshold, _spectrum, frame_operator)
+from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
+                     _spectrum, _verdict, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, is_bounded_below, op_adjoint,
@@ -177,13 +177,8 @@ def controlled_classify(scenario: ControlledScenario,
     spectral edge, so both Bessel bounds are reported side by side.
     """
     sc = controlled_frame_operator(scenario)
-    lo, hi = _spectrum(sc)
     _, plain_hi = _spectrum(frame_operator(scenario.family))
-    witnesses = {"lambda_min": lo, "lambda_max": hi,
-                 "uncontrolled_bessel_bound": plain_hi}
-    if lo > _frame_threshold(hi, tol):
-        return FrameVerdict(FRAME, FrameBounds(lo, hi), witnesses)
-    return FrameVerdict(BESSEL_ONLY, None, witnesses)
+    return _verdict(sc, tol, uncontrolled_bessel_bound=plain_hi)
 
 
 def synthesis(scenario: ControlledScenario,
@@ -363,7 +358,8 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     rep_gam = _require_pair_on(gam, pair, "second")
     pair_lam = dataclasses.replace(pair, commutation=rep_lam)
     pair_gam = dataclasses.replace(pair, commutation=rep_gam)
-    verdict = controlled_classify(ControlledScenario(lam, pair_lam))
+    verdict = _verdict(controlled_frame_operator(
+        ControlledScenario(lam, pair_lam)))
     if verdict.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     cross = cross_operator(lam, gam, pair)
@@ -401,11 +397,11 @@ def reconstruct(scenario: ControlledScenario, x: ModuleVector,
 
     Raises ``NotAFrame`` when the controlled verdict is not a frame.
     """
-    verdict = controlled_classify(scenario, tol)
+    sc = controlled_frame_operator(scenario)
+    verdict = _verdict(sc, tol)
     if verdict.kind != FRAME:
         raise NotAFrame("reconstruction requires a controlled frame")
     y = synthesis(scenario, analysis(scenario, x))
-    sc = controlled_frame_operator(scenario)
     # y.flat @ inverse(sc.action), via a solve against the transposed action
     xhat_flat = np.linalg.solve(sc.action.T, y.flat.T).T
     xhat = ModuleVector(x.algebra_dim, x.rank, xhat_flat)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, loewner_leq
+from .algebra import DEFAULT_TOL, AlgebraElement, loewner_leq
 from .errors import NotAFrame
 from .module_space import ModuleVector, inner
-from .operators import ModuleOperator, op_apply
+from .operators import ModuleOperator
 from .rng import complex_normal, stream
 
 # A family counts as a frame when lambda_min exceeds this fraction of lambda_max.
@@ -25,7 +25,6 @@ FRAME_TOL_RELATIVE = 1e-8
 
 FRAME = "frame"
 BESSEL_ONLY = "bessel_only"
-NOT_BESSEL = "not_bessel"  # unreachable for finite families; kept for reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,41 +101,59 @@ def _spectrum(op: ModuleOperator) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _frame_threshold(lambda_max: float, tol: float | None) -> float:
-    # tol=None means the relative default; an explicit tol is absolute.
-    return FRAME_TOL_RELATIVE * lambda_max if tol is None else tol
+def _verdict(op: ModuleOperator, tol: float | None = None,
+             **witnesses: float) -> FrameVerdict:
+    """Frame / Bessel-only verdict from the spectrum of a frame operator.
+
+    The extreme eigenvalues lead the witnesses, followed by ``witnesses``.
+    ``tol=None`` means the threshold ``FRAME_TOL_RELATIVE * lambda_max``; an
+    explicit ``tol`` is absolute.
+    """
+    lo, hi = _spectrum(op)
+    witnesses = {"lambda_min": lo, "lambda_max": hi, **witnesses}
+    threshold = FRAME_TOL_RELATIVE * hi if tol is None else tol
+    if lo > threshold:
+        return FrameVerdict(FRAME, FrameBounds(lo, hi), witnesses)
+    return FrameVerdict(BESSEL_ONLY, None, witnesses)
 
 
 def optimal_bounds(family: GFrameFamily, tol: float | None = None) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; ``NotAFrame`` if the lower
     one does not clear the threshold."""
-    lo, hi = _spectrum(frame_operator(family))
-    if lo <= _frame_threshold(hi, tol):
-        raise NotAFrame(f"lower spectral edge {lo:.3e} is not positive")
-    return FrameBounds(lo, hi)
+    verdict = _verdict(frame_operator(family), tol)
+    if verdict.bounds is None:
+        raise NotAFrame(f"lower spectral edge {verdict.witnesses['lambda_min']:.3e} "
+                        f"is not positive")
+    return verdict.bounds
 
 
 def classify(family: GFrameFamily, tol: float | None = None) -> FrameVerdict:
     """Frame / Bessel-only verdict from the frame operator's spectrum."""
-    lo, hi = _spectrum(frame_operator(family))
-    witnesses = {"lambda_min": lo, "lambda_max": hi}
-    if lo > _frame_threshold(hi, tol):
-        return FrameVerdict(FRAME, FrameBounds(lo, hi), witnesses)
-    return FrameVerdict(BESSEL_ONLY, None, witnesses)
+    return _verdict(frame_operator(family), tol)
 
 
-def sandwich_sum(family: GFrameFamily, x: ModuleVector):
+def _energy(points, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_w weight * (x lam_w)(y lam_w)^H`` over ``points`` in point order,
+    on flattened vectors."""
+    acc = None
+    for p in points:
+        l = p.lam.action
+        xl = x @ l
+        yl = xl if y is x else y @ l
+        term = p.weight * (xl @ yl.conj().T)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def sandwich_sum(family: GFrameFamily, x: ModuleVector) -> AlgebraElement:
     """Pointwise-accumulated energy ``sum_w weight * inner(lam_w x, lam_w x)``.
 
     Deliberately sums per-point inner products instead of using the assembled
     frame operator, so checks against it exercise an independent path.
     """
-    acc = None
-    for p in family.points:
-        lx = op_apply(p.lam, x)
-        term = p.weight * inner(lx, lx)
-        acc = term if acc is None else acc + term
-    return acc
+    if x.algebra_dim != family.algebra_dim or x.rank != family.module_rank:
+        raise ValueError("vector does not live in the family's module")
+    return AlgebraElement(_energy(family.points, x.flat, x.flat))
 
 
 def check_sandwich(family: GFrameFamily, lower: float, upper: float,

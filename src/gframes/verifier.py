@@ -8,27 +8,26 @@ known to fail off the diagonal; its status is permanently ``empirical`` and
 its pass fraction is information, not a verdict.
 
 Results are ordered by check id and failure lists by seed, and scenarios are
-evaluated independently, so reports are byte-identical for any worker count.
+evaluated independently in batch order, so reports are byte-identical across
+runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL
 from .controlled import (ControlledScenario, bounds_cc_from_plain,
-                         bounds_plain_from_cc, controlled_classify,
-                         controlled_frame_operator, cross_adjoint_resolve,
-                         cross_operator, make_control_pair, synthesis_operator,
+                         bounds_plain_from_cc, controlled_frame_operator,
+                         cross_adjoint_resolve, cross_operator,
+                         make_control_pair, synthesis_operator,
                          surjectivity_transfer)
-from .frames import FRAME, classify, frame_operator, sandwich_sum
+from .frames import FRAME, _energy, _verdict, frame_operator
 from .generators import GeneratorSpec, generate_pair
-from .module_space import ModuleVector, inner, vec_norm
-from .operators import op_apply, op_norm
+from .operators import op_norm
 from .rng import complex_normal, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -87,7 +86,7 @@ def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
 def _sample_vectors(spec: GeneratorSpec, offset: int, count: int):
     n, d = spec.n, spec.d
     rng = stream(spec.seed, _CHECK_STREAM + offset)
-    return [ModuleVector(n, d, complex_normal(rng, (n, d * n))) for _ in range(count)]
+    return [complex_normal(rng, (n, d * n)) for _ in range(count)]
 
 
 @dataclass
@@ -103,33 +102,38 @@ def _not_run() -> _Outcome:
 
 
 def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
+    """Every check on one scenario.  Each operator, verdict and norm is
+    computed once and shared by the checks that read it; sampled vectors are
+    flattened arrays."""
     scenario, twin = generate_pair(spec)
     family = scenario.family
+    points = family.points
     pair = scenario.pair
     out: dict[str, _Outcome] = {}
 
-    plain_verdict = classify(family)
     s_plain = frame_operator(family)
+    plain_verdict = _verdict(s_plain)
     sc = controlled_frame_operator(scenario)
-    verdict = controlled_classify(scenario)
+    verdict = _verdict(sc)
+    t = synthesis_operator(scenario)
+    sigma = op_norm(t)
 
     # op_energy_bound: every point operator against sampled vectors.
+    sq_norms = [op_norm(p.lam) ** 2 for p in points]
     viol = 0.0
     for x in _sample_vectors(spec, 0, _SAMPLES):
-        xx = inner(x, x)
-        for p in family.points:
-            tx = op_apply(p.lam, x)
-            bound = (op_norm(p.lam) ** 2) * xx
-            viol = max(viol, _order_violation(inner(tx, tx).entries, bound.entries))
+        xx = x @ x.conj().T
+        for p, sq in zip(points, sq_norms):
+            tx = x @ p.lam.action
+            viol = max(viol, _order_violation(tx @ tx.conj().T, sq * xx))
     out["op_energy_bound"] = _Outcome(True, viol <= tol, viol,
                                       "energy bound violated" if viol > tol else "")
 
     # gram_sandwich: needs a surjective operator; the stacked synthesis of a
     # controlled frame is one.
     if verdict.kind == FRAME:
-        t = synthesis_operator(scenario)
         gram = t.action.conj().T @ t.action
-        lo, hi = _hmin(gram), op_norm(t) ** 2
+        lo, hi = _hmin(gram), sigma ** 2
         v1 = _order_violation(lo * np.eye(gram.shape[0]), gram)
         v2 = _order_violation(gram, hi * np.eye(gram.shape[0]))
         viol = max(v1, v2)
@@ -143,8 +147,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     hi_plain = plain_verdict.witnesses["lambda_max"]
     viol = 0.0
     for x in _sample_vectors(spec, 1, _SAMPLES):
-        xx = inner(x, x).entries
-        val = sandwich_sum(family, x).entries
+        xx = x @ x.conj().T
+        val = _energy(points, x, x)
         if plain_verdict.kind == FRAME:
             viol = max(viol, _order_violation(lo_plain * xx, val))
         viol = max(viol, _order_violation(val, hi_plain * xx))
@@ -165,13 +169,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
     for x in _sample_vectors(spec, 2, _SAMPLES):
-        xx = inner(x, x).entries
-        cx = ModuleVector(x.algebra_dim, x.rank, x.flat @ ca)
-        cpx = ModuleVector(x.algebra_dim, x.rank, x.flat @ cpa)
-        val = None
-        for p in family.points:
-            term = p.weight * inner(op_apply(p.lam, cx), op_apply(p.lam, cpx)).entries
-            val = term if val is None else val + term
+        xx = x @ x.conj().T
+        val = _energy(points, x @ ca, x @ cpa)
         if verdict.kind == FRAME:
             viol = max(viol, _order_violation(lo_c * xx, val))
         viol = max(viol, _order_violation(val, hi_c * xx))
@@ -183,13 +182,9 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     if verdict.kind == FRAME:
         viol = 0.0
         for x in _sample_vectors(spec, 3, _SAMPLES):
-            nx2 = vec_norm(x) ** 2
-            val = None
-            cx = ModuleVector(x.algebra_dim, x.rank, x.flat @ ca)
-            cpx = ModuleVector(x.algebra_dim, x.rank, x.flat @ cpa)
-            for p in family.points:
-                term = p.weight * inner(op_apply(p.lam, cx), op_apply(p.lam, cpx)).entries
-                val = term if val is None else val + term
+            # vec_norm(x) ** 2, through the square root as vec_norm takes it
+            nx2 = float(np.sqrt(float(np.linalg.norm(x @ x.conj().T, 2)))) ** 2
+            val = _energy(points, x @ ca, x @ cpa)
             nv = float(np.linalg.norm(val, 2))
             scale = max(1.0, hi_c * nx2)
             viol = max(viol, (lo_c * nx2 - nv) / scale, (nv - hi_c * nx2) / scale)
@@ -205,13 +200,12 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         out["cc_equivalence_bounds"] = _Outcome(True, False, 1.0,
                                                 "same-control certificate failed")
     else:
-        scen_cc = ControlledScenario(family, pair_cc)
-        verdict_cc = controlled_classify(scen_cc)
+        sc_cc = controlled_frame_operator(ControlledScenario(family, pair_cc))
+        verdict_cc = _verdict(sc_cc)
         agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
         viol = 0.0 if agree else 1.0
         detail = "" if agree else "verdicts disagree"
         if agree and plain_verdict.kind == FRAME:
-            sc_cc = controlled_frame_operator(scen_cc)
             a_cc, b_cc = verdict_cc.bounds.lower, verdict_cc.bounds.upper
             a_pl, b_pl = plain_verdict.bounds.lower, plain_verdict.bounds.upper
             pb = bounds_plain_from_cc(a_cc, b_cc, pair.c)
@@ -236,7 +230,6 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         out["cc_equivalence_bounds"] = _Outcome(True, ok, viol, detail)
 
     # synthesis_norm_bound.
-    sigma = op_norm(synthesis_operator(scenario))
     root = float(np.sqrt(max(hi_c, 0.0)))
     excess = sigma - root - NORM_BOUND_TOL * max(1.0, root)
     out["synthesis_norm_bound"] = _Outcome(True, excess <= 0, max(0.0, sigma - root),
@@ -245,16 +238,16 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # Two-family checks against the twin.
     rep_twin = pair.report_on(twin)
     pair_twin = dataclasses.replace(pair, commutation=rep_twin)
-    scen_twin = ControlledScenario(twin, pair_twin)
-    verdict_twin = controlled_classify(scen_twin)
+    verdict_twin = _verdict(controlled_frame_operator(
+        ControlledScenario(twin, pair_twin)))
 
-    cross = cross_operator(family, twin, pair)
+    cross_norm = op_norm(cross_operator(family, twin, pair))
     e1 = hi_c
     e2 = verdict_twin.witnesses["lambda_max"]
     bound = float(np.sqrt(max(e1 * e2, 0.0)))
-    excess = op_norm(cross) - bound - NORM_BOUND_TOL * max(1.0, bound)
+    excess = cross_norm - bound - NORM_BOUND_TOL * max(1.0, bound)
     out["cross_operator_norm_bound"] = _Outcome(
-        True, excess <= 0, max(0.0, op_norm(cross) - bound),
+        True, excess <= 0, max(0.0, cross_norm - bound),
         "cross norm above bound" if excess > 0 else "")
 
     _, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
@@ -317,7 +310,7 @@ def default_batch() -> list:
     return batch
 
 
-def run_suite(batch, tol: float = DEFAULT_TOL, workers: int = 1) -> list:
+def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
     """Evaluate every check over a batch of generator specs.
 
     Parameters
@@ -326,23 +319,13 @@ def run_suite(batch, tol: float = DEFAULT_TOL, workers: int = 1) -> list:
         Scenarios to generate and test; must be nonempty.
     tol : float
         Working tolerance for semidefinite-order margins.
-    workers : int
-        Thread count for scenario evaluation.  Results are aggregated in
-        batch order and sorted, so the report does not depend on it.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("batch must contain at least one spec")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if workers == 1:
-        outcomes = [_evaluate_scenario(spec, tol) for spec in batch]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda s: _evaluate_scenario(s, tol), batch))
     results = {cid: CheckResult(cid) for cid in CHECKS}
-    for spec, out in zip(batch, outcomes):
-        for cid, o in out.items():
+    for spec in batch:
+        for cid, o in _evaluate_scenario(spec, tol).items():
             r = results[cid]
             if not o.ran:
                 continue

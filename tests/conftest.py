@@ -5,21 +5,50 @@ import sys
 import pytest
 
 import gframes.controlled as controlled_mod
+import gframes.frames as frames_mod
+import gframes.operators as operators_mod
+from gframes.algebra import AlgebraElement
+from gframes.module_space import ModuleVector
+
+# Counted library functions and the module that defines each.
+COUNTED = {
+    "validate_commutation": controlled_mod,
+    "frame_operator": frames_mod,
+    "controlled_frame_operator": controlled_mod,
+    "synthesis_operator": controlled_mod,
+    "op_norm": operators_mod,
+}
+
+
+def _counting(real, log):
+    def counting(first, *args, **kwargs):
+        log.append(first)
+        return real(first, *args, **kwargs)
+    return counting
 
 
 @pytest.fixture
-def certificate_calls(monkeypatch):
-    """Families passed to ``validate_commutation``, in call order, through
-    every ``gframes`` module that binds the name."""
-    calls = []
-    real = controlled_mod.validate_commutation
+def calls(monkeypatch):
+    """First arguments of every call to each ``COUNTED`` function, in call
+    order, through every ``gframes`` module that binds the name; under
+    ``ModuleVector`` and ``AlgebraElement``, every instance constructed."""
+    record = {}
+    for name, home in COUNTED.items():
+        real = getattr(home, name)
+        record[name] = []
+        counting = _counting(real, record[name])
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "gframes" \
+                    and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    for cls in (ModuleVector, AlgebraElement):
+        record[cls.__name__] = []
+        monkeypatch.setattr(cls, "__post_init__",
+                            _counting(cls.__post_init__, record[cls.__name__]))
+    return record
 
-    def counting(family, *args, **kwargs):
-        calls.append(family)
-        return real(family, *args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "gframes" \
-                and getattr(mod, "validate_commutation", None) is real:
-            monkeypatch.setattr(mod, "validate_commutation", counting)
-    return calls
+@pytest.fixture
+def certificate_calls(calls):
+    """Families passed to ``validate_commutation``, in call order."""
+    return calls["validate_commutation"]

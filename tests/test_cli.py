@@ -115,15 +115,6 @@ def test_generate_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_threads_do_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["generate", "--spec", COMMUTING_SPEC, "--threads", "1",
-                 "--out", str(a)]) == 0
-    assert main(["generate", "--spec", COMMUTING_SPEC, "--threads", "4",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_generate_round_trip_bytes(scen):
     text = scen.read_text()
     rebuilt = ser.scenario_from_obj(json.loads(text))
@@ -179,16 +170,6 @@ def test_verify_small_batch_passes(tmp_path, capsys):
     assert "op_energy_bound" in err
 
 
-def test_verify_threads_byte_identical(tmp_path):
-    batch = write_batch(tmp_path, SMALL_BATCH)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "--batch", str(batch), "--threads", "1",
-                 "--out", str(a)]) == 0
-    assert main(["verify", "--batch", str(batch), "--threads", "4",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_verify_two_runs_byte_identical(tmp_path):
     batch = write_batch(tmp_path, SMALL_BATCH)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -225,10 +206,6 @@ def test_verify_batch_schema_error(tmp_path, capsys):
 def test_verify_rejects_batch_plus_default(tmp_path):
     batch = write_batch(tmp_path, SMALL_BATCH)
     assert main(["verify", "--batch", str(batch), "--default"]) == 1
-
-
-def test_verify_bad_threads(capsys):
-    assert main(["verify", "--threads", "0"]) == 1
 
 
 # ------------------------------------------------------------- reconstruct
@@ -294,6 +271,38 @@ def test_env_tol_invalid(scen, monkeypatch, capsys):
     monkeypatch.setenv("GFRAME_TOL", "abc")
     assert main(["analyze", str(scen)]) == 1
     assert "GFRAME_TOL" in capsys.readouterr().err
+
+
+BAD_TOLS = {"inf": (["--tol", "inf"], None), "nan": (["--tol", "nan"], None),
+            "one": (["--tol", "1"], None), "env_1e300": ([], "1e300")}
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "reconstruct"])
+@pytest.mark.parametrize("case", sorted(BAD_TOLS))
+def test_bad_tolerance_rejected_up_front(command, case, scen, tmp_path,
+                                         monkeypatch, capsys):
+    flag, env = BAD_TOLS[case]
+    monkeypatch.delenv("GFRAME_TOL", raising=False)
+    if env is not None:
+        monkeypatch.setenv("GFRAME_TOL", env)
+    args = {"verify": ["verify", "--batch", str(write_batch(tmp_path, SMALL_BATCH))],
+            "analyze": ["analyze", str(scen)],
+            "reconstruct": ["reconstruct", str(scen), "--random", "1"]}[command]
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(args + flag + ["--out", str(out)]) == 1
+    assert ("GFRAME_TOL" if env else "--tol") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["verify"],
+                                     ["generate", "--spec", COMMUTING_SPEC]],
+                         ids=["verify", "generate"])
+def test_threads_option_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_no_command_prints_help(capsys):

@@ -530,3 +530,10 @@ def test_reconstruct_reports_condition_number():
     v = controlled_classify(sc)
     result = reconstruct(sc, random_vec(stream(168, 0), 2, 2))
     assert result.condition_number == v.bounds.upper / v.bounds.lower
+
+
+def test_reconstruct_builds_one_controlled_operator(calls):
+    sc = generate(GeneratorSpec(seed=169, n=2, d=2, m=5, flavor="commuting"))
+    reconstruct(sc, random_vec(stream(170, 0), 2, 2))
+    assert calls["controlled_frame_operator"] == [sc]
+    assert calls["frame_operator"] == []

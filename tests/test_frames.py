@@ -8,6 +8,7 @@ from gframes import (AlgebraElement, BESSEL_ONLY, FRAME, GFrameFamily,
                      alg_norm, check_sandwich, classify, frame_operator, inner,
                      loewner_leq, op_apply, optimal_bounds, sandwich_sum,
                      vec_norm)
+from gframes.frames import _energy
 from gframes.generators import GeneratorSpec, generate
 from gframes.rng import complex_normal, stream
 
@@ -166,6 +167,23 @@ def test_sandwich_sum_matches_frame_operator_quadratic_form():
         via_points = sandwich_sum(fam, x)
         via_s = inner(x, op_apply(s, x))
         assert alg_norm(via_points - via_s) <= 1e-11 * max(1.0, alg_norm(via_s))
+
+
+def test_energy_matches_wrapper_loop_bit_for_bit():
+    fam = random_family(49, 2, 3, 5)
+    rng = stream(50, 0)
+    x = ModuleVector(2, 3, complex_normal(rng, (2, 6)))
+    y = ModuleVector(2, 3, complex_normal(rng, (2, 6)))
+    for u, v in ((x, x), (x, y)):
+        ref = None
+        for p in fam.points:
+            term = p.weight * inner(op_apply(p.lam, u), op_apply(p.lam, v)).entries
+            ref = term if ref is None else ref + term
+        assert np.array_equal(_energy(fam.points, u.flat, v.flat), ref)
+    assert np.array_equal(sandwich_sum(fam, x).entries,
+                          _energy(fam.points, x.flat, x.flat))
+    with pytest.raises(ValueError):
+        sandwich_sum(fam, ModuleVector(3, 2, complex_normal(rng, (3, 6))))
 
 
 def test_check_sandwich_parseval():

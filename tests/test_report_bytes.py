@@ -1,0 +1,76 @@
+"""Byte guard: sha256 digests of CLI reports, pinned.
+
+Refactors and optimizations must leave every report byte unchanged.  The
+digests below cover ``verify --batch`` on a mixed batch (all four flavors,
+scalar (1, 1, 1) shapes and one (8, 4, 16) scenario) at the default
+tolerance and at ``--tol 1e-18``, where failure residuals are reported,
+plus ``generate``, ``analyze`` and ``reconstruct --random`` for one
+scenario per flavor.  Float results may differ in the last bits under
+another numpy build, so the test only runs on the numpy version the digests
+were recorded with.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from gframes.cli import main
+
+NUMPY_VERSION = "2.4.6"
+
+FLAVORS = ("generic", "commuting", "parseval", "bessel_only")
+
+BATCH = ([{"seed": 800 + i, "n": 1, "d": 1, "m": 1, "flavor": fl}
+          for i, fl in enumerate(FLAVORS)]
+         + [{"seed": 810 + i, "n": 2, "d": 2, "m": 4, "flavor": fl}
+            for i, fl in enumerate(FLAVORS)]
+         + [{"seed": 820, "n": 8, "d": 4, "m": 16, "flavor": "commuting"}])
+
+# name -> (exit code, sha256 of the report bytes, None when none is written)
+DIGESTS = {
+    "verify": (0, "b08eb9b9a2db2e47504b7231bd68a32cdde05380e425aeda96dd9a1c4df6ceeb"),
+    "verify_1e-18": (3, "89847d56887c77886ac28422dc0c7478bbf8ce08381134b3f61ece975813b073"),
+    "generate_generic": (0, "87022ca4fc0bddc0b954d21ea4fa68086e9ef2c5691cf6ece841930c0254e2d0"),
+    "analyze_generic": (0, "a544f7d667d753417e67c52e470ba9fd2693ab0b686ee408ea4e116e8a5210bc"),
+    "reconstruct_generic": (0, "446619a61147af99e6c0032d1cee26eb27089084717cc06769df56eaf4eea683"),
+    "generate_commuting": (0, "07fcc05628e96815b56c99f154f9eb1ca40c3bceed185a09c6d8d9fdfc34e560"),
+    "analyze_commuting": (0, "4275076d867f968cf19509a87b48e6c352104801bf04ded5767c08e8e0c42e52"),
+    "reconstruct_commuting": (0, "b38ce5db92025c63a2432f0c41c24618de5ce7902cb18fc032c3eaa30dcadd3d"),
+    "generate_parseval": (0, "d0ee176685dcce7f0b8c863644c20040d3070500ee801504cc4b65dbbd4f2d23"),
+    "analyze_parseval": (0, "f8b033c2868ecc002abe06019d6529891190be8bb1048fde38d66b1918e6df1f"),
+    "reconstruct_parseval": (0, "bd42a129d76b5392a6641f4b1917579dcad82ffd2028dc98cd725b9b8ffab4c2"),
+    "generate_bessel_only": (0, "b1672b696f3a8618585a47f375dfe80e1dc495d2d7fc78e5a9fda5407e691701"),
+    "analyze_bessel_only": (2, "b7e1dc263f242f0afcf7609afd6ed65abbc4bc168613e043f71922d58c6a7002"),
+    "reconstruct_bessel_only": (2, None),
+}
+
+
+def outputs(tmp_path) -> dict:
+    """Exit code and report digest of every pinned command."""
+    def run(name, args):
+        out = tmp_path / f"{name}.json"
+        code = main(args + ["--out", str(out)])
+        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+        result[name] = (code, digest)
+
+    result = {}
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(BATCH))
+    run("verify", ["verify", "--batch", str(batch)])
+    run("verify_1e-18", ["verify", "--batch", str(batch), "--tol", "1e-18"])
+    for i, fl in enumerate(FLAVORS):
+        spec = json.dumps({"seed": 830 + i, "n": 2, "d": 3, "m": 5, "flavor": fl})
+        run(f"generate_{fl}", ["generate", "--spec", spec])
+        scen = str(tmp_path / f"generate_{fl}.json")
+        run(f"analyze_{fl}", ["analyze", scen])
+        run(f"reconstruct_{fl}", ["reconstruct", scen, "--random", str(840 + i)])
+    return result
+
+
+def test_report_bytes_unchanged(tmp_path):
+    if np.__version__ != NUMPY_VERSION:
+        pytest.skip(f"digests recorded with numpy {NUMPY_VERSION}, "
+                    f"running numpy {np.__version__}")
+    assert outputs(tmp_path) == DIGESTS
