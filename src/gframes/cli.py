@@ -15,9 +15,9 @@ import os
 import sys
 
 from . import serialization as ser
-from .controlled import controlled_classify, reconstruct
+from .controlled import controlled_frame_operator, reconstruct
 from .errors import GFrameError, NotAFrame, SchemaError
-from .frames import FRAME, classify
+from .frames import FRAME, _verdict, classify
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
@@ -143,7 +143,10 @@ def cmd_analyze(args) -> int:
     controlled_witnesses = {}
     cond_cc = None
     if commutation.passed:
-        cv = controlled_classify(scenario, tol=tol)
+        # controlled_classify's verdict, with the plain operator's upper edge
+        # read from the verdict above instead of building it a second time
+        cv = _verdict(controlled_frame_operator(scenario), tol,
+                      uncontrolled_bessel_bound=witnesses["lambda_max"])
         controlled_kind, controlled_bounds, controlled_witnesses = _verdict_fields(cv)
         if cv.kind == FRAME:
             cond_cc = cv.bounds.upper / cv.bounds.lower

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,10 +89,25 @@ class ControlledScenario:
             raise ValueError("control shape does not match the family")
 
 
-def _rel_commutator(a: np.ndarray, b: np.ndarray, norm_a: float,
-                    norm_b: float) -> float:
-    num = float(np.linalg.norm(a @ b - b @ a, 2))
-    return num / max(1.0, norm_a * norm_b)
+def _lazy_norm(mat: np.ndarray) -> Callable[[], float]:
+    """Thunk for the spectral norm of ``mat`` that takes it at most once."""
+    memo = []
+
+    def norm() -> float:
+        if not memo:
+            memo.append(float(np.linalg.norm(mat, 2)))
+        return memo[0]
+    return norm
+
+
+def _rel_commutator(a: np.ndarray, b: np.ndarray, norm_a: Callable[[], float],
+                    norm_b: Callable[[], float]) -> float:
+    """``norm(ab - ba) / max(1, norm_a() * norm_b())``.  An exactly zero
+    commutator gives 0.0 over any scale, so it takes no norm at all."""
+    comm = a @ b - b @ a
+    if not comm.any():
+        return 0.0
+    return float(np.linalg.norm(comm, 2)) / max(1.0, norm_a() * norm_b())
 
 
 def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
@@ -101,20 +116,21 @@ def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
     """Measure every commutator the controlled formulas rely on.
 
     Each commutator norm is taken relative to the product of its factors'
-    norms; every factor norm is computed once.  Never raises; the report
-    carries the verdict so callers can decide.
+    norms.  A factor norm is taken at most once, and only when a nonzero
+    commutator needs it; a same-control pair takes each commutator once.
+    Never raises; the report carries the verdict so callers can decide.
     """
     ca, cpa = c.base.action, cp.base.action
-    nc = float(np.linalg.norm(ca, 2))
-    ncp = float(np.linalg.norm(cpa, 2))
+    nc, ncp = (lambda: c.norm), (lambda: cp.norm)
     cc = _rel_commutator(ca, cpa, nc, ncp)
     rows = []
     for p in family.points:
         l = p.lam.action
         gram = l @ l.conj().T
-        ng = float(np.linalg.norm(gram, 2))
-        rows.append((_rel_commutator(ca, gram, nc, ng),
-                     _rel_commutator(cpa, gram, ncp, ng)))
+        ng = _lazy_norm(gram)
+        r = _rel_commutator(ca, gram, nc, ng)
+        rows.append((r, r) if cpa is ca else
+                    (r, _rel_commutator(cpa, gram, ncp, ng)))
     entries = [cc] + [r for pair in rows for r in pair]
     passed = all(e <= tol for e in entries)
     return CommutationReport(cc, tuple(rows), tol, passed)
@@ -319,8 +335,7 @@ def bounds_plain_from_cc(lower: float, upper: float,
     ``(lower / norm(c)^2, upper * norm(c^-1)^2)``.  Valid, not tight."""
     if lower <= 0 or upper <= 0:
         raise ValueError("bounds must be positive")
-    nc = op_norm(c.base)
-    ninv = op_norm(c.inverse)
+    nc, ninv = c.norm, c.inverse_norm
     return FrameBounds(lower / (nc * nc), upper * (ninv * ninv))
 
 
@@ -330,8 +345,7 @@ def bounds_cc_from_plain(lower: float, upper: float,
     ``(lower / norm(c^-1)^2, upper * norm(c)^2)``.  Valid, not tight."""
     if lower <= 0 or upper <= 0:
         raise ValueError("bounds must be positive")
-    nc = op_norm(c.base)
-    ninv = op_norm(c.inverse)
+    nc, ninv = c.norm, c.inverse_norm
     return FrameBounds(lower / (ninv * ninv), upper * (nc * nc))
 
 

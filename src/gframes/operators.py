@@ -11,6 +11,7 @@ the operator norm is its largest singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,12 +147,21 @@ def gram_sandwich_check(t: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True, eq=False)
 class PositiveInvertibleOperator:
     """A square operator certified positive definite at construction, with its
-    square root and inverse cached."""
+    square root and inverse cached, and its norm and its inverse's norm taken
+    on first use."""
 
     base: ModuleOperator
     sqrt: ModuleOperator
     inverse: ModuleOperator
     condition_number: float
+
+    @cached_property
+    def norm(self) -> float:
+        return op_norm(self.base)
+
+    @cached_property
+    def inverse_norm(self) -> float:
+        return op_norm(self.inverse)
 
 
 def make_positive_invertible(m: ModuleOperator,
@@ -174,12 +184,14 @@ def make_positive_invertible(m: ModuleOperator,
             f"smallest eigenvalue {lo:.3e} not above tol * norm = {tol * nrm:.3e}")
     vh = v.conj().T
     mk = lambda mat: ModuleOperator(m.algebra_dim, m.domain_rank, m.domain_rank, mat)
-    return PositiveInvertibleOperator(
+    pos = PositiveInvertibleOperator(
         base=m,
         sqrt=mk((v * np.sqrt(w)) @ vh),
         inverse=mk((v * (1.0 / w)) @ vh),
         condition_number=hi / lo,
     )
+    vars(pos)["norm"] = nrm  # op_norm(m), already taken above
+    return pos
 
 
 def identity_control(n: int, d: int) -> PositiveInvertibleOperator:

@@ -78,9 +78,17 @@ def _hmin(mat: np.ndarray) -> float:
 
 
 def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
-    """How far ``a <= b`` fails in the semidefinite order, relative."""
+    """How far ``a <= b`` fails in the semidefinite order, relative.
+
+    A finite ``b - a`` with no negative eigenvalue gives 0.0 whatever the
+    scale, so the two norms of the scale are taken only otherwise.
+    """
+    diff = b - a
+    h = _hmin(diff)
+    if h >= 0 and np.isfinite(diff).all():
+        return 0.0
     scale = max(1.0, float(np.linalg.norm(a, 2)), float(np.linalg.norm(b, 2)))
-    return max(0.0, -_hmin(b - a) / scale)
+    return max(0.0, -h / scale)
 
 
 def _sample_vectors(spec: GeneratorSpec, offset: int, count: int):
@@ -274,8 +282,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     # bound_product_probe (empirical): claimed bounds scaled by control norms.
     if plain_verdict.kind == FRAME:
-        nc = op_norm(pair.c.base)
-        ncp = op_norm(pair.cp.base)
+        nc = pair.c.norm
+        ncp = pair.cp.norm
         claimed_lo = plain_verdict.bounds.lower * nc * ncp
         claimed_hi = plain_verdict.bounds.upper * nc * ncp
         lo_gap = claimed_lo - lo_c

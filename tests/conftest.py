@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 import gframes.controlled as controlled_mod
@@ -31,8 +32,16 @@ def _counting(real, log):
 def calls(monkeypatch):
     """First arguments of every call to each ``COUNTED`` function, in call
     order, through every ``gframes`` module that binds the name; under
-    ``ModuleVector`` and ``AlgebraElement``, every instance constructed."""
-    record = {}
+    ``ModuleVector`` and ``AlgebraElement``, every instance constructed; under
+    ``norm2``, the matrix of every spectral norm ``np.linalg.norm(x, 2)``."""
+    record = {"norm2": []}
+    real_norm = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            record["norm2"].append(x)
+        return real_norm(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", norm)
     for name, home in COUNTED.items():
         real = getattr(home, name)
         record[name] = []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gframes import GeneratorSpec, ModuleVector, generate
+from gframes import GeneratorSpec, ModuleVector, controlled_classify, generate
 from gframes import serialization as ser
 from gframes.cli import main
 from gframes.rng import complex_normal, stream
@@ -83,6 +83,15 @@ def test_analyze_reports_the_pair_certificate(scen, tmp_path,
     rep = read(out)["commutation"]
     assert rep["cc_commutator"] == sc.pair.commutation.cc_commutator
     assert rep["per_point"] == [list(r) for r in sc.pair.commutation.per_point]
+
+
+def test_analyze_builds_the_plain_frame_operator_once(scen, tmp_path, calls):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(scen), "--out", str(out)]) == 0
+    assert len(calls["frame_operator"]) == 1
+    sc = ser.scenario_from_obj(read(scen))
+    assert read(out)["controlled_witnesses"] == \
+        controlled_classify(sc, tol=1e-9).witnesses
 
 
 def test_analyze_schema_error_names_path(scen, tmp_path, capsys):

@@ -103,21 +103,63 @@ def reference_certificate(family, c, cp):
     return reference_rel_commutator(ca, cpa), tuple(rows)
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 4), (8, 4, 16)])
+@pytest.mark.parametrize("shape", [(2, 2, 4), (8, 4, 16), (1, 1, 1)])
 @pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
                                     "bessel_only"])
 def test_commutation_matches_reference_loop_bit_for_bit(flavor, shape):
     n, d, m = shape
-    sc, twin = generate_pair(GeneratorSpec(seed=181, n=n, d=d, m=m,
-                                           flavor=flavor))
-    c, cp = sc.pair.c, sc.pair.cp
     skew = random_control(182, n, d)
-    for fam, x, y in ((sc.family, c, cp), (twin, c, cp), (sc.family, c, c),
-                      (twin, skew, cp)):
-        rep = validate_commutation(fam, x, y)
-        cc, rows = reference_certificate(fam, x, y)
-        assert rep.cc_commutator == cc
-        assert rep.per_point == rows
+    eye = identity_control(n, d)
+    for spectrum in ((0.5, 2.0), (1.0, 1.0), (1e-6, 1e6)):
+        sc, twin = generate_pair(GeneratorSpec(seed=181, n=n, d=d, m=m,
+                                               spectrum_range=spectrum,
+                                               flavor=flavor))
+        c, cp = sc.pair.c, sc.pair.cp
+        for fam, x, y in ((sc.family, c, cp), (twin, c, cp),
+                          (sc.family, c, c), (twin, skew, cp),
+                          (sc.family, eye, eye), (twin, eye, skew),
+                          (twin, skew, skew)):
+            rep = validate_commutation(fam, x, y)
+            cc, rows = reference_certificate(fam, x, y)
+            assert rep.cc_commutator == cc
+            assert rep.per_point == rows
+
+
+def test_identity_controls_take_no_norm(calls):
+    sc = generate(GeneratorSpec(seed=183, n=3, d=2, m=5, flavor="generic"))
+    eye = identity_control(3, 2)
+    del calls["norm2"][:]
+    for c, cp in ((eye, eye), (eye, identity_control(3, 2))):
+        rep = validate_commutation(sc.family, c, cp)
+        assert rep.passed
+        assert rep.cc_commutator == 0.0
+        assert rep.per_point == ((0.0, 0.0),) * 5
+    assert calls["norm2"] == []
+
+
+def test_same_control_pair_takes_each_commutator_once(calls):
+    # (C, C): [C, C] is zero, and each point takes one commutator norm and
+    # one gram norm; the certified control already carries its norm
+    sc = generate(GeneratorSpec(seed=184, n=2, d=2, m=4, flavor="generic"))
+    skew = random_control(185, 2, 2)
+    del calls["norm2"][:]
+    rep = validate_commutation(sc.family, skew, skew)
+    assert not rep.passed
+    assert rep.cc_commutator == 0.0
+    assert all(r == s and r > 0.0 for r, s in rep.per_point)
+    assert len(calls["norm2"]) == 2 * 4
+
+
+def test_control_norms_are_taken_once_with_op_norm_bits(calls):
+    skew = random_control(186, 2, 3)
+    eye = identity_control(2, 3)
+    del calls["op_norm"][:]
+    for _ in range(2):
+        for c in (skew, eye):
+            assert c.norm == float(np.linalg.norm(c.base.action, 2))
+            assert c.inverse_norm == float(np.linalg.norm(c.inverse.action, 2))
+    # make_positive_invertible gave skew its norm; the other three once each
+    assert calls["op_norm"] == [skew.inverse, eye.base, eye.inverse]
 
 
 # ------------------------------------------------- certify once

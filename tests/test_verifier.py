@@ -1,12 +1,16 @@
 """Randomized property suite: coverage, gating, determinism, failure capture."""
 
 import dataclasses
+import math
+
+import numpy as np
 
 import pytest
 
 from gframes import (CHECKS, GeneratorSpec, default_batch, run_suite,
                      suite_passed)
-from gframes.verifier import EMPIRICAL_CHECKS
+from gframes.rng import complex_normal, stream
+from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
 
 EXPECTED_IDS = {
     "op_energy_bound",
@@ -120,14 +124,15 @@ def test_empty_batch_rejected():
 # Operator builds and op_norm calls of one (2, 2, 4) scenario, generation
 # included.  Left after sharing: the parseval generator normalizes family and
 # twin; surjectivity_transfer builds the twin's synthesis and both controlled
-# operators; the commuting generator certifies two controls.
+# operators; the commuting generator certifies two controls.  Each control's
+# norm and inverse norm are taken at most once.
 SCENARIO_BUILDS = {
     "generic": {"frame_operator": 1, "controlled_frame_operator": 5,
-                "synthesis_operator": 2, "op_norm": 14},
+                "synthesis_operator": 2, "op_norm": 10},
     "commuting": {"frame_operator": 1, "controlled_frame_operator": 5,
-                  "synthesis_operator": 2, "op_norm": 16},
+                  "synthesis_operator": 2, "op_norm": 11},
     "parseval": {"frame_operator": 3, "controlled_frame_operator": 5,
-                 "synthesis_operator": 2, "op_norm": 14},
+                 "synthesis_operator": 2, "op_norm": 10},
     "bessel_only": {"frame_operator": 1, "controlled_frame_operator": 3,
                     "synthesis_operator": 1, "op_norm": 10},
 }
@@ -138,6 +143,72 @@ def test_scenario_builds_each_operator_once(calls, flavor):
     run_suite([GeneratorSpec(seed=7, n=2, d=2, m=4, flavor=flavor)])
     expected = SCENARIO_BUILDS[flavor]
     assert {name: len(calls[name]) for name in expected} == expected
+
+
+# Spectral norms of the same scenario.  Order checks take their two scale
+# norms only when they fail, and certificates take none for an exactly zero
+# commutator; the generic and parseval flavors have identity controls.
+SCENARIO_NORMS = {"bessel_only": 51, "commuting": 70, "generic": 29,
+                  "parseval": 37}
+
+
+@pytest.mark.parametrize("flavor", sorted(SCENARIO_NORMS))
+def test_scenario_spectral_norm_count(calls, flavor):
+    run_suite([GeneratorSpec(seed=7, n=2, d=2, m=4, flavor=flavor)])
+    assert len(calls["norm2"]) == SCENARIO_NORMS[flavor]
+
+
+def reference_order_violation(a, b):
+    """``_order_violation`` with its scale always taken."""
+    scale = max(1.0, float(np.linalg.norm(a, 2)), float(np.linalg.norm(b, 2)))
+    return max(0.0, -_hmin(b - a) / scale)
+
+
+def hermitian(seed, k, rank=None):
+    """Seeded Hermitian k x k matrix, positive semidefinite of ``rank``
+    when a rank is given."""
+    g = complex_normal(stream(seed, 0), (k, k if rank is None else rank))
+    return g @ g.conj().T if rank is not None else g + g.conj().T
+
+
+ORDER_CASES = {
+    "equal": lambda a: (a, a.copy()),
+    "plus_psd": lambda a: (a, a + hermitian(2, a.shape[0], a.shape[0])),
+    "minus_eps": lambda a: (a, a - 1e-9 * np.eye(a.shape[0])),
+    "rank_deficient": lambda a: (hermitian(3, a.shape[0], 1),
+                                 hermitian(3, a.shape[0], 1) + a @ a),
+    "rank_deficient_fails": lambda a: (a @ a, hermitian(3, a.shape[0], 1)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_order_violation_matches_reference_bit_for_bit(case, k):
+    a, b = ORDER_CASES[case](hermitian(1, k))
+    got = _order_violation(a, b)
+    ref = reference_order_violation(a, b)
+    assert got == ref
+    assert math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+def test_order_violation_on_nan_takes_the_scale():
+    # eigvalsh may report finite eigenvalues for a NaN matrix; the SVD of
+    # the scale fails on it, and the order check must still reach that SVD
+    a = np.eye(2)
+    b = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for order_violation in (_order_violation, reference_order_violation):
+        with pytest.raises(np.linalg.LinAlgError):
+            order_violation(a, b)
+
+
+def test_order_check_takes_no_scale_norm_when_it_holds(calls):
+    a = hermitian(4, 6)
+    b = a + hermitian(5, 6, 6)
+    assert _order_violation(a, b) == 0.0
+    assert _order_violation(a, a.copy()) == 0.0
+    assert calls["norm2"] == []
+    assert _order_violation(b, a) > 0.0
+    assert len(calls["norm2"]) == 2
 
 
 def test_suite_constructs_no_wrappers(calls):
