@@ -14,6 +14,7 @@ for vectors, operators and families used programmatically.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +55,21 @@ def _all_numeric(obj) -> bool:
     return False
 
 
+def _float_pairs(obj) -> str | None:
+    """Inline text of a sequence of ``[float, float]`` pairs in one ``%``
+    call, or None when any entry is something else.  ``'%.17g' % v`` equals
+    ``format(v, '.17g')`` for every float, but not for bools or large ints,
+    so only exact floats qualify."""
+    if set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(obj))
+    if set(map(type, flat)) != {float}:
+        return None
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("non-finite number in JSON output")
+    return ("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) + "]") % flat
+
+
 def _emit(obj, out: list, level: int) -> None:
     pad = "  " * level
     if obj is None:
@@ -67,8 +83,10 @@ def _emit(obj, out: list, level: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
+        elif (pairs := _float_pairs(obj)) is not None:
+            out.append(pairs)
         elif _all_numeric(obj):
-            # numeric payloads (matrices, ranges) stay on one line
+            # other numeric payloads (ranges, integer matrices) stay on one line
             out.append("[" + ", ".join(_inline(v) for v in obj) + "]")
         else:
             out.append("[\n")
@@ -151,29 +169,57 @@ def _as_int(v, path: str, minimum: int | None = None) -> int:
 
 def _as_real(v, path: str) -> float:
     _want(_is_number(v), path, "expected a real number")
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:  # an int beyond the largest double
+        f = math.inf
     _want(math.isfinite(f), path, "must be finite")
     return f
 
 
 def matrix_to_obj(mat: np.ndarray) -> list:
     """Flat row-major list of [re, im] pairs."""
-    flat = np.asarray(mat, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
+
+
+def _pairs_array(obj: list):
+    """The (len(obj), 2) float64 array of a list of finite ``[re, im]``
+    pairs of exact ``float`` / ``int`` numbers, or None.  The type check comes
+    first because ``np.array`` turns strings, bools and None into floats."""
+    if (set(map(type, obj)) - {list}
+            or set(map(type, chain.from_iterable(obj))) - {float, int}):
+        return None
+    try:
+        arr = np.array(obj, dtype=np.float64).reshape(len(obj), 2)
+    except (OverflowError, ValueError):  # an int beyond the doubles, bad pairs
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def matrix_from_obj(obj, rows: int, cols: int, path: str) -> np.ndarray:
+    """Parse a flat row-major list of [re, im] pairs, keeping every bit.
+
+    Every valid matrix takes one vectorized pass.  Input that pass rejects
+    goes through the per-entry loop, whose only job is to raise
+    ``SchemaError`` at the first bad entry.
+    """
     _want(isinstance(obj, list), path, "expected a list of [re, im] pairs")
     _want(len(obj) == rows * cols, path,
           f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(obj)}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(obj):
-        _want(isinstance(pair, list) and len(pair) == 2, f"{path}[{i}]",
-              "expected an [re, im] pair")
-        re = _as_real(pair[0], f"{path}[{i}]")
-        im = _as_real(pair[1], f"{path}[{i}]")
-        out[i] = complex(re, im)
-    return out.reshape(rows, cols)
+    arr = _pairs_array(obj)
+    if arr is None:
+        for i, pair in enumerate(obj):
+            at = f"{path}[{i}]"
+            _want(isinstance(pair, list) and len(pair) == 2, at,
+                  "expected an [re, im] pair")
+            for v in pair:
+                _as_real(v, at)
+                # numpy scalars and int / float subclasses are no JSON numbers
+                _want(type(v) in (float, int), at, "expected a real number")
+        raise AssertionError(f"{path}: rejected matrix with no bad entry")
+    # a view, not arithmetic: -0.0 and every other bit pattern survive
+    return arr.view(np.complex128).reshape(rows, cols)
 
 
 # ------------------------------------------------------- object schemas

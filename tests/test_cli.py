@@ -114,6 +114,40 @@ def test_analyze_invalid_json(tmp_path, capsys):
     assert main(["analyze", str(p)]) == 1
 
 
+HUGE_INT = 10**400  # a JSON integer beyond the largest double
+
+
+def reconstruct_stderr(obj, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["reconstruct", str(bad), "--random", "1"]) == 1
+    return capsys.readouterr().err
+
+
+def test_reconstruct_huge_matrix_entry_is_a_schema_error(scen, tmp_path, capsys):
+    obj = read(scen)
+    obj["points"][1]["lambda"][2] = [0.5, HUGE_INT]
+    assert reconstruct_stderr(obj, tmp_path, capsys) == (
+        "gframes: schema error: points[1].lambda[2]: must be finite\n")
+
+
+def test_reconstruct_huge_weight_is_a_schema_error(scen, tmp_path, capsys):
+    obj = read(scen)
+    obj["points"][0]["weight"] = HUGE_INT
+    assert reconstruct_stderr(obj, tmp_path, capsys) == (
+        "gframes: schema error: points[0].weight: must be finite\n")
+
+
+def test_generate_huge_spectrum_bound_is_a_schema_error(tmp_path, capsys):
+    spec = json.dumps({"seed": 1, "n": 1, "d": 1, "m": 1,
+                       "spectrum_range": [1, HUGE_INT]})
+    out = tmp_path / "o.json"
+    assert main(["generate", "--spec", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "gframes: schema error: spec.spectrum_range[1]: must be finite\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- generate
 
 

@@ -5,9 +5,11 @@ digests below cover ``verify --batch`` on a mixed batch (all four flavors,
 scalar (1, 1, 1) shapes and one (8, 4, 16) scenario) at the default
 tolerance and at ``--tol 1e-18``, where failure residuals are reported,
 plus ``generate``, ``analyze`` and ``reconstruct --random`` for one
-scenario per flavor.  Float results may differ in the last bits under
-another numpy build, so the test only runs on the numpy version the digests
-were recorded with.
+scenario per flavor and for one commuting (8, 4, 16) scenario, and
+``analyze`` and ``reconstruct`` of a hand-written scenario file whose
+matrices hold -0.0 and integer entries.  Float results may differ in the
+last bits under another numpy build, so the test only runs on the numpy
+version the digests were recorded with.
 """
 
 import hashlib
@@ -28,6 +30,20 @@ BATCH = ([{"seed": 800 + i, "n": 1, "d": 1, "m": 1, "flavor": fl}
             for i, fl in enumerate(FLAVORS)]
          + [{"seed": 820, "n": 8, "d": 4, "m": 16, "flavor": "commuting"}])
 
+# integer weights and entries, and -0.0 in both parts, as a person writes them
+HANDWRITTEN = {
+    "version": 1, "n": 2, "d": 1,
+    "points": [
+        {"weight": 1, "dw": 1,
+         "lambda": [[1, 0], [-0.0, 0], [0, -0.0], [2, 0]]},
+        {"weight": 0.5, "dw": 2,
+         "lambda": [[-0.0, -0.0], [0, 1], [0.0, 0], [-0.0, 0],
+                    [0, 0], [-0.0, 0], [3, -0.0], [0, 0]]},
+    ],
+    "C": "identity",
+    "Cprime": [[2, 0], [0, -0.0], [-0.0, 0], [3, 0]],
+}
+
 # name -> (exit code, sha256 of the report bytes, None when none is written)
 DIGESTS = {
     "verify": (0, "b08eb9b9a2db2e47504b7231bd68a32cdde05380e425aeda96dd9a1c4df6ceeb"),
@@ -44,6 +60,11 @@ DIGESTS = {
     "generate_bessel_only": (0, "b1672b696f3a8618585a47f375dfe80e1dc495d2d7fc78e5a9fda5407e691701"),
     "analyze_bessel_only": (2, "b7e1dc263f242f0afcf7609afd6ed65abbc4bc168613e043f71922d58c6a7002"),
     "reconstruct_bessel_only": (2, None),
+    "generate_large": (0, "8c85a9e3499c5a603f116299d88e430e1957874aa29edd35752a8bf9d2d5ec73"),
+    "analyze_large": (0, "ce829cfcec33b72ed7c40e72f1294dd41962fca60aa2f65905e68a6ce5402ec5"),
+    "reconstruct_large": (0, "614a6a8fd00224fe98f7f5df645c1099f9582db943a634c5384b2a0cd82b6d1a"),
+    "analyze_handwritten": (0, "02df1fb4d7bc1d8e404e0067d62402a6dcee419e99180e91b9546b349797e6e3"),
+    "reconstruct_handwritten": (0, "70121ecf59afa69ef4b67c1a3a49bc0bbb31ec42995bd7b9513a5da3317ad368"),
 }
 
 
@@ -66,6 +87,15 @@ def outputs(tmp_path) -> dict:
         scen = str(tmp_path / f"generate_{fl}.json")
         run(f"analyze_{fl}", ["analyze", scen])
         run(f"reconstruct_{fl}", ["reconstruct", scen, "--random", str(840 + i)])
+    spec = json.dumps({"seed": 850, "n": 8, "d": 4, "m": 16, "flavor": "commuting"})
+    run("generate_large", ["generate", "--spec", spec])
+    scen = str(tmp_path / "generate_large.json")
+    run("analyze_large", ["analyze", scen])
+    run("reconstruct_large", ["reconstruct", scen, "--random", "860"])
+    hand = tmp_path / "handwritten.json"
+    hand.write_text(json.dumps(HANDWRITTEN))
+    run("analyze_handwritten", ["analyze", str(hand)])
+    run("reconstruct_handwritten", ["reconstruct", str(hand), "--random", "870"])
     return result
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gframes import (GeneratorSpec, ModuleOperator, ModuleVector, SchemaError,
                      generate)
@@ -79,6 +81,140 @@ def test_matrix_bad_pair():
 def test_matrix_non_finite_entry():
     with pytest.raises(SchemaError):
         ser.matrix_from_obj([[math.inf, 0.0]], 1, 1, "m")
+
+
+def reference_matrix_from_obj(obj, rows, cols, path):
+    """The per-entry parser the vectorized one replaced, kept as its oracle."""
+    ser._want(isinstance(obj, list), path, "expected a list of [re, im] pairs")
+    ser._want(len(obj) == rows * cols, path,
+              f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(obj)}")
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for i, pair in enumerate(obj):
+        ser._want(isinstance(pair, list) and len(pair) == 2, f"{path}[{i}]",
+                  "expected an [re, im] pair")
+        re = ser._as_real(pair[0], f"{path}[{i}]")
+        im = ser._as_real(pair[1], f"{path}[{i}]")
+        out[i] = complex(re, im)
+    return out.reshape(rows, cols)
+
+
+EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0, -3, 2**53 + 1, 2**63 + 5, 10**30]
+
+
+def test_matrix_from_obj_bit_for_bit():
+    rng = stream(12, 0)
+    cases = [ser.matrix_to_obj(complex_normal(rng, (r, c)))
+             for r, c in ((1, 1), (3, 4), (16, 8), (32, 32))]
+    edge = [[a, b] for a in EDGE_NUMBERS for b in EDGE_NUMBERS]
+    cases += [edge, edge[::-1], [[v, -v] for v in EDGE_NUMBERS]]
+    for obj in cases:
+        got = ser.matrix_from_obj(obj, 1, len(obj), "m")
+        want = reference_matrix_from_obj(obj, 1, len(obj), "m")
+        assert got.dtype == np.complex128 and got.shape == (1, len(obj))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_matrix_from_obj_takes_one_pass_on_valid_input(monkeypatch):
+    # the per-entry loop only names bad entries; valid JSON never reaches it
+    def no_loop(v, path):
+        raise AssertionError(f"per-entry loop reached at {path}")
+    monkeypatch.setattr(ser, "_as_real", no_loop)
+    obj = [[1.5, -0.0], [2, 10**30], [5e-324, -3]]
+    assert ser.matrix_from_obj(obj, 3, 1, "m").shape == (3, 1)
+    assert ser.matrix_from_obj([], 0, 3, "m").shape == (0, 3)
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("entry", [np.float64(0.5), np.int64(2), Count(2)],
+                         ids=["float64", "int64", "int_subclass"])
+def test_matrix_from_obj_takes_json_numbers_only(entry):
+    with pytest.raises(SchemaError) as err:
+        ser.matrix_from_obj([[1.0, 0.0], [0.0, entry]], 2, 1, "m")
+    assert str(err.value) == "m[1]: expected a real number"
+
+
+def test_matrix_to_obj_keeps_bits():
+    m = complex_normal(stream(13, 0), (4, 6))
+    m[0, 0] = complex(-0.0, -0.0)
+    m[1, 2] = complex(5e-324, -1.7976931348623157e308)
+    for mat in (m, m.T, m[::2, 1::3]):
+        obj = ser.matrix_to_obj(mat)
+        want = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+        assert [type(v) for pair in obj for v in pair] == [float] * (2 * mat.size)
+        assert np.array_equal(np.array(obj).view(np.uint64),
+                              np.array(want).view(np.uint64))
+
+
+# matrix, then the exact message: the first bad entry is the one reported
+MALFORMED = [
+    ([[1.0, 0.0], [True, 0.0]], "m[1]: expected a real number"),
+    ([[1.0, 0.0], [0.5, "1.5"]], "m[1]: expected a real number"),
+    ([[None, 0.0], [0.5, 0.0]], "m[0]: expected a real number"),
+    ([[1.0, 0.0], [0.5, math.nan]], "m[1]: must be finite"),
+    ([[1.0, -math.inf], [0.5, 0.0]], "m[0]: must be finite"),
+    ([[1.0, 0.0], {"re": 0.5, "im": 0.0}], "m[1]: expected an [re, im] pair"),
+    ([[1.0, 0.0], (0.5, 0.0)], "m[1]: expected an [re, im] pair"),
+    ([[1.0, 0.0], [0.5]], "m[1]: expected an [re, im] pair"),
+    ([[1.0, 0.0], [0.5, 0.0, 0.0]], "m[1]: expected an [re, im] pair"),
+    ([[], [0.5, 0.0]], "m[0]: expected an [re, im] pair"),
+    ([[], []], "m[0]: expected an [re, im] pair"),
+    ([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], "m[0]: expected an [re, im] pair"),
+    ([[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]], "m[0]: expected an [re, im] pair"),
+    ([[1.0, 0.0], [[0.5], 0.0]], "m[1]: expected a real number"),
+    ([[1.0, 0.0], [0.5, 10**400]], "m[1]: must be finite"),
+    ([[1.0, "x"], [True, 0.0]], "m[0]: expected a real number"),
+    ([[1.0, 0.0], [0.5], [math.nan, 0.0]], "m[1]: expected an [re, im] pair"),
+]
+
+
+@pytest.mark.parametrize("obj,message", MALFORMED)
+def test_matrix_schema_messages(obj, message):
+    with pytest.raises(SchemaError) as err:
+        ser.matrix_from_obj(obj, len(obj), 1, "m")
+    assert str(err.value) == message
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(finite, min_size=2, max_size=2), min_size=1, max_size=40))
+def test_dumps_float_pairs_match_recursive_emitter(obj):
+    assert ser.dumps(obj) == ser._inline(obj) + "\n"
+    assert ser.dumps({"m": obj}) == '{\n  "m": ' + ser._inline(obj) + "\n}\n"
+
+
+def test_dumps_float_pairs_edge_values():
+    obj = [[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
+           [0.1, -1e-9]]
+    assert ser.dumps(obj) == (
+        "[[-0, 4.9406564584124654e-324], "
+        "[1.7976931348623157e+308, -2.2250738585072014e-308], "
+        "[0.10000000000000001, -1.0000000000000001e-09]]\n")
+
+
+@pytest.mark.parametrize("obj,text", [
+    ([(1.5, 2.5)], "[[1.5, 2.5]]"),
+    ([[np.float64(0.1), 0.5]], "[[0.10000000000000001, 0.5]]"),
+    ([[1, 2], [3, 4]], "[[1, 2], [3, 4]]"),
+    ([[10**20, 0.5]], "[[100000000000000000000, 0.5]]"),
+    ([[True, 0.5]], "[\n  [\n    true,\n    0.5\n  ]\n]"),
+    ([[1.5], [2.5, 3.5]], "[[1.5], [2.5, 3.5]]"),
+    ([[1.5, 2.5, 3.5]], "[[1.5, 2.5, 3.5]]"),
+])
+def test_dumps_other_numeric_lists_keep_the_recursive_path(obj, text):
+    assert ser.dumps(obj) == text + "\n"
+
+
+@pytest.mark.parametrize("obj", [[[math.inf, 0.0]], [[0.0, math.nan]],
+                                 [[1.0, 0.0], [-math.inf, 1.0]]])
+def test_dumps_float_pairs_reject_non_finite(obj):
+    with pytest.raises(ValueError):
+        ser.dumps(obj)
 
 
 def test_vector_round_trip():
