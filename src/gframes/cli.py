@@ -95,6 +95,12 @@ def _resolve_tol(arg_tol: float | None) -> float | None:
     return value
 
 
+def _too_long(source: str) -> SchemaError:
+    # json.loads turns a digit string into an int, which refuses more digits
+    # than the interpreter's limit with a plain ValueError
+    return SchemaError(source, f"integer longer than {sys.get_int_max_str_digits()} digits")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,6 +111,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON ({exc.msg} at line {exc.lineno})")
+    except ValueError:
+        raise _too_long(path)
 
 
 def _write_report(obj, out_path: str | None) -> None:
@@ -213,6 +221,8 @@ def cmd_generate(args) -> int:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError("--spec", f"invalid JSON ({exc.msg})")
+        except ValueError:
+            raise _too_long("--spec")
     else:
         obj = _load_json(args.spec)
     spec = ser.spec_from_obj(obj)

@@ -18,7 +18,6 @@ lists and put the weights into the sums, matching the defining formulas.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -52,10 +51,9 @@ class ControlPair:
     their product cached.  ``product_sqrt`` is only meaningful when the
     commutation certificate passed.
 
-    The pair keeps every certificate it has computed, one per family, so a
-    family is certified once however many two-family operations use it.
-    ``dataclasses.replace`` starts an empty record, because the stored
-    reports belong to these controls at this tolerance.
+    ``commutation`` certifies the family the pair was made with.  The pair
+    keeps every certificate it computes, one per family, so each family is
+    certified once however many scenarios and two-family operations use it.
     """
 
     c: PositiveInvertibleOperator
@@ -78,7 +76,8 @@ class ControlPair:
 
 @dataclass(frozen=True, eq=False)
 class ControlledScenario:
-    """A family together with a control pair certified against it."""
+    """A family together with a control pair, certified against this family
+    on first controlled use; ``ControlledScenario(other, pair)`` is safe."""
 
     family: GFrameFamily
     pair: ControlPair
@@ -162,18 +161,19 @@ def make_scenario(family: GFrameFamily, c: PositiveInvertibleOperator,
     return ControlledScenario(family, make_control_pair(family, c, cp, tol))
 
 
-def _require_certificate(pair: ControlPair) -> None:
-    if not pair.commutation.passed:
-        worst = max([pair.commutation.cc_commutator]
-                    + [r for row in pair.commutation.per_point for r in row])
+def _require_certificate(scenario: ControlledScenario) -> None:
+    report = scenario.pair.report_on(scenario.family)
+    if not report.passed:
+        worst = max([report.cc_commutator]
+                    + [r for row in report.per_point for r in row])
         raise CommutationViolated(
             f"commutation certificate failed (worst relative commutator "
-            f"{worst:.3e} > tol {pair.commutation.tol:.3e})")
+            f"{worst:.3e} > tol {report.tol:.3e})")
 
 
 def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
     """``sum_w weight * c (gram_w) c'`` accumulated in point order."""
-    _require_certificate(scenario.pair)
+    _require_certificate(scenario)
     f = scenario.family
     ca = scenario.pair.c.base.action
     cpa = scenario.pair.cp.base.action
@@ -201,7 +201,7 @@ def synthesis(scenario: ControlledScenario,
               coefficients: Sequence[ModuleVector]) -> ModuleVector:
     """Weighted sum ``sum_w weight * sqrt(c c') adjoint(lam_w) y_w`` mapping a
     coefficient list back into the module."""
-    _require_certificate(scenario.pair)
+    _require_certificate(scenario)
     f = scenario.family
     if len(coefficients) != f.size:
         raise ValueError(f"expected {f.size} coefficient vectors, got {len(coefficients)}")
@@ -219,7 +219,7 @@ def synthesis(scenario: ControlledScenario,
 
 def analysis(scenario: ControlledScenario, x: ModuleVector) -> list[ModuleVector]:
     """Coefficient list ``[lam_w (sqrt(c c') x)]`` of a module vector."""
-    _require_certificate(scenario.pair)
+    _require_certificate(scenario)
     f = scenario.family
     if x.algebra_dim != f.algebra_dim or x.rank != f.module_rank:
         raise ValueError("vector does not live in the family's module")
@@ -235,7 +235,7 @@ def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
     with the sqrt-weight convention its Gram ``t* t`` reproduces the
     controlled frame operator and its norm is the true synthesis norm.
     """
-    _require_certificate(scenario.pair)
+    _require_certificate(scenario)
     f = scenario.family
     p_act = scenario.pair.product_sqrt.action
     blocks = [np.sqrt(p.weight) * (p.lam.action.conj().T @ p_act) for p in f.points]
@@ -277,12 +277,9 @@ def _check_same_measure(lam: GFrameFamily, gam: GFrameFamily) -> None:
             raise MeasureMismatch(f"codomain ranks differ at point {i}")
 
 
-def _require_pair_on(family: GFrameFamily, pair: ControlPair,
-                     what: str) -> CommutationReport:
-    report = pair.report_on(family)
-    if not report.passed:
+def _require_pair_on(family: GFrameFamily, pair: ControlPair, what: str) -> None:
+    if not pair.report_on(family).passed:
         raise CommutationViolated(f"controls do not commute with the {what} family")
-    return report
 
 
 def cross_operator(lam: GFrameFamily, gam: GFrameFamily,
@@ -312,8 +309,14 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     controls also commute with the mixed products, which the certificate does
     not guarantee.  Both residuals are reported rather than picking one.
     """
-    cross = cross_operator(lam, gam, pair)
-    adj = op_adjoint(cross)
+    adj = op_adjoint(cross_operator(lam, gam, pair))
+    return adj, _adjoint_diagnostic(adj, lam, gam, pair, tol)
+
+
+def _adjoint_diagnostic(adj: ModuleOperator, lam: GFrameFamily, gam: GFrameFamily,
+                        pair: ControlPair, tol: float) -> CrossAdjointDiagnostic:
+    """Residuals of ``adj``, the adjoint of the cross operator of ``lam``
+    against ``gam``, against both closed forms."""
     ca, cpa = pair.c.base.action, pair.cp.base.action
     n, d = lam.algebra_dim, lam.module_rank
     stmt = np.zeros((d * n, d * n), dtype=np.complex128)
@@ -325,8 +328,7 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     scale = max(1.0, float(np.linalg.norm(adj.action, 2)))
     r_stmt = float(np.linalg.norm(adj.action - stmt, 2)) / scale
     r_proof = float(np.linalg.norm(adj.action - proof, 2)) / scale
-    diag = CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
-    return adj, diag
+    return CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
 
 
 def bounds_plain_from_cc(lower: float, upper: float,
@@ -367,29 +369,28 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     verified before returning.  Raises ``PreconditionViolated`` naming the
     failing hypothesis, or ``CommutationViolated`` from the certificate.
     """
-    _check_same_measure(lam, gam)
-    rep_lam = _require_pair_on(lam, pair, "first")
-    rep_gam = _require_pair_on(gam, pair, "second")
-    pair_lam = dataclasses.replace(pair, commutation=rep_lam)
-    pair_gam = dataclasses.replace(pair, commutation=rep_gam)
-    verdict = _verdict(controlled_frame_operator(
-        ControlledScenario(lam, pair_lam)))
-    if verdict.kind != FRAME:
-        raise PreconditionViolated("first family is not a controlled frame")
     cross = cross_operator(lam, gam, pair)
-    ok, _ = is_bounded_below(op_adjoint(cross), tol)
+    if _verdict(controlled_frame_operator(ControlledScenario(lam, pair))).kind != FRAME:
+        raise PreconditionViolated("first family is not a controlled frame")
+    scen_gam = ControlledScenario(gam, pair)
+    lo_gam = _spectrum(controlled_frame_operator(scen_gam))[0]
+    return _transfer(op_adjoint(cross), scen_gam, lo_gam, tol)
+
+
+def _transfer(adj: ModuleOperator, scen_gam: ControlledScenario,
+              lo_gam: float, tol: float) -> TransferResult:
+    """Transfer from ``adj``, the adjoint of the cross operator of a known
+    controlled frame, to the second scenario with controlled floor ``lo_gam``."""
+    ok, _ = is_bounded_below(adj, tol)
     if not ok:
         return TransferResult(False, None)
-    scen_gam = ControlledScenario(gam, pair_gam)
     k = synthesis_operator(scen_gam)
     gram = k.action.conj().T @ k.action
     m = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
     m = max(m, 0.0)
-    sc = controlled_frame_operator(scen_gam)
-    lo = _spectrum(sc)[0]
-    if lo < m - tol * max(1.0, m):
+    if lo_gam < m - tol * max(1.0, m):
         raise ArithmeticError(
-            f"derived bound {m:.6e} exceeds the spectral floor {lo:.6e}")
+            f"derived bound {m:.6e} exceeds the spectral floor {lo_gam:.6e}")
     return TransferResult(True, m)
 
 

@@ -44,6 +44,10 @@ _TWIN_BASE = 1 << 32
 
 _SING_LO, _SING_HI = 0.5, 1.5
 
+# Largest upper end of ``spectrum_range``: the controls' product and every
+# controlled operator scale with its square, which stays under 1e300 here.
+SPECTRUM_CEILING = 1e150
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -77,6 +81,9 @@ class GeneratorSpec:
             raise InvalidSpec(f"spectrum_range must be a pair of reals, got {self.spectrum_range}") from None
         if not (np.isfinite(slo) and np.isfinite(shi) and 0 < slo <= shi):
             raise InvalidSpec(f"spectrum_range must be a positive ordered interval, got {self.spectrum_range}")
+        if shi > SPECTRUM_CEILING:
+            raise InvalidSpec(f"spectrum_range upper end must be at most "
+                              f"{SPECTRUM_CEILING:g}, got {self.spectrum_range}")
         object.__setattr__(self, "spectrum_range", (slo, shi))
         if self.flavor not in FLAVORS:
             raise InvalidSpec(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")

@@ -14,20 +14,18 @@ runs.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL
-from .controlled import (ControlledScenario, bounds_cc_from_plain,
-                         bounds_plain_from_cc, controlled_frame_operator,
-                         cross_adjoint_resolve, cross_operator,
-                         make_control_pair, synthesis_operator,
-                         surjectivity_transfer)
+from .controlled import (ControlledScenario, _adjoint_diagnostic, _transfer,
+                         bounds_cc_from_plain, bounds_plain_from_cc,
+                         controlled_frame_operator, cross_operator,
+                         make_control_pair, synthesis_operator)
 from .frames import FRAME, _energy, _verdict, frame_operator
 from .generators import GeneratorSpec, generate_pair
-from .operators import op_norm
+from .operators import SURJECTIVITY_TOL, op_adjoint, op_norm
 from .rng import complex_normal, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -243,13 +241,13 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     out["synthesis_norm_bound"] = _Outcome(True, excess <= 0, max(0.0, sigma - root),
                                            "synthesis norm above bound" if excess > 0 else "")
 
-    # Two-family checks against the twin.
-    rep_twin = pair.report_on(twin)
-    pair_twin = dataclasses.replace(pair, commutation=rep_twin)
-    verdict_twin = _verdict(controlled_frame_operator(
-        ControlledScenario(twin, pair_twin)))
+    # Two-family checks against the twin, all on one cross operator.
+    scen_twin = ControlledScenario(twin, pair)
+    verdict_twin = _verdict(controlled_frame_operator(scen_twin))
+    cross = cross_operator(family, twin, pair)
+    adj = op_adjoint(cross)
 
-    cross_norm = op_norm(cross_operator(family, twin, pair))
+    cross_norm = op_norm(cross)
     e1 = hi_c
     e2 = verdict_twin.witnesses["lambda_max"]
     bound = float(np.sqrt(max(e1 * e2, 0.0)))
@@ -258,7 +256,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         True, excess <= 0, max(0.0, cross_norm - bound),
         "cross norm above bound" if excess > 0 else "")
 
-    _, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
+    diag = _adjoint_diagnostic(adj, family, twin, pair, ADJOINT_TOL)
     amax = max(diag.statement_residual, diag.proof_residual)
     aok = diag.matches_proof and diag.matches_statement
     out["cross_adjoint_identity"] = _Outcome(True, aok, amax,
@@ -266,8 +264,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     # surjectivity_transfer: first family must be a controlled frame.
     if verdict.kind == FRAME:
-        res = surjectivity_transfer(family, twin, pair)
         lo_twin = verdict_twin.witnesses["lambda_min"]
+        res = _transfer(adj, scen_twin, lo_twin, SURJECTIVITY_TOL)
         if not res.surjective:
             out["surjectivity_transfer"] = _Outcome(True, False, 1.0,
                                                     "mixed operator not surjective")

@@ -17,6 +17,7 @@ COUNTED = {
     "frame_operator": frames_mod,
     "controlled_frame_operator": controlled_mod,
     "synthesis_operator": controlled_mod,
+    "cross_operator": controlled_mod,
     "op_norm": operators_mod,
 }
 

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, schemas, reports, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +149,40 @@ def test_generate_huge_spectrum_bound_is_a_schema_error(tmp_path, capsys):
     assert not out.exists()
 
 
+LONG_INT = "1" + "0" * 5000  # beyond the interpreter's int parsing limit
+
+
+def test_long_integer_in_spec_file_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"seed": 1, "n": 1, "d": 1, "m": 1, '
+                    '"spectrum_range": [1, %s]}' % LONG_INT)
+    assert main(["generate", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"gframes: schema error: {path}: integer longer than "
+        f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_long_integer_in_inline_spec_is_a_schema_error(capsys):
+    spec = ('{"seed": 1, "n": 1, "d": 1, "m": 1, '
+            '"spectrum_range": [1, %s]}' % LONG_INT)
+    assert main(["generate", "--spec", spec]) == 1
+    assert capsys.readouterr().err == (
+        f"gframes: schema error: --spec: integer longer than "
+        f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_invalid_json_messages(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"seed": 1,')
+    assert main(["generate", "--spec", str(path)]) == 1
+    assert main(["generate", "--spec", '{"seed": 1,']) == 1
+    assert capsys.readouterr().err == (
+        f"gframes: schema error: {path}: invalid JSON (Expecting property "
+        f"name enclosed in double quotes at line 1)\n"
+        f"gframes: schema error: --spec: invalid JSON (Expecting property "
+        f"name enclosed in double quotes)\n")
+
+
 # ---------------------------------------------------------------- generate
 
 
@@ -244,6 +279,32 @@ def test_verify_empty_batch_exit_one(tmp_path, capsys):
 def test_verify_batch_schema_error(tmp_path, capsys):
     batch = write_batch(tmp_path, [{"seed": 1, "n": 1, "d": 1}])
     assert main(["verify", "--batch", str(batch)]) == 1
+
+
+FLAVORS = ("generic", "commuting", "parseval", "bessel_only")
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_verify_spectrum_at_the_ceiling(flavor, tmp_path):
+    batch = write_batch(tmp_path, [{"seed": 7, "n": 8, "d": 4, "m": 16,
+                                    "flavor": flavor,
+                                    "spectrum_range": [1, 1e150]}])
+    assert main(["verify", "--batch", str(batch),
+                 "--out", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("hi", ["1e153", "1e160"])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_verify_spectrum_above_the_ceiling_is_a_spec_error(flavor, hi, tmp_path,
+                                                           capsys, recwarn):
+    batch = tmp_path / "batch.json"
+    batch.write_text('[{"seed": 7, "n": 8, "d": 4, "m": 16, "flavor": "%s", '
+                     '"spectrum_range": [1, %s]}]' % (flavor, hi))
+    assert main(["verify", "--batch", str(batch)]) == 1
+    assert capsys.readouterr().err == (
+        f"gframes: error: spectrum_range upper end must be at most 1e+150, "
+        f"got (1.0, {float(hi)!r})\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_verify_rejects_batch_plus_default(tmp_path):

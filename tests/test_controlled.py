@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gframes import (FRAME, AlgebraElement, ControlledScenario, GFrameFamily,
                      MeasureMismatch, MeasurePoint, ModuleOperator,
@@ -17,8 +19,11 @@ from gframes import (FRAME, AlgebraElement, ControlledScenario, GFrameFamily,
                      reconstruct, surjectivity_transfer, synthesis,
                      synthesis_norm_check, synthesis_operator,
                      validate_commutation, vec_norm)
+from gframes.controlled import TransferResult
 from gframes.errors import CommutationViolated, PreconditionViolated
-from gframes.generators import GeneratorSpec
+from gframes.frames import _spectrum, _verdict
+from gframes.generators import FLAVORS, GeneratorSpec
+from gframes.operators import SURJECTIVITY_TOL, is_bounded_below
 from gframes.rng import complex_normal, stream
 from gframes.verifier import run_suite
 
@@ -211,6 +216,51 @@ def test_replaced_pair_keeps_no_stored_report(certificate_calls):
     assert not rep.passed
     assert moved.report_on(sc.family) is rep
     assert len(certificate_calls) == 1
+
+
+def noncommuting_family_like(family, seed):
+    """Random dense actions on ``family``'s weighted points: no dense control
+    commutes with their gram terms."""
+    rng = stream(seed, 0)
+    n, d = family.algebra_dim, family.module_rank
+    return GFrameFamily(n, d, tuple(
+        MeasurePoint(p.weight, ModuleOperator(
+            n, d, p.codomain_rank, complex_normal(rng, (d * n, n * p.codomain_rank))))
+        for p in family.points))
+
+
+SCENARIO_OPERATIONS = {
+    "controlled_frame_operator": controlled_frame_operator,
+    "synthesis_operator": synthesis_operator,
+    "synthesis": lambda sc: synthesis(sc, [ModuleVector.zero(2, p.codomain_rank)
+                                           for p in sc.family.points]),
+    "analysis": lambda sc: analysis(sc, random_vec(stream(200, 0), 2, 2)),
+    "reconstruct": lambda sc: reconstruct(sc, random_vec(stream(201, 0), 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_OPERATIONS))
+def test_pair_on_an_uncertified_family_is_rejected(name):
+    # the pair passed on its own family; a scenario is certified on its own
+    sc = generate(GeneratorSpec(seed=199, n=2, d=2, m=4, flavor="commuting"))
+    other = noncommuting_family_like(sc.family, 202)
+    assert sc.pair.commutation.passed
+    assert not validate_commutation(other, sc.pair.c, sc.pair.cp).passed
+    with pytest.raises(CommutationViolated, match="certificate failed"):
+        SCENARIO_OPERATIONS[name](ControlledScenario(other, sc.pair))
+    SCENARIO_OPERATIONS[name](sc)
+
+
+def test_twin_scenario_is_certified_once(certificate_calls):
+    sc, twin = generate_pair(GeneratorSpec(seed=203, n=2, d=2, m=4,
+                                           flavor="commuting"))
+    scen_twin = ControlledScenario(twin, sc.pair)
+    controlled_frame_operator(scen_twin)
+    assert certificate_calls == [sc.family, twin]
+    synthesis_operator(scen_twin)
+    cross_operator(sc.family, twin, sc.pair)
+    surjectivity_transfer(sc.family, twin, sc.pair)
+    assert certificate_calls == [sc.family, twin]
 
 
 # ------------------------------------------------- controlled operator
@@ -579,3 +629,118 @@ def test_reconstruct_builds_one_controlled_operator(calls):
     reconstruct(sc, random_vec(stream(170, 0), 2, 2))
     assert calls["controlled_frame_operator"] == [sc]
     assert calls["frame_operator"] == []
+
+
+# ----------------------------- two-family operations against the reference
+
+
+def reference_cross(lam, gam, pair):
+    """Explicit point-order loop for ``sum_w weight * c lam_w gam_w* c'``."""
+    ca, cpa = pair.c.base.action, pair.cp.base.action
+    dn = lam.module_rank * lam.algebra_dim
+    acc = np.zeros((dn, dn), dtype=np.complex128)
+    for p, q in zip(lam.points, gam.points):
+        acc = acc + p.weight * (ca @ p.lam.action @ q.lam.action.conj().T @ cpa)
+    return acc
+
+
+def reference_controlled(family, pair):
+    ca, cpa = pair.c.base.action, pair.cp.base.action
+    dn = family.module_rank * family.algebra_dim
+    acc = np.zeros((dn, dn), dtype=np.complex128)
+    for p in family.points:
+        l = p.lam.action
+        acc = acc + p.weight * (ca @ (l @ l.conj().T) @ cpa)
+    return acc
+
+
+def as_operator(family, action):
+    n, d = family.algebra_dim, family.module_rank
+    return ModuleOperator(n, d, d, action)
+
+
+def reference_adjoint(lam, gam, pair, tol):
+    """The adjoint and its residuals against both closed-form sums."""
+    ca, cpa = pair.c.base.action, pair.cp.base.action
+    adj = reference_cross(lam, gam, pair).conj().T
+    stmt = np.zeros_like(adj)
+    proof = np.zeros_like(adj)
+    for p, q in zip(lam.points, gam.points):
+        mixed = q.lam.action @ p.lam.action.conj().T
+        stmt = stmt + p.weight * (ca @ mixed @ cpa)
+        proof = proof + p.weight * (cpa @ mixed @ ca)
+    scale = max(1.0, float(np.linalg.norm(adj, 2)))
+    r_stmt = float(np.linalg.norm(adj - stmt, 2)) / scale
+    r_proof = float(np.linalg.norm(adj - proof, 2)) / scale
+    return adj, (r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
+
+
+def reference_transfer(lam, gam, pair, tol=SURJECTIVITY_TOL):
+    """Surjectivity transfer step by step, every operator built afresh."""
+    if _verdict(as_operator(lam, reference_controlled(lam, pair))).kind != FRAME:
+        raise PreconditionViolated("first family is not a controlled frame")
+    adj = reference_cross(lam, gam, pair).conj().T
+    ok, _ = is_bounded_below(as_operator(lam, adj), tol)
+    if not ok:
+        return TransferResult(False, None)
+    p_act = pair.product_sqrt.action
+    k = np.vstack([np.sqrt(p.weight) * (p.lam.action.conj().T @ p_act)
+                   for p in gam.points])
+    gram = k.conj().T @ k
+    m = max(float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]), 0.0)
+    lo = _spectrum(as_operator(gam, reference_controlled(gam, pair)))[0]
+    if lo < m - tol * max(1.0, m):
+        raise ArithmeticError(
+            f"derived bound {m:.6e} exceeds the spectral floor {lo:.6e}")
+    return TransferResult(True, m)
+
+
+def outcome(call, *args):
+    """Result of ``call``, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except (PreconditionViolated, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def pair_specs(draw):
+    flavor = draw(st.sampled_from(FLAVORS))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = draw(st.integers(d if flavor == "parseval" else 1, 5))
+    lo = draw(st.floats(1e-3, 1e3))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, 1e3)))
+    return GeneratorSpec(seed=draw(st.integers(0, 2**32)), n=n, d=d, m=m,
+                         spectrum_range=(lo, hi), flavor=flavor)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair_specs())
+@example(GeneratorSpec(seed=204, n=1, d=1, m=1, spectrum_range=(2.0, 2.0),
+                       flavor="generic"))
+@example(GeneratorSpec(seed=205, n=1, d=1, m=1, spectrum_range=(2.0, 2.0),
+                       flavor="commuting"))
+@example(GeneratorSpec(seed=206, n=1, d=1, m=1, spectrum_range=(2.0, 2.0),
+                       flavor="parseval"))
+@example(GeneratorSpec(seed=207, n=1, d=1, m=1, spectrum_range=(2.0, 2.0),
+                       flavor="bessel_only"))
+def test_two_family_operations_match_reference(certificate_calls, spec):
+    del certificate_calls[:]
+    sc, twin = generate_pair(spec)
+    lam, pair = sc.family, sc.pair
+    scen_twin = ControlledScenario(twin, pair)
+    assert (controlled_frame_operator(scen_twin).action
+            == reference_controlled(twin, pair)).all()
+    assert certificate_calls == [lam, twin]
+    assert (cross_operator(lam, twin, pair).action
+            == reference_cross(lam, twin, pair)).all()
+    adj, diag = cross_adjoint_resolve(lam, twin, pair)
+    ref_adj, ref_diag = reference_adjoint(lam, twin, pair, 1e-10)
+    assert (adj.action == ref_adj).all()
+    assert (diag.statement_residual, diag.proof_residual,
+            diag.matches_statement, diag.matches_proof) == ref_diag
+    assert (outcome(surjectivity_transfer, lam, twin, pair)
+            == outcome(reference_transfer, lam, twin, pair))
+    # the two-family calls reuse the certificate the twin scenario computed
+    assert certificate_calls == [lam, twin]

@@ -6,6 +6,7 @@ import pytest
 from gframes import (BESSEL_ONLY, FRAME, GeneratorSpec, InvalidSpec, classify,
                      controlled_classify, frame_operator, generate,
                      generate_pair, optimal_bounds, validate_commutation)
+from gframes.generators import SPECTRUM_CEILING
 from gframes.serialization import dumps, scenario_to_obj
 
 SEEDS = range(1000, 1100)
@@ -26,6 +27,17 @@ def test_spec_validation():
         GeneratorSpec(seed=2**64, n=1, d=1, m=1)
     with pytest.raises(InvalidSpec):
         GeneratorSpec(seed=1, n=2, d=3, m=2, flavor="parseval")
+
+
+def test_spectrum_ceiling():
+    assert SPECTRUM_CEILING ** 2 < 1e300
+    for lo, hi in ((1.0, SPECTRUM_CEILING), (SPECTRUM_CEILING, SPECTRUM_CEILING),
+                   (1e-200, 1.0)):
+        GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=(lo, hi))
+    above = float(np.nextafter(SPECTRUM_CEILING, np.inf))
+    for rng in ((1.0, above), (above, above), (1.0, 1e300)):
+        with pytest.raises(InvalidSpec, match="spectrum_range upper end"):
+            GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=rng)
 
 
 def test_generic_flavor_contract():

@@ -4,6 +4,7 @@ Refactors and optimizations must leave every report byte unchanged.  The
 digests below cover ``verify --batch`` on a mixed batch (all four flavors,
 scalar (1, 1, 1) shapes and one (8, 4, 16) scenario) at the default
 tolerance and at ``--tol 1e-18``, where failure residuals are reported,
+the same two runs on every flavor at shapes (3, 2, 3) and (8, 4, 16),
 plus ``generate``, ``analyze`` and ``reconstruct --random`` for one
 scenario per flavor and for one commuting (8, 4, 16) scenario, and
 ``analyze`` and ``reconstruct`` of a hand-written scenario file whose
@@ -30,6 +31,12 @@ BATCH = ([{"seed": 800 + i, "n": 1, "d": 1, "m": 1, "flavor": fl}
             for i, fl in enumerate(FLAVORS)]
          + [{"seed": 820, "n": 8, "d": 4, "m": 16, "flavor": "commuting"}])
 
+# every flavor at two larger shapes, so the cross-norm, adjoint and transfer
+# residuals of multi-block scenarios are pinned too
+WIDE_BATCH = [{"seed": 880 + 4 * j + i, "n": n, "d": d, "m": m, "flavor": fl}
+              for j, (n, d, m) in enumerate(((3, 2, 3), (8, 4, 16)))
+              for i, fl in enumerate(FLAVORS)]
+
 # integer weights and entries, and -0.0 in both parts, as a person writes them
 HANDWRITTEN = {
     "version": 1, "n": 2, "d": 1,
@@ -48,6 +55,8 @@ HANDWRITTEN = {
 DIGESTS = {
     "verify": (0, "b08eb9b9a2db2e47504b7231bd68a32cdde05380e425aeda96dd9a1c4df6ceeb"),
     "verify_1e-18": (3, "89847d56887c77886ac28422dc0c7478bbf8ce08381134b3f61ece975813b073"),
+    "verify_wide": (0, "3b81fea5f769326d4111c38b2e1bf954b1ef06fe6aa8352a6a5b1a688a6bc0ea"),
+    "verify_wide_1e-18": (3, "dc6d5196447721dccbd4bd408510eb06e04a11e35238998556daa0e80929cc0a"),
     "generate_generic": (0, "87022ca4fc0bddc0b954d21ea4fa68086e9ef2c5691cf6ece841930c0254e2d0"),
     "analyze_generic": (0, "a544f7d667d753417e67c52e470ba9fd2693ab0b686ee408ea4e116e8a5210bc"),
     "reconstruct_generic": (0, "446619a61147af99e6c0032d1cee26eb27089084717cc06769df56eaf4eea683"),
@@ -81,6 +90,10 @@ def outputs(tmp_path) -> dict:
     batch.write_text(json.dumps(BATCH))
     run("verify", ["verify", "--batch", str(batch)])
     run("verify_1e-18", ["verify", "--batch", str(batch), "--tol", "1e-18"])
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(WIDE_BATCH))
+    run("verify_wide", ["verify", "--batch", str(wide)])
+    run("verify_wide_1e-18", ["verify", "--batch", str(wide), "--tol", "1e-18"])
     for i, fl in enumerate(FLAVORS):
         spec = json.dumps({"seed": 830 + i, "n": 2, "d": 3, "m": 5, "flavor": fl})
         run(f"generate_{fl}", ["generate", "--spec", spec])

@@ -123,18 +123,20 @@ def test_empty_batch_rejected():
 
 # Operator builds and op_norm calls of one (2, 2, 4) scenario, generation
 # included.  Left after sharing: the parseval generator normalizes family and
-# twin; surjectivity_transfer builds the twin's synthesis and both controlled
-# operators; the commuting generator certifies two controls.  Each control's
-# norm and inverse norm are taken at most once.
+# twin; the controlled operators are the scenario's, the same-control pair's
+# and the twin's; one cross operator serves every two-family check, and the
+# transfer step of a frame builds the twin's synthesis; the commuting
+# generator certifies two controls.  Each control's norm and inverse norm are
+# taken at most once.
 SCENARIO_BUILDS = {
-    "generic": {"frame_operator": 1, "controlled_frame_operator": 5,
-                "synthesis_operator": 2, "op_norm": 10},
-    "commuting": {"frame_operator": 1, "controlled_frame_operator": 5,
-                  "synthesis_operator": 2, "op_norm": 11},
-    "parseval": {"frame_operator": 3, "controlled_frame_operator": 5,
-                 "synthesis_operator": 2, "op_norm": 10},
+    "generic": {"frame_operator": 1, "controlled_frame_operator": 3,
+                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 10},
+    "commuting": {"frame_operator": 1, "controlled_frame_operator": 3,
+                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 11},
+    "parseval": {"frame_operator": 3, "controlled_frame_operator": 3,
+                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 10},
     "bessel_only": {"frame_operator": 1, "controlled_frame_operator": 3,
-                    "synthesis_operator": 1, "op_norm": 10},
+                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 10},
 }
 
 
