@@ -141,11 +141,11 @@ def cmd_analyze(args) -> int:
     obj = _load_json(args.path)
     scenario = ser.scenario_from_obj(obj, tol=tol)
     family, pair = scenario.family, scenario.pair
+    commutation = pair.report_on(family)
 
     verdict = classify(family, tol=tol)
     kind, bounds, witnesses = _verdict_fields(verdict)
 
-    commutation = pair.commutation
     controlled_kind = None
     controlled_bounds = None
     controlled_witnesses = {}

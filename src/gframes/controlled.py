@@ -19,7 +19,8 @@ lists and put the weights into the sums, matching the defining formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -47,31 +48,41 @@ class CommutationReport:
 
 @dataclass(frozen=True, eq=False)
 class ControlPair:
-    """Two certified positive invertible controls with the square root of
-    their product cached.  ``product_sqrt`` is only meaningful when the
-    commutation certificate passed.
+    """Two positive invertible controls and the tolerance of their
+    commutation certificates.
 
-    ``commutation`` certifies the family the pair was made with.  The pair
-    keeps every certificate it computes, one per family, so each family is
-    certified once however many scenarios and two-family operations use it.
+    Commuting with a family's gram terms is a property of the pair on that
+    family, so the pair keeps one certificate per family, computed by
+    ``report_on`` on first use.  ``product_sqrt`` is taken on first use too,
+    and is only meaningful where the certificate passed.  Everything kept is
+    derived from ``c``, ``cp`` and ``tol``, and ``dataclasses.replace``
+    starts with none of it.
     """
 
     c: PositiveInvertibleOperator
     cp: PositiveInvertibleOperator
-    product_sqrt: ModuleOperator
-    commutation: CommutationReport
+    tol: float
     _reports: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def report_on(self, family: GFrameFamily) -> CommutationReport:
-        """Certificate of the controls against ``family`` at
-        ``commutation.tol``, computed on first use and then kept."""
+        """Certificate of the controls against ``family`` at ``tol``,
+        computed on first use and then kept."""
         report = self._reports.get(family)
         if report is None:
-            report = validate_commutation(family, self.c, self.cp,
-                                          self.commutation.tol)
+            report = validate_commutation(family, self.c, self.cp, self.tol)
             self._reports[family] = report
         return report
+
+    @cached_property
+    def product_sqrt(self) -> ModuleOperator:
+        """Positive square root of the controls' product ``c o cp``."""
+        c = self.c.base
+        product = self.cp.base.action @ c.action  # right-action matrix of c o cp
+        w, v = np.linalg.eigh(0.5 * (product + product.conj().T))
+        w = np.clip(w, 0.0, None)
+        root = (v * np.sqrt(w)) @ v.conj().T
+        return ModuleOperator(c.algebra_dim, c.domain_rank, c.domain_rank, root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,25 +99,14 @@ class ControlledScenario:
             raise ValueError("control shape does not match the family")
 
 
-def _lazy_norm(mat: np.ndarray) -> Callable[[], float]:
-    """Thunk for the spectral norm of ``mat`` that takes it at most once."""
-    memo = []
-
-    def norm() -> float:
-        if not memo:
-            memo.append(float(np.linalg.norm(mat, 2)))
-        return memo[0]
-    return norm
-
-
-def _rel_commutator(a: np.ndarray, b: np.ndarray, norm_a: Callable[[], float],
-                    norm_b: Callable[[], float]) -> float:
-    """``norm(ab - ba) / max(1, norm_a() * norm_b())``.  An exactly zero
-    commutator gives 0.0 over any scale, so it takes no norm at all."""
-    comm = a @ b - b @ a
-    if not comm.any():
+def _rel_commutator(c: PositiveInvertibleOperator, b: np.ndarray,
+                    norm_b: float) -> float:
+    """``norm(cb - bc) / max(1, norm(c) * norm_b)`` for the action of the
+    control ``c``; 0.0 with no norm when ``c`` is the identity."""
+    if c.is_identity:
         return 0.0
-    return float(np.linalg.norm(comm, 2)) / max(1.0, norm_a() * norm_b())
+    a = c.base.action
+    return float(np.linalg.norm(a @ b - b @ a, 2)) / max(1.0, c.norm * norm_b)
 
 
 def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
@@ -115,50 +115,43 @@ def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
     """Measure every commutator the controlled formulas rely on.
 
     Each commutator norm is taken relative to the product of its factors'
-    norms.  A factor norm is taken at most once, and only when a nonzero
-    commutator needs it; a same-control pair takes each commutator once.
-    Never raises; the report carries the verdict so callers can decide.
+    norms, each taken once.  An identity control commutes with everything,
+    so its commutators are 0.0 and take no norm, and a same-control pair
+    takes each commutator once.  Never raises; the report carries the verdict
+    so callers can decide.
     """
-    ca, cpa = c.base.action, cp.base.action
-    nc, ncp = (lambda: c.norm), (lambda: cp.norm)
-    cc = _rel_commutator(ca, cpa, nc, ncp)
-    rows = []
-    for p in family.points:
-        l = p.lam.action
-        gram = l @ l.conj().T
-        ng = _lazy_norm(gram)
-        r = _rel_commutator(ca, gram, nc, ng)
-        rows.append((r, r) if cpa is ca else
-                    (r, _rel_commutator(cpa, gram, ncp, ng)))
+    cpa = cp.base.action
+    same = cpa is c.base.action
+    cc = 0.0 if same or cp.is_identity else _rel_commutator(c, cpa, cp.norm)
+    if c.is_identity and cp.is_identity:
+        rows = [(0.0, 0.0)] * family.size
+    else:
+        rows = []
+        for p in family.points:
+            l = p.lam.action
+            gram = l @ l.conj().T
+            ng = float(np.linalg.norm(gram, 2))
+            r = _rel_commutator(c, gram, ng)
+            rows.append((r, r) if same else (r, _rel_commutator(cp, gram, ng)))
     entries = [cc] + [r for pair in rows for r in pair]
     passed = all(e <= tol for e in entries)
     return CommutationReport(cc, tuple(rows), tol, passed)
 
 
-def make_control_pair(family: GFrameFamily, c: PositiveInvertibleOperator,
+def make_control_pair(c: PositiveInvertibleOperator,
                       cp: PositiveInvertibleOperator,
                       tol: float = DEFAULT_TOL) -> ControlPair:
-    """Bundle two controls with their product square root and the commutation
-    report against ``family``."""
-    ca, cpa = c.base.action, cp.base.action
-    if ca.shape != cpa.shape:
+    """Two controls acting on the same space, certified at ``tol`` against
+    each family they are used with."""
+    if c.base.action.shape != cp.base.action.shape:
         raise ValueError("controls must act on the same space")
-    product = cpa @ ca  # right-action matrix of the composition c o cp
-    w, v = np.linalg.eigh(0.5 * (product + product.conj().T))
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    product_sqrt = ModuleOperator(c.base.algebra_dim, c.base.domain_rank,
-                                  c.base.domain_rank, root)
-    report = validate_commutation(family, c, cp, tol)
-    pair = ControlPair(c, cp, product_sqrt, report)
-    pair._reports[family] = report
-    return pair
+    return ControlPair(c, cp, tol)
 
 
 def make_scenario(family: GFrameFamily, c: PositiveInvertibleOperator,
                   cp: PositiveInvertibleOperator,
                   tol: float = DEFAULT_TOL) -> ControlledScenario:
-    return ControlledScenario(family, make_control_pair(family, c, cp, tol))
+    return ControlledScenario(family, make_control_pair(c, cp, tol))
 
 
 def _require_certificate(scenario: ControlledScenario) -> None:
@@ -404,8 +397,8 @@ class ReconstructionResult:
     condition_number: float
 
 
-def reconstruct(scenario: ControlledScenario, x: ModuleVector,
-                tol: float | None = None) -> ReconstructionResult:
+def reconstruct(scenario: ControlledScenario,
+                x: ModuleVector) -> ReconstructionResult:
     """Round-trip a vector through analysis, synthesis, and the inverse of the
     controlled operator; returns the reconstruction, its norm error, and the
     condition number of the controlled operator.
@@ -413,7 +406,7 @@ def reconstruct(scenario: ControlledScenario, x: ModuleVector,
     Raises ``NotAFrame`` when the controlled verdict is not a frame.
     """
     sc = controlled_frame_operator(scenario)
-    verdict = _verdict(sc, tol)
+    verdict = _verdict(sc)
     if verdict.kind != FRAME:
         raise NotAFrame("reconstruction requires a controlled frame")
     y = synthesis(scenario, analysis(scenario, x))

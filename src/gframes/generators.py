@@ -197,7 +197,7 @@ def generate(spec: GeneratorSpec) -> ControlledScenario:
     skel = _draw_skeleton(spec)
     family = _build_family(spec, skel, twin=False)
     c, cp = _controls(spec, skel)
-    return ControlledScenario(family, make_control_pair(family, c, cp))
+    return ControlledScenario(family, make_control_pair(c, cp))
 
 
 def generate_pair(spec: GeneratorSpec) -> tuple[ControlledScenario, GFrameFamily]:
@@ -208,4 +208,4 @@ def generate_pair(spec: GeneratorSpec) -> tuple[ControlledScenario, GFrameFamily
     family = _build_family(spec, skel, twin=False)
     twin = _build_family(spec, skel, twin=True)
     c, cp = _controls(spec, skel)
-    return ControlledScenario(family, make_control_pair(family, c, cp)), twin
+    return ControlledScenario(family, make_control_pair(c, cp)), twin

@@ -147,8 +147,8 @@ def gram_sandwich_check(t: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True, eq=False)
 class PositiveInvertibleOperator:
     """A square operator certified positive definite at construction, with its
-    square root and inverse cached, and its norm and its inverse's norm taken
-    on first use."""
+    square root and inverse cached, and its norm, its inverse's norm and
+    whether it is the identity decided on first use."""
 
     base: ModuleOperator
     sqrt: ModuleOperator
@@ -162,6 +162,12 @@ class PositiveInvertibleOperator:
     @cached_property
     def inverse_norm(self) -> float:
         return op_norm(self.inverse)
+
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether the action is exactly the identity matrix."""
+        a = self.base.action
+        return np.array_equal(a, np.eye(a.shape[0], dtype=np.complex128))
 
 
 def make_positive_invertible(m: ModuleOperator,

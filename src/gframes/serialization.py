@@ -5,10 +5,6 @@ shapes are never stored because every matrix's shape follows from the
 ``n`` / ``d`` / ``dw`` context it appears in.  All numbers are emitted with 17
 significant digits, which round-trips IEEE doubles exactly, so parsing a
 report and re-serializing it reproduces the bytes.
-
-Two encodings exist side by side: the scenario *file* schema used by the CLI
-(bare matrices, ``"identity"`` shorthand for controls) and per-object schemas
-for vectors, operators and families used programmatically.
 """
 
 from __future__ import annotations
@@ -243,46 +239,6 @@ def vector_from_obj(obj, path: str = "") -> ModuleVector:
     return ModuleVector.from_blocks(blocks)
 
 
-def operator_to_obj(t: ModuleOperator) -> dict:
-    return {"n": t.algebra_dim, "d": t.domain_rank, "e": t.codomain_rank,
-            "action": matrix_to_obj(t.action)}
-
-
-def operator_from_obj(obj, path: str = "") -> ModuleOperator:
-    p = path or "operator"
-    n = _as_int(_get(obj, "n", p), f"{p}.n", 1)
-    d = _as_int(_get(obj, "d", p), f"{p}.d", 1)
-    e = _as_int(_get(obj, "e", p), f"{p}.e", 1)
-    action = matrix_from_obj(_get(obj, "action", p), d * n, e * n, f"{p}.action")
-    return ModuleOperator(n, d, e, action)
-
-
-def family_to_obj(f: GFrameFamily) -> dict:
-    return {"n": f.algebra_dim, "d": f.module_rank,
-            "points": [{"weight": p.weight, "dw": p.codomain_rank,
-                        "lambda": operator_to_obj(p.lam)} for p in f.points]}
-
-
-def family_from_obj(obj, path: str = "") -> GFrameFamily:
-    p = path or "family"
-    n = _as_int(_get(obj, "n", p), f"{p}.n", 1)
-    d = _as_int(_get(obj, "d", p), f"{p}.d", 1)
-    pts_obj = _get(obj, "points", p)
-    _want(isinstance(pts_obj, list) and len(pts_obj) >= 1, f"{p}.points",
-          "expected a nonempty list")
-    points = []
-    for i, po in enumerate(pts_obj):
-        pp = f"{p}.points[{i}]"
-        weight = _as_real(_get(po, "weight", pp), f"{pp}.weight")
-        _want(weight > 0, f"{pp}.weight", "must be positive")
-        dw = _as_int(_get(po, "dw", pp), f"{pp}.dw", 1)
-        lam = operator_from_obj(_get(po, "lambda", pp), f"{pp}.lambda")
-        _want(lam.algebra_dim == n and lam.domain_rank == d and lam.codomain_rank == dw,
-              f"{pp}.lambda", "operator shape inconsistent with n, d, dw")
-        points.append(MeasurePoint(weight, lam))
-    return GFrameFamily(n, d, tuple(points))
-
-
 # ------------------------------------------------------- scenario files
 
 
@@ -293,11 +249,7 @@ def scenario_to_obj(s: ControlledScenario) -> dict:
            "points": [{"weight": p.weight, "dw": p.codomain_rank,
                        "lambda": matrix_to_obj(p.lam.action)} for p in f.points]}
     for key, ctrl in (("C", s.pair.c), ("Cprime", s.pair.cp)):
-        act = ctrl.base.action
-        if np.array_equal(act, np.eye(d * n, dtype=np.complex128)):
-            obj[key] = "identity"
-        else:
-            obj[key] = matrix_to_obj(act)
+        obj[key] = "identity" if ctrl.is_identity else matrix_to_obj(ctrl.base.action)
     return obj
 
 

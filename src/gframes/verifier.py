@@ -201,8 +201,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         out["norm_characterization"] = _not_run()
 
     # cc_equivalence_bounds: same-control pair against the plain family.
-    pair_cc = make_control_pair(family, pair.c, pair.c, pair.commutation.tol)
-    if not pair_cc.commutation.passed:
+    pair_cc = make_control_pair(pair.c, pair.c, pair.tol)
+    if not pair_cc.report_on(family).passed:
         out["cc_equivalence_bounds"] = _Outcome(True, False, 1.0,
                                                 "same-control certificate failed")
     else:

@@ -237,8 +237,7 @@ def test_criterion_cross_operator(capfd):
     for scenario, twin in hundred_pairs():
         fam, pair = scenario.family, scenario.pair
         e1 = controlled_classify(scenario).witnesses["lambda_max"]
-        twin_scen = ControlledScenario(twin, make_control_pair(twin, pair.c,
-                                                               pair.cp))
+        twin_scen = ControlledScenario(twin, make_control_pair(pair.c, pair.cp))
         e2 = controlled_classify(twin_scen).witnesses["lambda_max"]
         cross = cross_operator(fam, twin, pair)
         bound = float(np.sqrt(e1 * e2))
@@ -272,8 +271,7 @@ def test_criterion_surjectivity_transfer(capfd):
         if not result.surjective:
             not_surjective += 1
             continue
-        twin_scen = ControlledScenario(twin, make_control_pair(twin, pair.c,
-                                                               pair.cp))
+        twin_scen = ControlledScenario(twin, make_control_pair(pair.c, pair.cp))
         tv = controlled_classify(twin_scen)
         if tv.kind != FRAME:
             verdict_bad += 1

@@ -82,8 +82,15 @@ def test_analyze_reports_the_pair_certificate(scen, tmp_path,
     assert len(certificate_calls) == 1
     sc = ser.scenario_from_obj(read(scen))
     rep = read(out)["commutation"]
-    assert rep["cc_commutator"] == sc.pair.commutation.cc_commutator
-    assert rep["per_point"] == [list(r) for r in sc.pair.commutation.per_point]
+    cert = sc.pair.report_on(sc.family)
+    assert rep["cc_commutator"] == cert.cc_commutator
+    assert rep["per_point"] == [list(r) for r in cert.per_point]
+
+
+def test_generate_takes_no_certificate(tmp_path, certificate_calls):
+    assert main(["generate", "--spec", COMMUTING_SPEC,
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert certificate_calls == []
 
 
 def test_analyze_builds_the_plain_frame_operator_once(scen, tmp_path, calls):

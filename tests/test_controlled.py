@@ -54,7 +54,7 @@ def random_vec(rng, n, d):
 
 def test_commutation_identity_controls():
     sc = identity_point_scenario()
-    rep = sc.pair.commutation
+    rep = sc.pair.report_on(sc.family)
     assert rep.passed
     assert rep.cc_commutator == 0.0
     assert all(r == (0.0, 0.0) for r in rep.per_point)
@@ -63,13 +63,13 @@ def test_commutation_identity_controls():
 def test_commutation_scalar_multiple_any_family():
     sc = generate(GeneratorSpec(seed=77, n=2, d=2, m=3, flavor="generic"))
     two = diag_control(2, 2, 2.0, 2.0, 2.0, 2.0)
-    pair = make_control_pair(sc.family, two, two)
-    assert pair.commutation.passed
+    pair = make_control_pair(two, two)
+    assert pair.report_on(sc.family).passed
 
 
 def test_commutation_generated_commuting_seed23():
     sc = generate(GeneratorSpec(seed=23, n=2, d=2, m=4, flavor="commuting"))
-    rep = sc.pair.commutation
+    rep = sc.pair.report_on(sc.family)
     assert rep.passed
     worst = max([rep.cc_commutator] + [r for row in rep.per_point for r in row])
     assert worst <= 1e-10
@@ -79,8 +79,8 @@ def test_commutation_failure_is_reported_not_raised():
     fam = GFrameFamily(1, 2, (MeasurePoint(1.0, ModuleOperator(
         1, 2, 2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128))),))
     skew = diag_control(1, 2, 1.0, 5.0)
-    pair = make_control_pair(fam, skew, skew)
-    assert not pair.commutation.passed
+    pair = make_control_pair(skew, skew)
+    assert not pair.report_on(fam).passed
 
 
 def random_control(seed, n, d):
@@ -155,6 +155,19 @@ def test_same_control_pair_takes_each_commutator_once(calls):
     assert len(calls["norm2"]) == 2 * 4
 
 
+def test_explicit_identity_control_takes_no_norm(calls):
+    # an identity matrix certified like any other control is still the identity
+    sc = generate(GeneratorSpec(seed=187, n=2, d=2, m=4, flavor="commuting"))
+    eye = make_positive_invertible(ModuleOperator.identity(2, 2))
+    assert eye.is_identity and not sc.pair.cp.is_identity
+    del calls["norm2"][:]
+    rep = validate_commutation(sc.family, eye, sc.pair.cp)
+    assert rep.cc_commutator == 0.0
+    assert all(r == 0.0 for r, _ in rep.per_point)
+    # one gram norm and one commutator norm per point, all against C'
+    assert len(calls["norm2"]) == 2 * 4
+
+
 def test_control_norms_are_taken_once_with_op_norm_bits(calls):
     skew = random_control(186, 2, 3)
     eye = identity_control(2, 3)
@@ -174,21 +187,21 @@ def test_control_norms_are_taken_once_with_op_norm_bits(calls):
                                     "bessel_only"])
 def test_suite_certifies_each_control_pair_and_family_once(certificate_calls,
                                                            flavor):
-    # (family, C, C'), (twin, C, C') and (family, C, C)
+    # (family, C, C'), then (family, C, C), then (twin, C, C')
     run_suite([GeneratorSpec(seed=191, n=2, d=2, m=4, flavor=flavor)])
-    assert len(certificate_calls) == 3
+    family, again, twin = certificate_calls
+    assert again is family and twin is not family
 
 
-def test_pair_returns_the_certificate_it_was_built_with(certificate_calls):
+def test_pair_certifies_each_family_on_first_use(certificate_calls):
     sc, twin = generate_pair(GeneratorSpec(seed=192, n=2, d=2, m=4,
                                            flavor="commuting"))
-    assert len(certificate_calls) == 1
-    assert sc.pair.report_on(sc.family) is sc.pair.commutation
+    assert certificate_calls == []
     rep = sc.pair.report_on(twin)
     assert sc.pair.report_on(twin) is rep
     cross_operator(sc.family, twin, sc.pair)
     surjectivity_transfer(sc.family, twin, sc.pair)
-    assert certificate_calls == [sc.family, twin]
+    assert certificate_calls == [twin, sc.family]
 
 
 def test_unseen_noncommuting_family_is_rejected():
@@ -208,14 +221,33 @@ def test_unseen_noncommuting_family_is_rejected():
 
 def test_replaced_pair_keeps_no_stored_report(certificate_calls):
     sc = generate(GeneratorSpec(seed=197, n=2, d=2, m=4, flavor="commuting"))
+    original = sc.pair.report_on(sc.family)
     moved = dataclasses.replace(sc.pair, cp=random_control(198, 2, 2))
     del certificate_calls[:]
     rep = moved.report_on(sc.family)
     assert certificate_calls == [sc.family]
-    assert rep is not sc.pair.commutation
+    assert rep is not original
     assert not rep.passed
     assert moved.report_on(sc.family) is rep
     assert len(certificate_calls) == 1
+
+
+def test_replaced_control_gets_its_own_product_root():
+    # the root of the old pair is taken and kept before the replace; the new
+    # pair must factor and invert its own controlled operator
+    sc = generate(GeneratorSpec(seed=11, n=2, d=2, m=4, flavor="commuting"))
+    synthesis_operator(sc)
+    cp = sc.pair.cp.base
+    moved = dataclasses.replace(sc.pair, cp=make_positive_invertible(
+        ModuleOperator(2, 2, 2, 2 * cp.action)))
+    scen = ControlledScenario(sc.family, moved)
+    t = synthesis_operator(scen).action
+    s = controlled_frame_operator(scen).action
+    assert (np.linalg.norm(t.conj().T @ t - s, 2)
+            <= 1e-12 * np.linalg.norm(s, 2))
+    x = random_vec(stream(212, 0), 2, 2)
+    res = reconstruct(scen, x)
+    assert res.error / max(1.0, vec_norm(x)) <= 1e-8 * res.condition_number
 
 
 def noncommuting_family_like(family, seed):
@@ -244,7 +276,7 @@ def test_pair_on_an_uncertified_family_is_rejected(name):
     # the pair passed on its own family; a scenario is certified on its own
     sc = generate(GeneratorSpec(seed=199, n=2, d=2, m=4, flavor="commuting"))
     other = noncommuting_family_like(sc.family, 202)
-    assert sc.pair.commutation.passed
+    assert sc.pair.report_on(sc.family).passed
     assert not validate_commutation(other, sc.pair.c, sc.pair.cp).passed
     with pytest.raises(CommutationViolated, match="certificate failed"):
         SCENARIO_OPERATIONS[name](ControlledScenario(other, sc.pair))
@@ -256,11 +288,11 @@ def test_twin_scenario_is_certified_once(certificate_calls):
                                            flavor="commuting"))
     scen_twin = ControlledScenario(twin, sc.pair)
     controlled_frame_operator(scen_twin)
-    assert certificate_calls == [sc.family, twin]
+    assert certificate_calls == [twin]
     synthesis_operator(scen_twin)
     cross_operator(sc.family, twin, sc.pair)
     surjectivity_transfer(sc.family, twin, sc.pair)
-    assert certificate_calls == [sc.family, twin]
+    assert certificate_calls == [twin, sc.family]
 
 
 # ------------------------------------------------- controlled operator
@@ -444,7 +476,7 @@ def test_cross_norm_bound_on_generated_pairs():
                                                flavor="commuting"))
         e1 = controlled_classify(sc).witnesses["lambda_max"]
         scen_twin = ControlledScenario(
-            twin, make_control_pair(twin, sc.pair.c, sc.pair.cp))
+            twin, make_control_pair(sc.pair.c, sc.pair.cp))
         e2 = controlled_classify(scen_twin).witnesses["lambda_max"]
         cross = cross_operator(sc.family, twin, sc.pair)
         bound = np.sqrt(e1 * e2)
@@ -477,7 +509,7 @@ def test_cross_adjoint_both_forms_on_shared_structure():
 
 def test_cross_adjoint_symmetric_pair_coincides():
     sc = generate(GeneratorSpec(seed=109, n=2, d=2, m=4, flavor="commuting"))
-    sym = make_control_pair(sc.family, sc.pair.c, sc.pair.c)
+    sym = make_control_pair(sc.pair.c, sc.pair.c)
     _, diag = cross_adjoint_resolve(sc.family, sc.family, sym)
     assert diag.matches_statement and diag.matches_proof
 
@@ -490,9 +522,9 @@ def test_cross_adjoint_unshared_eigenvectors_break_statement_form():
         1, 2, 2, np.diag([1.0, 2.0]).astype(np.complex128))),))
     gam = GFrameFamily(1, 2, (MeasurePoint(1.0, ModuleOperator(
         1, 2, 2, np.array([[0.0, 1.0], [3.0, 0.0]], dtype=np.complex128))),))
-    pair = make_control_pair(lam, diag_control(1, 2, 1.0, 2.0),
+    pair = make_control_pair(diag_control(1, 2, 1.0, 2.0),
                              diag_control(1, 2, 3.0, 1.0))
-    assert pair.commutation.passed
+    assert pair.report_on(lam).passed
     adj, diag = cross_adjoint_resolve(lam, gam, pair)
     cross = cross_operator(lam, gam, pair)
     np.testing.assert_array_equal(adj.action, cross.action.conj().T)
@@ -557,7 +589,7 @@ def test_surjectivity_rank_deficient_cross():
     lam = GFrameFamily(1, 2, (MeasurePoint(1.0, ModuleOperator.identity(1, 2)),))
     gam = GFrameFamily(1, 2, (MeasurePoint(1.0, ModuleOperator(
         1, 2, 2, np.diag([1.0, 0.0]).astype(np.complex128))),))
-    pair = make_control_pair(lam, identity_control(1, 2), identity_control(1, 2))
+    pair = make_control_pair(identity_control(1, 2), identity_control(1, 2))
     result = surjectivity_transfer(lam, gam, pair)
     assert not result.surjective
     assert result.gamma_lower_bound is None
@@ -570,7 +602,7 @@ def test_surjectivity_bound_certifies_twin():
         result = surjectivity_transfer(sc.family, twin, sc.pair)
         assert result.surjective
         scen_twin = ControlledScenario(
-            twin, make_control_pair(twin, sc.pair.c, sc.pair.cp))
+            twin, make_control_pair(sc.pair.c, sc.pair.cp))
         floor = controlled_classify(scen_twin).witnesses["lambda_min"]
         assert result.gamma_lower_bound <= floor + 1e-8
         assert result.gamma_lower_bound > 0
@@ -579,7 +611,7 @@ def test_surjectivity_bound_certifies_twin():
 def test_surjectivity_requires_frame_hypothesis():
     lam = GFrameFamily(1, 2, (MeasurePoint(1.0, ModuleOperator(
         1, 2, 2, np.diag([1.0, 0.0]).astype(np.complex128))),))
-    pair = make_control_pair(lam, identity_control(1, 2), identity_control(1, 2))
+    pair = make_control_pair(identity_control(1, 2), identity_control(1, 2))
     with pytest.raises(PreconditionViolated):
         surjectivity_transfer(lam, lam, pair)
 
@@ -732,7 +764,7 @@ def test_two_family_operations_match_reference(certificate_calls, spec):
     scen_twin = ControlledScenario(twin, pair)
     assert (controlled_frame_operator(scen_twin).action
             == reference_controlled(twin, pair)).all()
-    assert certificate_calls == [lam, twin]
+    assert certificate_calls == [twin]
     assert (cross_operator(lam, twin, pair).action
             == reference_cross(lam, twin, pair)).all()
     adj, diag = cross_adjoint_resolve(lam, twin, pair)
@@ -743,4 +775,4 @@ def test_two_family_operations_match_reference(certificate_calls, spec):
     assert (outcome(surjectivity_transfer, lam, twin, pair)
             == outcome(reference_transfer, lam, twin, pair))
     # the two-family calls reuse the certificate the twin scenario computed
-    assert certificate_calls == [lam, twin]
+    assert certificate_calls == [twin, lam]

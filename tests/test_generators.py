@@ -12,6 +12,16 @@ from gframes.serialization import dumps, scenario_to_obj
 SEEDS = range(1000, 1100)
 
 
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_generators_take_no_certificate(certificate_calls, flavor):
+    # a scenario is certified when a controlled operation first needs it
+    spec = GeneratorSpec(seed=1101, n=2, d=2, m=4, flavor=flavor)
+    generate(spec)
+    generate_pair(spec)
+    assert certificate_calls == []
+
+
 def test_spec_validation():
     with pytest.raises(InvalidSpec):
         GeneratorSpec(seed=1, n=0, d=1, m=1)

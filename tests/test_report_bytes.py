@@ -8,7 +8,8 @@ the same two runs on every flavor at shapes (3, 2, 3) and (8, 4, 16),
 plus ``generate``, ``analyze`` and ``reconstruct --random`` for one
 scenario per flavor and for one commuting (8, 4, 16) scenario, and
 ``analyze`` and ``reconstruct`` of a hand-written scenario file whose
-matrices hold -0.0 and integer entries.  Float results may differ in the
+matrices hold -0.0 and integer entries, and of a commuting scenario file
+whose ``C`` is written out as an identity matrix.  Float results may differ in the
 last bits under another numpy build, so the test only runs on the numpy
 version the digests were recorded with.
 """
@@ -51,6 +52,10 @@ HANDWRITTEN = {
     "Cprime": [[2, 0], [0, -0.0], [-0.0, 0], [3, 0]],
 }
 
+# a commuting scenario whose C is written out as the identity matrix, with
+# its generated dense Cprime
+EXPLICIT_IDENTITY_SPEC = {"seed": 890, "n": 2, "d": 2, "m": 4, "flavor": "commuting"}
+
 # name -> (exit code, sha256 of the report bytes, None when none is written)
 DIGESTS = {
     "verify": (0, "b08eb9b9a2db2e47504b7231bd68a32cdde05380e425aeda96dd9a1c4df6ceeb"),
@@ -74,6 +79,9 @@ DIGESTS = {
     "reconstruct_large": (0, "614a6a8fd00224fe98f7f5df645c1099f9582db943a634c5384b2a0cd82b6d1a"),
     "analyze_handwritten": (0, "02df1fb4d7bc1d8e404e0067d62402a6dcee419e99180e91b9546b349797e6e3"),
     "reconstruct_handwritten": (0, "70121ecf59afa69ef4b67c1a3a49bc0bbb31ec42995bd7b9513a5da3317ad368"),
+    "generate_explicit_identity": (0, "945b0e7d6c080616f7dc1bbb37b958489ae90df5f9f779c8928146d4804852cc"),
+    "analyze_explicit_identity": (0, "4087b6de8ab5c2270e03e108cbdb8bbfea75be6edc8fa494431aa85027cead4d"),
+    "reconstruct_explicit_identity": (0, "c96de952bb7b4fd3a8532c909c67673e209545a77fc063d2582aad178575bffc"),
 }
 
 
@@ -109,6 +117,14 @@ def outputs(tmp_path) -> dict:
     hand.write_text(json.dumps(HANDWRITTEN))
     run("analyze_handwritten", ["analyze", str(hand)])
     run("reconstruct_handwritten", ["reconstruct", str(hand), "--random", "870"])
+    run("generate_explicit_identity",
+        ["generate", "--spec", json.dumps(EXPLICIT_IDENTITY_SPEC)])
+    scen = tmp_path / "generate_explicit_identity.json"
+    obj = json.loads(scen.read_text())
+    obj["C"] = np.eye(4).astype(np.complex128).view(np.float64).reshape(-1, 2).tolist()
+    scen.write_text(json.dumps(obj))
+    run("analyze_explicit_identity", ["analyze", str(scen)])
+    run("reconstruct_explicit_identity", ["reconstruct", str(scen), "--random", "891"])
     return result
 
 

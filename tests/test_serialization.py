@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gframes import (GeneratorSpec, ModuleOperator, ModuleVector, SchemaError,
-                     generate)
+from gframes import GeneratorSpec, ModuleVector, SchemaError, generate
 from gframes import serialization as ser
 from gframes.rng import complex_normal, stream
 
@@ -223,29 +222,12 @@ def test_vector_round_trip():
     np.testing.assert_array_equal(back.flat, x.flat)
 
 
-def test_operator_round_trip():
-    t = ModuleOperator(2, 3, 2, complex_normal(stream(4, 0), (6, 4)))
-    back = ser.operator_from_obj(ser.operator_to_obj(t))
-    assert (back.algebra_dim, back.domain_rank, back.codomain_rank) == (2, 3, 2)
-    np.testing.assert_array_equal(back.action, t.action)
-
-
-def test_family_round_trip():
-    sc = generate(GeneratorSpec(seed=5, n=2, d=2, m=3, flavor="commuting"))
-    fam = sc.family
-    back = ser.family_from_obj(ser.family_to_obj(fam))
-    assert back.size == fam.size
-    for p, q in zip(fam.points, back.points):
-        assert p.weight == q.weight
-        np.testing.assert_array_equal(p.lam.action, q.lam.action)
-
-
-def test_family_weight_path_in_error():
-    obj = ser.family_to_obj(generate(GeneratorSpec(
-        seed=6, n=1, d=1, m=2, flavor="generic")).family)
+def test_scenario_weight_path_in_error():
+    obj = ser.scenario_to_obj(generate(GeneratorSpec(
+        seed=6, n=1, d=1, m=2, flavor="generic")))
     obj["points"][1]["weight"] = -3.0
     with pytest.raises(SchemaError) as err:
-        ser.family_from_obj(obj)
+        ser.scenario_from_obj(obj)
     assert "points[1].weight" in str(err.value)
 
 

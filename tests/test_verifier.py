@@ -213,6 +213,21 @@ def test_order_check_takes_no_scale_norm_when_it_holds(calls):
     assert len(calls["norm2"]) == 2
 
 
+def test_default_batch_eigh_count(monkeypatch):
+    # two controls per commuting or bessel_only spec, family and twin
+    # renormalization per parseval spec, and one product root per scenario;
+    # the same-control pair never takes its root
+    real = np.linalg.eigh
+    seen = []
+
+    def eigh(a, *args, **kwargs):
+        seen.append(a)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    run_suite(default_batch())
+    assert len(seen) == 500
+
+
 def test_suite_constructs_no_wrappers(calls):
     run_suite(small_batch(), tol=1e-18)
     assert calls["ModuleVector"] == []
