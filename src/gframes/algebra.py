@@ -75,6 +75,12 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a matrix, bit for bit the matrix 2-norm of
+    numpy's ``norm`` without its axis handling."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 def alg_adjoint(a: AlgebraElement) -> AlgebraElement:
     """Conjugate transpose."""
     return AlgebraElement(a.entries.conj().T)
@@ -82,7 +88,7 @@ def alg_adjoint(a: AlgebraElement) -> AlgebraElement:
 
 def alg_norm(a: AlgebraElement) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(a.entries, 2))
+    return spectral_norm(a.entries)
 
 
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
@@ -91,7 +97,7 @@ def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     scale = max(1.0, alg_norm(a))
-    asym = float(np.linalg.norm(a.entries - a.entries.conj().T, 2))
+    asym = spectral_norm(a.entries - a.entries.conj().T)
     if asym > tol * scale:
         return False
     lo = float(np.linalg.eigvalsh(_hermitian_part(a.entries))[0])

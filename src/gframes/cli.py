@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import serialization as ser
 from .controlled import controlled_frame_operator, reconstruct
 from .errors import GFrameError, NotAFrame, SchemaError
@@ -280,7 +282,16 @@ def main(argv=None) -> int:
     handler = {"analyze": cmd_analyze, "verify": cmd_verify,
                "generate": cmd_generate, "reconstruct": cmd_reconstruct}[args.command]
     try:
+        if args.command in ("analyze", "reconstruct"):
+            # finite file entries can still overflow once multiplied; stop at
+            # the first inf or NaN instead of computing on it
+            with np.errstate(over="raise", invalid="raise"):
+                return handler(args)
         return handler(args)
+    except FloatingPointError:
+        files = " and ".join(f for f in (args.path, getattr(args, "vector", None)) if f)
+        sys.stderr.write(f"gframes: error: values in {files} overflow double precision\n")
+        return EXIT_USAGE
     except SchemaError as exc:
         sys.stderr.write(f"gframes: schema error: {exc}\n")
         return EXIT_USAGE

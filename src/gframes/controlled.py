@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, spectral_norm
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
@@ -106,7 +106,7 @@ def _rel_commutator(c: PositiveInvertibleOperator, b: np.ndarray,
     if c.is_identity:
         return 0.0
     a = c.base.action
-    return float(np.linalg.norm(a @ b - b @ a, 2)) / max(1.0, c.norm * norm_b)
+    return spectral_norm(a @ b - b @ a) / max(1.0, c.norm * norm_b)
 
 
 def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
@@ -130,7 +130,7 @@ def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
         for p in family.points:
             l = p.lam.action
             gram = l @ l.conj().T
-            ng = float(np.linalg.norm(gram, 2))
+            ng = spectral_norm(gram)
             r = _rel_commutator(c, gram, ng)
             rows.append((r, r) if same else (r, _rel_commutator(cp, gram, ng)))
     entries = [cc] + [r for pair in rows for r in pair]
@@ -318,9 +318,9 @@ def _adjoint_diagnostic(adj: ModuleOperator, lam: GFrameFamily, gam: GFrameFamil
         mixed = q.lam.action @ p.lam.action.conj().T
         stmt = stmt + p.weight * (ca @ mixed @ cpa)
         proof = proof + p.weight * (cpa @ mixed @ ca)
-    scale = max(1.0, float(np.linalg.norm(adj.action, 2)))
-    r_stmt = float(np.linalg.norm(adj.action - stmt, 2)) / scale
-    r_proof = float(np.linalg.norm(adj.action - proof, 2)) / scale
+    scale = max(1.0, spectral_norm(adj.action))
+    r_stmt = spectral_norm(adj.action - stmt) / scale
+    r_proof = spectral_norm(adj.action - proof) / scale
     return CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
 
 

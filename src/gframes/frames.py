@@ -134,13 +134,13 @@ def classify(family: GFrameFamily, tol: float | None = None) -> FrameVerdict:
 
 def _energy(points, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``sum_w weight * (x lam_w)(y lam_w)^H`` over ``points`` in point order,
-    on flattened vectors."""
+    on flattened vectors or stacks of them, slice by slice."""
     acc = None
     for p in points:
         l = p.lam.action
         xl = x @ l
         yl = xl if y is x else y @ l
-        term = p.weight * (xl @ yl.conj().T)
+        term = p.weight * (xl @ yl.conj().swapaxes(-1, -2))
         acc = term if acc is None else acc + term
     return acc
 

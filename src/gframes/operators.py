@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, loewner_leq
+from .algebra import DEFAULT_TOL, AlgebraElement, loewner_leq, spectral_norm
 from .errors import NotHermitian, NotPositiveDefinite, NotSurjective
 from .module_space import ModuleVector, inner
 
@@ -82,7 +82,7 @@ def op_compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
 
 def op_norm(t: ModuleOperator) -> float:
     """Operator norm: largest singular value of the action."""
-    return float(np.linalg.norm(t.action, 2))
+    return spectral_norm(t.action)
 
 
 def commutator_norm(s: ModuleOperator, t: ModuleOperator) -> float:
@@ -91,7 +91,7 @@ def commutator_norm(s: ModuleOperator, t: ModuleOperator) -> float:
         raise ValueError("commutator needs square operators")
     if s.algebra_dim != t.algebra_dim or s.domain_rank != t.domain_rank:
         raise ValueError("commutator shape mismatch")
-    return float(np.linalg.norm(t.action @ s.action - s.action @ t.action, 2))
+    return spectral_norm(t.action @ s.action - s.action @ t.action)
 
 
 def energy_bound_check(t: ModuleOperator, x: ModuleVector,
@@ -181,7 +181,7 @@ def make_positive_invertible(m: ModuleOperator,
         raise ValueError("positive operators must be square")
     a = m.action
     nrm = op_norm(m)
-    if float(np.linalg.norm(a - a.conj().T, 2)) > tol * max(1.0, nrm):
+    if spectral_norm(a - a.conj().T) > tol * max(1.0, nrm):
         raise NotHermitian(f"operator is not Hermitian within tol={tol}")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     lo, hi = float(w[0]), float(w[-1])

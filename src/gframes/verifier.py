@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, spectral_norm
 from .controlled import (ControlledScenario, _adjoint_diagnostic, _transfer,
                          bounds_cc_from_plain, bounds_plain_from_cc,
                          controlled_frame_operator, cross_operator,
@@ -71,28 +71,51 @@ class CheckResult:
     status: str = "pass"
 
 
-def _hmin(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+def _hmin(mat: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix in a stack."""
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))[..., 0]
 
 
 def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
-    """How far ``a <= b`` fails in the semidefinite order, relative.
+    """How far ``a <= b`` fails in the semidefinite order, relative: the
+    largest violation over the matrices of two equal-shape stacks, folded in
+    stack order.
 
-    A finite ``b - a`` with no negative eigenvalue gives 0.0 whatever the
-    scale, so the two norms of the scale are taken only otherwise.
+    A finite slice of ``b - a`` with no negative eigenvalue gives 0.0 whatever
+    the scale, so the two norms of the scale are taken only for the others.
     """
     diff = b - a
     h = _hmin(diff)
-    if h >= 0 and np.isfinite(diff).all():
-        return 0.0
-    scale = max(1.0, float(np.linalg.norm(a, 2)), float(np.linalg.norm(b, 2)))
-    return max(0.0, -h / scale)
+    holds = (h >= 0) & np.isfinite(diff).all(axis=(-2, -1))
+    viol = 0.0
+    for i in map(tuple, np.argwhere(~holds)):
+        scale = max(1.0, spectral_norm(a[i]), spectral_norm(b[i]))
+        viol = max(viol, -float(h[i]) / scale)
+    return viol
 
 
-def _sample_vectors(spec: GeneratorSpec, offset: int, count: int):
+def _sample_vectors(spec: GeneratorSpec, offset: int, count: int) -> np.ndarray:
+    """``count`` seeded vectors as one (count, n, d * n) stack, drawn one at
+    a time so that every vector keeps its place in the stream."""
     n, d = spec.n, spec.d
     rng = stream(spec.seed, _CHECK_STREAM + offset)
-    return [complex_normal(rng, (n, d * n)) for _ in range(count)]
+    return np.stack([complex_normal(rng, (n, d * n)) for _ in range(count)])
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``x x^H`` for each matrix in a stack."""
+    return x @ x.conj().swapaxes(-1, -2)
+
+
+def _sandwich(lo: float | None, hi: float, xx: np.ndarray,
+              val: np.ndarray) -> float:
+    """Violation of ``lo * xx <= val <= hi * xx`` over a stack of samples,
+    sample by sample and lower side first; ``lo=None`` checks the upper side
+    only."""
+    if lo is None:
+        return _order_violation(val, hi * xx)
+    return _order_violation(np.stack((lo * xx, val), axis=1),
+                            np.stack((val, hi * xx), axis=1))
 
 
 @dataclass
@@ -125,13 +148,11 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     sigma = op_norm(t)
 
     # op_energy_bound: every point operator against sampled vectors.
-    sq_norms = [op_norm(p.lam) ** 2 for p in points]
-    viol = 0.0
-    for x in _sample_vectors(spec, 0, _SAMPLES):
-        xx = x @ x.conj().T
-        for p, sq in zip(points, sq_norms):
-            tx = x @ p.lam.action
-            viol = max(viol, _order_violation(tx @ tx.conj().T, sq * xx))
+    xs = _sample_vectors(spec, 0, _SAMPLES)
+    xx = _gram(xs)
+    energies = np.stack([_gram(xs @ p.lam.action) for p in points], axis=1)
+    bounds = np.stack([op_norm(p.lam) ** 2 * xx for p in points], axis=1)
+    viol = _order_violation(energies, bounds)
     out["op_energy_bound"] = _Outcome(True, viol <= tol, viol,
                                       "energy bound violated" if viol > tol else "")
 
@@ -139,10 +160,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # controlled frame is one.
     if verdict.kind == FRAME:
         gram = t.action.conj().T @ t.action
-        lo, hi = _hmin(gram), sigma ** 2
-        v1 = _order_violation(lo * np.eye(gram.shape[0]), gram)
-        v2 = _order_violation(gram, hi * np.eye(gram.shape[0]))
-        viol = max(v1, v2)
+        viol = _sandwich(_hmin(gram), sigma ** 2, np.eye(gram.shape[0])[None],
+                         gram[None])
         out["gram_sandwich"] = _Outcome(True, viol <= tol, viol,
                                         "gram sandwich violated" if viol > tol else "")
     else:
@@ -151,13 +170,9 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # plain_frame_sandwich: pointwise sums against the classifier bounds.
     lo_plain = plain_verdict.witnesses["lambda_min"]
     hi_plain = plain_verdict.witnesses["lambda_max"]
-    viol = 0.0
-    for x in _sample_vectors(spec, 1, _SAMPLES):
-        xx = x @ x.conj().T
-        val = _energy(points, x, x)
-        if plain_verdict.kind == FRAME:
-            viol = max(viol, _order_violation(lo_plain * xx, val))
-        viol = max(viol, _order_violation(val, hi_plain * xx))
+    xs = _sample_vectors(spec, 1, _SAMPLES)
+    viol = _sandwich(lo_plain if plain_verdict.kind == FRAME else None,
+                     hi_plain, _gram(xs), _energy(points, xs, xs))
     out["plain_frame_sandwich"] = _Outcome(True, viol <= tol, viol,
                                            "plain sandwich violated" if viol > tol else "")
 
@@ -166,32 +181,32 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     ca = pair.c.base.action
     cpa = pair.cp.base.action
     herm = max(
-        float(np.linalg.norm(s_plain.action - s_plain.action.conj().T, 2))
+        spectral_norm(s_plain.action - s_plain.action.conj().T)
         / max(1.0, op_norm(s_plain)),
-        float(np.linalg.norm(sc.action - sc.action.conj().T, 2)) / max(1.0, op_norm(sc)),
+        spectral_norm(sc.action - sc.action.conj().T) / max(1.0, op_norm(sc)),
     )
-    viol = herm
     detail = "frame operator not Hermitian" if herm > tol else ""
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
-    for x in _sample_vectors(spec, 2, _SAMPLES):
-        xx = x @ x.conj().T
-        val = _energy(points, x @ ca, x @ cpa)
-        if verdict.kind == FRAME:
-            viol = max(viol, _order_violation(lo_c * xx, val))
-        viol = max(viol, _order_violation(val, hi_c * xx))
+    xs = _sample_vectors(spec, 2, _SAMPLES)
+    viol = max(herm, _sandwich(lo_c if verdict.kind == FRAME else None, hi_c,
+                               _gram(xs), _energy(points, xs @ ca, xs @ cpa)))
     if viol > tol and not detail:
         detail = "controlled sandwich violated"
     out["controlled_frame_sandwich"] = _Outcome(True, viol <= tol, viol, detail)
 
     # norm_characterization: scalar-norm version on controlled frames.
     if verdict.kind == FRAME:
+        xs = _sample_vectors(spec, 3, _SAMPLES)
+        # top singular values of every sample's gram and controlled energy
+        gram_norms = np.linalg.svd(_gram(xs), compute_uv=False)[:, 0]
+        val_norms = np.linalg.svd(_energy(points, xs @ ca, xs @ cpa),
+                                  compute_uv=False)[:, 0]
         viol = 0.0
-        for x in _sample_vectors(spec, 3, _SAMPLES):
+        for gn, vn in zip(gram_norms, val_norms):
             # vec_norm(x) ** 2, through the square root as vec_norm takes it
-            nx2 = float(np.sqrt(float(np.linalg.norm(x @ x.conj().T, 2)))) ** 2
-            val = _energy(points, x @ ca, x @ cpa)
-            nv = float(np.linalg.norm(val, 2))
+            nx2 = float(np.sqrt(float(gn))) ** 2
+            nv = float(vn)
             scale = max(1.0, hi_c * nx2)
             viol = max(viol, (lo_c * nx2 - nv) / scale, (nv - hi_c * nx2) / scale)
         viol = max(viol, 0.0)
@@ -217,11 +232,9 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
             pb = bounds_plain_from_cc(a_cc, b_cc, pair.c)
             cb = bounds_cc_from_plain(a_pl, b_pl, pair.c)
             eye = np.eye(s_plain.action.shape[0])
-            viol = max(viol,
-                       _order_violation(pb.lower * eye, s_plain.action),
-                       _order_violation(s_plain.action, pb.upper * eye),
-                       _order_violation(cb.lower * eye, sc_cc.action),
-                       _order_violation(sc_cc.action, cb.upper * eye))
+            viol = _order_violation(
+                np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
+                np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
             if viol > tol:
                 detail = "transferred bounds invalid"
             if spec.n == 1 and spec.d == 1:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gframes import (AlgebraElement, NotPositive, alg_adjoint, alg_norm,
                      alg_sqrt, is_positive, loewner_leq)
+from gframes.algebra import spectral_norm
 from gframes.rng import complex_normal, stream
 
 TOL = 1e-10
@@ -119,6 +120,27 @@ def test_norm_matches_power_iteration():
         v = v / np.linalg.norm(v)
     rayleigh = float(np.real(v.conj() @ m @ v))
     assert alg_norm(a) == pytest.approx(np.sqrt(rayleigh), rel=1e-8)
+
+
+def random_psd(rng, k):
+    g = complex_normal(rng, (k, k))
+    return g @ g.conj().T
+
+
+SPECTRAL_CASES = {
+    "complex": lambda rng, k: complex_normal(rng, (k, k)),
+    "real": lambda rng, k: rng.standard_normal((k, k)),
+    "psd": random_psd,
+    "wide": lambda rng, k: complex_normal(rng, (k, k + 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+def test_spectral_norm_matches_numpy_norm_bit_for_bit(case):
+    rng = stream(71, len(case))
+    for k in (1, 1, 2, 3, 4, 7, 16, 32):
+        a = SPECTRAL_CASES[case](rng, k)
+        assert spectral_norm(a) == np.linalg.norm(a, 2)
 
 
 def test_cstar_identity_batch():

@@ -146,6 +146,22 @@ def test_reconstruct_huge_weight_is_a_schema_error(scen, tmp_path, capsys):
         "gframes: schema error: points[0].weight: must be finite\n")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["reconstruct", "--random", "1"]])
+def test_overflowing_scenario_file_fails_cleanly(command, tmp_path, capsys, recwarn):
+    # finite entries whose products overflow double precision
+    spec = '{"seed": 3, "n": 2, "d": 2, "m": 4, "flavor": "commuting"}'
+    path = tmp_path / "overflow.json"
+    assert main(["generate", "--spec", spec, "--out", str(path)]) == 0
+    obj = read(path)
+    obj["points"][0]["lambda"] = [[v * 1e160 for v in row]
+                                  for row in obj["points"][0]["lambda"]]
+    path.write_text(json.dumps(obj))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"gframes: error: values in {path} overflow double precision\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_generate_huge_spectrum_bound_is_a_schema_error(tmp_path, capsys):
     spec = json.dumps({"seed": 1, "n": 1, "d": 1, "m": 1,
                        "spectrum_range": [1, HUGE_INT]})

@@ -186,6 +186,20 @@ def test_energy_matches_wrapper_loop_bit_for_bit():
         sandwich_sum(fam, ModuleVector(3, 2, complex_normal(rng, (3, 6))))
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 3), (2, 3, 5), (3, 2, 4)])
+def test_energy_on_a_stack_matches_per_slice_calls(shape):
+    n, d, m = shape
+    fam = random_family(59 + n, n, d, m)
+    rng = stream(60 + n, 0)
+    xs = complex_normal(rng, (6, n, d * n))
+    ys = complex_normal(rng, (6, n, d * n))
+    for u, v in ((xs, xs), (xs, ys)):
+        got = _energy(fam.points, u, v)
+        assert got.shape == (6, n, n)
+        for s in range(6):
+            assert np.array_equal(got[s], _energy(fam.points, u[s], v[s]))
+
+
 def test_check_sandwich_parseval():
     sc = generate(GeneratorSpec(seed=5, n=2, d=2, m=4, flavor="parseval"))
     assert check_sandwich(sc.family, 1.0, 1.0, samples=50, seed=9)

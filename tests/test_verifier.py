@@ -10,6 +10,7 @@ import pytest
 from gframes import (CHECKS, GeneratorSpec, default_batch, run_suite,
                      suite_passed)
 from gframes.rng import complex_normal, stream
+from gframes import verifier
 from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
 
 EXPECTED_IDS = {
@@ -148,10 +149,12 @@ def test_scenario_builds_each_operator_once(calls, flavor):
 
 
 # Spectral norms of the same scenario.  Order checks take their two scale
-# norms only when they fail, and certificates take none for an exactly zero
-# commutator; the generic and parseval flavors have identity controls.
-SCENARIO_NORMS = {"bessel_only": 51, "commuting": 70, "generic": 29,
-                  "parseval": 37}
+# norms only for the slices that fail, and certificates take none for an
+# exactly zero commutator; the generic and parseval flavors have identity
+# controls.  The norm characterization of a frame takes its per-sample norms
+# as two stacked SVDs, which the counter does not see.
+SCENARIO_NORMS = {"bessel_only": 51, "commuting": 58, "generic": 17,
+                  "parseval": 25}
 
 
 @pytest.mark.parametrize("flavor", sorted(SCENARIO_NORMS))
@@ -193,6 +196,49 @@ def test_order_violation_matches_reference_bit_for_bit(case, k):
     assert math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
+def reference_fold(a, b):
+    """Per-slice ``reference_order_violation`` over two stacks, folded in
+    stack order as the sampled checks fold them."""
+    viol = 0.0
+    for i in np.ndindex(a.shape[:-2]):
+        viol = max(viol, reference_order_violation(a[i], b[i]))
+    return viol
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_order_violation_matches_per_slice_fold(seed):
+    # each stack mixes slices that hold, fail and are rank deficient, in a
+    # seeded order, so the fold order and the skipped scales both show
+    k = 1 + seed % 4
+    cases = [ORDER_CASES[c](hermitian(10 * seed + j, k))
+             for j, c in enumerate(sorted(ORDER_CASES) * 2)]
+    order = stream(seed, 1).permutation(len(cases))
+    a = np.stack([cases[j][0] for j in order]).reshape(2, -1, k, k)
+    b = np.stack([cases[j][1] for j in order]).reshape(2, -1, k, k)
+    got = _order_violation(a, b)
+    assert got == reference_fold(a, b)
+    assert got > 0.0
+    assert _order_violation(a[:, :0], b[:, :0]) == 0.0
+
+
+def test_stacked_order_violation_with_a_nan_slice_raises():
+    eye = np.eye(2)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _order_violation(np.stack([eye, eye, eye]),
+                         np.stack([2 * eye, nan, eye]))
+
+
+def test_stacked_order_violation_inf_slice_takes_the_scale(calls):
+    eye = np.eye(2)
+    inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    a, b = np.stack([eye, eye, eye]), np.stack([2 * eye, inf, 3 * eye])
+    assert _order_violation(a, b) == reference_fold(a, b)
+    # the scale norms of the inf slice only
+    assert len(calls["norm2"]) == 2
+    assert np.isinf(calls["norm2"][1]).any()
+
+
 def test_order_violation_on_nan_takes_the_scale():
     # eigvalsh may report finite eigenvalues for a NaN matrix; the SVD of
     # the scale fails on it, and the order check must still reach that SVD
@@ -214,18 +260,27 @@ def test_order_check_takes_no_scale_norm_when_it_holds(calls):
 
 
 def test_default_batch_eigh_count(monkeypatch):
-    # two controls per commuting or bessel_only spec, family and twin
+    # eigh: two controls per commuting or bessel_only spec, family and twin
     # renormalization per parseval spec, and one product root per scenario;
-    # the same-control pair never takes its root
-    real = np.linalg.eigh
-    seen = []
+    # the same-control pair never takes its root.  Order checks: one stacked
+    # check per sampled check, one for the gram sandwich and one for the
+    # transferred bounds of a frame, each one eigvalsh; the other eigvalsh
+    # calls are verdict spectra, gram floors and generator checks.
+    seen = {"eigh": [], "eigvalsh": [], "order": []}
 
-    def eigh(a, *args, **kwargs):
-        seen.append(a)
-        return real(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    def counting(log, real):
+        def call(a, *args, **kwargs):
+            log.append(a)
+            return real(a, *args, **kwargs)
+        return call
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(seen[name], getattr(np.linalg, name)))
+    monkeypatch.setattr(verifier, "_order_violation",
+                        counting(seen["order"], _order_violation))
     run_suite(default_batch())
-    assert len(seen) == 500
+    assert {name: len(log) for name, log in seen.items()} == \
+        {"eigh": 500, "eigvalsh": 2000, "order": 900}
 
 
 def test_suite_constructs_no_wrappers(calls):
