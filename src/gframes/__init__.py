@@ -15,8 +15,9 @@ from .controlled import (CommutationReport, ControlPair, ControlledScenario,
                          TransferResult, analysis, bounds_cc_from_plain,
                          bounds_plain_from_cc, controlled_classify,
                          controlled_frame_operator, cross_adjoint_resolve,
-                         cross_operator, make_control_pair, make_scenario,
-                         reconstruct, surjectivity_transfer, synthesis,
+                         cross_operator, decide_commutation,
+                         make_control_pair, make_scenario, reconstruct,
+                         surjectivity_transfer, synthesis,
                          synthesis_norm_check, synthesis_operator,
                          validate_commutation)
 from .errors import (CommutationViolated, GFrameError, InvalidSpec,
@@ -55,7 +56,8 @@ __all__ = [
     "is_surjective", "make_positive_invertible", "identity_control",
     "frame_operator", "optimal_bounds", "classify", "sandwich_sum",
     "check_sandwich", "make_control_pair", "make_scenario",
-    "validate_commutation", "controlled_frame_operator", "controlled_classify",
+    "validate_commutation", "decide_commutation", "controlled_frame_operator",
+    "controlled_classify",
     "synthesis", "analysis", "synthesis_operator", "synthesis_norm_check",
     "cross_operator", "cross_adjoint_resolve", "bounds_plain_from_cc",
     "bounds_cc_from_plain", "surjectivity_transfer", "reconstruct",

@@ -18,6 +18,7 @@ lists and put the weights into the sums, matching the defining formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -52,11 +53,12 @@ class ControlPair:
     commutation certificates.
 
     Commuting with a family's gram terms is a property of the pair on that
-    family, so the pair keeps one certificate per family, computed by
-    ``report_on`` on first use.  ``product_sqrt`` is taken on first use too,
-    and is only meaningful where the certificate passed.  Everything kept is
-    derived from ``c``, ``cp`` and ``tol``, and ``dataclasses.replace``
-    starts with none of it.
+    family, so the pair keeps, per family, the verdict of ``passed_on`` and
+    the commutator norms of ``report_on``, each computed on first use.  A
+    verdict is read from the kept norms when they were taken first.
+    ``product_sqrt`` is taken on first use too, and is only meaningful where
+    the certificate passed.  Everything kept is derived from ``c``, ``cp``
+    and ``tol``, and ``dataclasses.replace`` starts with none of it.
     """
 
     c: PositiveInvertibleOperator
@@ -64,15 +66,30 @@ class ControlPair:
     tol: float
     _reports: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def report_on(self, family: GFrameFamily) -> CommutationReport:
-        """Certificate of the controls against ``family`` at ``tol``,
-        computed on first use and then kept."""
+        """Certificate of the controls against ``family`` at ``tol``, with
+        every commutator norm, computed on first use and then kept."""
         report = self._reports.get(family)
         if report is None:
             report = validate_commutation(family, self.c, self.cp, self.tol)
             self._reports[family] = report
         return report
+
+    def passed_on(self, family: GFrameFamily) -> bool:
+        """Whether the certificate against ``family`` passes: the kept
+        report's verdict if there is one, else ``decide_commutation``,
+        computed on first use and then kept."""
+        report = self._reports.get(family)
+        if report is not None:
+            return report.passed
+        passed = self._verdicts.get(family)
+        if passed is None:
+            passed = decide_commutation(family, self.c, self.cp, self.tol)
+            self._verdicts[family] = passed
+        return passed
 
     @cached_property
     def product_sqrt(self) -> ModuleOperator:
@@ -99,14 +116,25 @@ class ControlledScenario:
             raise ValueError("control shape does not match the family")
 
 
+def _commutator(c: PositiveInvertibleOperator, b: np.ndarray) -> np.ndarray:
+    a = c.base.action
+    return a @ b - b @ a
+
+
+def _relative(c: PositiveInvertibleOperator, x: np.ndarray,
+              norm_b: float) -> float:
+    """``norm(x) / max(1, norm(c) * norm_b)`` for the commutator ``x`` of
+    the control ``c`` with a matrix of norm ``norm_b``."""
+    return spectral_norm(x) / max(1.0, c.norm * norm_b)
+
+
 def _rel_commutator(c: PositiveInvertibleOperator, b: np.ndarray,
                     norm_b: float) -> float:
     """``norm(cb - bc) / max(1, norm(c) * norm_b)`` for the action of the
     control ``c``; 0.0 with no norm when ``c`` is the identity."""
     if c.is_identity:
         return 0.0
-    a = c.base.action
-    return spectral_norm(a @ b - b @ a) / max(1.0, c.norm * norm_b)
+    return _relative(c, _commutator(c, b), norm_b)
 
 
 def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
@@ -138,6 +166,68 @@ def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
     return CommutationReport(cc, tuple(rows), tol, passed)
 
 
+# A Frobenius norm below this may have lost squares to underflow, so it
+# bounds nothing.
+_FROBENIUS_FLOOR = 1e-150
+
+
+def _frobenius_passes(c: PositiveInvertibleOperator, x: np.ndarray,
+                      lo_b: float, tol: float) -> bool:
+    """Whether ``x``, the commutator of ``c`` with a matrix of norm at least
+    ``lo_b``, passes at ``tol`` by its Frobenius norm alone; False when that
+    norm cannot tell.
+
+    The Frobenius norm bounds the spectral norm from above.  It is held to
+    half of what the exact check allows, which absorbs the roundoff between
+    it and LAPACK's largest singular value.
+    """
+    # x^H x summed by BLAS, which raises no floating-point error; an
+    # overflowed sum is inf or NaN and decides nothing
+    fro = math.sqrt(np.vdot(x, x).real)
+    if fro == 0.0:
+        return not x.any()
+    return (_FROBENIUS_FLOOR <= fro <= 0.5 * tol * max(1.0, c.norm * lo_b)
+            and fro < math.inf)
+
+
+def decide_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
+                       cp: PositiveInvertibleOperator,
+                       tol: float = DEFAULT_TOL) -> bool:
+    """``validate_commutation(family, c, cp, tol).passed``, with a spectral
+    norm only where the Frobenius bound does not decide.
+
+    Each commutator passes at once when its Frobenius norm is small against
+    a lower bound on the other factor's norm: ``norm(cp)`` for ``[c, cp]``,
+    and the largest diagonal entry of a gram term, which is positive
+    semidefinite, for ``[c, gram]``.  Any other commutator is measured as
+    ``validate_commutation`` measures it.  Stops at the first failing one.
+    """
+    cpa = cp.base.action
+    same = cpa is c.base.action
+    if not (same or c.is_identity or cp.is_identity):
+        x = _commutator(c, cpa)
+        if not (_frobenius_passes(c, x, cp.norm, tol)
+                or _relative(c, x, cp.norm) <= tol):
+            return False
+    controls = [k for k in ((c,) if same else (c, cp)) if not k.is_identity]
+    if not controls:
+        return True
+    for p in family.points:
+        l = p.lam.action
+        gram = l @ l.conj().T
+        g_lo = float(gram.diagonal().real.max())
+        ng = None
+        for ctl in controls:
+            x = _commutator(ctl, gram)
+            if _frobenius_passes(ctl, x, g_lo, tol):
+                continue
+            if ng is None:
+                ng = spectral_norm(gram)
+            if not _relative(ctl, x, ng) <= tol:
+                return False
+    return True
+
+
 def make_control_pair(c: PositiveInvertibleOperator,
                       cp: PositiveInvertibleOperator,
                       tol: float = DEFAULT_TOL) -> ControlPair:
@@ -155,8 +245,9 @@ def make_scenario(family: GFrameFamily, c: PositiveInvertibleOperator,
 
 
 def _require_certificate(scenario: ControlledScenario) -> None:
-    report = scenario.pair.report_on(scenario.family)
-    if not report.passed:
+    pair, family = scenario.pair, scenario.family
+    if not pair.passed_on(family):
+        report = pair.report_on(family)
         worst = max([report.cc_commutator]
                     + [r for row in report.per_point for r in row])
         raise CommutationViolated(
@@ -271,7 +362,7 @@ def _check_same_measure(lam: GFrameFamily, gam: GFrameFamily) -> None:
 
 
 def _require_pair_on(family: GFrameFamily, pair: ControlPair, what: str) -> None:
-    if not pair.report_on(family).passed:
+    if not pair.passed_on(family):
         raise CommutationViolated(f"controls do not commute with the {what} family")
 
 

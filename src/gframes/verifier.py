@@ -14,6 +14,7 @@ runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +84,16 @@ def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
 
     A finite slice of ``b - a`` with no negative eigenvalue gives 0.0 whatever
     the scale, so the two norms of the scale are taken only for the others.
+    A slice whose difference is not finite, or whose smallest eigenvalue is
+    NaN, cannot show the order and gives inf.
     """
     diff = b - a
     h = _hmin(diff)
-    holds = (h >= 0) & np.isfinite(diff).all(axis=(-2, -1))
+    finite = np.isfinite(diff).all(axis=(-2, -1)) & ~np.isnan(h)
     viol = 0.0
-    for i in map(tuple, np.argwhere(~holds)):
+    for i in map(tuple, np.argwhere(~((h >= 0) & finite))):
         scale = max(1.0, spectral_norm(a[i]), spectral_norm(b[i]))
-        viol = max(viol, -float(h[i]) / scale)
+        viol = max(viol, -float(h[i]) / scale if finite[i] else math.inf)
     return viol
 
 
@@ -217,7 +220,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     # cc_equivalence_bounds: same-control pair against the plain family.
     pair_cc = make_control_pair(pair.c, pair.c, pair.tol)
-    if not pair_cc.report_on(family).passed:
+    if not pair_cc.passed_on(family):
         out["cc_equivalence_bounds"] = _Outcome(True, False, 1.0,
                                                 "same-control certificate failed")
     else:

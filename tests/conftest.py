@@ -14,6 +14,7 @@ from gframes.module_space import ModuleVector
 # Counted library functions and the module that defines each.
 COUNTED = {
     "validate_commutation": controlled_mod,
+    "decide_commutation": controlled_mod,
     "frame_operator": frames_mod,
     "controlled_frame_operator": controlled_mod,
     "synthesis_operator": controlled_mod,
@@ -23,9 +24,14 @@ COUNTED = {
 }
 
 
-def _counting(real, log):
+# Counted functions that certify controls against a family.
+CERTIFYING = ("validate_commutation", "decide_commutation")
+
+
+def _counting(real, *logs):
     def counting(first, *args, **kwargs):
-        log.append(first)
+        for log in logs:
+            log.append(first)
         return real(first, *args, **kwargs)
     return counting
 
@@ -35,13 +41,17 @@ def calls(monkeypatch):
     """First arguments of every call to each ``COUNTED`` function, in call
     order, through every ``gframes`` module that binds the name; under
     ``ModuleVector`` and ``AlgebraElement``, every instance constructed; under
-    ``norm2``, the matrix of every ``spectral_norm``.  Stacked SVDs that
-    take many norms in one call are not counted."""
-    record = {}
+    ``norm2``, the matrix of every ``spectral_norm``; under
+    ``certificates``, every call of a ``CERTIFYING`` function.  Stacked SVDs
+    that take many norms in one call are not counted."""
+    record = {"certificates": []}
     for name, home in COUNTED.items():
         real = getattr(home, name)
         record[name] = []
-        counting = _counting(real, record[name])
+        logs = [record[name]]
+        if name in CERTIFYING:
+            logs.append(record["certificates"])
+        counting = _counting(real, *logs)
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "gframes" \
                     and getattr(mod, name, None) is real:
@@ -56,5 +66,6 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def certificate_calls(calls):
-    """Families passed to ``validate_commutation``, in call order."""
-    return calls["validate_commutation"]
+    """Families passed to ``validate_commutation`` or ``decide_commutation``,
+    in call order."""
+    return calls["certificates"]

@@ -87,6 +87,13 @@ def test_analyze_reports_the_pair_certificate(scen, tmp_path,
     assert rep["per_point"] == [list(r) for r in cert.per_point]
 
 
+def test_reconstruct_takes_the_verdict_and_no_numbers(scen, tmp_path, calls):
+    assert main(["reconstruct", str(scen), "--random", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls["decide_commutation"]) == 1
+    assert calls["validate_commutation"] == []
+
+
 def test_generate_takes_no_certificate(tmp_path, certificate_calls):
     assert main(["generate", "--spec", COMMUTING_SPEC,
                  "--out", str(tmp_path / "s.json")]) == 0

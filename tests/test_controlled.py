@@ -12,14 +12,17 @@ from gframes import (FRAME, AlgebraElement, ControlledScenario, GFrameFamily,
                      ModuleVector, NotAFrame, alg_norm, analysis,
                      bounds_cc_from_plain, bounds_plain_from_cc, check_sandwich,
                      classify, controlled_classify, controlled_frame_operator,
-                     cross_adjoint_resolve, cross_operator, frame_operator,
-                     generate, generate_pair, identity_control, inner,
-                     loewner_leq, make_control_pair, make_positive_invertible,
+                     cross_adjoint_resolve, cross_operator,
+                     decide_commutation, frame_operator, generate,
+                     generate_pair, identity_control, inner, loewner_leq,
+                     make_control_pair, make_positive_invertible,
                      make_scenario, op_apply, op_norm, optimal_bounds,
                      reconstruct, surjectivity_transfer, synthesis,
                      synthesis_norm_check, synthesis_operator,
                      validate_commutation, vec_norm)
-from gframes.controlled import TransferResult
+from gframes.algebra import spectral_norm
+from gframes.controlled import (CommutationReport, TransferResult,
+                                _frobenius_passes)
 from gframes.errors import (CommutationViolated, GFrameError,
                             PreconditionViolated)
 from gframes.frames import _spectrum, _verdict
@@ -129,6 +132,82 @@ def test_commutation_matches_reference_loop_bit_for_bit(flavor, shape):
             cc, rows = reference_certificate(fam, x, y)
             assert rep.cc_commutator == cc
             assert rep.per_point == rows
+
+
+def scaled_control(c, s):
+    return make_positive_invertible(ModuleOperator(
+        c.base.algebra_dim, c.base.domain_rank, c.base.domain_rank,
+        s * c.base.action))
+
+
+def certificate_outcome(certify, *args):
+    """Return value of ``certify(*args)``, or the type of what it raised."""
+    try:
+        return certify(*args)
+    except np.linalg.LinAlgError as exc:  # an overflowed commutator
+        return type(exc)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 4), (3, 2, 3), (8, 4, 16)])
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_decision_agrees_with_the_exact_certificate(flavor, shape):
+    # tolerances a relative 1e-6 above the worst commutator pass dense skew
+    # controls whose Frobenius norms lie above the bound's threshold, so
+    # only the spectral-norm fallback decides them
+    n, d, m = shape
+    skew = random_control(188, n, d)
+    eye = identity_control(n, d)
+    verdicts = []
+    for spectrum in ((0.5, 2.0), (1.0, 1.0), (1e-6, 1e6), (1.0, 1e150)):
+        sc, twin = generate_pair(GeneratorSpec(seed=189, n=n, d=d, m=m,
+                                               spectrum_range=spectrum,
+                                               flavor=flavor))
+        c, cp = sc.pair.c, sc.pair.cp
+        triples = [(sc.family, c, cp), (twin, c, cp), (sc.family, c, c),
+                   (twin, skew, cp), (sc.family, skew, skew),
+                   (sc.family, eye, eye), (twin, eye, skew)]
+        triples += [(fam, scaled_control(x, s), scaled_control(y, s))
+                    for s in (1e100, 1e-100)
+                    for fam, x, y in ((sc.family, c, cp), (twin, skew, cp))]
+        for fam, x, y in triples:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = certificate_outcome(validate_commutation, fam, x, y)
+            tols = [1e-9, 1e-18]
+            if isinstance(rep, CommutationReport):
+                entries = [rep.cc_commutator] + [r for row in rep.per_point
+                                                 for r in row]
+                worst = max(entries)
+                tols += [worst * (1 + f) for f in (-1e-6, -1e-15, 1e-15, 1e-6)]
+            for tol in tols:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = certificate_outcome(decide_commutation, fam, x, y, tol)
+                # the report's entries do not depend on tol; its verdict is
+                # every entry at most tol
+                want = (all(e <= tol for e in entries)
+                        if isinstance(rep, CommutationReport) else rep)
+                verdicts.append((got, want))
+    assert len(verdicts) >= 4 * 11 * 2
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    if n * d > 1:
+        assert {v[0] for v in verdicts} >= {True, False}
+
+
+def test_frobenius_bound_decides_nothing_it_cannot_see():
+    # each commutator's spectral norm fails tol, but its Frobenius norm,
+    # summed in doubles, reads at most half of tol: every square lost to
+    # underflow, all squares but one lost, and a sum overflowed against an
+    # infinite scale
+    c = diag_control(1, 2, 1.0, 2.0)
+    lost = np.full((2, 2), 1e-170, dtype=np.complex128)
+    one_kept = np.full((12, 12), 1.5e-162, dtype=np.complex128)
+    one_kept[0, 0] = 2.3e-162
+    overflowed = np.full((4, 4), 1e308, dtype=np.complex128)
+    for x, lo_b, tol in ((lost, 0.0, 1e-170), (one_kept, 0.0, 1e-161),
+                         (overflowed, np.inf, 0.5)):
+        assert not spectral_norm(x) / max(1.0, c.norm * lo_b) <= tol
+        assert not _frobenius_passes(c, x, lo_b, tol)
+    assert _frobenius_passes(c, np.zeros((2, 2), dtype=np.complex128), 0.0, 0.0)
 
 
 def test_identity_controls_take_no_norm(calls):

@@ -9,7 +9,10 @@ plus ``generate``, ``analyze`` and ``reconstruct --random`` for one
 scenario per flavor and for one commuting (8, 4, 16) scenario, and
 ``analyze`` and ``reconstruct`` of a hand-written scenario file whose
 matrices hold -0.0 and integer entries, and of a commuting scenario file
-whose ``C`` is written out as an identity matrix.  Float results may differ in the
+whose ``C`` is written out as an identity matrix.  ``verify --batch`` on
+eight specs of the shapes the verify-ladder benchmark runs, and
+``generate`` and ``analyze`` of one commuting (8, 8, 32) scenario, pin the
+commutation certificates at the largest sizes.  Float results may differ in the
 last bits under another numpy build, so the test only runs on the numpy
 version the digests were recorded with.
 """
@@ -37,6 +40,12 @@ BATCH = ([{"seed": 800 + i, "n": 1, "d": 1, "m": 1, "flavor": fl}
 WIDE_BATCH = [{"seed": 880 + 4 * j + i, "n": n, "d": d, "m": m, "flavor": fl}
               for j, (n, d, m) in enumerate(((3, 2, 3), (8, 4, 16)))
               for i, fl in enumerate(FLAVORS)]
+
+# every flavor at n = 8, (d, m) in {(4, 16), (8, 32)}, with dw fixed at 2
+LADDER_BATCH = [{"seed": 900 + 4 * j + i, "n": 8, "d": d, "m": m,
+                 "dw_range": [2, 2], "flavor": fl}
+                for j, (d, m) in enumerate(((4, 16), (8, 32)))
+                for i, fl in enumerate(FLAVORS)]
 
 # integer weights and entries, and -0.0 in both parts, as a person writes them
 HANDWRITTEN = {
@@ -82,6 +91,9 @@ DIGESTS = {
     "generate_explicit_identity": (0, "945b0e7d6c080616f7dc1bbb37b958489ae90df5f9f779c8928146d4804852cc"),
     "analyze_explicit_identity": (0, "4087b6de8ab5c2270e03e108cbdb8bbfea75be6edc8fa494431aa85027cead4d"),
     "reconstruct_explicit_identity": (0, "c96de952bb7b4fd3a8532c909c67673e209545a77fc063d2582aad178575bffc"),
+    "verify_ladder": (0, "5d643cc00c4f9bc54958e82321d06e503f39ffd9a267fc387891650a4f19379c"),
+    "generate_ladder_top": (0, "5315d6662c39ad883efedefa474e86811d500efb38a74ad46bd8662428082bca"),
+    "analyze_ladder_top": (0, "73a7c161b7f79d85afe1df2639693a80abb24f051da98f001dc565d6b8d67659"),
 }
 
 
@@ -125,6 +137,12 @@ def outputs(tmp_path) -> dict:
     scen.write_text(json.dumps(obj))
     run("analyze_explicit_identity", ["analyze", str(scen)])
     run("reconstruct_explicit_identity", ["reconstruct", str(scen), "--random", "891"])
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps(LADDER_BATCH))
+    run("verify_ladder", ["verify", "--batch", str(ladder)])
+    spec = json.dumps({"seed": 910, "n": 8, "d": 8, "m": 32, "flavor": "commuting"})
+    run("generate_ladder_top", ["generate", "--spec", spec])
+    run("analyze_ladder_top", ["analyze", str(tmp_path / "generate_ladder_top.json")])
     return result
 
 
