@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,16 +49,16 @@ class CommutationReport:
 
 @dataclass(frozen=True, eq=False)
 class ControlPair:
-    """Two positive invertible controls and the tolerance of their
-    commutation certificates.
+    """Two positive invertible controls on one space and the tolerance, a
+    nonnegative number, of their commutation certificates.
 
     Commuting with a family's gram terms is a property of the pair on that
     family, so the pair keeps, per family, the verdict of ``passed_on`` and
-    the commutator norms of ``report_on``, each computed on first use.  A
-    verdict is read from the kept norms when they were taken first.
-    ``product_sqrt`` is taken on first use too, and is only meaningful where
-    the certificate passed.  Everything kept is derived from ``c``, ``cp``
-    and ``tol``, and ``dataclasses.replace`` starts with none of it.
+    the commutator norms of ``report_on``, each computed on first use; a
+    report settles the verdict too.  ``product_sqrt`` is taken on first use
+    as well, and is only meaningful where the certificate passed.  Everything
+    kept is derived from ``c``, ``cp`` and ``tol``, and ``dataclasses.replace``
+    starts with none of it.
     """
 
     c: PositiveInvertibleOperator
@@ -69,6 +69,13 @@ class ControlPair:
     _verdicts: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
+    def __post_init__(self):
+        if self.c.base.action.shape != self.cp.base.action.shape:
+            raise ValueError("controls must act on the same space")
+        # NaN fails the comparison too
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
+
     def report_on(self, family: GFrameFamily) -> CommutationReport:
         """Certificate of the controls against ``family`` at ``tol``, with
         every commutator norm, computed on first use and then kept."""
@@ -76,15 +83,13 @@ class ControlPair:
         if report is None:
             report = validate_commutation(family, self.c, self.cp, self.tol)
             self._reports[family] = report
+            self._verdicts[family] = report.passed
         return report
 
     def passed_on(self, family: GFrameFamily) -> bool:
-        """Whether the certificate against ``family`` passes: the kept
-        report's verdict if there is one, else ``decide_commutation``,
-        computed on first use and then kept."""
-        report = self._reports.get(family)
-        if report is not None:
-            return report.passed
+        """Whether the certificate against ``family`` passes, from
+        ``decide_commutation`` unless a report settled it, computed on first
+        use and then kept."""
         passed = self._verdicts.get(family)
         if passed is None:
             passed = decide_commutation(family, self.c, self.cp, self.tol)
@@ -116,56 +121,6 @@ class ControlledScenario:
             raise ValueError("control shape does not match the family")
 
 
-def _commutator(c: PositiveInvertibleOperator, b: np.ndarray) -> np.ndarray:
-    a = c.base.action
-    return a @ b - b @ a
-
-
-def _relative(c: PositiveInvertibleOperator, x: np.ndarray,
-              norm_b: float) -> float:
-    """``norm(x) / max(1, norm(c) * norm_b)`` for the commutator ``x`` of
-    the control ``c`` with a matrix of norm ``norm_b``."""
-    return spectral_norm(x) / max(1.0, c.norm * norm_b)
-
-
-def _rel_commutator(c: PositiveInvertibleOperator, b: np.ndarray,
-                    norm_b: float) -> float:
-    """``norm(cb - bc) / max(1, norm(c) * norm_b)`` for the action of the
-    control ``c``; 0.0 with no norm when ``c`` is the identity."""
-    if c.is_identity:
-        return 0.0
-    return _relative(c, _commutator(c, b), norm_b)
-
-
-def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
-                         cp: PositiveInvertibleOperator,
-                         tol: float = DEFAULT_TOL) -> CommutationReport:
-    """Measure every commutator the controlled formulas rely on.
-
-    Each commutator norm is taken relative to the product of its factors'
-    norms, each taken once.  An identity control commutes with everything,
-    so its commutators are 0.0 and take no norm, and a same-control pair
-    takes each commutator once.  Never raises; the report carries the verdict
-    so callers can decide.
-    """
-    cpa = cp.base.action
-    same = cpa is c.base.action
-    cc = 0.0 if same or cp.is_identity else _rel_commutator(c, cpa, cp.norm)
-    if c.is_identity and cp.is_identity:
-        rows = [(0.0, 0.0)] * family.size
-    else:
-        rows = []
-        for p in family.points:
-            l = p.lam.action
-            gram = l @ l.conj().T
-            ng = spectral_norm(gram)
-            r = _rel_commutator(c, gram, ng)
-            rows.append((r, r) if same else (r, _rel_commutator(cp, gram, ng)))
-    entries = [cc] + [r for pair in rows for r in pair]
-    passed = all(e <= tol for e in entries)
-    return CommutationReport(cc, tuple(rows), tol, passed)
-
-
 # A Frobenius norm below this may have lost squares to underflow, so it
 # bounds nothing.
 _FROBENIUS_FLOOR = 1e-150
@@ -190,42 +145,73 @@ def _frobenius_passes(c: PositiveInvertibleOperator, x: np.ndarray,
             and fro < math.inf)
 
 
+def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
+                          cp: PositiveInvertibleOperator,
+                          tol: float | None = None) -> Iterator[float]:
+    """Yield every relative commutator the controlled formulas rely on, in
+    report order: ``[c, cp]``, then ``[c, gram_w]`` and ``[cp, gram_w]`` for
+    each point ``w``, each ``norm([k, b]) / max(1, norm(k) * norm(b))``.
+
+    An identity control commutes with everything, so its commutators are
+    0.0 and take no norm, and two identity controls form no gram term.  A
+    same-control pair takes each commutator once and yields it twice.  A
+    gram term's norm is taken once, when a commutator first reads it.  Given
+    ``tol``, a commutator that ``_frobenius_passes`` yields 0.0 and takes no
+    SVD; the lower bound there is ``norm(cp)`` for ``[c, cp]`` and the
+    largest diagonal entry of a gram term, which is positive semidefinite.
+
+    Work is done only as values are read, so a consumer that stops early
+    takes no further norm.  Raises ``LinAlgError`` when a commutator has
+    overflowed and its SVD does not converge.
+    """
+    ca, cpa = c.base.action, cp.base.action
+    same = cpa is ca
+    if same or c.is_identity or cp.is_identity:
+        yield 0.0
+    else:
+        x = ca @ cpa - cpa @ ca
+        yield (0.0 if tol is not None and _frobenius_passes(c, x, cp.norm, tol)
+               else spectral_norm(x) / max(1.0, c.norm * cp.norm))
+    if c.is_identity and cp.is_identity:
+        yield from [0.0] * (2 * family.size)
+        return
+    for p in family.points:
+        l = p.lam.action
+        gram = l @ l.conj().T
+        g_lo = float(gram.diagonal().real.max()) if tol is not None else 0.0
+        ng = None
+        for k in (c,) if same else (c, cp):
+            r = 0.0
+            if not k.is_identity:
+                a = k.base.action
+                x = a @ gram - gram @ a
+                if tol is None or not _frobenius_passes(k, x, g_lo, tol):
+                    if ng is None:
+                        ng = spectral_norm(gram)
+                    r = spectral_norm(x) / max(1.0, k.norm * ng)
+            yield r
+        if same:
+            yield r
+
+
+def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
+                         cp: PositiveInvertibleOperator,
+                         tol: float = DEFAULT_TOL) -> CommutationReport:
+    """Every relative commutator of ``_relative_commutators``, each from an
+    exact spectral norm, and the verdict that all are at most ``tol``."""
+    entries = list(_relative_commutators(family, c, cp))
+    rows = tuple(zip(entries[1::2], entries[2::2]))
+    return CommutationReport(entries[0], rows, tol,
+                             all(e <= tol for e in entries))
+
+
 def decide_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
                        cp: PositiveInvertibleOperator,
                        tol: float = DEFAULT_TOL) -> bool:
     """``validate_commutation(family, c, cp, tol).passed``, with a spectral
-    norm only where the Frobenius bound does not decide.
-
-    Each commutator passes at once when its Frobenius norm is small against
-    a lower bound on the other factor's norm: ``norm(cp)`` for ``[c, cp]``,
-    and the largest diagonal entry of a gram term, which is positive
-    semidefinite, for ``[c, gram]``.  Any other commutator is measured as
-    ``validate_commutation`` measures it.  Stops at the first failing one.
-    """
-    cpa = cp.base.action
-    same = cpa is c.base.action
-    if not (same or c.is_identity or cp.is_identity):
-        x = _commutator(c, cpa)
-        if not (_frobenius_passes(c, x, cp.norm, tol)
-                or _relative(c, x, cp.norm) <= tol):
-            return False
-    controls = [k for k in ((c,) if same else (c, cp)) if not k.is_identity]
-    if not controls:
-        return True
-    for p in family.points:
-        l = p.lam.action
-        gram = l @ l.conj().T
-        g_lo = float(gram.diagonal().real.max())
-        ng = None
-        for ctl in controls:
-            x = _commutator(ctl, gram)
-            if _frobenius_passes(ctl, x, g_lo, tol):
-                continue
-            if ng is None:
-                ng = spectral_norm(gram)
-            if not _relative(ctl, x, ng) <= tol:
-                return False
-    return True
+    norm only where the Frobenius bound does not decide; stops at the first
+    failing commutator."""
+    return all(v <= tol for v in _relative_commutators(family, c, cp, tol))
 
 
 def make_control_pair(c: PositiveInvertibleOperator,
@@ -233,8 +219,6 @@ def make_control_pair(c: PositiveInvertibleOperator,
                       tol: float = DEFAULT_TOL) -> ControlPair:
     """Two controls acting on the same space, certified at ``tol`` against
     each family they are used with."""
-    if c.base.action.shape != cp.base.action.shape:
-        raise ValueError("controls must act on the same space")
     return ControlPair(c, cp, tol)
 
 

@@ -218,38 +218,35 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     else:
         out["norm_characterization"] = _not_run()
 
-    # cc_equivalence_bounds: same-control pair against the plain family.
+    # cc_equivalence_bounds: same-control pair against the plain family;
+    # its certificate's entries are a subset of the pair's, which passed.
     pair_cc = make_control_pair(pair.c, pair.c, pair.tol)
-    if not pair_cc.passed_on(family):
-        out["cc_equivalence_bounds"] = _Outcome(True, False, 1.0,
-                                                "same-control certificate failed")
-    else:
-        sc_cc = controlled_frame_operator(ControlledScenario(family, pair_cc))
-        verdict_cc = _verdict(sc_cc)
-        agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
-        viol = 0.0 if agree else 1.0
-        detail = "" if agree else "verdicts disagree"
-        if agree and plain_verdict.kind == FRAME:
-            a_cc, b_cc = verdict_cc.bounds.lower, verdict_cc.bounds.upper
-            a_pl, b_pl = plain_verdict.bounds.lower, plain_verdict.bounds.upper
-            pb = bounds_plain_from_cc(a_cc, b_cc, pair.c)
-            cb = bounds_cc_from_plain(a_pl, b_pl, pair.c)
-            eye = np.eye(s_plain.action.shape[0])
-            viol = _order_violation(
-                np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
-                np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
-            if viol > tol:
-                detail = "transferred bounds invalid"
-            if spec.n == 1 and spec.d == 1:
-                tight = max(abs(pb.lower - a_pl) / max(1.0, a_pl),
-                            abs(pb.upper - b_pl) / max(1.0, b_pl),
-                            abs(cb.lower - a_cc) / max(1.0, a_cc),
-                            abs(cb.upper - b_cc) / max(1.0, b_cc))
-                if tight > SCALAR_TIGHT_TOL:
-                    viol = max(viol, tight)
-                    detail = "scalar transfer not tight"
-        ok = viol <= tol and agree
-        out["cc_equivalence_bounds"] = _Outcome(True, ok, viol, detail)
+    sc_cc = controlled_frame_operator(ControlledScenario(family, pair_cc))
+    verdict_cc = _verdict(sc_cc)
+    agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
+    viol = 0.0 if agree else 1.0
+    detail = "" if agree else "verdicts disagree"
+    if agree and plain_verdict.kind == FRAME:
+        a_cc, b_cc = verdict_cc.bounds.lower, verdict_cc.bounds.upper
+        a_pl, b_pl = plain_verdict.bounds.lower, plain_verdict.bounds.upper
+        pb = bounds_plain_from_cc(a_cc, b_cc, pair.c)
+        cb = bounds_cc_from_plain(a_pl, b_pl, pair.c)
+        eye = np.eye(s_plain.action.shape[0])
+        viol = _order_violation(
+            np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
+            np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
+        if viol > tol:
+            detail = "transferred bounds invalid"
+        if spec.n == 1 and spec.d == 1:
+            tight = max(abs(pb.lower - a_pl) / max(1.0, a_pl),
+                        abs(pb.upper - b_pl) / max(1.0, b_pl),
+                        abs(cb.lower - a_cc) / max(1.0, a_cc),
+                        abs(cb.upper - b_cc) / max(1.0, b_cc))
+            if tight > SCALAR_TIGHT_TOL:
+                viol = max(viol, tight)
+                detail = "scalar transfer not tight"
+    ok = viol <= tol and agree
+    out["cc_equivalence_bounds"] = _Outcome(True, ok, viol, detail)
 
     # synthesis_norm_bound.
     root = float(np.sqrt(max(hi_c, 0.0)))

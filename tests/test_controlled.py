@@ -134,6 +134,27 @@ def test_commutation_matches_reference_loop_bit_for_bit(flavor, shape):
             assert rep.per_point == rows
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 4), (8, 4, 16), (1, 1, 1)])
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_same_control_certificate_is_a_subset_of_the_pair(flavor, shape):
+    # (C, C) measures each [C, gram_w] exactly as (C, C') does, so a pair
+    # that passed on a family passes as (C, C) there too
+    n, d, m = shape
+    skew = random_control(182, n, d)
+    eye = identity_control(n, d)
+    sc, twin = generate_pair(GeneratorSpec(seed=181, n=n, d=d, m=m,
+                                           flavor=flavor))
+    c, cp = sc.pair.c, sc.pair.cp
+    for fam, x, y in ((sc.family, c, cp), (twin, c, cp), (twin, skew, cp),
+                      (sc.family, eye, eye), (twin, eye, skew),
+                      (twin, skew, eye)):
+        rows = validate_commutation(fam, x, y).per_point
+        assert (validate_commutation(fam, x, x).per_point
+                == tuple((r, r) for r, _ in rows))
+        assert decide_commutation(fam, x, x) or not decide_commutation(fam, x, y)
+
+
 def scaled_control(c, s):
     return make_positive_invertible(ModuleOperator(
         c.base.algebra_dim, c.base.domain_rank, c.base.domain_rank,
@@ -235,6 +256,19 @@ def test_same_control_pair_takes_each_commutator_once(calls):
     assert len(calls["norm2"]) == 2 * 4
 
 
+def test_decision_stops_at_the_first_failing_commutator(calls):
+    # the dense skew pair fails on the first point: one gram norm and one
+    # commutator norm, where the report takes all eight
+    sc = generate(GeneratorSpec(seed=184, n=2, d=2, m=4, flavor="generic"))
+    skew = random_control(185, 2, 2)
+    del calls["norm2"][:]
+    assert not decide_commutation(sc.family, skew, skew)
+    assert len(calls["norm2"]) == 2
+    del calls["norm2"][:]
+    assert not validate_commutation(sc.family, skew, skew).passed
+    assert len(calls["norm2"]) == 2 * 4
+
+
 def test_explicit_identity_control_takes_no_norm(calls):
     # an identity matrix certified like any other control is still the identity
     sc = generate(GeneratorSpec(seed=187, n=2, d=2, m=4, flavor="commuting"))
@@ -310,6 +344,16 @@ def test_replaced_pair_keeps_no_stored_report(certificate_calls):
     assert not rep.passed
     assert moved.report_on(sc.family) is rep
     assert len(certificate_calls) == 1
+
+
+def test_control_pair_checks_itself():
+    # a control on another space, and a tolerance no commutator can meet
+    sc = generate(GeneratorSpec(seed=204, n=2, d=2, m=4, flavor="commuting"))
+    with pytest.raises(ValueError, match="same space"):
+        dataclasses.replace(sc.pair, cp=identity_control(2, 3))
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            make_control_pair(sc.pair.c, sc.pair.cp, tol)
 
 
 def test_replaced_control_gets_its_own_product_root():

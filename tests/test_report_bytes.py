@@ -12,7 +12,9 @@ matrices hold -0.0 and integer entries, and of a commuting scenario file
 whose ``C`` is written out as an identity matrix.  ``verify --batch`` on
 eight specs of the shapes the verify-ladder benchmark runs, and
 ``generate`` and ``analyze`` of one commuting (8, 8, 32) scenario, pin the
-commutation certificates at the largest sizes.  Float results may differ in the
+commutation certificates at the largest sizes.  ``analyze --tol 1e-18`` of
+the commuting (2, 3, 5) and (8, 8, 32) files pins failing certificates,
+which print every exact commutator.  Float results may differ in the
 last bits under another numpy build, so the test only runs on the numpy
 version the digests were recorded with.
 """
@@ -94,6 +96,8 @@ DIGESTS = {
     "verify_ladder": (0, "5d643cc00c4f9bc54958e82321d06e503f39ffd9a267fc387891650a4f19379c"),
     "generate_ladder_top": (0, "5315d6662c39ad883efedefa474e86811d500efb38a74ad46bd8662428082bca"),
     "analyze_ladder_top": (0, "73a7c161b7f79d85afe1df2639693a80abb24f051da98f001dc565d6b8d67659"),
+    "analyze_commuting_1e-18": (0, "7b06e8980296eaa51eb34e542b8af78d05f72262b7b5811b0a0bf604fc76d8bf"),
+    "analyze_ladder_top_1e-18": (0, "9c2b99c30fec7a613b7484fb8bb1005a36d99b5b4afed5d9eb8156a7d3053267"),
 }
 
 
@@ -143,6 +147,9 @@ def outputs(tmp_path) -> dict:
     spec = json.dumps({"seed": 910, "n": 8, "d": 8, "m": 32, "flavor": "commuting"})
     run("generate_ladder_top", ["generate", "--spec", spec])
     run("analyze_ladder_top", ["analyze", str(tmp_path / "generate_ladder_top.json")])
+    for name in ("commuting", "ladder_top"):
+        run(f"analyze_{name}_1e-18", ["analyze", str(tmp_path / f"generate_{name}.json"),
+                                     "--tol", "1e-18"])
     return result
 
 
