@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .controlled import controlled_frame_operator, reconstruct
+from .controlled import _controlled_operator, reconstruct
 from .errors import GFrameError, NotAFrame, SchemaError
-from .frames import FRAME, _verdict, classify
+from .frames import FRAME, _verdict, frame_operator
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
@@ -145,7 +145,8 @@ def cmd_analyze(args) -> int:
     family, pair = scenario.family, scenario.pair
     commutation = pair.report_on(family)
 
-    verdict = classify(family, tol=tol)
+    s = frame_operator(family)
+    verdict = _verdict(s, tol)
     kind, bounds, witnesses = _verdict_fields(verdict)
 
     controlled_kind = None
@@ -153,9 +154,8 @@ def cmd_analyze(args) -> int:
     controlled_witnesses = {}
     cond_cc = None
     if commutation.passed:
-        # controlled_classify's verdict, with the plain operator's upper edge
-        # read from the verdict above instead of building it a second time
-        cv = _verdict(controlled_frame_operator(scenario), tol,
+        # controlled_classify's verdict, from the plain operator above
+        cv = _verdict(_controlled_operator(scenario, s), tol,
                       uncontrolled_bessel_bound=witnesses["lambda_max"])
         controlled_kind, controlled_bounds, controlled_witnesses = _verdict_fields(cv)
         if cv.kind == FRAME:

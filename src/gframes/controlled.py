@@ -6,8 +6,8 @@ each adjoint.
 Everything here is gated on a commutation certificate: the controls must
 commute with each other and with every gram term ``adjoint(lam_w) o lam_w``.
 Under that certificate the controlled operator is Hermitian, equals the
-conjugation of the plain frame operator by ``sqrt(c c')``, and factors
-through the synthesis and analysis maps below.
+plain frame operator conjugated by ``sqrt(c c')``, which is how it is built,
+and factors through the synthesis and analysis maps below.
 
 Weighting convention: the coefficient space stacks one block-vector per
 point; its inner product carries the point weights, so the stacked matrix
@@ -75,6 +75,11 @@ class ControlPair:
         # NaN fails the comparison too
         if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
+        # norms multiplying past 1e300 overflow c o cp and every controlled operator
+        product = self.c.norm * self.cp.norm
+        if product > 1e300:
+            raise ValueError(f"the controls' norms multiply to {product:.3e}, "
+                             f"above 1e300: their product overflows")
 
     def report_on(self, family: GFrameFamily) -> CommutationReport:
         """Certificate of the controls against ``family`` at ``tol``, with
@@ -98,8 +103,10 @@ class ControlPair:
 
     @cached_property
     def product_sqrt(self) -> ModuleOperator:
-        """Positive square root of the controls' product ``c o cp``."""
+        """Positive square root of ``c o cp``; ``c`` itself when ``cp is c``."""
         c = self.c.base
+        if self.cp is self.c:
+            return c
         product = self.cp.base.action @ c.action  # right-action matrix of c o cp
         w, v = np.linalg.eigh(0.5 * (product + product.conj().T))
         w = np.clip(w, 0.0, None)
@@ -239,18 +246,21 @@ def _require_certificate(scenario: ControlledScenario) -> None:
             f"{worst:.3e} > tol {report.tol:.3e})")
 
 
-def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
-    """``sum_w weight * c (gram_w) c'`` accumulated in point order."""
+def _controlled_operator(scenario: ControlledScenario,
+                         s: ModuleOperator) -> ModuleOperator:
+    """``R S R`` for ``R = sqrt(c c')`` and ``s``, the family's frame operator,
+    once the certificate passes; ``s`` itself for two identity controls."""
     _require_certificate(scenario)
-    f = scenario.family
-    ca = scenario.pair.c.base.action
-    cpa = scenario.pair.cp.base.action
-    n, d = f.algebra_dim, f.module_rank
-    acc = np.zeros((d * n, d * n), dtype=np.complex128)
-    for p in f.points:
-        l = p.lam.action
-        acc = acc + p.weight * (ca @ (l @ l.conj().T) @ cpa)
-    return ModuleOperator(n, d, d, acc)
+    pair = scenario.pair
+    if pair.c.is_identity and pair.cp.is_identity:
+        return s
+    r = pair.product_sqrt.action
+    return ModuleOperator(s.algebra_dim, s.domain_rank, s.domain_rank, r @ s.action @ r)
+
+
+def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
+    """``sum_w weight * c (gram_w) c'``, built as ``R S R``."""
+    return _controlled_operator(scenario, frame_operator(scenario.family))
 
 
 def controlled_classify(scenario: ControlledScenario,
@@ -260,9 +270,9 @@ def controlled_classify(scenario: ControlledScenario,
     Witnesses carry the controlled extremes plus the plain family's upper
     spectral edge, so both Bessel bounds are reported side by side.
     """
-    sc = controlled_frame_operator(scenario)
-    _, plain_hi = _spectrum(frame_operator(scenario.family))
-    return _verdict(sc, tol, uncontrolled_bessel_bound=plain_hi)
+    s = frame_operator(scenario.family)
+    return _verdict(_controlled_operator(scenario, s), tol,
+                    uncontrolled_bessel_bound=_spectrum(s)[1])
 
 
 def synthesis(scenario: ControlledScenario,
@@ -305,11 +315,9 @@ def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
     """
     _require_certificate(scenario)
     f = scenario.family
-    p_act = scenario.pair.product_sqrt.action
-    blocks = [np.sqrt(p.weight) * (p.lam.action.conj().T @ p_act) for p in f.points]
-    stacked = np.vstack(blocks)
-    total_rank = sum(p.codomain_rank for p in f.points)
-    return ModuleOperator(f.algebra_dim, total_rank, f.module_rank, stacked)
+    l = f.synthesis_matrix
+    return ModuleOperator(f.algebra_dim, l.shape[1] // f.algebra_dim, f.module_rank,
+                          l.conj().T @ scenario.pair.product_sqrt.action)
 
 
 def synthesis_norm_check(scenario: ControlledScenario,
@@ -353,16 +361,13 @@ def _require_pair_on(family: GFrameFamily, pair: ControlPair, what: str) -> None
 def cross_operator(lam: GFrameFamily, gam: GFrameFamily,
                    pair: ControlPair) -> ModuleOperator:
     """Mixed operator ``sum_w weight * c adjoint(gam_w) lam_w c'`` of two
-    families sharing the same weighted points."""
+    families sharing the same weighted points, as ``c (L_lam L_gam^H) c'``."""
     _check_same_measure(lam, gam)
     _require_pair_on(lam, pair, "first")
     _require_pair_on(gam, pair, "second")
-    ca, cpa = pair.c.base.action, pair.cp.base.action
+    mixed = lam.synthesis_matrix @ gam.synthesis_matrix.conj().T
     n, d = lam.algebra_dim, lam.module_rank
-    acc = np.zeros((d * n, d * n), dtype=np.complex128)
-    for p, q in zip(lam.points, gam.points):
-        acc = acc + p.weight * (ca @ p.lam.action @ q.lam.action.conj().T @ cpa)
-    return ModuleOperator(n, d, d, acc)
+    return ModuleOperator(n, d, d, pair.c.base.action @ mixed @ pair.cp.base.action)
 
 
 def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
@@ -384,18 +389,12 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
 def _adjoint_diagnostic(adj: ModuleOperator, lam: GFrameFamily, gam: GFrameFamily,
                         pair: ControlPair, tol: float) -> CrossAdjointDiagnostic:
     """Residuals of ``adj``, the adjoint of the cross operator of ``lam``
-    against ``gam``, against both closed forms."""
+    against ``gam``, against both closed forms around ``L_gam L_lam^H``."""
     ca, cpa = pair.c.base.action, pair.cp.base.action
-    n, d = lam.algebra_dim, lam.module_rank
-    stmt = np.zeros((d * n, d * n), dtype=np.complex128)
-    proof = np.zeros((d * n, d * n), dtype=np.complex128)
-    for p, q in zip(lam.points, gam.points):
-        mixed = q.lam.action @ p.lam.action.conj().T
-        stmt = stmt + p.weight * (ca @ mixed @ cpa)
-        proof = proof + p.weight * (cpa @ mixed @ ca)
+    mixed = gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
     scale = max(1.0, spectral_norm(adj.action))
-    r_stmt = spectral_norm(adj.action - stmt) / scale
-    r_proof = spectral_norm(adj.action - proof) / scale
+    r_stmt = spectral_norm(adj.action - ca @ mixed @ cpa) / scale
+    r_proof = spectral_norm(adj.action - cpa @ mixed @ ca) / scale
     return CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
 
 

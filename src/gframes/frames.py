@@ -4,13 +4,14 @@ A family is a finite set of weighted points, each carrying an operator from
 the common module into its own block-vector space.  The frame operator is
 the weighted sum of gram terms ``adjoint(lam) o lam``; the family is a frame
 exactly when that operator's spectrum is bounded away from zero, and the
-optimal bounds are its extreme eigenvalues.  Sums over points are always
-accumulated in point order so results are reproducible bit for bit.
+optimal bounds are its extreme eigenvalues.  It is built as ``L L^H`` from
+the family's weighted synthesis matrix ``L``, which is kept on the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,13 @@ class GFrameFamily:
     def size(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def synthesis_matrix(self) -> np.ndarray:
+        """``L = [sqrt(weight_w) * lam_w]``, side by side, taken on first use."""
+        mat = np.hstack([np.sqrt(p.weight) * p.lam.action for p in self.points])
+        mat.flags.writeable = False
+        return mat
+
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -86,13 +94,10 @@ class FrameVerdict:
 
 
 def frame_operator(family: GFrameFamily) -> ModuleOperator:
-    """Weighted sum of ``adjoint(lam) o lam`` over points, in point order."""
+    """Weighted sum of ``adjoint(lam) o lam`` over points, as ``L L^H``."""
+    l = family.synthesis_matrix
     n, d = family.algebra_dim, family.module_rank
-    acc = np.zeros((d * n, d * n), dtype=np.complex128)
-    for p in family.points:
-        l = p.lam.action
-        acc = acc + p.weight * (l @ l.conj().T)
-    return ModuleOperator(n, d, d, acc)
+    return ModuleOperator(n, d, d, l @ l.conj().T)
 
 
 def _spectrum(op: ModuleOperator) -> tuple[float, float]:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, spectral_norm
-from .controlled import (ControlledScenario, _adjoint_diagnostic, _transfer,
-                         bounds_cc_from_plain, bounds_plain_from_cc,
-                         controlled_frame_operator, cross_operator,
-                         make_control_pair, synthesis_operator)
+from .controlled import (ControlledScenario, _adjoint_diagnostic,
+                         _controlled_operator, _transfer, bounds_cc_from_plain,
+                         bounds_plain_from_cc, controlled_frame_operator,
+                         cross_operator, make_control_pair, synthesis_operator)
 from .frames import FRAME, _energy, _verdict, frame_operator
 from .generators import GeneratorSpec, generate_pair
 from .operators import SURJECTIVITY_TOL, op_adjoint, op_norm
@@ -145,7 +145,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     s_plain = frame_operator(family)
     plain_verdict = _verdict(s_plain)
-    sc = controlled_frame_operator(scenario)
+    sc = _controlled_operator(scenario, s_plain)
     verdict = _verdict(sc)
     t = synthesis_operator(scenario)
     sigma = op_norm(t)
@@ -221,7 +221,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # cc_equivalence_bounds: same-control pair against the plain family;
     # its certificate's entries are a subset of the pair's, which passed.
     pair_cc = make_control_pair(pair.c, pair.c, pair.tol)
-    sc_cc = controlled_frame_operator(ControlledScenario(family, pair_cc))
+    sc_cc = _controlled_operator(ControlledScenario(family, pair_cc), s_plain)
     verdict_cc = _verdict(sc_cc)
     agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
     viol = 0.0 if agree else 1.0

@@ -169,6 +169,21 @@ def test_overflowing_scenario_file_fails_cleanly(command, tmp_path, capsys, recw
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_analyze_rejects_controls_whose_product_overflows(tmp_path, capsys):
+    spec = json.dumps({"seed": 189, "n": 2, "d": 2, "m": 4,
+                       "spectrum_range": [1, 1e150], "flavor": "commuting"})
+    path = tmp_path / "big_controls.json"
+    assert main(["generate", "--spec", spec, "--out", str(path)]) == 0
+    obj = read(path)
+    for key in ("C", "Cprime"):
+        obj[key] = [[v * 1e100 for v in row] for row in obj[key]]
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "gframes: error: the controls' norms multiply to inf, above 1e300: "
+        "their product overflows\n")
+
+
 def test_generate_huge_spectrum_bound_is_a_schema_error(tmp_path, capsys):
     spec = json.dumps({"seed": 1, "n": 1, "d": 1, "m": 1,
                        "spectrum_range": [1, HUGE_INT]})

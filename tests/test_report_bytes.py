@@ -69,35 +69,35 @@ EXPLICIT_IDENTITY_SPEC = {"seed": 890, "n": 2, "d": 2, "m": 4, "flavor": "commut
 
 # name -> (exit code, sha256 of the report bytes, None when none is written)
 DIGESTS = {
-    "verify": (0, "b08eb9b9a2db2e47504b7231bd68a32cdde05380e425aeda96dd9a1c4df6ceeb"),
-    "verify_1e-18": (3, "89847d56887c77886ac28422dc0c7478bbf8ce08381134b3f61ece975813b073"),
-    "verify_wide": (0, "3b81fea5f769326d4111c38b2e1bf954b1ef06fe6aa8352a6a5b1a688a6bc0ea"),
-    "verify_wide_1e-18": (3, "dc6d5196447721dccbd4bd408510eb06e04a11e35238998556daa0e80929cc0a"),
+    "verify": (0, "3889c4c1f324b2bafc130c408d2a978c0b95201783ae2491e2fa5c042e56a474"),
+    "verify_1e-18": (3, "731f35fc1047dc8814534322eae65507f8db76d5198fe9df03a160f2c78cf071"),
+    "verify_wide": (0, "30378dbe8b68b9fca8bb2d6bf8ebbd23d8437d4fb1a317d72cb6b71a65c2a745"),
+    "verify_wide_1e-18": (3, "18e700255f1c3c648f4d4a31ae2acd883f5742378a7cdc18dc251384a829e07e"),
     "generate_generic": (0, "87022ca4fc0bddc0b954d21ea4fa68086e9ef2c5691cf6ece841930c0254e2d0"),
-    "analyze_generic": (0, "a544f7d667d753417e67c52e470ba9fd2693ab0b686ee408ea4e116e8a5210bc"),
-    "reconstruct_generic": (0, "446619a61147af99e6c0032d1cee26eb27089084717cc06769df56eaf4eea683"),
+    "analyze_generic": (0, "96ee8e7b6702aad012a3a860f1310923e2c510ebd7c60986322a560c1f029cd6"),
+    "reconstruct_generic": (0, "5ba5056d0624bdc8cae037fe8abb1c67889f26db99f54339b2e50adc15df0bf5"),
     "generate_commuting": (0, "07fcc05628e96815b56c99f154f9eb1ca40c3bceed185a09c6d8d9fdfc34e560"),
-    "analyze_commuting": (0, "4275076d867f968cf19509a87b48e6c352104801bf04ded5767c08e8e0c42e52"),
-    "reconstruct_commuting": (0, "b38ce5db92025c63a2432f0c41c24618de5ce7902cb18fc032c3eaa30dcadd3d"),
-    "generate_parseval": (0, "d0ee176685dcce7f0b8c863644c20040d3070500ee801504cc4b65dbbd4f2d23"),
-    "analyze_parseval": (0, "f8b033c2868ecc002abe06019d6529891190be8bb1048fde38d66b1918e6df1f"),
-    "reconstruct_parseval": (0, "bd42a129d76b5392a6641f4b1917579dcad82ffd2028dc98cd725b9b8ffab4c2"),
+    "analyze_commuting": (0, "584e3365c4edd2c07a6342fba052f3e1c86c30866195e15c65ee7a46406d4daf"),
+    "reconstruct_commuting": (0, "84e3e5c410cdc78c610d99c68d8388daac20968cacc18b5de002802db8e5f54a"),
+    "generate_parseval": (0, "5bf5393673d8e4eb33e08a92d121de50ed0f93ce86c1ecdf7c5502c01bc04234"),
+    "analyze_parseval": (0, "1141c537158e8753f2b7e64083fec868d8ae2c6f5177b5d55dbc2e5a63fc84a7"),
+    "reconstruct_parseval": (0, "28082afabf36123a42ee3a7d12098a9ef9e45d6e142a92ef83449a034f2e0174"),
     "generate_bessel_only": (0, "b1672b696f3a8618585a47f375dfe80e1dc495d2d7fc78e5a9fda5407e691701"),
-    "analyze_bessel_only": (2, "b7e1dc263f242f0afcf7609afd6ed65abbc4bc168613e043f71922d58c6a7002"),
+    "analyze_bessel_only": (2, "4d2e3b1219704c29e77bd8437ff8b89a63f403db881cecbaa7ac729b326f94a9"),
     "reconstruct_bessel_only": (2, None),
     "generate_large": (0, "8c85a9e3499c5a603f116299d88e430e1957874aa29edd35752a8bf9d2d5ec73"),
-    "analyze_large": (0, "ce829cfcec33b72ed7c40e72f1294dd41962fca60aa2f65905e68a6ce5402ec5"),
-    "reconstruct_large": (0, "614a6a8fd00224fe98f7f5df645c1099f9582db943a634c5384b2a0cd82b6d1a"),
-    "analyze_handwritten": (0, "02df1fb4d7bc1d8e404e0067d62402a6dcee419e99180e91b9546b349797e6e3"),
-    "reconstruct_handwritten": (0, "70121ecf59afa69ef4b67c1a3a49bc0bbb31ec42995bd7b9513a5da3317ad368"),
+    "analyze_large": (0, "7689ab0a9a6c2ca0a522b7b59914a2b9db3af2e0374d12bf77172f5ddea7e810"),
+    "reconstruct_large": (0, "4ec41bd709494dab19a22a078693e69034922e6527adf7ff322ef820277c4980"),
+    "analyze_handwritten": (0, "fc67e8cc3f9833a774398b554a51f9e40e01328aea1c8c59fd56cc767d45c176"),
+    "reconstruct_handwritten": (0, "7d0c0173235828f8ecc68383f6e460c35c2c0685f1f123181042811eb747cae7"),
     "generate_explicit_identity": (0, "945b0e7d6c080616f7dc1bbb37b958489ae90df5f9f779c8928146d4804852cc"),
-    "analyze_explicit_identity": (0, "4087b6de8ab5c2270e03e108cbdb8bbfea75be6edc8fa494431aa85027cead4d"),
-    "reconstruct_explicit_identity": (0, "c96de952bb7b4fd3a8532c909c67673e209545a77fc063d2582aad178575bffc"),
-    "verify_ladder": (0, "5d643cc00c4f9bc54958e82321d06e503f39ffd9a267fc387891650a4f19379c"),
+    "analyze_explicit_identity": (0, "05849cde20928e61642ec67a562f070ef74eb861da4dddb4479a243745f9933e"),
+    "reconstruct_explicit_identity": (0, "f5c98766fd0a9ba76d8040611d7c357fd626ff6bd57cd393f959bd24b8fffb60"),
+    "verify_ladder": (0, "bc18f373e9b0dd051f4eb7053ebe6334e60f1c0fa0b24348abae02c4e4cbfebb"),
     "generate_ladder_top": (0, "5315d6662c39ad883efedefa474e86811d500efb38a74ad46bd8662428082bca"),
-    "analyze_ladder_top": (0, "73a7c161b7f79d85afe1df2639693a80abb24f051da98f001dc565d6b8d67659"),
-    "analyze_commuting_1e-18": (0, "7b06e8980296eaa51eb34e542b8af78d05f72262b7b5811b0a0bf604fc76d8bf"),
-    "analyze_ladder_top_1e-18": (0, "9c2b99c30fec7a613b7484fb8bb1005a36d99b5b4afed5d9eb8156a7d3053267"),
+    "analyze_ladder_top": (0, "f836edc170d826a1c7d60e94fb0aaf71994ab1a52ad68ff023b17a349d6200cb"),
+    "analyze_commuting_1e-18": (0, "a86eb8ad94d30eb9d11fac04729dbda50440bb8aac604df1aa4c4e916586fad5"),
+    "analyze_ladder_top_1e-18": (0, "eb629ec63f6e864380dda210c6105bf2bc7606588c16436845b221bc498332bb"),
 }
 
 

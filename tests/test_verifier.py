@@ -124,19 +124,20 @@ def test_empty_batch_rejected():
 
 # Operator builds and op_norm calls of one (2, 2, 4) scenario, generation
 # included.  Left after sharing: the parseval generator normalizes family and
-# twin; the controlled operators are the scenario's, the same-control pair's
-# and the twin's; one cross operator serves every two-family check, and the
-# transfer step of a frame builds the twin's synthesis; the commuting
-# generator certifies two controls.  Each control's norm and inverse norm are
-# taken at most once.
+# twin; the scenario's and the same-control pair's controlled operators
+# conjugate the scenario's plain operator, and only the twin's controlled
+# operator is built whole, with the twin's plain operator; one cross
+# operator serves every two-family check, and the transfer step of a frame
+# builds the twin's synthesis; the commuting generator certifies two
+# controls.  Each control's norm and inverse norm are taken at most once.
 SCENARIO_BUILDS = {
-    "generic": {"frame_operator": 1, "controlled_frame_operator": 3,
+    "generic": {"frame_operator": 2, "controlled_frame_operator": 1,
                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 10},
-    "commuting": {"frame_operator": 1, "controlled_frame_operator": 3,
+    "commuting": {"frame_operator": 2, "controlled_frame_operator": 1,
                   "synthesis_operator": 2, "cross_operator": 1, "op_norm": 11},
-    "parseval": {"frame_operator": 3, "controlled_frame_operator": 3,
+    "parseval": {"frame_operator": 4, "controlled_frame_operator": 1,
                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 10},
-    "bessel_only": {"frame_operator": 1, "controlled_frame_operator": 3,
+    "bessel_only": {"frame_operator": 2, "controlled_frame_operator": 1,
                     "synthesis_operator": 1, "cross_operator": 1, "op_norm": 10},
 }
 
@@ -153,8 +154,12 @@ def test_scenario_builds_each_operator_once(calls, flavor):
 # commutator its Frobenius bound passes, which holds for every commutator
 # here; the generic and parseval flavors have identity controls.  The norm
 # characterization of a frame takes its per-sample norms as two stacked
-# SVDs, which the counter does not see.
-SCENARIO_NORMS = {"bessel_only": 17, "commuting": 24, "generic": 17,
+# SVDs, which the counter does not see.  Which slices of a tight order check
+# fail by roundoff, and so take their scale, follows the operators' last
+# bits: the transferred bounds of an identity pair, whose same-control
+# operator is the plain one, and the gram sandwich, each sit on an edge of
+# the spectrum.
+SCENARIO_NORMS = {"bessel_only": 17, "commuting": 26, "generic": 21,
                   "parseval": 25}
 
 
@@ -276,8 +281,9 @@ def test_order_check_takes_no_scale_norm_when_it_holds(calls):
 
 def test_default_batch_eigh_count(monkeypatch):
     # eigh: two controls per commuting or bessel_only spec, family and twin
-    # renormalization per parseval spec, and one product root per scenario;
-    # the same-control pair never takes its root.  Order checks: one stacked
+    # renormalization per parseval spec, and one product root per commuting
+    # or bessel_only scenario; a same-control pair's root is its control,
+    # and the generic and parseval flavors pair one identity with itself.  Order checks: one stacked
     # check per sampled check, one for the gram sandwich and one for the
     # transferred bounds of a frame, each one eigvalsh; the other eigvalsh
     # calls are verdict spectra, gram floors and generator checks.
@@ -295,7 +301,7 @@ def test_default_batch_eigh_count(monkeypatch):
                         counting(seen["order"], _order_violation))
     run_suite(default_batch())
     assert {name: len(log) for name, log in seen.items()} == \
-        {"eigh": 500, "eigvalsh": 2000, "order": 900}
+        {"eigh": 400, "eigvalsh": 2000, "order": 900}
 
 
 def test_suite_constructs_no_wrappers(calls):
