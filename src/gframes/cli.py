@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .controlled import _controlled_operator, reconstruct
+from .controlled import controlled_classify, reconstruct
 from .errors import GFrameError, NotAFrame, SchemaError
-from .frames import FRAME, _verdict, frame_operator
+from .frames import FRAME, classify
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
@@ -145,18 +145,14 @@ def cmd_analyze(args) -> int:
     family, pair = scenario.family, scenario.pair
     commutation = pair.report_on(family)
 
-    s = frame_operator(family)
-    verdict = _verdict(s, tol)
-    kind, bounds, witnesses = _verdict_fields(verdict)
+    kind, bounds, witnesses = _verdict_fields(classify(family, tol))
 
     controlled_kind = None
     controlled_bounds = None
     controlled_witnesses = {}
     cond_cc = None
     if commutation.passed:
-        # controlled_classify's verdict, from the plain operator above
-        cv = _verdict(_controlled_operator(scenario, s), tol,
-                      uncontrolled_bessel_bound=witnesses["lambda_max"])
+        cv = controlled_classify(scenario, tol)
         controlled_kind, controlled_bounds, controlled_witnesses = _verdict_fields(cv)
         if cv.kind == FRAME:
             cond_cc = cv.bounds.upper / cv.bounds.lower

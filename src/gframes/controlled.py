@@ -6,8 +6,9 @@ each adjoint.
 Everything here is gated on a commutation certificate: the controls must
 commute with each other and with every gram term ``adjoint(lam_w) o lam_w``.
 Under that certificate the controlled operator is Hermitian, equals the
-plain frame operator conjugated by ``sqrt(c c')``, which is how it is built,
-and factors through the synthesis and analysis maps below.
+plain frame operator conjugated by ``sqrt(c c')``, which is how it is built
+from the frame operator the family keeps, and factors through the synthesis
+and analysis maps below.
 
 Weighting convention: the coefficient space stacks one block-vector per
 point; its inner product carries the point weights, so the stacked matrix
@@ -246,21 +247,17 @@ def _require_certificate(scenario: ControlledScenario) -> None:
             f"{worst:.3e} > tol {report.tol:.3e})")
 
 
-def _controlled_operator(scenario: ControlledScenario,
-                         s: ModuleOperator) -> ModuleOperator:
-    """``R S R`` for ``R = sqrt(c c')`` and ``s``, the family's frame operator,
-    once the certificate passes; ``s`` itself for two identity controls."""
+def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
+    """``sum_w weight * c (gram_w) c'`` once the certificate passes, built as
+    ``R S R`` for ``R = sqrt(c c')`` and ``S``, the family's frame operator;
+    ``S`` itself for two identity controls."""
     _require_certificate(scenario)
+    s = frame_operator(scenario.family)
     pair = scenario.pair
     if pair.c.is_identity and pair.cp.is_identity:
         return s
     r = pair.product_sqrt.action
     return ModuleOperator(s.algebra_dim, s.domain_rank, s.domain_rank, r @ s.action @ r)
-
-
-def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
-    """``sum_w weight * c (gram_w) c'``, built as ``R S R``."""
-    return _controlled_operator(scenario, frame_operator(scenario.family))
 
 
 def controlled_classify(scenario: ControlledScenario,
@@ -270,9 +267,9 @@ def controlled_classify(scenario: ControlledScenario,
     Witnesses carry the controlled extremes plus the plain family's upper
     spectral edge, so both Bessel bounds are reported side by side.
     """
-    s = frame_operator(scenario.family)
-    return _verdict(_controlled_operator(scenario, s), tol,
-                    uncontrolled_bessel_bound=_spectrum(s)[1])
+    sc = controlled_frame_operator(scenario)
+    hi = _spectrum(frame_operator(scenario.family))[1]
+    return _verdict(sc, tol, uncontrolled_bessel_bound=hi)
 
 
 def synthesis(scenario: ControlledScenario,

@@ -5,7 +5,8 @@ the common module into its own block-vector space.  The frame operator is
 the weighted sum of gram terms ``adjoint(lam) o lam``; the family is a frame
 exactly when that operator's spectrum is bounded away from zero, and the
 optimal bounds are its extreme eigenvalues.  It is built as ``L L^H`` from
-the family's weighted synthesis matrix ``L``, which is kept on the family.
+the family's weighted synthesis matrix ``L``; both are kept on the family,
+so every caller of ``frame_operator`` shares one build.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ class GFrameFamily:
         mat.flags.writeable = False
         return mat
 
+    @cached_property
+    def _frame_operator(self) -> ModuleOperator:
+        """``S = L L^H``, taken on first use; read it through ``frame_operator``."""
+        l = self.synthesis_matrix
+        d = self.module_rank
+        return ModuleOperator(self.algebra_dim, d, d, l @ l.conj().T)
+
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -94,10 +102,9 @@ class FrameVerdict:
 
 
 def frame_operator(family: GFrameFamily) -> ModuleOperator:
-    """Weighted sum of ``adjoint(lam) o lam`` over points, as ``L L^H``."""
-    l = family.synthesis_matrix
-    n, d = family.algebra_dim, family.module_rank
-    return ModuleOperator(n, d, d, l @ l.conj().T)
+    """Weighted sum of ``adjoint(lam) o lam`` over points, as ``L L^H``,
+    built once per family and then kept."""
+    return family._frame_operator
 
 
 def _spectrum(op: ModuleOperator) -> tuple[float, float]:

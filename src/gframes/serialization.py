@@ -9,6 +9,7 @@ report and re-serializing it reproduces the bytes.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import chain
 
@@ -75,7 +76,7 @@ def _emit(obj, out: list, level: int) -> None:
     elif _is_number(obj):
         out.append(_fmt_number(obj))
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
@@ -100,7 +101,7 @@ def _emit(obj, out: list, level: int) -> None:
             for i, (k, v) in enumerate(items):
                 if not isinstance(k, str):
                     raise TypeError(f"JSON keys must be strings, got {k!r}")
-                out.append(pad + "  " + _escape(k) + ": ")
+                out.append(pad + "  " + json.dumps(k, ensure_ascii=False) + ": ")
                 _emit(v, out, level + 1)
                 out.append(",\n" if i + 1 < len(items) else "\n")
             out.append(pad + "}")
@@ -112,25 +113,6 @@ def _inline(obj) -> str:
     if _is_number(obj):
         return _fmt_number(obj)
     return "[" + ", ".join(_inline(v) for v in obj) + "]"
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def dumps(obj) -> str:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, spectral_norm
-from .controlled import (ControlledScenario, _adjoint_diagnostic,
-                         _controlled_operator, _transfer, bounds_cc_from_plain,
-                         bounds_plain_from_cc, controlled_frame_operator,
-                         cross_operator, make_control_pair, synthesis_operator)
+from .controlled import (ControlledScenario, _adjoint_diagnostic, _transfer,
+                         bounds_cc_from_plain, bounds_plain_from_cc,
+                         controlled_frame_operator, cross_operator,
+                         make_control_pair, synthesis_operator)
 from .frames import FRAME, _energy, _verdict, frame_operator
 from .generators import GeneratorSpec, generate_pair
 from .operators import SURJECTIVITY_TOL, op_adjoint, op_norm
@@ -123,19 +123,15 @@ def _sandwich(lo: float | None, hi: float, xx: np.ndarray,
 
 @dataclass
 class _Outcome:
-    ran: bool
-    ok: bool = True
-    residual: float = 0.0
-    detail: str = ""
-
-
-def _not_run() -> _Outcome:
-    return _Outcome(ran=False)
+    ok: bool
+    residual: float
+    detail: str
 
 
 def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
-    """Every check on one scenario.  Each operator, verdict and norm is
-    computed once and shared by the checks that read it; sampled vectors are
+    """Every check that applies to one scenario, by check id; a check that
+    does not apply has no entry.  Each operator, verdict and norm is computed
+    once and shared by the checks that read it; sampled vectors are
     flattened arrays."""
     scenario, twin = generate_pair(spec)
     family = scenario.family
@@ -145,7 +141,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     s_plain = frame_operator(family)
     plain_verdict = _verdict(s_plain)
-    sc = _controlled_operator(scenario, s_plain)
+    sc = controlled_frame_operator(scenario)
     verdict = _verdict(sc)
     t = synthesis_operator(scenario)
     sigma = op_norm(t)
@@ -156,7 +152,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     energies = np.stack([_gram(xs @ p.lam.action) for p in points], axis=1)
     bounds = np.stack([op_norm(p.lam) ** 2 * xx for p in points], axis=1)
     viol = _order_violation(energies, bounds)
-    out["op_energy_bound"] = _Outcome(True, viol <= tol, viol,
+    out["op_energy_bound"] = _Outcome(viol <= tol, viol,
                                       "energy bound violated" if viol > tol else "")
 
     # gram_sandwich: needs a surjective operator; the stacked synthesis of a
@@ -165,10 +161,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         gram = t.action.conj().T @ t.action
         viol = _sandwich(_hmin(gram), sigma ** 2, np.eye(gram.shape[0])[None],
                          gram[None])
-        out["gram_sandwich"] = _Outcome(True, viol <= tol, viol,
+        out["gram_sandwich"] = _Outcome(viol <= tol, viol,
                                         "gram sandwich violated" if viol > tol else "")
-    else:
-        out["gram_sandwich"] = _not_run()
 
     # plain_frame_sandwich: pointwise sums against the classifier bounds.
     lo_plain = plain_verdict.witnesses["lambda_min"]
@@ -176,18 +170,16 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     xs = _sample_vectors(spec, 1, _SAMPLES)
     viol = _sandwich(lo_plain if plain_verdict.kind == FRAME else None,
                      hi_plain, _gram(xs), _energy(points, xs, xs))
-    out["plain_frame_sandwich"] = _Outcome(True, viol <= tol, viol,
+    out["plain_frame_sandwich"] = _Outcome(viol <= tol, viol,
                                            "plain sandwich violated" if viol > tol else "")
 
     # controlled_frame_sandwich: Hermitian-ness of both operators plus the
     # controlled energy against the classifier bounds.
     ca = pair.c.base.action
     cpa = pair.cp.base.action
-    herm = max(
-        spectral_norm(s_plain.action - s_plain.action.conj().T)
-        / max(1.0, op_norm(s_plain)),
-        spectral_norm(sc.action - sc.action.conj().T) / max(1.0, op_norm(sc)),
-    )
+    # once per distinct operator: two identity controls make sc the plain one
+    herm = max(spectral_norm(op.action - op.action.conj().T) / max(1.0, op_norm(op))
+               for op in dict.fromkeys((s_plain, sc)))
     detail = "frame operator not Hermitian" if herm > tol else ""
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
@@ -196,7 +188,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
                                _gram(xs), _energy(points, xs @ ca, xs @ cpa)))
     if viol > tol and not detail:
         detail = "controlled sandwich violated"
-    out["controlled_frame_sandwich"] = _Outcome(True, viol <= tol, viol, detail)
+    out["controlled_frame_sandwich"] = _Outcome(viol <= tol, viol, detail)
 
     # norm_characterization: scalar-norm version on controlled frames.
     if verdict.kind == FRAME:
@@ -213,15 +205,13 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
             scale = max(1.0, hi_c * nx2)
             viol = max(viol, (lo_c * nx2 - nv) / scale, (nv - hi_c * nx2) / scale)
         viol = max(viol, 0.0)
-        out["norm_characterization"] = _Outcome(True, viol <= tol, viol,
+        out["norm_characterization"] = _Outcome(viol <= tol, viol,
                                                 "norm characterization violated" if viol > tol else "")
-    else:
-        out["norm_characterization"] = _not_run()
 
     # cc_equivalence_bounds: same-control pair against the plain family;
     # its certificate's entries are a subset of the pair's, which passed.
     pair_cc = make_control_pair(pair.c, pair.c, pair.tol)
-    sc_cc = _controlled_operator(ControlledScenario(family, pair_cc), s_plain)
+    sc_cc = controlled_frame_operator(ControlledScenario(family, pair_cc))
     verdict_cc = _verdict(sc_cc)
     agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
     viol = 0.0 if agree else 1.0
@@ -246,12 +236,12 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
                 viol = max(viol, tight)
                 detail = "scalar transfer not tight"
     ok = viol <= tol and agree
-    out["cc_equivalence_bounds"] = _Outcome(True, ok, viol, detail)
+    out["cc_equivalence_bounds"] = _Outcome(ok, viol, detail)
 
     # synthesis_norm_bound.
     root = float(np.sqrt(max(hi_c, 0.0)))
     excess = sigma - root - NORM_BOUND_TOL * max(1.0, root)
-    out["synthesis_norm_bound"] = _Outcome(True, excess <= 0, max(0.0, sigma - root),
+    out["synthesis_norm_bound"] = _Outcome(excess <= 0, max(0.0, sigma - root),
                                            "synthesis norm above bound" if excess > 0 else "")
 
     # Two-family checks against the twin, all on one cross operator.
@@ -266,13 +256,13 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     bound = float(np.sqrt(max(e1 * e2, 0.0)))
     excess = cross_norm - bound - NORM_BOUND_TOL * max(1.0, bound)
     out["cross_operator_norm_bound"] = _Outcome(
-        True, excess <= 0, max(0.0, cross_norm - bound),
+        excess <= 0, max(0.0, cross_norm - bound),
         "cross norm above bound" if excess > 0 else "")
 
     diag = _adjoint_diagnostic(adj, family, twin, pair, ADJOINT_TOL)
     amax = max(diag.statement_residual, diag.proof_residual)
     aok = diag.matches_proof and diag.matches_statement
-    out["cross_adjoint_identity"] = _Outcome(True, aok, amax,
+    out["cross_adjoint_identity"] = _Outcome(aok, amax,
                                              "" if aok else "adjoint closed form mismatch")
 
     # surjectivity_transfer: first family must be a controlled frame.
@@ -280,16 +270,14 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         lo_twin = verdict_twin.witnesses["lambda_min"]
         res = _transfer(adj, scen_twin, lo_twin, SURJECTIVITY_TOL)
         if not res.surjective:
-            out["surjectivity_transfer"] = _Outcome(True, False, 1.0,
+            out["surjectivity_transfer"] = _Outcome(False, 1.0,
                                                     "mixed operator not surjective")
         else:
             gap = res.gamma_lower_bound - lo_twin
             ok = (gap <= NORM_BOUND_TOL * max(1.0, lo_twin)
                   and verdict_twin.kind == FRAME)
             detail = "" if ok else "derived bound does not certify the twin"
-            out["surjectivity_transfer"] = _Outcome(True, ok, abs(gap), detail)
-    else:
-        out["surjectivity_transfer"] = _not_run()
+            out["surjectivity_transfer"] = _Outcome(ok, abs(gap), detail)
 
     # bound_product_probe (empirical): claimed bounds scaled by control norms.
     if plain_verdict.kind == FRAME:
@@ -306,11 +294,9 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         if hi_gap > tol * scale:
             sides.append("claimed upper bound below the spectrum")
         ok = not sides
-        out["bound_product_probe"] = _Outcome(True, ok,
+        out["bound_product_probe"] = _Outcome(ok,
                                               max(lo_gap, hi_gap, 0.0) / scale,
                                               "; ".join(sides))
-    else:
-        out["bound_product_probe"] = _not_run()
 
     return out
 
@@ -346,8 +332,6 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
     for spec in batch:
         for cid, o in _evaluate_scenario(spec, tol).items():
             r = results[cid]
-            if not o.ran:
-                continue
             r.scenarios_run += 1
             if o.ok:
                 r.passes += 1

@@ -445,6 +445,26 @@ def test_twin_scenario_is_certified_once(certificate_calls):
 # ------------------------------------------------- controlled operator
 
 
+def test_frame_operator_is_kept_per_family():
+    sc = generate(GeneratorSpec(seed=205, n=2, d=2, m=4, flavor="commuting"))
+    s = frame_operator(sc.family)
+    assert frame_operator(sc.family) is s
+    with pytest.raises(ValueError, match="read-only"):
+        s.action[0, 0] = 0
+    # a family built by replace keeps nothing of the original's
+    fewer = dataclasses.replace(sc.family, points=sc.family.points[1:])
+    l = stacked(fewer)
+    np.testing.assert_allclose(frame_operator(fewer).action, l @ l.conj().T,
+                               atol=1e-13)
+    assert frame_operator(dataclasses.replace(sc.family)) is not s
+    # a failing pair raises on every call, however much is kept
+    bad = ControlledScenario(noncommuting_family_like(sc.family, 206), sc.pair)
+    frame_operator(bad.family)
+    for _ in range(2):
+        with pytest.raises(CommutationViolated, match="certificate failed"):
+            controlled_frame_operator(bad)
+
+
 def test_controlled_operator_identity_reduction():
     sc = generate(GeneratorSpec(seed=19, n=2, d=2, m=3, flavor="generic"))
     s_plain = frame_operator(sc.family)

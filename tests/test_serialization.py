@@ -49,6 +49,13 @@ def test_dumps_preserves_insertion_order():
 
 def test_dumps_escapes_strings():
     assert json.loads(ser.dumps({"k": 'a"b\\c\n'})) == {"k": 'a"b\\c\n'}
+    # every control character, the two JSON metacharacters, DEL and a
+    # non-ASCII letter, as a value and as a key
+    text = "".join(map(chr, range(0x20))) + '"\\\x7f\u00e9'
+    out = ser.dumps({text: text})
+    assert json.loads(out) == {text: text}
+    # non-ASCII text is written as itself, not as an escape
+    assert out.count("\u00e9") == 2
 
 
 def test_matrix_codec_round_trip():
