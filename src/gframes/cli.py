@@ -17,15 +17,15 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .controlled import controlled_classify, reconstruct
+from .controlled import (ADJOINT_TOL, NORM_BOUND_TOL, controlled_classify,
+                         reconstruct)
 from .errors import GFrameError, NotAFrame, SchemaError
 from .frames import FRAME, classify
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
 from .algebra import DEFAULT_TOL
-from .verifier import (ADJOINT_TOL, NORM_BOUND_TOL, SCALAR_TIGHT_TOL,
-                       default_batch, run_suite, suite_passed)
+from .verifier import SCALAR_TIGHT_TOL, default_batch, run_suite, suite_passed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +48,8 @@ def _build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="classify a scenario file and report bounds")
     pa.add_argument("path", help="scenario JSON file")
     pa.add_argument("--tol", type=float, default=None,
-                    help="absolute spectral tolerance (default 1e-9)")
+                    help="relative spectral tolerance: a frame when "
+                         "lambda_min > tol * lambda_max (default 1e-9)")
     pa.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     pv = sub.add_parser("verify", help="run the randomized property suite")
@@ -139,7 +140,7 @@ def _verdict_fields(verdict):
 def cmd_analyze(args) -> int:
     tol = _resolve_tol(args.tol)
     if tol is None:
-        tol = 1e-9
+        tol = DEFAULT_TOL
     obj = _load_json(args.path)
     scenario = ser.scenario_from_obj(obj, tol=tol)
     family, pair = scenario.family, scenario.pair

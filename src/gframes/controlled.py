@@ -29,8 +29,8 @@ import numpy as np
 from .algebra import DEFAULT_TOL, spectral_norm
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
-from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
-                     _spectrum, _verdict, frame_operator)
+from .frames import (FRAME, FRAME_TOL_RELATIVE, FrameBounds, FrameVerdict,
+                     GFrameFamily, _spectrum, _verdict, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, is_bounded_below, op_adjoint,
@@ -155,48 +155,45 @@ def _frobenius_passes(c: PositiveInvertibleOperator, x: np.ndarray,
 
 def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
                           cp: PositiveInvertibleOperator,
-                          tol: float | None = None) -> Iterator[float]:
+                          tol: float = 0.0) -> Iterator[float]:
     """Yield every relative commutator the controlled formulas rely on, in
     report order: ``[c, cp]``, then ``[c, gram_w]`` and ``[cp, gram_w]`` for
     each point ``w``, each ``norm([k, b]) / max(1, norm(k) * norm(b))``.
 
-    An identity control commutes with everything, so its commutators are
-    0.0 and take no norm, and two identity controls form no gram term.  A
-    same-control pair takes each commutator once and yields it twice.  A
-    gram term's norm is taken once, when a commutator first reads it.  Given
-    ``tol``, a commutator that ``_frobenius_passes`` yields 0.0 and takes no
-    SVD; the lower bound there is ``norm(cp)`` for ``[c, cp]`` and the
-    largest diagonal entry of a gram term, which is positive semidefinite.
+    A commutator that ``_frobenius_passes`` at ``tol`` yields 0.0 and takes
+    no SVD (the lower bound there is ``norm(cp)`` for ``[c, cp]`` and a gram
+    term's largest diagonal entry); any other takes its spectral norm.
+    The default ``tol`` of 0 passes only exact zeros, such as every
+    commutator of an identity control and ``[c, c]``, so every value is
+    exact.  Two identity controls form no commutator, a same-control pair
+    yields each ``[c, gram_w]`` twice, and a gram term's norm is taken once,
+    when a commutator first reads it.
 
     Work is done only as values are read, so a consumer that stops early
     takes no further norm.  Raises ``LinAlgError`` when a commutator has
     overflowed and its SVD does not converge.
     """
+    if c.is_identity and cp.is_identity:
+        yield from [0.0] * (1 + 2 * family.size)
+        return
     ca, cpa = c.base.action, cp.base.action
     same = cpa is ca
-    if same or c.is_identity or cp.is_identity:
-        yield 0.0
-    else:
-        x = ca @ cpa - cpa @ ca
-        yield (0.0 if tol is not None and _frobenius_passes(c, x, cp.norm, tol)
-               else spectral_norm(x) / max(1.0, c.norm * cp.norm))
-    if c.is_identity and cp.is_identity:
-        yield from [0.0] * (2 * family.size)
-        return
+    x = ca @ cpa - cpa @ ca
+    yield (0.0 if _frobenius_passes(c, x, cp.norm, tol)
+           else spectral_norm(x) / max(1.0, c.norm * cp.norm))
     for p in family.points:
         l = p.lam.action
         gram = l @ l.conj().T
-        g_lo = float(gram.diagonal().real.max()) if tol is not None else 0.0
+        g_lo = float(gram.diagonal().real.max())
         ng = None
         for k in (c,) if same else (c, cp):
+            a = k.base.action
+            x = a @ gram - gram @ a
             r = 0.0
-            if not k.is_identity:
-                a = k.base.action
-                x = a @ gram - gram @ a
-                if tol is None or not _frobenius_passes(k, x, g_lo, tol):
-                    if ng is None:
-                        ng = spectral_norm(gram)
-                    r = spectral_norm(x) / max(1.0, k.norm * ng)
+            if not _frobenius_passes(k, x, g_lo, tol):
+                if ng is None:
+                    ng = spectral_norm(gram)
+                r = spectral_norm(x) / max(1.0, k.norm * ng)
             yield r
         if same:
             yield r
@@ -205,8 +202,8 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
 def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
                          cp: PositiveInvertibleOperator,
                          tol: float = DEFAULT_TOL) -> CommutationReport:
-    """Every relative commutator of ``_relative_commutators``, each from an
-    exact spectral norm, and the verdict that all are at most ``tol``."""
+    """Every relative commutator of ``_relative_commutators``, each exact,
+    and the verdict that all are at most ``tol``."""
     entries = list(_relative_commutators(family, c, cp))
     rows = tuple(zip(entries[1::2], entries[2::2]))
     return CommutationReport(entries[0], rows, tol,
@@ -261,8 +258,9 @@ def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
 
 
 def controlled_classify(scenario: ControlledScenario,
-                        tol: float | None = None) -> FrameVerdict:
-    """Frame / Bessel-only verdict for the controlled operator.
+                        tol: float = FRAME_TOL_RELATIVE) -> FrameVerdict:
+    """Frame / Bessel-only verdict for the controlled operator, with the
+    relative threshold of ``classify``.
 
     Witnesses carry the controlled extremes plus the plain family's upper
     spectral edge, so both Bessel bounds are reported side by side.
@@ -317,14 +315,22 @@ def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
                           l.conj().T @ scenario.pair.product_sqrt.action)
 
 
+# Relative slack of the synthesis and cross-operator norm bounds.
+NORM_BOUND_TOL = 1e-8
+
+
 def synthesis_norm_check(scenario: ControlledScenario,
-                         tol: float = 1e-8) -> bool:
+                         tol: float = NORM_BOUND_TOL) -> bool:
     """Check the synthesis norm against the controlled upper bound:
     ``op_norm(synthesis) <= sqrt(lambda_max) + tol * scale``."""
     hi = _spectrum(controlled_frame_operator(scenario))[1]
     sigma = op_norm(synthesis_operator(scenario))
     root = float(np.sqrt(max(hi, 0.0)))
     return sigma <= root + tol * max(1.0, root)
+
+
+# Largest relative residual at which the adjoint matches a closed form.
+ADJOINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -368,7 +374,7 @@ def cross_operator(lam: GFrameFamily, gam: GFrameFamily,
 
 
 def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
-                          pair: ControlPair, tol: float = 1e-10
+                          pair: ControlPair, tol: float = ADJOINT_TOL
                           ) -> tuple[ModuleOperator, CrossAdjointDiagnostic]:
     """True adjoint of the cross operator plus residuals against both closed
     forms in circulation: controls in original order around the swapped
@@ -380,19 +386,12 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     not guarantee.  Both residuals are reported rather than picking one.
     """
     adj = op_adjoint(cross_operator(lam, gam, pair))
-    return adj, _adjoint_diagnostic(adj, lam, gam, pair, tol)
-
-
-def _adjoint_diagnostic(adj: ModuleOperator, lam: GFrameFamily, gam: GFrameFamily,
-                        pair: ControlPair, tol: float) -> CrossAdjointDiagnostic:
-    """Residuals of ``adj``, the adjoint of the cross operator of ``lam``
-    against ``gam``, against both closed forms around ``L_gam L_lam^H``."""
     ca, cpa = pair.c.base.action, pair.cp.base.action
     mixed = gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
     scale = max(1.0, spectral_norm(adj.action))
     r_stmt = spectral_norm(adj.action - ca @ mixed @ cpa) / scale
     r_proof = spectral_norm(adj.action - cpa @ mixed @ ca) / scale
-    return CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
+    return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
 
 
 def bounds_plain_from_cc(lower: float, upper: float,

@@ -22,7 +22,7 @@ from .module_space import ModuleVector, inner
 from .operators import ModuleOperator
 from .rng import complex_normal, stream
 
-# A family counts as a frame when lambda_min exceeds this fraction of lambda_max.
+# Default fraction of lambda_max that lambda_min must exceed for a frame.
 FRAME_TOL_RELATIVE = 1e-8
 
 FRAME = "frame"
@@ -113,25 +113,24 @@ def _spectrum(op: ModuleOperator) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _verdict(op: ModuleOperator, tol: float | None = None,
+def _verdict(op: ModuleOperator, tol: float = FRAME_TOL_RELATIVE,
              **witnesses: float) -> FrameVerdict:
-    """Frame / Bessel-only verdict from the spectrum of a frame operator.
+    """Frame / Bessel-only verdict from the spectrum of a frame operator: a
+    frame when ``lambda_min > tol * lambda_max``.  The threshold is relative,
+    so rescaling the operator leaves the verdict alone.
 
     The extreme eigenvalues lead the witnesses, followed by ``witnesses``.
-    ``tol=None`` means the threshold ``FRAME_TOL_RELATIVE * lambda_max``; an
-    explicit ``tol`` is absolute.
     """
     lo, hi = _spectrum(op)
     witnesses = {"lambda_min": lo, "lambda_max": hi, **witnesses}
-    threshold = FRAME_TOL_RELATIVE * hi if tol is None else tol
-    if lo > threshold:
+    if lo > tol * hi:
         return FrameVerdict(FRAME, FrameBounds(lo, hi), witnesses)
     return FrameVerdict(BESSEL_ONLY, None, witnesses)
 
 
-def optimal_bounds(family: GFrameFamily, tol: float | None = None) -> FrameBounds:
+def optimal_bounds(family: GFrameFamily, tol: float = FRAME_TOL_RELATIVE) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; ``NotAFrame`` if the lower
-    one does not clear the threshold."""
+    one does not clear ``tol`` times the upper one."""
     verdict = _verdict(frame_operator(family), tol)
     if verdict.bounds is None:
         raise NotAFrame(f"lower spectral edge {verdict.witnesses['lambda_min']:.3e} "
@@ -139,8 +138,9 @@ def optimal_bounds(family: GFrameFamily, tol: float | None = None) -> FrameBound
     return verdict.bounds
 
 
-def classify(family: GFrameFamily, tol: float | None = None) -> FrameVerdict:
-    """Frame / Bessel-only verdict from the frame operator's spectrum."""
+def classify(family: GFrameFamily, tol: float = FRAME_TOL_RELATIVE) -> FrameVerdict:
+    """Frame / Bessel-only verdict from the frame operator's spectrum: a
+    frame when its smallest eigenvalue exceeds ``tol`` times its largest."""
     return _verdict(frame_operator(family), tol)
 
 

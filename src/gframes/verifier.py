@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, spectral_norm
-from .controlled import (ControlledScenario, _adjoint_diagnostic, _transfer,
-                         bounds_cc_from_plain, bounds_plain_from_cc,
-                         controlled_frame_operator, cross_operator,
+from .controlled import (ADJOINT_TOL, NORM_BOUND_TOL, ControlledScenario,
+                         _transfer, bounds_cc_from_plain, bounds_plain_from_cc,
+                         controlled_frame_operator, cross_adjoint_resolve,
                          make_control_pair, synthesis_operator)
 from .frames import FRAME, _energy, _verdict, frame_operator
 from .generators import GeneratorSpec, generate_pair
-from .operators import SURJECTIVITY_TOL, op_adjoint, op_norm
+from .operators import SURJECTIVITY_TOL, op_norm
 from .rng import complex_normal, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -46,10 +46,8 @@ CHECKS = {
 
 EMPIRICAL_CHECKS = frozenset({"bound_product_probe"})
 
-# Fixed per-check tolerances from the acceptance contract; ``tol`` passed to
-# run_suite governs the semidefinite-order margins.
-NORM_BOUND_TOL = 1e-8
-ADJOINT_TOL = 1e-10
+# Fixed scalar-tightness tolerance from the acceptance contract; ``tol``
+# passed to run_suite governs the semidefinite-order margins.
 SCALAR_TIGHT_TOL = 1e-12
 
 _CHECK_STREAM = 3 << 32
@@ -123,6 +121,8 @@ def _sandwich(lo: float | None, hi: float, xx: np.ndarray,
 
 @dataclass
 class _Outcome:
+    """One check's outcome; ``detail`` is read only on failure."""
+
     ok: bool
     residual: float
     detail: str
@@ -152,8 +152,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     energies = np.stack([_gram(xs @ p.lam.action) for p in points], axis=1)
     bounds = np.stack([op_norm(p.lam) ** 2 * xx for p in points], axis=1)
     viol = _order_violation(energies, bounds)
-    out["op_energy_bound"] = _Outcome(viol <= tol, viol,
-                                      "energy bound violated" if viol > tol else "")
+    out["op_energy_bound"] = _Outcome(viol <= tol, viol, "energy bound violated")
 
     # gram_sandwich: needs a surjective operator; the stacked synthesis of a
     # controlled frame is one.
@@ -161,8 +160,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         gram = t.action.conj().T @ t.action
         viol = _sandwich(_hmin(gram), sigma ** 2, np.eye(gram.shape[0])[None],
                          gram[None])
-        out["gram_sandwich"] = _Outcome(viol <= tol, viol,
-                                        "gram sandwich violated" if viol > tol else "")
+        out["gram_sandwich"] = _Outcome(viol <= tol, viol, "gram sandwich violated")
 
     # plain_frame_sandwich: pointwise sums against the classifier bounds.
     lo_plain = plain_verdict.witnesses["lambda_min"]
@@ -170,8 +168,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     xs = _sample_vectors(spec, 1, _SAMPLES)
     viol = _sandwich(lo_plain if plain_verdict.kind == FRAME else None,
                      hi_plain, _gram(xs), _energy(points, xs, xs))
-    out["plain_frame_sandwich"] = _Outcome(viol <= tol, viol,
-                                           "plain sandwich violated" if viol > tol else "")
+    out["plain_frame_sandwich"] = _Outcome(viol <= tol, viol, "plain sandwich violated")
 
     # controlled_frame_sandwich: Hermitian-ness of both operators plus the
     # controlled energy against the classifier bounds.
@@ -180,15 +177,14 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # once per distinct operator: two identity controls make sc the plain one
     herm = max(spectral_norm(op.action - op.action.conj().T) / max(1.0, op_norm(op))
                for op in dict.fromkeys((s_plain, sc)))
-    detail = "frame operator not Hermitian" if herm > tol else ""
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
     xs = _sample_vectors(spec, 2, _SAMPLES)
     viol = max(herm, _sandwich(lo_c if verdict.kind == FRAME else None, hi_c,
                                _gram(xs), _energy(points, xs @ ca, xs @ cpa)))
-    if viol > tol and not detail:
-        detail = "controlled sandwich violated"
-    out["controlled_frame_sandwich"] = _Outcome(viol <= tol, viol, detail)
+    out["controlled_frame_sandwich"] = _Outcome(
+        viol <= tol, viol, "frame operator not Hermitian" if herm > tol
+        else "controlled sandwich violated")
 
     # norm_characterization: scalar-norm version on controlled frames.
     if verdict.kind == FRAME:
@@ -206,7 +202,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
             viol = max(viol, (lo_c * nx2 - nv) / scale, (nv - hi_c * nx2) / scale)
         viol = max(viol, 0.0)
         out["norm_characterization"] = _Outcome(viol <= tol, viol,
-                                                "norm characterization violated" if viol > tol else "")
+                                                "norm characterization violated")
 
     # cc_equivalence_bounds: same-control pair against the plain family;
     # its certificate's entries are a subset of the pair's, which passed.
@@ -215,7 +211,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     verdict_cc = _verdict(sc_cc)
     agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
     viol = 0.0 if agree else 1.0
-    detail = "" if agree else "verdicts disagree"
+    tight = 0.0
     if agree and plain_verdict.kind == FRAME:
         a_cc, b_cc = verdict_cc.bounds.lower, verdict_cc.bounds.upper
         a_pl, b_pl = plain_verdict.bounds.lower, plain_verdict.bounds.upper
@@ -225,45 +221,42 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         viol = _order_violation(
             np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
             np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
-        if viol > tol:
-            detail = "transferred bounds invalid"
         if spec.n == 1 and spec.d == 1:
             tight = max(abs(pb.lower - a_pl) / max(1.0, a_pl),
                         abs(pb.upper - b_pl) / max(1.0, b_pl),
                         abs(cb.lower - a_cc) / max(1.0, a_cc),
                         abs(cb.upper - b_cc) / max(1.0, b_cc))
-            if tight > SCALAR_TIGHT_TOL:
-                viol = max(viol, tight)
-                detail = "scalar transfer not tight"
-    ok = viol <= tol and agree
-    out["cc_equivalence_bounds"] = _Outcome(ok, viol, detail)
+    # a scalar transfer is held to its own gate, whatever tol is
+    loose = tight > SCALAR_TIGHT_TOL
+    out["cc_equivalence_bounds"] = _Outcome(
+        agree and viol <= tol and not loose, max(viol, tight) if loose else viol,
+        "verdicts disagree" if not agree else "scalar transfer not tight" if loose
+        else "transferred bounds invalid")
 
     # synthesis_norm_bound.
     root = float(np.sqrt(max(hi_c, 0.0)))
     excess = sigma - root - NORM_BOUND_TOL * max(1.0, root)
     out["synthesis_norm_bound"] = _Outcome(excess <= 0, max(0.0, sigma - root),
-                                           "synthesis norm above bound" if excess > 0 else "")
+                                           "synthesis norm above bound")
 
     # Two-family checks against the twin, all on one cross operator.
     scen_twin = ControlledScenario(twin, pair)
     verdict_twin = _verdict(controlled_frame_operator(scen_twin))
-    cross = cross_operator(family, twin, pair)
-    adj = op_adjoint(cross)
+    adj, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
 
-    cross_norm = op_norm(cross)
+    # an operator and its adjoint have the same norm
+    cross_norm = op_norm(adj)
     e1 = hi_c
     e2 = verdict_twin.witnesses["lambda_max"]
     bound = float(np.sqrt(max(e1 * e2, 0.0)))
     excess = cross_norm - bound - NORM_BOUND_TOL * max(1.0, bound)
     out["cross_operator_norm_bound"] = _Outcome(
         excess <= 0, max(0.0, cross_norm - bound),
-        "cross norm above bound" if excess > 0 else "")
+        "cross norm above bound")
 
-    diag = _adjoint_diagnostic(adj, family, twin, pair, ADJOINT_TOL)
     amax = max(diag.statement_residual, diag.proof_residual)
     aok = diag.matches_proof and diag.matches_statement
-    out["cross_adjoint_identity"] = _Outcome(aok, amax,
-                                             "" if aok else "adjoint closed form mismatch")
+    out["cross_adjoint_identity"] = _Outcome(aok, amax, "adjoint closed form mismatch")
 
     # surjectivity_transfer: first family must be a controlled frame.
     if verdict.kind == FRAME:
@@ -276,8 +269,8 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
             gap = res.gamma_lower_bound - lo_twin
             ok = (gap <= NORM_BOUND_TOL * max(1.0, lo_twin)
                   and verdict_twin.kind == FRAME)
-            detail = "" if ok else "derived bound does not certify the twin"
-            out["surjectivity_transfer"] = _Outcome(ok, abs(gap), detail)
+            out["surjectivity_transfer"] = _Outcome(
+                ok, abs(gap), "derived bound does not certify the twin")
 
     # bound_product_probe (empirical): claimed bounds scaled by control norms.
     if plain_verdict.kind == FRAME:
@@ -336,8 +329,7 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
             if o.ok:
                 r.passes += 1
             else:
-                r.failures.append(CheckFailure(spec.seed, o.residual,
-                                               o.detail or "check failed"))
+                r.failures.append(CheckFailure(spec.seed, o.residual, o.detail))
     final = []
     for cid in sorted(CHECKS):
         r = results[cid]

@@ -110,6 +110,20 @@ def test_analyze_builds_the_plain_frame_operator_once(scen, tmp_path, calls):
         controlled_classify(sc, tol=1e-9).witnesses
 
 
+def test_analyze_verdict_ignores_weight_scale(tmp_path, capsys):
+    # every weight times 1e-12 leaves a frame that reconstructs to roundoff,
+    # so analyze's verdict, relative to lambda_max, must say frame too
+    obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
+                                                     flavor="generic")))
+    for point in obj["points"]:
+        point["weight"] *= 1e-12
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj))
+    assert main(["reconstruct", str(path), "--random", "1"]) == 0
+    assert main(["analyze", str(path)]) == 0
+    assert "verdict: frame" in capsys.readouterr().err
+
+
 def test_analyze_schema_error_names_path(scen, tmp_path, capsys):
     obj = read(scen)
     obj["points"][0]["weight"] = -1

@@ -232,6 +232,28 @@ def test_frobenius_bound_decides_nothing_it_cannot_see():
     assert _frobenius_passes(c, np.zeros((2, 2), dtype=np.complex128), 0.0, 0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="the max(1, .) floor makes the "
+                   "certificate absolute once norm(k) * norm(gram) < 1")
+def test_certificate_ignores_family_scale():
+    # C and C' = C^2 commute to roundoff, but not with the gram terms of a
+    # generic family, so the pair fails on it.  With every point action
+    # times 1e-6, each relative commutator falls under the floor and the
+    # pair passes, though the controlled operator then differs from its
+    # definition sum by 2.3e-2 relative.
+    fam = generate(GeneratorSpec(seed=3, n=2, d=2, m=4, flavor="generic")).family
+    small = GFrameFamily(2, 2, tuple(
+        MeasurePoint(p.weight, ModuleOperator(2, 2, p.codomain_rank,
+                                              1e-6 * p.lam.action))
+        for p in fam.points))
+    a = complex_normal(stream(11, 0), (4, 4))
+    m = a @ a.conj().T + np.eye(4)
+    m *= 2 / spectral_norm(m)
+    c = make_positive_invertible(ModuleOperator(2, 2, 2, m))
+    cp = make_positive_invertible(ModuleOperator(2, 2, 2, m @ m))
+    assert not decide_commutation(fam, c, cp)
+    assert not decide_commutation(small, c, cp)
+
+
 def test_identity_controls_take_no_norm(calls):
     sc = generate(GeneratorSpec(seed=183, n=3, d=2, m=5, flavor="generic"))
     eye = identity_control(3, 2)

@@ -157,6 +157,20 @@ def test_classify_weight_split_invariant():
     assert abs(b1.upper - b2.upper) <= 1e-12
 
 
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_classify_verdict_ignores_weight_scale(flavor):
+    # an explicit tol is relative to lambda_max, as the default is, so
+    # rescaling every weight leaves the verdict alone
+    fam = generate(GeneratorSpec(seed=3, n=2, d=2, m=4, flavor=flavor)).family
+    kind = classify(fam, 1e-9).kind
+    assert kind == (BESSEL_ONLY if flavor == "bessel_only" else FRAME)
+    for s in (1e-12, 1.0, 1e12):
+        scaled = GFrameFamily(2, 2, tuple(MeasurePoint(s * p.weight, p.lam)
+                                          for p in fam.points))
+        assert classify(scaled, 1e-9).kind == kind
+
+
 def test_sandwich_sum_matches_frame_operator_quadratic_form():
     # independent path: per-point inner products vs <x, Sx>
     fam = random_family(47, 2, 2, 4)

@@ -109,6 +109,23 @@ def test_failure_reproduces_bit_identically():
                [dataclasses.astuple(f) for f in r2.failures]
 
 
+def test_scalar_transfer_gate_holds_below_tol(monkeypatch):
+    # a scalar transfer 1e-10 off is not tight at SCALAR_TIGHT_TOL, though
+    # it is within the default tol of 1e-9
+    real = verifier.bounds_plain_from_cc
+
+    def loose(lower, upper, c):
+        b = real(lower, upper, c)
+        return dataclasses.replace(b, lower=b.lower * (1 + 1e-10))
+    monkeypatch.setattr(verifier, "bounds_plain_from_cc", loose)
+    results = run_suite([GeneratorSpec(seed=5, n=1, d=1, m=3, flavor="commuting")])
+    r = {r.check_id: r for r in results}["cc_equivalence_bounds"]
+    assert (r.passes, r.scenarios_run, r.status) == (0, 1, "fail")
+    [f] = r.failures
+    assert f.detail == "scalar transfer not tight"
+    assert 1e-10 <= f.residual <= 1.1e-10
+
+
 def test_probe_is_always_empirical():
     results = run_suite(small_batch())
     by_id = {r.check_id: r for r in results}

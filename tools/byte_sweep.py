@@ -1,0 +1,113 @@
+"""Write the CLI output of a fixed corpus to a directory, so that two
+checkouts can be compared byte for byte.
+
+    python3 tools/byte_sweep.py OUT
+
+Imports ``gframes`` from the ``src/`` directory of the checkout that holds
+this script and runs ``gframes.cli.main`` in-process on:
+
+* ``verify --default`` at the default tolerance, 1e-14 and 1e-18;
+* ``verify --batch`` of the 8 verify-ladder specs (seeds 900-907, n = 8,
+  (d, m) in {(4, 16), (8, 32)}, dw 2, every flavor) at the default
+  tolerance and 1e-18;
+* ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
+  1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
+  (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32).
+
+Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
+file it was given with ``--out``.  Paths are relative to ``OUT``, so no
+output names the directory.  ``OUT/environment`` records the BLAS thread
+variables, which the sweep does not set: a threaded GEMM may split an inner
+sum differently, so compare two sweeps run under the same setting, as in
+
+    python3 tools/byte_sweep.py /tmp/before    # in the parent checkout
+    python3 tools/byte_sweep.py /tmp/after     # in the changed checkout
+    diff -r /tmp/before /tmp/after
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gframes.cli import main  # noqa: E402
+
+FLAVORS = ("generic", "commuting", "parseval", "bessel_only")
+SHAPES = ((1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32))
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+LADDER_BATCH = [{"seed": 900 + 4 * j + i, "n": 8, "d": d, "m": m,
+                 "dw_range": [2, 2], "flavor": fl}
+                for j, (d, m) in enumerate(((4, 16), (8, 32)))
+                for i, fl in enumerate(FLAVORS)]
+
+
+def run(name: str, args: list, out: str | None = None) -> None:
+    """Run one command, with ``--out NAME/OUT`` when ``out`` is given, and
+    keep its stdout, stderr and exit code under ``NAME``."""
+    os.makedirs(name)
+    if out is not None:
+        args = args + ["--out", f"{name}/{out}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(args)
+    for fname, text in (("stdout", stdout.getvalue()),
+                        ("stderr", stderr.getvalue()), ("exit", f"{code}\n")):
+        Path(name, fname).write_text(text, encoding="utf-8")
+
+
+def sweep() -> None:
+    for tol in (None, "1e-14", "1e-18"):
+        run(f"verify_default_{tol or 'tol'}",
+            ["verify", "--default"] + (["--tol", tol] if tol else []), "report.json")
+    Path("ladder.json").write_text(json.dumps(LADDER_BATCH), encoding="utf-8")
+    for tol in (None, "1e-18"):
+        run(f"verify_ladder_{tol or 'tol'}",
+            ["verify", "--batch", "ladder.json"] + (["--tol", tol] if tol else []),
+            "report.json")
+    for j, (n, d, m) in enumerate(SHAPES):
+        for i, fl in enumerate(FLAVORS):
+            tag = f"{fl}_{n}x{d}x{m}"
+            spec = json.dumps({"seed": 950 + 4 * j + i, "n": n, "d": d, "m": m,
+                               "flavor": fl})
+            run(f"generate_{tag}", ["generate", "--spec", spec], "scenario.json")
+            scen = f"generate_{tag}/scenario.json"
+            run(f"analyze_{tag}", ["analyze", scen], "report.json")
+            run(f"analyze_stdout_{tag}", ["analyze", scen])
+            run(f"analyze_1e-18_{tag}", ["analyze", scen, "--tol", "1e-18"], "report.json")
+            run(f"reconstruct_{tag}", ["reconstruct", scen, "--random", "3"])
+
+
+def record_environment() -> None:
+    lines = [f"{v}={os.environ.get(v, '(unset)')}" for v in BLAS_THREAD_VARS]
+    lines.append(f"numpy={np.__version__}")
+    Path("environment").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def cli() -> int:
+    if len(sys.argv) != 2:
+        sys.stderr.write(__doc__)
+        return 1
+    if os.environ.get("GFRAME_TOL"):
+        sys.stderr.write("byte_sweep: unset GFRAME_TOL, which changes the "
+                         "default tolerance of every command\n")
+        return 1
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True)
+    os.chdir(out)
+    record_environment()
+    sweep()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(cli())
