@@ -24,9 +24,9 @@ from .errors import (CommutationViolated, GFrameError, InvalidSpec,
                      MeasureMismatch, NotAFrame, NotHermitian, NotPositive,
                      NotPositiveDefinite, NotSurjective, PreconditionViolated,
                      SchemaError)
-from .frames import (BESSEL_ONLY, FRAME, FRAME_TOL_RELATIVE, FrameBounds,
-                     FrameVerdict, GFrameFamily, MeasurePoint, check_sandwich,
-                     classify, frame_operator, optimal_bounds, sandwich_sum)
+from .frames import (BESSEL_ONLY, FRAME, FrameBounds, FrameVerdict,
+                     GFrameFamily, MeasurePoint, check_sandwich, classify,
+                     frame_operator, optimal_bounds, sandwich_sum)
 from .generators import FLAVORS, GeneratorSpec, generate, generate_pair
 from .module_space import (ModuleVector, a_valued_abs, inner, module_action,
                            vec_norm)
@@ -63,5 +63,5 @@ __all__ = [
     "bounds_cc_from_plain", "surjectivity_transfer", "reconstruct",
     "generate", "generate_pair", "default_batch", "run_suite", "suite_passed",
     "FRAME", "BESSEL_ONLY", "FLAVORS", "CHECKS",
-    "DEFAULT_TOL", "FRAME_TOL_RELATIVE", "SURJECTIVITY_TOL",
+    "DEFAULT_TOL", "SURJECTIVITY_TOL",
 ]

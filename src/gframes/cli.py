@@ -20,7 +20,7 @@ from . import serialization as ser
 from .controlled import (ADJOINT_TOL, NORM_BOUND_TOL, controlled_classify,
                          reconstruct)
 from .errors import GFrameError, NotAFrame, SchemaError
-from .frames import FRAME, classify
+from .frames import FRAME, FrameVerdict, classify
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_FRAME = 2
 EXIT_CHECK_FAILED = 3
+
+# Default acceptance tolerance of reconstruct: the relative error may reach
+# this times the condition number.
+RECONSTRUCT_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,15 +82,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _resolve_tol(arg_tol: float | None) -> float | None:
-    """``--tol`` if given, else ``GFRAME_TOL`` if set, else None.  Either
-    source must give a finite number in (0, 1)."""
+def _resolve_tol(arg_tol: float | None, default: float) -> float:
+    """``--tol`` if given, else ``GFRAME_TOL`` if set, else the command's
+    ``default``.  Either source must give a finite number in (0, 1)."""
     if arg_tol is not None:
         source, value = "--tol", arg_tol
     else:
         raw = os.environ.get("GFRAME_TOL")
         if not raw:
-            return None
+            return default
         source = "GFRAME_TOL"
         try:
             value = float(raw)
@@ -133,40 +137,29 @@ def _bounds_obj(bounds):
     return [bounds.lower, bounds.upper]
 
 
-def _verdict_fields(verdict):
-    return verdict.kind, _bounds_obj(verdict.bounds), dict(verdict.witnesses)
+def _condition(bounds):
+    if bounds is None:
+        return None
+    return bounds.upper / bounds.lower
 
 
 def cmd_analyze(args) -> int:
-    tol = _resolve_tol(args.tol)
-    if tol is None:
-        tol = DEFAULT_TOL
-    obj = _load_json(args.path)
-    scenario = ser.scenario_from_obj(obj, tol=tol)
+    tol = _resolve_tol(args.tol, DEFAULT_TOL)
+    scenario = ser.scenario_from_obj(_load_json(args.path), tol)
     family, pair = scenario.family, scenario.pair
     commutation = pair.report_on(family)
-
-    kind, bounds, witnesses = _verdict_fields(classify(family, tol))
-
-    controlled_kind = None
-    controlled_bounds = None
-    controlled_witnesses = {}
-    cond_cc = None
-    if commutation.passed:
-        cv = controlled_classify(scenario, tol)
-        controlled_kind, controlled_bounds, controlled_witnesses = _verdict_fields(cv)
-        if cv.kind == FRAME:
-            cond_cc = cv.bounds.upper / cv.bounds.lower
-
-    cond_plain = bounds[1] / bounds[0] if kind == FRAME else None
+    verdict = classify(family, tol)
+    # no controlled verdict without the certificate
+    cv = (controlled_classify(scenario, tol) if commutation.passed
+          else FrameVerdict(None, None, {}))
     report = {
         "version": ser.REPORT_VERSION,
-        "verdict": kind,
-        "bounds": bounds,
-        "witnesses": witnesses,
-        "controlled_verdict": controlled_kind,
-        "controlled_bounds": controlled_bounds,
-        "controlled_witnesses": controlled_witnesses,
+        "verdict": verdict.kind,
+        "bounds": _bounds_obj(verdict.bounds),
+        "witnesses": verdict.witnesses,
+        "controlled_verdict": cv.kind,
+        "controlled_bounds": _bounds_obj(cv.bounds),
+        "controlled_witnesses": cv.witnesses,
         "commutation": {
             "cc_commutator": commutation.cc_commutator,
             "per_point": list(commutation.per_point),
@@ -176,33 +169,31 @@ def cmd_analyze(args) -> int:
         "condition_numbers": {
             "C": pair.c.condition_number,
             "Cprime": pair.cp.condition_number,
-            "frame_operator": cond_plain,
-            "controlled_frame_operator": cond_cc,
+            "frame_operator": _condition(verdict.bounds),
+            "controlled_frame_operator": _condition(cv.bounds),
         },
     }
     _write_report(report, args.out)
-    sys.stderr.write(f"verdict: {kind}\n")
-    return EXIT_OK if kind == FRAME else EXIT_NOT_FRAME
+    sys.stderr.write(f"verdict: {verdict.kind}\n")
+    return EXIT_OK if verdict.kind == FRAME else EXIT_NOT_FRAME
 
 
 def cmd_verify(args) -> int:
-    tol = _resolve_tol(args.tol)
+    tol = _resolve_tol(args.tol, DEFAULT_TOL)
     if args.batch is not None and args.default:
         raise GFrameError("--batch and --default are mutually exclusive")
     if args.batch is not None:
         batch = ser.batch_from_obj(_load_json(args.batch))
     else:
         batch = default_batch()
-    kwargs = {} if tol is None else {"tol": tol}
-    results = run_suite(batch, **kwargs)
+    results = run_suite(batch, tol)
     for r in results:
         sys.stderr.write(f"{r.check_id}: {r.status} "
                          f"({r.passes}/{r.scenarios_run})\n")
-    effective = DEFAULT_TOL if tol is None else tol
     report = {
         "version": ser.REPORT_VERSION,
         "tolerances": {
-            "check": effective,
+            "check": tol,
             "norm_bound": NORM_BOUND_TOL,
             "adjoint": ADJOINT_TOL,
             "scalar_tight": SCALAR_TIGHT_TOL,
@@ -231,11 +222,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    tol = _resolve_tol(args.tol)
-    if tol is None:
-        tol = 1e-8
-    obj = _load_json(args.path)
-    scenario = ser.scenario_from_obj(obj)
+    tol = _resolve_tol(args.tol, RECONSTRUCT_TOL)
+    scenario = ser.scenario_from_obj(_load_json(args.path))
     family = scenario.family
     if args.vector is not None:
         x = ser.vector_from_obj(_load_json(args.vector))

@@ -29,8 +29,8 @@ import numpy as np
 from .algebra import DEFAULT_TOL, spectral_norm
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
-from .frames import (FRAME, FRAME_TOL_RELATIVE, FrameBounds, FrameVerdict,
-                     GFrameFamily, _spectrum, _verdict, frame_operator)
+from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
+                     _spectrum, _verdict, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, is_bounded_below, op_adjoint,
@@ -258,9 +258,9 @@ def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
 
 
 def controlled_classify(scenario: ControlledScenario,
-                        tol: float = FRAME_TOL_RELATIVE) -> FrameVerdict:
+                        tol: float = DEFAULT_TOL) -> FrameVerdict:
     """Frame / Bessel-only verdict for the controlled operator, with the
-    relative threshold of ``classify``.
+    relative threshold of ``classify`` and its default ``DEFAULT_TOL``.
 
     Witnesses carry the controlled extremes plus the plain family's upper
     spectral edge, so both Bessel bounds are reported side by side.
@@ -319,14 +319,20 @@ def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
 NORM_BOUND_TOL = 1e-8
 
 
+def _norm_bound(norm: float, upper: float,
+                tol: float = NORM_BOUND_TOL) -> tuple[bool, float]:
+    """Whether ``norm <= sqrt(upper)`` holds within ``tol * max(1,
+    sqrt(upper))``, and by how much ``norm`` exceeds ``sqrt(upper)``."""
+    root = float(np.sqrt(max(upper, 0.0)))
+    return norm - root - tol * max(1.0, root) <= 0, max(0.0, norm - root)
+
+
 def synthesis_norm_check(scenario: ControlledScenario,
                          tol: float = NORM_BOUND_TOL) -> bool:
     """Check the synthesis norm against the controlled upper bound:
     ``op_norm(synthesis) <= sqrt(lambda_max) + tol * scale``."""
     hi = _spectrum(controlled_frame_operator(scenario))[1]
-    sigma = op_norm(synthesis_operator(scenario))
-    root = float(np.sqrt(max(hi, 0.0)))
-    return sigma <= root + tol * max(1.0, root)
+    return _norm_bound(op_norm(synthesis_operator(scenario)), hi, tol)[0]
 
 
 # Largest relative residual at which the adjoint matches a closed form.
@@ -336,12 +342,14 @@ ADJOINT_TOL = 1e-10
 @dataclass(frozen=True)
 class CrossAdjointDiagnostic:
     """Relative residuals of the true adjoint against the two printed
-    closed forms (controls swapped between them)."""
+    closed forms (controls swapped between them), and the adjoint's norm,
+    which scales them and equals the cross operator's norm."""
 
     statement_residual: float
     proof_residual: float
     matches_statement: bool
     matches_proof: bool
+    adjoint_norm: float
 
 
 def _check_same_measure(lam: GFrameFamily, gam: GFrameFamily) -> None:
@@ -388,10 +396,12 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     adj = op_adjoint(cross_operator(lam, gam, pair))
     ca, cpa = pair.c.base.action, pair.cp.base.action
     mixed = gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
-    scale = max(1.0, spectral_norm(adj.action))
+    norm = spectral_norm(adj.action)
+    scale = max(1.0, norm)
     r_stmt = spectral_norm(adj.action - ca @ mixed @ cpa) / scale
     r_proof = spectral_norm(adj.action - cpa @ mixed @ ca) / scale
-    return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
+    return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
+                                       r_proof <= tol, norm)
 
 
 def bounds_plain_from_cc(lower: float, upper: float,
@@ -429,32 +439,36 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
 
     The bound is ``m = 1 / norm(inverse of (k k*))`` for the second family's
     stacked synthesis ``k``; the sandwich ``m * id <= controlled operator`` is
-    verified before returning.  Raises ``PreconditionViolated`` naming the
-    failing hypothesis, or ``CommutationViolated`` from the certificate.
+    verified before returning, and ``ArithmeticError`` is raised when it
+    fails.  Raises ``PreconditionViolated`` naming the failing hypothesis,
+    or ``CommutationViolated`` from the certificate.
     """
     cross = cross_operator(lam, gam, pair)
     if _verdict(controlled_frame_operator(ControlledScenario(lam, pair))).kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     scen_gam = ControlledScenario(gam, pair)
     lo_gam = _spectrum(controlled_frame_operator(scen_gam))[0]
-    return _transfer(op_adjoint(cross), scen_gam, lo_gam, tol)
+    res, at_floor = _transfer(op_adjoint(cross), scen_gam, lo_gam, tol)
+    if not at_floor:
+        raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "
+                              f"exceeds the spectral floor {lo_gam:.6e}")
+    return res
 
 
 def _transfer(adj: ModuleOperator, scen_gam: ControlledScenario,
-              lo_gam: float, tol: float) -> TransferResult:
+              lo_gam: float, tol: float) -> tuple[TransferResult, bool]:
     """Transfer from ``adj``, the adjoint of the cross operator of a known
-    controlled frame, to the second scenario with controlled floor ``lo_gam``."""
+    controlled frame, to the second scenario with controlled floor
+    ``lo_gam``, and whether the derived bound stays at that floor within
+    ``tol * max(1, bound)``; a transfer with no bound stays there."""
     ok, _ = is_bounded_below(adj, tol)
     if not ok:
-        return TransferResult(False, None)
+        return TransferResult(False, None), True
     k = synthesis_operator(scen_gam)
     gram = k.action.conj().T @ k.action
     m = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
     m = max(m, 0.0)
-    if lo_gam < m - tol * max(1.0, m):
-        raise ArithmeticError(
-            f"derived bound {m:.6e} exceeds the spectral floor {lo_gam:.6e}")
-    return TransferResult(True, m)
+    return TransferResult(True, m), not lo_gam < m - tol * max(1.0, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,9 +22,6 @@ from .module_space import ModuleVector, inner
 from .operators import ModuleOperator
 from .rng import complex_normal, stream
 
-# Default fraction of lambda_max that lambda_min must exceed for a frame.
-FRAME_TOL_RELATIVE = 1e-8
-
 FRAME = "frame"
 BESSEL_ONLY = "bessel_only"
 
@@ -113,11 +110,13 @@ def _spectrum(op: ModuleOperator) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _verdict(op: ModuleOperator, tol: float = FRAME_TOL_RELATIVE,
+def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL,
              **witnesses: float) -> FrameVerdict:
     """Frame / Bessel-only verdict from the spectrum of a frame operator: a
     frame when ``lambda_min > tol * lambda_max``.  The threshold is relative,
-    so rescaling the operator leaves the verdict alone.
+    so rescaling the operator leaves the verdict alone; its default,
+    ``DEFAULT_TOL``, is the one frame threshold of the library, the verifier
+    and every CLI command.
 
     The extreme eigenvalues lead the witnesses, followed by ``witnesses``.
     """
@@ -128,9 +127,9 @@ def _verdict(op: ModuleOperator, tol: float = FRAME_TOL_RELATIVE,
     return FrameVerdict(BESSEL_ONLY, None, witnesses)
 
 
-def optimal_bounds(family: GFrameFamily, tol: float = FRAME_TOL_RELATIVE) -> FrameBounds:
+def optimal_bounds(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; ``NotAFrame`` if the lower
-    one does not clear ``tol`` times the upper one."""
+    one does not clear ``tol`` (default ``DEFAULT_TOL``) times the upper one."""
     verdict = _verdict(frame_operator(family), tol)
     if verdict.bounds is None:
         raise NotAFrame(f"lower spectral edge {verdict.witnesses['lambda_min']:.3e} "
@@ -138,9 +137,10 @@ def optimal_bounds(family: GFrameFamily, tol: float = FRAME_TOL_RELATIVE) -> Fra
     return verdict.bounds
 
 
-def classify(family: GFrameFamily, tol: float = FRAME_TOL_RELATIVE) -> FrameVerdict:
+def classify(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameVerdict:
     """Frame / Bessel-only verdict from the frame operator's spectrum: a
-    frame when its smallest eigenvalue exceeds ``tol`` times its largest."""
+    frame when its smallest eigenvalue exceeds ``tol`` (default
+    ``DEFAULT_TOL``) times its largest."""
     return _verdict(frame_operator(family), tol)
 
 

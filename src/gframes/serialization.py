@@ -15,6 +15,7 @@ from itertools import chain
 
 import numpy as np
 
+from .algebra import DEFAULT_TOL
 from .controlled import ControlledScenario, make_scenario
 from .errors import SchemaError
 from .frames import GFrameFamily, MeasurePoint
@@ -235,8 +236,9 @@ def scenario_to_obj(s: ControlledScenario) -> dict:
     return obj
 
 
-def scenario_from_obj(obj, tol: float | None = None) -> ControlledScenario:
-    """Schema-validate a scenario document, then build it.
+def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
+    """Schema-validate a scenario document, then build it with controls
+    certified at ``tol``.
 
     Shape errors raise ``SchemaError`` naming the offending path; semantic
     control failures (not Hermitian, not positive definite) surface from the
@@ -269,8 +271,7 @@ def scenario_from_obj(obj, tol: float | None = None) -> ControlledScenario:
         else:
             mat = matrix_from_obj(v, d * n, d * n, key)
             controls.append(make_positive_invertible(ModuleOperator(n, d, d, mat)))
-    kwargs = {} if tol is None else {"tol": tol}
-    return make_scenario(family, controls[0], controls[1], **kwargs)
+    return make_scenario(family, controls[0], controls[1], tol)
 
 
 # ------------------------------------------------------ generator specs

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, spectral_norm
-from .controlled import (ADJOINT_TOL, NORM_BOUND_TOL, ControlledScenario,
+from .controlled import (ADJOINT_TOL, ControlledScenario, _norm_bound,
                          _transfer, bounds_cc_from_plain, bounds_plain_from_cc,
                          controlled_frame_operator, cross_adjoint_resolve,
                          make_control_pair, synthesis_operator)
@@ -233,26 +233,17 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
         "verdicts disagree" if not agree else "scalar transfer not tight" if loose
         else "transferred bounds invalid")
 
-    # synthesis_norm_bound.
-    root = float(np.sqrt(max(hi_c, 0.0)))
-    excess = sigma - root - NORM_BOUND_TOL * max(1.0, root)
-    out["synthesis_norm_bound"] = _Outcome(excess <= 0, max(0.0, sigma - root),
+    out["synthesis_norm_bound"] = _Outcome(*_norm_bound(sigma, hi_c),
                                            "synthesis norm above bound")
 
     # Two-family checks against the twin, all on one cross operator.
     scen_twin = ControlledScenario(twin, pair)
     verdict_twin = _verdict(controlled_frame_operator(scen_twin))
     adj, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
-
     # an operator and its adjoint have the same norm
-    cross_norm = op_norm(adj)
-    e1 = hi_c
-    e2 = verdict_twin.witnesses["lambda_max"]
-    bound = float(np.sqrt(max(e1 * e2, 0.0)))
-    excess = cross_norm - bound - NORM_BOUND_TOL * max(1.0, bound)
+    hi_twin = verdict_twin.witnesses["lambda_max"]
     out["cross_operator_norm_bound"] = _Outcome(
-        excess <= 0, max(0.0, cross_norm - bound),
-        "cross norm above bound")
+        *_norm_bound(diag.adjoint_norm, hi_c * hi_twin), "cross norm above bound")
 
     amax = max(diag.statement_residual, diag.proof_residual)
     aok = diag.matches_proof and diag.matches_statement
@@ -261,16 +252,15 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # surjectivity_transfer: first family must be a controlled frame.
     if verdict.kind == FRAME:
         lo_twin = verdict_twin.witnesses["lambda_min"]
-        res = _transfer(adj, scen_twin, lo_twin, SURJECTIVITY_TOL)
+        res, at_floor = _transfer(adj, scen_twin, lo_twin, SURJECTIVITY_TOL)
         if not res.surjective:
             out["surjectivity_transfer"] = _Outcome(False, 1.0,
                                                     "mixed operator not surjective")
         else:
-            gap = res.gamma_lower_bound - lo_twin
-            ok = (gap <= NORM_BOUND_TOL * max(1.0, lo_twin)
-                  and verdict_twin.kind == FRAME)
             out["surjectivity_transfer"] = _Outcome(
-                ok, abs(gap), "derived bound does not certify the twin")
+                at_floor and verdict_twin.kind == FRAME,
+                abs(res.gamma_lower_bound - lo_twin),
+                "derived bound does not certify the twin")
 
     # bound_product_probe (empirical): claimed bounds scaled by control norms.
     if plain_verdict.kind == FRAME:

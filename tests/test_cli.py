@@ -110,15 +110,31 @@ def test_analyze_builds_the_plain_frame_operator_once(scen, tmp_path, calls):
         controlled_classify(sc, tol=1e-9).witnesses
 
 
-def test_analyze_verdict_ignores_weight_scale(tmp_path, capsys):
-    # every weight times 1e-12 leaves a frame that reconstructs to roundoff,
-    # so analyze's verdict, relative to lambda_max, must say frame too
+def weights_times_1e12():
+    """Generic (2, 2, 4) seed 3 with every weight times 1e-12."""
     obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
                                                      flavor="generic")))
     for point in obj["points"]:
         point["weight"] *= 1e-12
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(obj))
+    return obj
+
+
+def spectral_ratio_5e9():
+    """Two unit-weight points whose frame operator is diag(1, 5e-9)."""
+    return {"version": 1, "n": 1, "d": 2,
+            "points": [{"weight": 1.0, "dw": 1, "lambda": [[1.0, 0.0], [0.0, 0.0]]},
+                       {"weight": 1.0, "dw": 1,
+                        "lambda": [[0.0, 0.0], [float(np.sqrt(5e-9)), 0.0]]}],
+            "C": "identity", "Cprime": "identity"}
+
+
+@pytest.mark.parametrize("build", [weights_times_1e12, spectral_ratio_5e9])
+def test_analyze_verdict_ignores_weight_scale(build, tmp_path, capsys):
+    # both files are frames that reconstruct to roundoff, so analyze's
+    # verdict, relative to lambda_max, must say frame too: analyze and
+    # reconstruct share one frame threshold
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(build()))
     assert main(["reconstruct", str(path), "--random", "1"]) == 0
     assert main(["analyze", str(path)]) == 0
     assert "verdict: frame" in capsys.readouterr().err

@@ -997,6 +997,7 @@ def test_two_family_operations_match_reference(certificate_calls, spec):
     assert (adj.action == ref_adj).all()
     assert (diag.statement_residual, diag.proof_residual,
             diag.matches_statement, diag.matches_proof) == ref_diag
+    assert diag.adjoint_norm == np.linalg.norm(ref_adj, 2)
     assert (outcome(surjectivity_transfer, lam, twin, pair)
             == outcome(reference_transfer, lam, twin, pair))
     # the two-family calls reuse the certificate the twin scenario computed

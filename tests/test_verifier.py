@@ -7,10 +7,10 @@ import numpy as np
 
 import pytest
 
-from gframes import (CHECKS, GeneratorSpec, default_batch, run_suite,
-                     suite_passed)
+from gframes import (CHECKS, GeneratorSpec, default_batch, generate_pair,
+                     run_suite, suite_passed, surjectivity_transfer)
 from gframes.rng import complex_normal, stream
-from gframes import verifier
+from gframes import controlled, verifier
 from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
 
 EXPECTED_IDS = {
@@ -126,6 +126,27 @@ def test_scalar_transfer_gate_holds_below_tol(monkeypatch):
     assert 1e-10 <= f.residual <= 1.1e-10
 
 
+def test_transfer_off_its_floor_is_recorded(monkeypatch):
+    # a derived bound above the twin's controlled floor is a failed check in
+    # the suite, while the library call still raises
+    real = controlled.synthesis_operator
+
+    def inflated(scenario):
+        t = real(scenario)
+        return dataclasses.replace(t, action=t.action * (1 + 1e-6))
+    monkeypatch.setattr(controlled, "synthesis_operator", inflated)
+    spec = GeneratorSpec(seed=101, n=2, d=2, m=4, flavor="commuting")
+    results = run_suite([spec])
+    r = {r.check_id: r for r in results}["surjectivity_transfer"]
+    assert (r.passes, r.scenarios_run, r.status) == (0, 1, "fail")
+    [f] = r.failures
+    assert f.detail == "derived bound does not certify the twin"
+    assert 3.7e-6 <= f.residual <= 3.8e-6
+    sc, twin = generate_pair(spec)
+    with pytest.raises(ArithmeticError, match="exceeds the spectral floor"):
+        surjectivity_transfer(sc.family, twin, sc.pair)
+
+
 def test_probe_is_always_empirical():
     results = run_suite(small_batch())
     by_id = {r.check_id: r for r in results}
@@ -145,7 +166,8 @@ def test_empty_batch_rejected():
 # sharing: the parseval generator normalizes family and twin; the
 # scenario, its same-control pair and the twin each take one controlled
 # operator, which conjugates the plain operator of its family; one cross
-# operator serves every two-family check, and the transfer step of a frame
+# operator serves every two-family check, its norm taken once by the
+# adjoint diagnostic, and the transfer step of a frame
 # builds the twin's synthesis; the commuting generator certifies two
 # controls.  Each control's norm and inverse norm are taken at most once,
 # and the Hermitian-ness norms once per distinct operator: the generic and
@@ -153,13 +175,13 @@ def test_empty_batch_rejected():
 # the plain one.
 SCENARIO_BUILDS = {
     "generic": {"frame_operator": 2, "controlled_frame_operator": 3,
-                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 9},
+                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 8},
     "commuting": {"frame_operator": 2, "controlled_frame_operator": 3,
-                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 11},
+                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 10},
     "parseval": {"frame_operator": 4, "controlled_frame_operator": 3,
-                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 9},
+                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 8},
     "bessel_only": {"frame_operator": 2, "controlled_frame_operator": 3,
-                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 10},
+                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 9},
 }
 
 
@@ -185,8 +207,8 @@ def test_scenario_builds_each_operator_once(calls, flavor):
 # bits: the transferred bounds of an identity pair, whose same-control
 # operator is the plain one, and the gram sandwich, each sit on an edge of
 # the spectrum.
-SCENARIO_NORMS = {"bessel_only": 17, "commuting": 26, "generic": 19,
-                  "parseval": 23}
+SCENARIO_NORMS = {"bessel_only": 16, "commuting": 25, "generic": 18,
+                  "parseval": 22}
 
 
 @pytest.mark.parametrize("flavor", sorted(SCENARIO_NORMS))
