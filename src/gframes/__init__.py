@@ -15,8 +15,7 @@ from .controlled import (CommutationReport, ControlPair, ControlledScenario,
                          TransferResult, analysis, bounds_cc_from_plain,
                          bounds_plain_from_cc, controlled_classify,
                          controlled_frame_operator, cross_adjoint_resolve,
-                         cross_operator, decide_commutation,
-                         make_control_pair, make_scenario, reconstruct,
+                         cross_operator, decide_commutation, reconstruct,
                          surjectivity_transfer, synthesis,
                          synthesis_norm_check, synthesis_operator,
                          validate_commutation)
@@ -55,9 +54,8 @@ __all__ = [
     "energy_bound_check", "gram_sandwich_check", "is_bounded_below",
     "is_surjective", "make_positive_invertible", "identity_control",
     "frame_operator", "optimal_bounds", "classify", "sandwich_sum",
-    "check_sandwich", "make_control_pair", "make_scenario",
-    "validate_commutation", "decide_commutation", "controlled_frame_operator",
-    "controlled_classify",
+    "check_sandwich", "validate_commutation", "decide_commutation",
+    "controlled_frame_operator", "controlled_classify",
     "synthesis", "analysis", "synthesis_operator", "synthesis_norm_check",
     "cross_operator", "cross_adjoint_resolve", "bounds_plain_from_cc",
     "bounds_cc_from_plain", "surjectivity_transfer", "reconstruct",

@@ -119,6 +119,12 @@ def alg_sqrt(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
     """
     if not is_positive(a, tol):
         raise NotPositive(f"element is not positive within tol={tol}")
-    w, v = np.linalg.eigh(_hermitian_part(a.entries))
+    return AlgebraElement(_psd_sqrt(a.entries))
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Positive square root of the Hermitian part of ``m`` via ``eigh``, with
+    eigenvalues below zero clamped to zero first; no positivity check."""
+    w, v = np.linalg.eigh(_hermitian_part(m))
     w = np.clip(w, 0.0, None)
-    return AlgebraElement((v * np.sqrt(w)) @ v.conj().T)
+    return (v * np.sqrt(w)) @ v.conj().T

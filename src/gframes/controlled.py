@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, spectral_norm
+from .algebra import DEFAULT_TOL, _psd_sqrt, spectral_norm
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
@@ -51,7 +51,8 @@ class CommutationReport:
 @dataclass(frozen=True, eq=False)
 class ControlPair:
     """Two positive invertible controls on one space and the tolerance, a
-    nonnegative number, of their commutation certificates.
+    nonnegative number defaulting to ``DEFAULT_TOL``, of their commutation
+    certificates.
 
     Commuting with a family's gram terms is a property of the pair on that
     family, so the pair keeps, per family, the verdict of ``passed_on`` and
@@ -64,7 +65,7 @@ class ControlPair:
 
     c: PositiveInvertibleOperator
     cp: PositiveInvertibleOperator
-    tol: float
+    tol: float = DEFAULT_TOL
     _reports: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _verdicts: dict = field(default_factory=dict, init=False, repr=False,
@@ -109,10 +110,8 @@ class ControlPair:
         if self.cp is self.c:
             return c
         product = self.cp.base.action @ c.action  # right-action matrix of c o cp
-        w, v = np.linalg.eigh(0.5 * (product + product.conj().T))
-        w = np.clip(w, 0.0, None)
-        root = (v * np.sqrt(w)) @ v.conj().T
-        return ModuleOperator(c.algebra_dim, c.domain_rank, c.domain_rank, root)
+        return ModuleOperator(c.algebra_dim, c.domain_rank, c.domain_rank,
+                              _psd_sqrt(product))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,28 +218,19 @@ def decide_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
     return all(v <= tol for v in _relative_commutators(family, c, cp, tol))
 
 
-def make_control_pair(c: PositiveInvertibleOperator,
-                      cp: PositiveInvertibleOperator,
-                      tol: float = DEFAULT_TOL) -> ControlPair:
-    """Two controls acting on the same space, certified at ``tol`` against
-    each family they are used with."""
-    return ControlPair(c, cp, tol)
-
-
-def make_scenario(family: GFrameFamily, c: PositiveInvertibleOperator,
-                  cp: PositiveInvertibleOperator,
-                  tol: float = DEFAULT_TOL) -> ControlledScenario:
-    return ControlledScenario(family, make_control_pair(c, cp, tol))
-
-
-def _require_certificate(scenario: ControlledScenario) -> None:
-    pair, family = scenario.pair, scenario.family
+def _require_certificate(family: GFrameFamily, pair: ControlPair,
+                         role: str = "") -> None:
+    """Raise ``CommutationViolated`` unless ``pair`` passes its certificate on
+    ``family``, with the worst exact relative commutator in the message and,
+    for a two-family operation, the ``role`` ("first" or "second") of the
+    family that failed; the exact walk runs only on failure."""
     if not pair.passed_on(family):
         report = pair.report_on(family)
         worst = max([report.cc_commutator]
                     + [r for row in report.per_point for r in row])
+        where = f" on the {role} family" if role else ""
         raise CommutationViolated(
-            f"commutation certificate failed (worst relative commutator "
+            f"commutation certificate failed{where} (worst relative commutator "
             f"{worst:.3e} > tol {report.tol:.3e})")
 
 
@@ -248,7 +238,7 @@ def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
     """``sum_w weight * c (gram_w) c'`` once the certificate passes, built as
     ``R S R`` for ``R = sqrt(c c')`` and ``S``, the family's frame operator;
     ``S`` itself for two identity controls."""
-    _require_certificate(scenario)
+    _require_certificate(scenario.family, scenario.pair)
     s = frame_operator(scenario.family)
     pair = scenario.pair
     if pair.c.is_identity and pair.cp.is_identity:
@@ -274,7 +264,7 @@ def synthesis(scenario: ControlledScenario,
               coefficients: Sequence[ModuleVector]) -> ModuleVector:
     """Weighted sum ``sum_w weight * sqrt(c c') adjoint(lam_w) y_w`` mapping a
     coefficient list back into the module."""
-    _require_certificate(scenario)
+    _require_certificate(scenario.family, scenario.pair)
     f = scenario.family
     if len(coefficients) != f.size:
         raise ValueError(f"expected {f.size} coefficient vectors, got {len(coefficients)}")
@@ -292,7 +282,7 @@ def synthesis(scenario: ControlledScenario,
 
 def analysis(scenario: ControlledScenario, x: ModuleVector) -> list[ModuleVector]:
     """Coefficient list ``[lam_w (sqrt(c c') x)]`` of a module vector."""
-    _require_certificate(scenario)
+    _require_certificate(scenario.family, scenario.pair)
     f = scenario.family
     if x.algebra_dim != f.algebra_dim or x.rank != f.module_rank:
         raise ValueError("vector does not live in the family's module")
@@ -308,7 +298,7 @@ def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
     with the sqrt-weight convention its Gram ``t* t`` reproduces the
     controlled frame operator and its norm is the true synthesis norm.
     """
-    _require_certificate(scenario)
+    _require_certificate(scenario.family, scenario.pair)
     f = scenario.family
     l = f.synthesis_matrix
     return ModuleOperator(f.algebra_dim, l.shape[1] // f.algebra_dim, f.module_rank,
@@ -364,18 +354,13 @@ def _check_same_measure(lam: GFrameFamily, gam: GFrameFamily) -> None:
             raise MeasureMismatch(f"codomain ranks differ at point {i}")
 
 
-def _require_pair_on(family: GFrameFamily, pair: ControlPair, what: str) -> None:
-    if not pair.passed_on(family):
-        raise CommutationViolated(f"controls do not commute with the {what} family")
-
-
 def cross_operator(lam: GFrameFamily, gam: GFrameFamily,
                    pair: ControlPair) -> ModuleOperator:
     """Mixed operator ``sum_w weight * c adjoint(gam_w) lam_w c'`` of two
     families sharing the same weighted points, as ``c (L_lam L_gam^H) c'``."""
     _check_same_measure(lam, gam)
-    _require_pair_on(lam, pair, "first")
-    _require_pair_on(gam, pair, "second")
+    _require_certificate(lam, pair, "first")
+    _require_certificate(gam, pair, "second")
     mixed = lam.synthesis_matrix @ gam.synthesis_matrix.conj().T
     n, d = lam.algebra_dim, lam.module_rank
     return ModuleOperator(n, d, d, pair.c.base.action @ mixed @ pair.cp.base.action)

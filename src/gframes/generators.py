@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledScenario, make_control_pair
+from .controlled import ControlPair, ControlledScenario
 from .errors import InvalidSpec
 from .frames import GFrameFamily, MeasurePoint, frame_operator
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
@@ -192,12 +192,16 @@ def _controls(spec: GeneratorSpec, skel: _Skeleton
     return c, cp
 
 
+def _scenario(spec: GeneratorSpec, skel: _Skeleton) -> ControlledScenario:
+    """The spec's family and controls on a drawn skeleton; ``_controls``
+    draws nothing, so building the twin after them moves no bit."""
+    family = _build_family(spec, skel, twin=False)
+    return ControlledScenario(family, ControlPair(*_controls(spec, skel)))
+
+
 def generate(spec: GeneratorSpec) -> ControlledScenario:
     """Build the scenario a spec describes; equal specs give equal bytes."""
-    skel = _draw_skeleton(spec)
-    family = _build_family(spec, skel, twin=False)
-    c, cp = _controls(spec, skel)
-    return ControlledScenario(family, make_control_pair(c, cp))
+    return _scenario(spec, _draw_skeleton(spec))
 
 
 def generate_pair(spec: GeneratorSpec) -> tuple[ControlledScenario, GFrameFamily]:
@@ -205,7 +209,4 @@ def generate_pair(spec: GeneratorSpec) -> tuple[ControlledScenario, GFrameFamily
     singular values (generic flavor: fresh normal actions), for two-family
     checks that need shared measure and commutation structure."""
     skel = _draw_skeleton(spec)
-    family = _build_family(spec, skel, twin=False)
-    twin = _build_family(spec, skel, twin=True)
-    c, cp = _controls(spec, skel)
-    return ControlledScenario(family, make_control_pair(c, cp)), twin
+    return _scenario(spec, skel), _build_family(spec, skel, twin=True)

@@ -61,10 +61,6 @@ class ModuleVector:
         n = self.algebra_dim
         return AlgebraElement(self.flat[:, i * n:(i + 1) * n])
 
-    @property
-    def blocks(self) -> tuple:
-        return tuple(self.block(i) for i in range(self.rank))
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         _check_compatible(self, other)
         return ModuleVector(self.algebra_dim, self.rank, self.flat + other.flat)

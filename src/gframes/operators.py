@@ -147,11 +147,10 @@ def gram_sandwich_check(t: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True, eq=False)
 class PositiveInvertibleOperator:
     """A square operator certified positive definite at construction, with its
-    square root and inverse cached, and its norm, its inverse's norm and
-    whether it is the identity decided on first use."""
+    inverse cached, and its norm, its inverse's norm and whether it is the
+    identity decided on first use."""
 
     base: ModuleOperator
-    sqrt: ModuleOperator
     inverse: ModuleOperator
     condition_number: float
 
@@ -172,7 +171,7 @@ class PositiveInvertibleOperator:
 
 def make_positive_invertible(m: ModuleOperator,
                              tol: float = DEFAULT_TOL) -> PositiveInvertibleOperator:
-    """Certify ``m`` Hermitian positive definite and cache sqrt and inverse.
+    """Certify ``m`` Hermitian positive definite and cache its inverse.
 
     Hermitian within ``tol * max(1, norm)`` (else ``NotHermitian``); smallest
     eigenvalue > ``tol * norm`` (else ``NotPositiveDefinite``).
@@ -188,14 +187,10 @@ def make_positive_invertible(m: ModuleOperator,
     if lo <= tol * nrm:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {lo:.3e} not above tol * norm = {tol * nrm:.3e}")
-    vh = v.conj().T
-    mk = lambda mat: ModuleOperator(m.algebra_dim, m.domain_rank, m.domain_rank, mat)
-    pos = PositiveInvertibleOperator(
-        base=m,
-        sqrt=mk((v * np.sqrt(w)) @ vh),
-        inverse=mk((v * (1.0 / w)) @ vh),
-        condition_number=hi / lo,
-    )
+    inverse = ModuleOperator(m.algebra_dim, m.domain_rank, m.domain_rank,
+                             (v * (1.0 / w)) @ v.conj().T)
+    pos = PositiveInvertibleOperator(base=m, inverse=inverse,
+                                     condition_number=hi / lo)
     vars(pos)["norm"] = nrm  # op_norm(m), already taken above
     return pos
 
@@ -203,5 +198,4 @@ def make_positive_invertible(m: ModuleOperator,
 def identity_control(n: int, d: int) -> PositiveInvertibleOperator:
     """The identity as a certified positive invertible operator."""
     eye = ModuleOperator.identity(n, d)
-    return PositiveInvertibleOperator(base=eye, sqrt=eye, inverse=eye,
-                                      condition_number=1.0)
+    return PositiveInvertibleOperator(base=eye, inverse=eye, condition_number=1.0)

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .algebra import DEFAULT_TOL
-from .controlled import ControlledScenario, make_scenario
+from .controlled import ControlPair, ControlledScenario
 from .errors import SchemaError
 from .frames import GFrameFamily, MeasurePoint
 from .generators import GeneratorSpec
@@ -271,7 +271,7 @@ def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
         else:
             mat = matrix_from_obj(v, d * n, d * n, key)
             controls.append(make_positive_invertible(ModuleOperator(n, d, d, mat)))
-    return make_scenario(family, controls[0], controls[1], tol)
+    return ControlledScenario(family, ControlPair(controls[0], controls[1], tol))
 
 
 # ------------------------------------------------------ generator specs

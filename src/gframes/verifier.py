@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_TOL, spectral_norm
-from .controlled import (ADJOINT_TOL, ControlledScenario, _norm_bound,
-                         _transfer, bounds_cc_from_plain, bounds_plain_from_cc,
-                         controlled_frame_operator, cross_adjoint_resolve,
-                         make_control_pair, synthesis_operator)
+from .controlled import (ADJOINT_TOL, ControlledScenario, ControlPair,
+                         _norm_bound, _transfer, bounds_cc_from_plain,
+                         bounds_plain_from_cc, controlled_frame_operator,
+                         cross_adjoint_resolve, synthesis_operator)
 from .frames import FRAME, _energy, _verdict, frame_operator
 from .generators import GeneratorSpec, generate_pair
 from .operators import SURJECTIVITY_TOL, op_norm
@@ -206,7 +206,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     # cc_equivalence_bounds: same-control pair against the plain family;
     # its certificate's entries are a subset of the pair's, which passed.
-    pair_cc = make_control_pair(pair.c, pair.c, pair.tol)
+    pair_cc = ControlPair(pair.c, pair.c, pair.tol)
     sc_cc = controlled_frame_operator(ControlledScenario(family, pair_cc))
     verdict_cc = _verdict(sc_cc)
     agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)

@@ -18,7 +18,7 @@ from gframes import (FRAME, ControlledScenario, GeneratorSpec, ModuleOperator,
                      cross_adjoint_resolve, cross_operator, default_batch,
                      energy_bound_check, frame_operator, generate,
                      generate_pair, gram_sandwich_check, is_surjective,
-                     make_control_pair, make_scenario, op_norm, reconstruct,
+                     ControlPair, op_norm, reconstruct,
                      run_suite, surjectivity_transfer, synthesis_operator,
                      vec_norm)
 from gframes.cli import main
@@ -169,7 +169,7 @@ def test_criterion_equivalence_transfer(capfd):
     for scenario in commuting_equivalence_batch():
         fam = scenario.family
         c = scenario.pair.c
-        sym = make_scenario(fam, c, c)
+        sym = ControlledScenario(fam, ControlPair(c, c))
         plain_v = classify(fam)
         cc_v = controlled_classify(sym)
         if (plain_v.kind == FRAME) != (cc_v.kind == FRAME):
@@ -237,7 +237,7 @@ def test_criterion_cross_operator(capfd):
     for scenario, twin in hundred_pairs():
         fam, pair = scenario.family, scenario.pair
         e1 = controlled_classify(scenario).witnesses["lambda_max"]
-        twin_scen = ControlledScenario(twin, make_control_pair(pair.c, pair.cp))
+        twin_scen = ControlledScenario(twin, ControlPair(pair.c, pair.cp))
         e2 = controlled_classify(twin_scen).witnesses["lambda_max"]
         cross = cross_operator(fam, twin, pair)
         bound = float(np.sqrt(e1 * e2))
@@ -271,7 +271,7 @@ def test_criterion_surjectivity_transfer(capfd):
         if not result.surjective:
             not_surjective += 1
             continue
-        twin_scen = ControlledScenario(twin, make_control_pair(pair.c, pair.cp))
+        twin_scen = ControlledScenario(twin, ControlPair(pair.c, pair.cp))
         tv = controlled_classify(twin_scen)
         if tv.kind != FRAME:
             verdict_bad += 1
