@@ -10,6 +10,7 @@ reconstruction check failed, 1 usage, schema, or data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call and then kept:
+    parsing leaves it unchanged."""
     p = _Parser(prog="gframes",
                 description="Analyze, generate and verify controlled "
                             "operator-valued frames over matrix algebras.")

@@ -30,7 +30,7 @@ from .algebra import DEFAULT_TOL, _psd_sqrt, spectral_norm
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
-                     _spectrum, _verdict, frame_operator)
+                     _spectrum, _verdict, _verdicts, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, is_bounded_below, op_adjoint,
@@ -112,6 +112,16 @@ class ControlPair:
         product = self.cp.base.action @ c.action  # right-action matrix of c o cp
         return ModuleOperator(c.algebra_dim, c.domain_rank, c.domain_rank,
                               _psd_sqrt(product))
+
+
+def _same_control(pair: ControlPair) -> ControlPair:
+    """``ControlPair(pair.c, pair.c, pair.tol)``, already passed on every
+    family ``pair`` passed on.  Its certificate's commutators are a subset of
+    ``pair``'s: ``[c, c]`` is an exact zero, and each ``[c, gram_w]`` takes
+    the same Frobenius or spectral decision in both walks."""
+    cc = ControlPair(pair.c, pair.c, pair.tol)
+    cc._verdicts.update((f, True) for f, ok in pair._verdicts.items() if ok)
+    return cc
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,12 +389,16 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     not guarantee.  Both residuals are reported rather than picking one.
     """
     adj = op_adjoint(cross_operator(lam, gam, pair))
+    a = adj.action
     ca, cpa = pair.c.base.action, pair.cp.base.action
     mixed = gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
-    norm = spectral_norm(adj.action)
+    # the adjoint's norm and both differences' norms, from one stacked SVD
+    norm, d_stmt, d_proof = (float(v) for v in np.linalg.svd(
+        np.stack((a, a - ca @ mixed @ cpa, a - cpa @ mixed @ ca)),
+        compute_uv=False)[:, 0])
     scale = max(1.0, norm)
-    r_stmt = spectral_norm(adj.action - ca @ mixed @ cpa) / scale
-    r_proof = spectral_norm(adj.action - cpa @ mixed @ ca) / scale
+    r_stmt = d_stmt / scale
+    r_proof = d_proof / scale
     return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
                                        r_proof <= tol, norm)
 
@@ -429,10 +443,12 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     or ``CommutationViolated`` from the certificate.
     """
     cross = cross_operator(lam, gam, pair)
-    if _verdict(controlled_frame_operator(ControlledScenario(lam, pair))).kind != FRAME:
+    scen_lam, scen_gam = ControlledScenario(lam, pair), ControlledScenario(gam, pair)
+    v_lam, v_gam = _verdicts((controlled_frame_operator(scen_lam),
+                              controlled_frame_operator(scen_gam)))
+    if v_lam.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
-    scen_gam = ControlledScenario(gam, pair)
-    lo_gam = _spectrum(controlled_frame_operator(scen_gam))[0]
+    lo_gam = v_gam.witnesses["lambda_min"]
     res, at_floor = _transfer(op_adjoint(cross), scen_gam, lo_gam, tol)
     if not at_floor:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "

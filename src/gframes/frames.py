@@ -104,27 +104,43 @@ def frame_operator(family: GFrameFamily) -> ModuleOperator:
     return family._frame_operator
 
 
+def _spectra(ops) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each operator in
+    ``ops``, all of one shape, from one ``eigvalsh`` over their stack;
+    LAPACK takes each slice alone, so every value is the one-operator one."""
+    a = np.stack([op.action for op in ops])
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+
+
 def _spectrum(op: ModuleOperator) -> tuple[float, float]:
-    h = 0.5 * (op.action + op.action.conj().T)
-    w = np.linalg.eigvalsh(h)
+    w = _spectra((op,))[0]
     return float(w[0]), float(w[-1])
+
+
+def _verdicts(ops, tol: float = DEFAULT_TOL,
+              **witnesses: float) -> list[FrameVerdict]:
+    """Frame / Bessel-only verdict of each frame operator in ``ops``, from
+    one stacked spectrum: a frame when ``lambda_min > tol * lambda_max``.
+    The threshold is relative, so rescaling an operator leaves its verdict
+    alone; its default, ``DEFAULT_TOL``, is the one frame threshold of the
+    library, the verifier and every CLI command.
+
+    The extreme eigenvalues lead each verdict's witnesses, followed by
+    ``witnesses``.
+    """
+    out = []
+    for w in _spectra(ops):
+        lo, hi = float(w[0]), float(w[-1])
+        wit = {"lambda_min": lo, "lambda_max": hi, **witnesses}
+        out.append(FrameVerdict(FRAME, FrameBounds(lo, hi), wit) if lo > tol * hi
+                   else FrameVerdict(BESSEL_ONLY, None, wit))
+    return out
 
 
 def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL,
              **witnesses: float) -> FrameVerdict:
-    """Frame / Bessel-only verdict from the spectrum of a frame operator: a
-    frame when ``lambda_min > tol * lambda_max``.  The threshold is relative,
-    so rescaling the operator leaves the verdict alone; its default,
-    ``DEFAULT_TOL``, is the one frame threshold of the library, the verifier
-    and every CLI command.
-
-    The extreme eigenvalues lead the witnesses, followed by ``witnesses``.
-    """
-    lo, hi = _spectrum(op)
-    witnesses = {"lambda_min": lo, "lambda_max": hi, **witnesses}
-    if lo > tol * hi:
-        return FrameVerdict(FRAME, FrameBounds(lo, hi), witnesses)
-    return FrameVerdict(BESSEL_ONLY, None, witnesses)
+    """``_verdicts`` of the one operator ``op``."""
+    return _verdicts((op,), tol, **witnesses)[0]
 
 
 def optimal_bounds(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameBounds:

@@ -138,13 +138,11 @@ def _structured_point(spec: GeneratorSpec, skel: _Skeleton, w: int,
     dn = spec.d * spec.n
     dwn = skel.dws[w] * spec.n
     rect = np.zeros((dn, dwn), dtype=np.complex128)
+    slots = np.array(skel.slots[w])
     sing = np.array(sing, dtype=np.float64)
     if spec.flavor == "bessel_only":
-        for j, slot in enumerate(skel.slots[w]):
-            if slot == dn - 1:
-                sing[j] = 0.0
-    for j, slot in enumerate(skel.slots[w]):
-        rect[slot, j] = sing[j]
+        sing[slots == dn - 1] = 0.0
+    rect[slots, np.arange(slots.size)] = sing
     return skel.basis @ rect @ skel.qs[w]
 
 

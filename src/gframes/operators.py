@@ -39,7 +39,7 @@ class ModuleOperator:
         arr = np.array(self.action, dtype=np.complex128)
         if arr.shape != (d * n, e * n):
             raise ValueError(f"action must have shape {(d * n, e * n)}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("action entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "action", arr)
@@ -83,15 +83,6 @@ def op_compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
 def op_norm(t: ModuleOperator) -> float:
     """Operator norm: largest singular value of the action."""
     return spectral_norm(t.action)
-
-
-def commutator_norm(s: ModuleOperator, t: ModuleOperator) -> float:
-    """Norm of ``s t - t s`` for two square operators on the same space."""
-    if not (s.is_square and t.is_square):
-        raise ValueError("commutator needs square operators")
-    if s.algebra_dim != t.algebra_dim or s.domain_rank != t.domain_rank:
-        raise ValueError("commutator shape mismatch")
-    return spectral_norm(t.action @ s.action - s.action @ t.action)
 
 
 def energy_bound_check(t: ModuleOperator, x: ModuleVector,
@@ -179,8 +170,10 @@ def make_positive_invertible(m: ModuleOperator,
     if not m.is_square:
         raise ValueError("positive operators must be square")
     a = m.action
-    nrm = op_norm(m)
-    if spectral_norm(a - a.conj().T) > tol * max(1.0, nrm):
+    # op_norm(m) and the asymmetry's norm, from one stacked SVD
+    nrm, asym = (float(v) for v in
+                 np.linalg.svd(np.stack((a, a - a.conj().T)), compute_uv=False)[:, 0])
+    if asym > tol * max(1.0, nrm):
         raise NotHermitian(f"operator is not Hermitian within tol={tol}")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     lo, hi = float(w[0]), float(w[-1])

@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 import gframes.algebra as algebra_mod
@@ -27,6 +28,9 @@ COUNTED = {
 # Counted functions that certify controls against a family.
 CERTIFYING = ("validate_commutation", "decide_commutation")
 
+# Counted ``numpy.linalg`` routines, when a ``gframes`` module calls them.
+LINALG = ("svd", "eigvalsh")
+
 
 def _counting(real, *logs):
     def counting(first, *args, **kwargs):
@@ -36,14 +40,24 @@ def _counting(real, *logs):
     return counting
 
 
+def _counting_from_gframes(real, log):
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__", "").split(".")[0] == "gframes":
+            log.append(a)
+        return real(a, *args, **kwargs)
+    return counting
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """First arguments of every call to each ``COUNTED`` function, in call
     order, through every ``gframes`` module that binds the name; under
     ``ModuleVector`` and ``AlgebraElement``, every instance constructed; under
     ``norm2``, the matrix of every ``spectral_norm``; under
-    ``certificates``, every call of a ``CERTIFYING`` function.  Stacked SVDs
-    that take many norms in one call are not counted."""
+    ``certificates``, every call of a ``CERTIFYING`` function; and under
+    each ``LINALG`` name, the matrix or stack of every call a ``gframes``
+    module makes, so a stacked call that takes many norms counts once and a
+    ``spectral_norm`` counts under both ``norm2`` and ``svd``."""
     record = {"certificates": []}
     for name, home in COUNTED.items():
         real = getattr(home, name)
@@ -61,6 +75,10 @@ def calls(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__",
                             _counting(cls.__post_init__, record[cls.__name__]))
     record["norm2"] = record.pop("spectral_norm")
+    for name in LINALG:
+        record[name] = []
+        monkeypatch.setattr(np.linalg, name, _counting_from_gframes(
+            getattr(np.linalg, name), record[name]))
     return record
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gframes import GeneratorSpec, ModuleVector, controlled_classify, generate
+from gframes import cli
 from gframes import serialization as ser
 from gframes.cli import main
 from gframes.rng import complex_normal, stream
@@ -494,6 +495,21 @@ def test_unknown_command_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["summon"])
     assert exc.value.code == 1
+
+
+def test_main_builds_one_parser_and_survives_a_usage_error(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    out = tmp_path / "scen.json"
+    assert main(["generate", "--spec", COMMUTING_SPEC, "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--spec", COMMUTING_SPEC, "--bogus"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    # no option of an earlier call carries over: this one writes to stdout
+    assert main(["generate", "--spec", COMMUTING_SPEC]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_analyze_report_is_canonical_json(scen, tmp_path):

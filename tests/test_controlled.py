@@ -22,7 +22,7 @@ from gframes import (FRAME, DEFAULT_TOL, AlgebraElement, ControlledScenario,
                      validate_commutation, vec_norm)
 from gframes.algebra import spectral_norm
 from gframes.controlled import (CommutationReport, TransferResult,
-                                _frobenius_passes)
+                                _frobenius_passes, _same_control)
 from gframes.errors import (CommutationViolated, GFrameError,
                             PreconditionViolated)
 from gframes.frames import _spectrum, _verdict
@@ -325,10 +325,35 @@ def test_control_norms_are_taken_once_with_op_norm_bits(calls):
                                     "bessel_only"])
 def test_suite_certifies_each_control_pair_and_family_once(certificate_calls,
                                                            flavor):
-    # (family, C, C'), then (family, C, C), then (twin, C, C')
+    # (family, C, C'), then (twin, C, C'); the same-control pair (C, C)
+    # takes its verdict on the family from (C, C')
     run_suite([GeneratorSpec(seed=191, n=2, d=2, m=4, flavor=flavor)])
-    family, again, twin = certificate_calls
-    assert again is family and twin is not family
+    family, twin = certificate_calls
+    assert twin is not family
+
+
+def test_same_control_pair_takes_only_passed_verdicts(certificate_calls):
+    sc, twin = generate_pair(GeneratorSpec(seed=195, n=2, d=2, m=4,
+                                           flavor="commuting"))
+    pair = sc.pair
+    rng = stream(196, 0)
+    other = GFrameFamily(2, 2, tuple(
+        MeasurePoint(p.weight, ModuleOperator(
+            2, 2, p.codomain_rank, complex_normal(rng, (4, 2 * p.codomain_rank))))
+        for p in sc.family.points))
+    assert pair.passed_on(sc.family) and not pair.passed_on(other)
+    cc = _same_control(pair)
+    assert (cc.c, cc.cp, cc.tol) == (pair.c, pair.c, pair.tol)
+    del certificate_calls[:]
+    assert cc.passed_on(sc.family)
+    assert certificate_calls == []
+    # the verdict it took is the one its own certificate gives
+    assert decide_commutation(sc.family, pair.c, pair.c, pair.tol)
+    # a family the pair failed on, or never saw, takes its own certificate
+    del certificate_calls[:]
+    assert not cc.passed_on(other)
+    assert cc.passed_on(twin)
+    assert certificate_calls == [other, twin]
 
 
 def test_pair_certifies_each_family_on_first_use(certificate_calls):

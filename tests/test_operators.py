@@ -8,7 +8,6 @@ from gframes import (ModuleOperator, ModuleVector, NotHermitian,
                      energy_bound_check, gram_sandwich_check, inner,
                      is_bounded_below, is_surjective, make_positive_invertible,
                      op_adjoint, op_apply, op_compose, op_norm, vec_norm)
-from gframes.operators import commutator_norm
 from gframes.rng import complex_normal, stream
 
 
@@ -236,21 +235,3 @@ def test_make_positive_invertible_rejects_non_hermitian():
 def test_make_positive_invertible_rejects_singular():
     with pytest.raises(NotPositiveDefinite):
         make_positive_invertible(diag_op(1.0, 0.0))
-
-
-def test_commutator_identity_vanishes():
-    t = random_op(stream(19, 0), 2, 2, 2)
-    assert commutator_norm(ModuleOperator.identity(2, 2), t) == pytest.approx(0.0)
-
-
-def test_commutator_known_noncommuting_pair():
-    a = diag_op(1.0, 2.0)
-    b = ModuleOperator(1, 2, 2, np.array([[0, 1], [1, 0]], dtype=np.complex128))
-    assert commutator_norm(a, b) > 0.5
-
-
-def test_commutator_polynomials_commute():
-    t = random_op(stream(20, 0), 2, 2, 2)
-    p1 = op_compose(t, t)
-    p2 = ModuleOperator(2, 2, 2, t.action @ t.action @ t.action + 2.0 * t.action)
-    assert commutator_norm(p1, p2) <= 1e-11 * max(1.0, op_norm(p1) * op_norm(p2))

@@ -7,8 +7,9 @@ import numpy as np
 
 import pytest
 
-from gframes import (CHECKS, GeneratorSpec, default_batch, generate_pair,
-                     run_suite, suite_passed, surjectivity_transfer)
+from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
+                     generate_pair, op_norm, run_suite, suite_passed,
+                     surjectivity_transfer)
 from gframes.rng import complex_normal, stream
 from gframes import controlled, verifier
 from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
@@ -168,20 +169,21 @@ def test_empty_batch_rejected():
 # operator, which conjugates the plain operator of its family; one cross
 # operator serves every two-family check, its norm taken once by the
 # adjoint diagnostic, and the transfer step of a frame
-# builds the twin's synthesis; the commuting generator certifies two
-# controls.  Each control's norm and inverse norm are taken at most once,
-# and the Hermitian-ness norms once per distinct operator: the generic and
-# parseval flavors have identity controls, so their controlled operator is
-# the plain one.
+# builds the twin's synthesis.  op_norm is left with the synthesis norm
+# and the control norms nothing took yet: a certified control comes with
+# its norm, an identity control takes its norm and inverse norm for the
+# bound probe of a frame, and the transferred bounds of a frame take
+# C^-1's.  The point norms and the Hermitian-ness norms come from stacked
+# SVDs, which op_norm does not see.
 SCENARIO_BUILDS = {
     "generic": {"frame_operator": 2, "controlled_frame_operator": 3,
-                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 8},
+                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 3},
     "commuting": {"frame_operator": 2, "controlled_frame_operator": 3,
-                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 10},
+                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
     "parseval": {"frame_operator": 4, "controlled_frame_operator": 3,
-                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 8},
+                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 3},
     "bessel_only": {"frame_operator": 2, "controlled_frame_operator": 3,
-                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 9},
+                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 1},
 }
 
 
@@ -195,26 +197,30 @@ def test_scenario_builds_each_operator_once(calls, flavor):
     assert counts == expected
 
 
-# Spectral norms of the same scenario.  Order checks take their two scale
-# norms only for the slices that fail, and a certificate takes none for a
-# commutator its Frobenius bound passes, which holds for every commutator
-# here; the generic and parseval flavors have identity controls, so their
-# controlled operator is the plain one and its Hermitian-ness is measured
-# once.  The norm
-# characterization of a frame takes its per-sample norms as two stacked
-# SVDs, which the counter does not see.  Which slices of a tight order check
-# fail by roundoff, and so take their scale, follows the operators' last
-# bits: the transferred bounds of an identity pair, whose same-control
-# operator is the plain one, and the gram sandwich, each sit on an edge of
-# the spectrum.
-SCENARIO_NORMS = {"bessel_only": 16, "commuting": 25, "generic": 18,
-                  "parseval": 22}
+# Spectral norms, SVDs and eigvalsh calls of the same scenario.  Every
+# spectral_norm left is an op_norm above, so norm2 reads op_norm's count.
+# Every other norm comes from a stacked SVD: one
+# per codomain rank for the point norms, one for the Hermitian-ness of the
+# distinct operators, one for the norm characterization of a frame, one
+# for the cross adjoint's three norms, one per certified control for its
+# norm and asymmetry, and one per order check with a failing slice for the
+# scales of all its failing slices; a certificate takes none, since its
+# Frobenius bound passes every commutator here.  Which slices of a tight
+# order check fail by roundoff follows the operators' last bits.  The four
+# verdicts take one eigvalsh, and each order check one more.
+SCENARIO_NORMS = {
+    "bessel_only": {"norm2": 1, "svd": 8, "eigvalsh": 4},
+    "commuting": {"norm2": 2, "svd": 13, "eigvalsh": 8},
+    "generic": {"norm2": 3, "svd": 12, "eigvalsh": 8},
+    "parseval": {"norm2": 3, "svd": 14, "eigvalsh": 8},
+}
 
 
 @pytest.mark.parametrize("flavor", sorted(SCENARIO_NORMS))
 def test_scenario_spectral_norm_count(calls, flavor):
     run_suite([GeneratorSpec(seed=7, n=2, d=2, m=4, flavor=flavor)])
-    assert len(calls["norm2"]) == SCENARIO_NORMS[flavor]
+    expected = SCENARIO_NORMS[flavor]
+    assert {name: len(calls[name]) for name in expected} == expected
 
 
 def reference_order_violation(a, b):
@@ -292,9 +298,47 @@ def test_stacked_order_violation_inf_slice_takes_the_scale(calls):
     inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
     a, b = np.stack([eye, eye, eye]), np.stack([2 * eye, inf, 3 * eye])
     assert _order_violation(a, b) == reference_fold(a, b)
-    # the scale norms of the inf slice only
-    assert len(calls["norm2"]) == 2
-    assert np.isinf(calls["norm2"][1]).any()
+    # the scale norms of the inf slice only, from one SVD of (a[1], b[1])
+    assert calls["norm2"] == []
+    (scales,) = calls["svd"]
+    assert scales.shape == (2, 1, 2, 2)
+    assert np.isinf(scales[1]).any()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_stacked_decompositions_match_per_slice_bit_for_bit(k):
+    # every stacked svd and eigvalsh of the library rests on this: LAPACK
+    # takes each slice of a stack alone, so no value moves by stacking
+    a = complex_normal(stream(k, 0), (5, k, k + 1))
+    square = a[..., :k]
+    h = square + square.conj().swapaxes(-1, -2)
+    for stack in (a, square):
+        tops = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        for i in range(5):
+            assert tops[i] == np.linalg.svd(stack[i], compute_uv=False)[0]
+    w = np.linalg.eigvalsh(h)
+    for i in range(5):
+        assert w[i].tobytes() == np.linalg.eigvalsh(h[i]).tobytes()
+
+
+def test_stacked_svd_with_a_nan_slice_raises():
+    eye = np.eye(2, dtype=np.complex128)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=np.complex128)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(np.stack([eye, nan, eye]), compute_uv=False)
+
+
+def test_sample_vectors_are_successive_complex_normal_draws():
+    spec = GeneratorSpec(seed=11, n=2, d=3, m=1)
+    rng = stream(spec.seed, verifier._CHECK_STREAM + 2)
+    expected = np.stack([complex_normal(rng, (2, 6)) for _ in range(4)])
+    assert verifier._sample_vectors(spec, 2, 4).tobytes() == expected.tobytes()
+
+
+def test_point_norms_are_op_norms_bit_for_bit():
+    points = generate(GeneratorSpec(seed=12, n=2, d=2, m=6)).family.points
+    assert len({p.codomain_rank for p in points}) == 3
+    assert verifier._point_norms(points) == [op_norm(p.lam) for p in points]
 
 
 def test_order_violation_on_nan_takes_the_scale():
@@ -322,9 +366,10 @@ def test_order_check_takes_no_scale_norm_when_it_holds(calls):
     b = a + hermitian(5, 6, 6)
     assert _order_violation(a, b) == 0.0
     assert _order_violation(a, a.copy()) == 0.0
-    assert calls["norm2"] == []
+    assert calls["svd"] == []
     assert _order_violation(b, a) > 0.0
-    assert len(calls["norm2"]) == 2
+    # both scale norms from one SVD
+    assert len(calls["svd"]) == 1 and calls["norm2"] == []
 
 
 def test_default_batch_eigh_count(monkeypatch):
@@ -334,7 +379,8 @@ def test_default_batch_eigh_count(monkeypatch):
     # and the generic and parseval flavors pair one identity with itself.  Order checks: one stacked
     # check per sampled check, one for the gram sandwich and one for the
     # transferred bounds of a frame, each one eigvalsh; the other eigvalsh
-    # calls are verdict spectra, gram floors and generator checks.
+    # calls are the gram floors and the verdict spectra, the four verdicts
+    # of a scenario in one call.
     seen = {"eigh": [], "eigvalsh": [], "order": []}
 
     def counting(log, real):
@@ -349,7 +395,7 @@ def test_default_batch_eigh_count(monkeypatch):
                         counting(seen["order"], _order_violation))
     run_suite(default_batch())
     assert {name: len(log) for name, log in seen.items()} == \
-        {"eigh": 400, "eigvalsh": 2000, "order": 900}
+        {"eigh": 400, "eigvalsh": 1400, "order": 900}
 
 
 def test_suite_constructs_no_wrappers(calls):
