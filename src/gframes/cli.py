@@ -16,6 +16,7 @@ import os
 import sys
 
 import numpy as np
+import orjson
 
 from . import serialization as ser
 from .controlled import (ADJOINT_TOL, NORM_BOUND_TOL, controlled_classify,
@@ -106,6 +107,36 @@ def _resolve_tol(arg_tol: float | None, default: float) -> float:
     return value
 
 
+# orjson 3.8 turns a parsed document into Python objects by native recursion
+# with no depth limit, some 64 bytes of C stack a level, so a document about
+# 130,000 levels deep overflows an 8 MiB stack and kills the process.
+# Nesting that deep takes as many opening brackets and twice as many
+# characters, so text within this bound on either is safe to hand it.
+_ORJSON_MAX_DEPTH = 1 << 16
+
+
+def _parse_json(text: str):
+    """The document in ``text``, parsed by orjson; ``json.loads`` takes only
+    what orjson refuses or cannot nest safely.
+
+    The fallback exists for what orjson refuses -- NaN and Infinity tokens,
+    numbers that overflow a double, over-long integers, lone surrogates, a
+    byte order mark, every syntax error -- and for text with more brackets
+    than orjson can safely nest: all of it keeps ``json``'s result or error
+    message.  Valid JSON gives the same objects both ways, down to every
+    float's bits, except that an integer outside [-2**63, 2**64) comes back
+    as the nearest float, which the schema checks then reject as a count,
+    and that nesting deeper than ``json``'s recursion limit parses.
+    """
+    if (len(text) > 2 * _ORJSON_MAX_DEPTH
+            and text.count("[") + text.count("{") > _ORJSON_MAX_DEPTH):
+        return json.loads(text)
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+
+
 def _too_long(source: str) -> SchemaError:
     # json.loads turns a digit string into an int, which refuses more digits
     # than the interpreter's limit with a plain ValueError
@@ -119,7 +150,7 @@ def _load_json(path: str):
     except OSError as exc:
         raise GFrameError(f"cannot read {path}: {exc.strerror or exc}")
     try:
-        return json.loads(text)
+        return _parse_json(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON ({exc.msg} at line {exc.lineno})")
     except ValueError:
@@ -212,7 +243,7 @@ def cmd_generate(args) -> int:
     raw = args.spec.strip()
     if raw.startswith("{"):
         try:
-            obj = json.loads(raw)
+            obj = _parse_json(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError("--spec", f"invalid JSON ({exc.msg})")
         except ValueError:

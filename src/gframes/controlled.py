@@ -263,11 +263,13 @@ def controlled_classify(scenario: ControlledScenario,
     relative threshold of ``classify`` and its default ``DEFAULT_TOL``.
 
     Witnesses carry the controlled extremes plus the plain family's upper
-    spectral edge, so both Bessel bounds are reported side by side.
+    spectral edge, so both Bessel bounds are reported side by side.  Both
+    spectra come from one stacked ``eigvalsh``.
     """
-    sc = controlled_frame_operator(scenario)
-    hi = _spectrum(frame_operator(scenario.family))[1]
-    return _verdict(sc, tol, uncontrolled_bessel_bound=hi)
+    plain, verdict = _verdicts((frame_operator(scenario.family),
+                                controlled_frame_operator(scenario)), tol)
+    verdict.witnesses["uncontrolled_bessel_bound"] = plain.witnesses["lambda_max"]
+    return verdict
 
 
 def synthesis(scenario: ControlledScenario,

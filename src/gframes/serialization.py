@@ -164,16 +164,19 @@ def matrix_to_obj(mat: np.ndarray) -> list:
 
 def _pairs_array(obj: list):
     """The (len(obj), 2) float64 array of a list of finite ``[re, im]``
-    pairs of exact ``float`` / ``int`` numbers, or None.  The type check comes
-    first because ``np.array`` turns strings, bools and None into floats."""
-    if (set(map(type, obj)) - {list}
-            or set(map(type, chain.from_iterable(obj))) - {float, int}):
+    pairs of exact ``float`` / ``int`` numbers, or None, from one flat list.
+    The type check comes first because ``np.array`` turns strings, bools and
+    None into floats."""
+    if set(map(type, obj)) - {list} or set(map(len, obj)) - {2}:
+        return None
+    flat = list(chain.from_iterable(obj))
+    if set(map(type, flat)) - {float, int}:
         return None
     try:
-        arr = np.array(obj, dtype=np.float64).reshape(len(obj), 2)
-    except (OverflowError, ValueError):  # an int beyond the doubles, bad pairs
+        arr = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an int beyond the doubles
         return None
-    return arr if np.isfinite(arr).all() else None
+    return arr.reshape(-1, 2) if np.isfinite(arr).all() else None
 
 
 def matrix_from_obj(obj, rows: int, cols: int, path: str) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
+import json
 import sys
 
 import numpy as np
+import orjson
 import pytest
 
 import gframes.algebra as algebra_mod
@@ -31,6 +33,9 @@ CERTIFYING = ("validate_commutation", "decide_commutation")
 # Counted ``numpy.linalg`` routines, when a ``gframes`` module calls them.
 LINALG = ("svd", "eigvalsh")
 
+# Counted JSON parsers, when a ``gframes`` module calls them.
+PARSERS = {"json.loads": json, "orjson.loads": orjson}
+
 
 def _counting(real, *logs):
     def counting(first, *args, **kwargs):
@@ -57,7 +62,9 @@ def calls(monkeypatch):
     ``certificates``, every call of a ``CERTIFYING`` function; and under
     each ``LINALG`` name, the matrix or stack of every call a ``gframes``
     module makes, so a stacked call that takes many norms counts once and a
-    ``spectral_norm`` counts under both ``norm2`` and ``svd``."""
+    ``spectral_norm`` counts under both ``norm2`` and ``svd``; and under
+    each ``PARSERS`` name, the text of every call a ``gframes`` module
+    makes."""
     record = {"certificates": []}
     for name, home in COUNTED.items():
         real = getattr(home, name)
@@ -79,6 +86,10 @@ def calls(monkeypatch):
         record[name] = []
         monkeypatch.setattr(np.linalg, name, _counting_from_gframes(
             getattr(np.linalg, name), record[name]))
+    for name, home in PARSERS.items():
+        record[name] = []
+        monkeypatch.setattr(home, "loads", _counting_from_gframes(
+            home.loads, record[name]))
     return record
 
 

@@ -1,7 +1,12 @@
 """Command line behavior: exit codes, schemas, reports, determinism."""
 
 import json
+import os
+import re
+import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +114,26 @@ def test_analyze_builds_the_plain_frame_operator_once(scen, tmp_path, calls):
     sc = ser.scenario_from_obj(read(scen))
     assert read(out)["controlled_witnesses"] == \
         controlled_classify(sc, tol=1e-9).witnesses
+
+
+def test_analyze_takes_each_spectrum_once(scen, tmp_path, calls):
+    # classify takes S's spectrum; controlled_classify stacks S and Sc
+    assert main(["analyze", str(scen)]) == 0
+    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4), (2, 4, 4)]
+
+
+def test_analyze_takes_no_controlled_spectrum_without_certificate(tmp_path, calls):
+    # a control that commutes with no gram term of a generic family
+    obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
+                                                     flavor="generic")))
+    a = complex_normal(stream(11, 0), (4, 4))
+    obj["C"] = ser.matrix_to_obj(a @ a.conj().T + np.eye(4))
+    path = tmp_path / "noncommuting.json"
+    path.write_text(ser.dumps(obj))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    assert read(out)["commutation"]["passed"] is False
+    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4)]
 
 
 def weights_times_1e12():
@@ -518,3 +543,148 @@ def test_analyze_report_is_canonical_json(scen, tmp_path):
     text = out.read_text()
     obj = json.loads(text)
     assert text == ser.dumps(obj)
+
+
+# ------------------------------------------------------------- JSON reader
+
+
+def same_json(a, b) -> bool:
+    """Equal types throughout, equal keys in equal order, and the same bits
+    in every float."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 3), (8, 4, 16)])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_parser_reads_scenarios_as_json_does(flavor, shape, calls):
+    n, d, m = shape
+    text = ser.dumps(ser.scenario_to_obj(generate(
+        GeneratorSpec(seed=31, n=n, d=d, m=m, flavor=flavor))))
+    assert same_json(cli._parse_json(text), json.loads(text))
+    assert len(calls["orjson.loads"]) == 1 and calls["json.loads"] == []
+
+
+def number_corpus() -> list:
+    """JSON number strings: the %.17g and repr forms of random bit patterns,
+    the edges of the doubles, 40-digit mantissas and 64-bit integers."""
+    rng = stream(29, 0)
+    x = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)].tolist()
+    mantissas = rng.integers(0, 10, (2000, 40)).astype(str)
+    exponents = rng.integers(-330, 308, 2000)
+    ints = rng.integers(-2**63, 2**63, 1000, dtype=np.int64).tolist()
+    uints = rng.integers(2**63, 2**64, 1000, dtype=np.uint64).tolist()
+    return (["%.17g" % v for v in x] + [repr(v) for v in x]
+            + [f"{m[0]}.{''.join(m[1:])}e{e}" for m, e in zip(mantissas, exponents)]
+            + [str(v) for v in ints + uints]
+            + ["5e-324", "-5e-324", "2.4703282292062328e-324",
+               "2.4703282292062327e-324", "2.2250738585072009e-308",
+               "2.2250738585072011e-308", "2.2250738585072014e-308",
+               "1.7976931348623157e308", "-1.7976931348623157e308",
+               "-0.0", "-0", "0", "1e-400", "-1e-400",
+               "9223372036854775807", "-9223372036854775808",
+               "18446744073709551615",
+               "0.1000000000000000055511151231257827021182",
+               "1.0000000000000002220446049250313080847263",
+               "9.9999999999999999999999999999999999999999e307"])
+
+
+def test_parser_reads_numbers_as_json_does(calls):
+    text = "[" + ", ".join(number_corpus()) + "]"
+    got = cli._parse_json(text)
+    # orjson took it: the fallback would agree with json by construction
+    assert len(calls["orjson.loads"]) == 1 and calls["json.loads"] == []
+    assert same_json(got, json.loads(text))
+
+
+def test_analyze_parses_its_file_once_with_orjson(scen, tmp_path, calls):
+    assert main(["analyze", str(scen), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls["orjson.loads"]) == 1
+    assert calls["json.loads"] == []
+
+
+# token in place of the first weight, or None for a whole-file edit, then
+# the stderr of analyze, as the json-only reader gave it
+REFUSED = {
+    "nan": ("NaN", "points[0].weight: must be finite"),
+    "infinity": ("Infinity", "points[0].weight: must be finite"),
+    "overflow": ("1e400", "points[0].weight: must be finite"),
+    "huge_int": (str(HUGE_INT), "points[0].weight: must be finite"),
+    "long_int": (LONG_INT, "{path}: integer longer than "
+                           f"{sys.get_int_max_str_digits()} digits"),
+    "lone_surrogate": ('"\\ud800"', "points[0].weight: expected a real number"),
+    "bom": (None, "{path}: invalid JSON (Unexpected UTF-8 BOM "
+                  "(decode using utf-8-sig) at line 1)"),
+    "trailing_comma": (None, "{path}: invalid JSON (Expecting property name "
+                             "enclosed in double quotes at line 28)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_text_orjson_refuses_keeps_its_outcome(case, scen, tmp_path, capsys, calls):
+    token, message = REFUSED[case]
+    text = scen.read_text()
+    if case == "bom":
+        text = "\ufeff" + text
+    elif case == "trailing_comma":
+        text = re.sub(r"\s*}\s*$", ",}\n", text)
+    else:
+        text = re.sub(r'"weight": [^,]*', lambda _: f'"weight": {token}', text,
+                      count=1)
+    path = tmp_path / "refused.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "gframes: schema error: " + message.format(path=path) + "\n")
+    assert len(calls["orjson.loads"]) == 1 and len(calls["json.loads"]) == 1
+
+
+# seed, exit code and stderr of generate; orjson reads an integer outside
+# [-2**63, 2**64) as a float, so those two seeds fail as non-integers (the
+# json-only reader said "seed must be a 64-bit nonnegative integer, got
+# 18446744073709551616" and "spec.seed: must be >= 0", also exiting 1)
+BIG_SEEDS = [
+    (2**64, 1, "gframes: schema error: spec.seed: expected an integer\n"),
+    (-2**63 - 1, 1, "gframes: schema error: spec.seed: expected an integer\n"),
+    (2**64 - 1, 0, ""),
+]
+
+
+@pytest.mark.parametrize("seed,code,err", BIG_SEEDS)
+def test_integer_seeds_beyond_64_bits(seed, code, err, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"seed": %d, "n": 1, "d": 1, "m": 1}' % seed)
+    assert main(["generate", "--spec", str(path),
+                 "--out", str(tmp_path / "s.json")]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_nesting_beyond_json_but_within_orjson_is_a_schema_error(tmp_path, capsys):
+    # json raised RecursionError here; orjson parses it and the schema refuses
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "gframes: schema error: expected a scenario object\n")
+
+
+def test_nesting_deeper_than_orjson_can_take_goes_to_json(tmp_path):
+    # orjson recurses once a level in native code and would overflow the C
+    # stack and kill the process; json stops at the recursion limit
+    path = tmp_path / "deeper.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from gframes.cli import run; run()",
+         "analyze", str(path)], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("RecursionError")

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,16 @@ def test_matrix_from_obj_bit_for_bit():
         want = reference_matrix_from_obj(obj, 1, len(obj), "m")
         assert got.dtype == np.complex128 and got.shape == (1, len(obj))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_matrix_from_obj_of_orjson_numbers_matches_the_reference():
+    # orjson's numbers through the flat pass, json's through the oracle
+    x = stream(14, 0).integers(0, 2**64, 4096, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)][:4000].reshape(-1, 2).tolist()
+    text = "[" + ", ".join("[%.17g, %r]" % (a, b) for a, b in x) + "]"
+    got = ser.matrix_from_obj(orjson.loads(text), 1, len(x), "m")
+    want = reference_matrix_from_obj(json.loads(text), 1, len(x), "m")
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_matrix_from_obj_takes_one_pass_on_valid_input(monkeypatch):

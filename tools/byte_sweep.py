@@ -12,7 +12,13 @@ this script and runs ``gframes.cli.main`` in-process on:
   tolerance and 1e-18;
 * ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
   1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
-  (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32).
+  (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32);
+* the JSON reader's edge corpus: each of ``EDGE_TOKENS`` in place of the
+  first weight of the commuting (3, 2, 3) scenario, through ``analyze`` and
+  ``reconstruct --random 3``, and in place of a spec's seed and of its upper
+  spectrum bound, through ``generate --spec FILE``; the same files with a
+  byte order mark in front and with a trailing comma before the closing
+  brace.  The files are written under ``OUT/edge/``.
 
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``.  Paths are relative to ``OUT``, so no
@@ -31,6 +37,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +56,21 @@ LADDER_BATCH = [{"seed": 900 + 4 * j + i, "n": 8, "d": d, "m": m,
                  "dw_range": [2, 2], "flavor": fl}
                 for j, (d, m) in enumerate(((4, 16), (8, 32)))
                 for i, fl in enumerate(FLAVORS)]
+
+# Number and string tokens the JSON reader must take exactly as ``json``
+# does: tokens only ``json`` accepts, numbers at the edges of the doubles and
+# of the 64-bit integers, and text a strict parser refuses.
+EDGE_TOKENS = {
+    "nan": "NaN", "infinity": "Infinity", "minus_infinity": "-Infinity",
+    "overflow": "1e400", "huge_int": "1" + "0" * 400,
+    "long_int": "1" + "0" * 5000, "lone_surrogate": '"\\ud800"',
+    "minus_zero_int": "-0", "minus_zero": "-0.0", "underflow": "1e-400",
+    "subnormal": "5e-324", "min_normal": "2.2250738585072011e-308",
+    "max_double": "1.7976931348623157e308",
+    "digits_40": "1.234567890123456789012345678901234567891",
+    "uint64_max": "18446744073709551615", "uint64_over": "18446744073709551616",
+    "int64_under": "-9223372036854775809",
+}
 
 
 def run(name: str, args: list, out: str | None = None) -> None:
@@ -85,6 +107,33 @@ def sweep() -> None:
             run(f"analyze_stdout_{tag}", ["analyze", scen])
             run(f"analyze_1e-18_{tag}", ["analyze", scen, "--tol", "1e-18"], "report.json")
             run(f"reconstruct_{tag}", ["reconstruct", scen, "--random", "3"])
+    edge_sweep(Path("generate_commuting_3x2x3/scenario.json").read_text(
+        encoding="utf-8"))
+
+
+def edge_sweep(scenario: str) -> None:
+    """Run the edge corpus on variants of the text of ``scenario``."""
+    spec = ('{"seed": %s, "n": 2, "d": 2, "m": 4, "spectrum_range": [1, %s], '
+            '"flavor": "commuting"}')
+    scenarios = {key: re.sub(r'"weight": [^,]*', lambda _: f'"weight": {token}',
+                             scenario, count=1)
+                 for key, token in EDGE_TOKENS.items()}
+    specs = {f"{field}_{key}": spec % values
+             for key, token in EDGE_TOKENS.items()
+             for field, values in (("seed", (token, 2)), ("spectrum", (1, token)))}
+    for texts, base in ((scenarios, scenario), (specs, spec % (1, 2))):
+        texts["bom"] = "\ufeff" + base
+        texts["trailing_comma"] = re.sub(r"\s*}\s*$", ",}\n", base)
+    Path("edge").mkdir()
+    for kind, texts in (("scenario", scenarios), ("spec", specs)):
+        for key, text in texts.items():
+            path = f"edge/{kind}_{key}.json"
+            Path(path).write_text(text, encoding="utf-8")
+            if kind == "scenario":
+                run(f"edge_analyze_{key}", ["analyze", path])
+                run(f"edge_reconstruct_{key}", ["reconstruct", path, "--random", "3"])
+            else:
+                run(f"edge_generate_{key}", ["generate", "--spec", path])
 
 
 def record_environment() -> None:
