@@ -21,6 +21,22 @@ byte-identical scenarios:
 ``generate_pair`` builds a second family on the same skeleton (basis, slot
 layout, per-point codomain unitaries, weights, controls) with fresh singular
 values, which is the structure the two-family bounds require.
+
+Streams of a seed: 0 draws the measure (codomain ranks, then weights) and,
+for the structured flavors, the basis's normal matrix and the two control
+spectra; 1+w draws point w's codomain unitary and singular values (generic:
+its action); ``_TWIN_BASE``+w (2**32+w) the twin's point w, which shares
+the unitaries, only its singular values (generic: its action).  The
+verifier's sample vectors use ``_CHECK_STREAM``+k (3 * 2**32+k).
+
+A batch of specs is generated in one sweep.  Every stream is drawn from one
+Philox re-keyed per stream, which draws what a new generator would.  Every
+unitary of the batch, bases and codomain unitaries alike, comes from one
+stacked QR per size.  Each spec's families and controls are assembled only
+when its pair is read, and generic actions and twin singular values are
+drawn then, so the batch holds only small draws and views into the size
+stacks.  ``generate`` and ``generate_pair`` are the one-spec case, and
+``generate`` builds no twin.
 """
 
 from __future__ import annotations
@@ -32,14 +48,12 @@ import numpy as np
 from .controlled import ControlPair, ControlledScenario
 from .errors import InvalidSpec
 from .frames import GFrameFamily, MeasurePoint, frame_operator
-from .operators import (ModuleOperator, PositiveInvertibleOperator,
-                        identity_control, make_positive_invertible)
-from .rng import complex_normal, random_unitary, stream
+from .operators import ModuleOperator, identity_control, make_positive_invertible
+from .rng import _rekey, complex_normal, stream
 
 FLAVORS = ("generic", "commuting", "parseval", "bessel_only")
 
-# Stream layout per seed: 0 is family-level, 1+w is point w of the primary
-# family, _TWIN_BASE+w is point w of the twin family.
+# Stream of the twin's point 0; the layout is in the module docstring.
 _TWIN_BASE = 1 << 32
 
 _SING_LO, _SING_HI = 0.5, 1.5
@@ -47,6 +61,10 @@ _SING_LO, _SING_HI = 0.5, 1.5
 # Largest upper end of ``spectrum_range``: the controls' product and every
 # controlled operator scale with its square, which stays under 1e300 here.
 SPECTRUM_CEILING = 1e150
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -62,16 +80,20 @@ class GeneratorSpec:
     flavor: str = "generic"
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
+        if not _is_int(self.seed) or not 0 <= self.seed < (1 << 64):
             raise InvalidSpec(f"seed must be a 64-bit nonnegative integer, got {self.seed}")
         for name in ("n", "d", "m"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise InvalidSpec(f"{name} must be a positive integer, got {v}")
         try:
-            lo, hi = (int(self.dw_range[0]), int(self.dw_range[1]))
-        except (TypeError, ValueError, IndexError):
+            raw = (self.dw_range[0], self.dw_range[1])
+            lo, hi = (int(v) for v in raw)
+        except (TypeError, ValueError, IndexError, OverflowError):
             raise InvalidSpec(f"dw_range must be a pair of ints, got {self.dw_range}") from None
+        # an entry is kept only when int() changes no value: 2.0, not 1.9
+        if any(isinstance(v, bool) or v != i for v, i in zip(raw, (lo, hi))):
+            raise InvalidSpec(f"dw_range must be a pair of ints, got {self.dw_range}")
         if not 1 <= lo <= hi:
             raise InvalidSpec(f"dw_range must satisfy 1 <= lo <= hi, got {self.dw_range}")
         object.__setattr__(self, "dw_range", (lo, hi))
@@ -92,119 +114,168 @@ class GeneratorSpec:
                 "parseval flavor needs m >= d so the frame operator is invertible")
 
 
-@dataclass(frozen=True, eq=False)
-class _Skeleton:
-    """Family-level structure shared by a scenario and its twin."""
+@dataclass(eq=False)
+class _Drawn:
+    """One spec's draws from the batch sweep.  Until the batch's unitaries
+    are taken, ``unitaries`` holds the (size, position) of the basis and then
+    of each point's codomain unitary in the size stacks; after, views into
+    those stacks.  A generic spec draws only its measure here."""
 
-    dws: tuple
-    weights: tuple
-    basis: np.ndarray | None      # shared unitary, None for generic
-    slots: tuple | None           # per point: coordinate indices hit
-    qs: tuple | None              # per point: codomain unitary
-    sings: tuple | None           # per point: primary singular values
-    c_eigs: np.ndarray | None
-    cp_eigs: np.ndarray | None
+    spec: GeneratorSpec
+    dws: list
+    weights: list
+    eigs: tuple | None = None       # control eigenvalues c, cp
+    sings: list | None = None       # per point: primary singular values
+    unitaries: list | None = None
 
 
-def _draw_skeleton(spec: GeneratorSpec) -> _Skeleton:
-    rng = stream(spec.seed, 0)
+def _draw(rng: np.random.Generator, spec: GeneratorSpec,
+          normals: dict) -> _Drawn:
+    """Every draw a spec's unitaries need, stream 0 to its end first; each
+    complex normal matrix to be factored goes to ``normals`` by size."""
+
+    def stacked(z: np.ndarray) -> tuple:
+        group = normals.setdefault(z.shape[0], [])
+        group.append(z)
+        return z.shape[0], len(group) - 1
+
+    seed, n = spec.seed, spec.n
+    _rekey(rng, seed, 0)
     lo, hi = spec.dw_range
-    dws = tuple(int(v) for v in rng.integers(lo, hi + 1, size=spec.m))
-    weights = tuple(float(v) for v in rng.uniform(0.5, 1.5, size=spec.m))
+    dws = rng.integers(lo, hi + 1, size=spec.m).tolist()
+    weights = rng.uniform(0.5, 1.5, size=spec.m).tolist()
     if spec.flavor == "generic":
-        return _Skeleton(dws, weights, None, None, None, None, None, None)
-    dn = spec.d * spec.n
-    basis = random_unitary(rng, dn)
-    c_eigs = rng.uniform(*spec.spectrum_range, size=dn)
-    cp_eigs = rng.uniform(*spec.spectrum_range, size=dn)
-    # Cyclic slot layout: point w covers min(dn, dw*n) consecutive coordinates
-    # starting where the previous point stopped, so m >= d covers everything.
-    slots, qs, sings = [], [], []
-    offset = 0
+        return _Drawn(spec, dws, weights)
+    dn = spec.d * n
+    unitaries = [stacked(complex_normal(rng, (dn, dn)))]
+    eigs = (rng.uniform(*spec.spectrum_range, size=dn),
+            rng.uniform(*spec.spectrum_range, size=dn))
+    sings = []
     for w, dw in enumerate(dws):
-        k = min(dn, dw * spec.n)
-        slots.append(tuple((offset + j) % dn for j in range(k)))
-        offset = (offset + k) % dn
-        rng_w = stream(spec.seed, 1 + w)
-        qs.append(random_unitary(rng_w, dw * spec.n))
-        sings.append(rng_w.uniform(_SING_LO, _SING_HI, size=k))
-    return _Skeleton(dws, weights, basis, tuple(slots), tuple(qs), tuple(sings),
-                     c_eigs, cp_eigs)
+        _rekey(rng, seed, 1 + w)
+        unitaries.append(stacked(complex_normal(rng, (dw * n, dw * n))))
+        sings.append(rng.uniform(_SING_LO, _SING_HI, size=min(dn, dw * n)))
+    return _Drawn(spec, dws, weights, eigs, sings, unitaries)
 
 
-def _structured_point(spec: GeneratorSpec, skel: _Skeleton, w: int,
-                      sing: np.ndarray) -> np.ndarray:
-    """Action of one structured point: basis @ slot-diagonal @ codomain unitary."""
-    dn = spec.d * spec.n
-    dwn = skel.dws[w] * spec.n
-    rect = np.zeros((dn, dwn), dtype=np.complex128)
-    slots = np.array(skel.slots[w])
-    sing = np.array(sing, dtype=np.float64)
-    if spec.flavor == "bessel_only":
-        sing[slots == dn - 1] = 0.0
-    rect[slots, np.arange(slots.size)] = sing
-    return skel.basis @ rect @ skel.qs[w]
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-ish unitary of each matrix of a stack: its QR factor Q, with the
+    phases that make R's diagonal positive."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)[..., None, :]
+    return q
 
 
-def _build_family(spec: GeneratorSpec, skel: _Skeleton, twin: bool) -> GFrameFamily:
+def _generic_family(rng: np.random.Generator, drawn: _Drawn,
+                    base: int) -> GFrameFamily:
+    """Independent complex normal point actions, point w from stream
+    ``base + w``."""
+    spec = drawn.spec
     n, d = spec.n, spec.d
+    return GFrameFamily(n, d, tuple(
+        MeasurePoint(weight, ModuleOperator(
+            n, d, dw, complex_normal(_rekey(rng, spec.seed, base + w),
+                                     (d * n, dw * n))))
+        for w, (dw, weight) in enumerate(zip(drawn.dws, drawn.weights))))
+
+
+def _structured_family(drawn: _Drawn, sings) -> GFrameFamily:
+    """Point w acts as basis @ slot-diagonal(sings[w]) @ codomain unitary.
+
+    Cyclic slot layout: point w covers min(dn, dw*n) consecutive coordinates
+    starting where the previous point stopped, so m >= d covers everything.
+    """
+    spec = drawn.spec
+    n, d = spec.n, spec.d
+    dn = d * n
+    basis, *qs = drawn.unitaries
     points = []
-    if spec.flavor == "generic":
-        for w, dw in enumerate(skel.dws):
-            rng = stream(spec.seed, (_TWIN_BASE if twin else 1) + w)
-            act = complex_normal(rng, (d * n, dw * n))
-            points.append(MeasurePoint(skel.weights[w], ModuleOperator(n, d, dw, act)))
-        return GFrameFamily(n, d, tuple(points))
-    for w in range(spec.m):
-        if twin:
-            sing = stream(spec.seed, _TWIN_BASE + w).uniform(
-                _SING_LO, _SING_HI, size=len(skel.slots[w]))
-        else:
-            sing = skel.sings[w]
-        act = _structured_point(spec, skel, w, sing)
-        points.append(MeasurePoint(skel.weights[w],
-                                   ModuleOperator(n, d, skel.dws[w], act)))
+    offset = 0
+    for dw, weight, q, sing in zip(drawn.dws, drawn.weights, qs, sings):
+        k = sing.size
+        rect = np.zeros((dn, dw * n), dtype=np.complex128)
+        rect[(offset + np.arange(k)) % dn, np.arange(k)] = sing
+        if spec.flavor == "bessel_only":
+            rect[dn - 1] = 0.0
+        offset = (offset + k) % dn
+        points.append(MeasurePoint(weight,
+                                   ModuleOperator(n, d, dw, basis @ rect @ q)))
     family = GFrameFamily(n, d, tuple(points))
     if spec.flavor == "parseval":
         s = frame_operator(family)
         wv, vv = np.linalg.eigh(0.5 * (s.action + s.action.conj().T))
         inv_root = (vv * (1.0 / np.sqrt(wv))) @ vv.conj().T
-        renorm = [MeasurePoint(p.weight,
-                               ModuleOperator(n, d, p.codomain_rank,
-                                              inv_root @ p.lam.action))
-                  for p in family.points]
-        family = GFrameFamily(n, d, tuple(renorm))
+        family = GFrameFamily(n, d, tuple(
+            MeasurePoint(p.weight, ModuleOperator(n, d, p.codomain_rank,
+                                                  inv_root @ p.lam.action))
+            for p in family.points))
     return family
 
 
-def _controls(spec: GeneratorSpec, skel: _Skeleton
-              ) -> tuple[PositiveInvertibleOperator, PositiveInvertibleOperator]:
+def _assemble(rng: np.random.Generator, drawn: _Drawn,
+              twin: bool) -> tuple[ControlledScenario, GFrameFamily | None]:
+    """A spec's scenario, and its twin family when ``twin``, from its draws;
+    generic actions and twin singular values are drawn here."""
+    spec = drawn.spec
+    n, d = spec.n, spec.d
+    if spec.flavor == "generic":
+        family = _generic_family(rng, drawn, 1)
+        other = _generic_family(rng, drawn, _TWIN_BASE) if twin else None
+    else:
+        family = _structured_family(drawn, drawn.sings)
+        other = _structured_family(drawn, [
+            _rekey(rng, spec.seed, _TWIN_BASE + w).uniform(
+                _SING_LO, _SING_HI, size=sing.size)
+            for w, sing in enumerate(drawn.sings)]) if twin else None
     if spec.flavor in ("generic", "parseval"):
-        eye = identity_control(spec.n, spec.d)
-        return eye, eye
-    b, bh = skel.basis, skel.basis.conj().T
-    c = make_positive_invertible(
-        ModuleOperator(spec.n, spec.d, spec.d, (b * skel.c_eigs) @ bh))
-    cp = make_positive_invertible(
-        ModuleOperator(spec.n, spec.d, spec.d, (b * skel.cp_eigs) @ bh))
-    return c, cp
+        eye = identity_control(n, d)
+        pair = ControlPair(eye, eye)
+    else:
+        b = drawn.unitaries[0]
+        bh = b.conj().T
+        pair = ControlPair(*(make_positive_invertible(
+            ModuleOperator(n, d, d, (b * eigs) @ bh)) for eigs in drawn.eigs))
+    return ControlledScenario(family, pair), other
 
 
-def _scenario(spec: GeneratorSpec, skel: _Skeleton) -> ControlledScenario:
-    """The spec's family and controls on a drawn skeleton; ``_controls``
-    draws nothing, so building the twin after them moves no bit."""
-    family = _build_family(spec, skel, twin=False)
-    return ControlledScenario(family, ControlPair(*_controls(spec, skel)))
+def _draw_batch(specs) -> tuple[np.random.Generator, list]:
+    """The one Philox of a batch and every spec's draws, its unitaries
+    taken with one QR per size for the whole batch and kept as views into
+    those size stacks.  The sizes are factored one at a time, so only one
+    size's normals are ever copied into a stack."""
+    rng = stream(0)
+    normals: dict = {}
+    drawn = [_draw(rng, spec, normals) for spec in specs]
+    stacks = {}
+    while normals:
+        k, zs = normals.popitem()
+        stacks[k] = _unitaries(np.stack(zs))
+    for dr in drawn:
+        if dr.unitaries is not None:
+            dr.unitaries = [stacks[k][i] for k, i in dr.unitaries]
+    return rng, drawn
+
+
+def _generate_batch(specs, twins: bool):
+    """``(scenario, twin)`` of each spec in order, ``twin`` None unless
+    ``twins``; each pair is built when it is read.  Once it is, the batch
+    lets go of that spec's draws, and a size stack goes with the last view
+    into it."""
+    rng, drawn = _draw_batch(specs)
+    drawn.reverse()
+    while drawn:
+        yield _assemble(rng, drawn.pop(), twins)
 
 
 def generate(spec: GeneratorSpec) -> ControlledScenario:
     """Build the scenario a spec describes; equal specs give equal bytes."""
-    return _scenario(spec, _draw_skeleton(spec))
+    scenario, _ = next(_generate_batch([spec], twins=False))
+    return scenario
 
 
 def generate_pair(spec: GeneratorSpec) -> tuple[ControlledScenario, GFrameFamily]:
     """The spec's scenario plus a twin family on the same skeleton with fresh
     singular values (generic flavor: fresh normal actions), for two-family
     checks that need shared measure and commutation structure."""
-    skel = _draw_skeleton(spec)
-    return _scenario(spec, skel), _build_family(spec, skel, twin=True)
+    return next(_generate_batch([spec], twins=True))

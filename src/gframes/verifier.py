@@ -24,10 +24,10 @@ from .controlled import (ADJOINT_TOL, ControlledScenario, _norm_bound,
                          _same_control, _transfer, bounds_cc_from_plain,
                          bounds_plain_from_cc, controlled_frame_operator,
                          cross_adjoint_resolve, synthesis_operator)
-from .frames import FRAME, _energy, _verdicts, frame_operator
-from .generators import GeneratorSpec, generate_pair
+from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
+from .generators import GeneratorSpec, _generate_batch
 from .operators import SURJECTIVITY_TOL, op_norm
-from .rng import stream
+from .rng import _rekey, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
 CHECKS = {
@@ -102,12 +102,14 @@ def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
     return viol
 
 
-def _sample_vectors(spec: GeneratorSpec, offset: int, count: int) -> np.ndarray:
-    """``count`` seeded vectors as one (count, n, d * n) stack, from one
-    draw that fills each vector's real and then imaginary part in the order
-    of ``count`` successive ``complex_normal`` draws."""
+def _sample_vectors(rng: np.random.Generator, spec: GeneratorSpec, offset: int,
+                    count: int) -> np.ndarray:
+    """``count`` seeded vectors of stream ``_CHECK_STREAM + offset``, drawn
+    from ``rng`` re-keyed to it, as one (count, n, d * n) stack: one draw
+    that fills each vector's real and then imaginary part in the order of
+    ``count`` successive ``complex_normal`` draws."""
     n, d = spec.n, spec.d
-    z = stream(spec.seed, _CHECK_STREAM + offset).standard_normal(
+    z = _rekey(rng, spec.seed, _CHECK_STREAM + offset).standard_normal(
         (count, 2, n, d * n))
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
@@ -152,12 +154,13 @@ class _Outcome:
     detail: str
 
 
-def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
-    """Every check that applies to one scenario, by check id; a check that
-    does not apply has no entry.  Each operator, verdict and norm is computed
-    once and shared by the checks that read it; sampled vectors are
-    flattened arrays."""
-    scenario, twin = generate_pair(spec)
+def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
+                       twin: GFrameFamily, rng: np.random.Generator,
+                       tol: float) -> dict:
+    """Every check that applies to a spec's scenario and twin, by check id;
+    a check that does not apply has no entry.  Each operator, verdict and
+    norm is computed once and shared by the checks that read it; sampled
+    vectors are flattened arrays, drawn from ``rng``."""
     family = scenario.family
     points = family.points
     pair = scenario.pair
@@ -177,7 +180,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     sigma = op_norm(t)
 
     # op_energy_bound: every point operator against sampled vectors.
-    xs = _sample_vectors(spec, 0, _SAMPLES)
+    xs = _sample_vectors(rng, spec, 0, _SAMPLES)
     xx = _gram(xs)
     energies = np.stack([_gram(xs @ p.lam.action) for p in points], axis=1)
     bounds = np.stack([nrm ** 2 * xx for nrm in _point_norms(points)], axis=1)
@@ -195,7 +198,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     # plain_frame_sandwich: pointwise sums against the classifier bounds.
     lo_plain = plain_verdict.witnesses["lambda_min"]
     hi_plain = plain_verdict.witnesses["lambda_max"]
-    xs = _sample_vectors(spec, 1, _SAMPLES)
+    xs = _sample_vectors(rng, spec, 1, _SAMPLES)
     viol = _sandwich(lo_plain if plain_verdict.kind == FRAME else None,
                      hi_plain, _gram(xs), _energy(points, xs, xs))
     out["plain_frame_sandwich"] = _Outcome(viol <= tol, viol, "plain sandwich violated")
@@ -212,7 +215,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
     herm = max(asym / max(1.0, nrm) for asym, nrm in zip(tops[::2], tops[1::2]))
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
-    xs = _sample_vectors(spec, 2, _SAMPLES)
+    xs = _sample_vectors(rng, spec, 2, _SAMPLES)
     viol = max(herm, _sandwich(lo_c if verdict.kind == FRAME else None, hi_c,
                                _gram(xs), _energy(points, xs @ ca, xs @ cpa)))
     out["controlled_frame_sandwich"] = _Outcome(
@@ -221,7 +224,7 @@ def _evaluate_scenario(spec: GeneratorSpec, tol: float) -> dict:
 
     # norm_characterization: scalar-norm version on controlled frames.
     if verdict.kind == FRAME:
-        xs = _sample_vectors(spec, 3, _SAMPLES)
+        xs = _sample_vectors(rng, spec, 3, _SAMPLES)
         # top singular values of every sample's gram and controlled energy,
         # from one stacked SVD
         gram_norms, val_norms = np.linalg.svd(
@@ -340,8 +343,9 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
     if not batch:
         raise ValueError("batch must contain at least one spec")
     results = {cid: CheckResult(cid) for cid in CHECKS}
-    for spec in batch:
-        for cid, o in _evaluate_scenario(spec, tol).items():
+    rng = stream(0)
+    for spec, (scenario, twin) in zip(batch, _generate_batch(batch, twins=True)):
+        for cid, o in _evaluate_scenario(spec, scenario, twin, rng, tol).items():
             r = results[cid]
             r.scenarios_run += 1
             if o.ok:

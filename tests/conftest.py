@@ -31,7 +31,7 @@ COUNTED = {
 CERTIFYING = ("validate_commutation", "decide_commutation")
 
 # Counted ``numpy.linalg`` routines, when a ``gframes`` module calls them.
-LINALG = ("svd", "eigvalsh")
+LINALG = ("svd", "eigvalsh", "qr")
 
 # Counted JSON parsers, when a ``gframes`` module calls them.
 PARSERS = {"json.loads": json, "orjson.loads": orjson}

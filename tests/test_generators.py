@@ -6,7 +6,8 @@ import pytest
 from gframes import (BESSEL_ONLY, FRAME, GeneratorSpec, InvalidSpec, classify,
                      controlled_classify, frame_operator, generate,
                      generate_pair, optimal_bounds, validate_commutation)
-from gframes.generators import SPECTRUM_CEILING
+from gframes.generators import SPECTRUM_CEILING, _generate_batch
+from gframes.verifier import default_batch, run_suite
 from gframes.serialization import dumps, scenario_to_obj
 
 SEEDS = range(1000, 1100)
@@ -37,6 +38,30 @@ def test_spec_validation():
         GeneratorSpec(seed=2**64, n=1, d=1, m=1)
     with pytest.raises(InvalidSpec):
         GeneratorSpec(seed=1, n=2, d=3, m=2, flavor="parseval")
+
+
+@pytest.mark.parametrize("field", ["seed", "n", "d", "m"])
+def test_spec_integer_fields_refuse_bools(field):
+    fields = dict(seed=1, n=1, d=2, m=3)
+    GeneratorSpec(**fields)
+    for flag in (True, False):
+        with pytest.raises(InvalidSpec, match=field):
+            GeneratorSpec(**{**fields, field: flag})
+
+
+@pytest.mark.parametrize("entry", [0, 1])
+def test_spec_dw_range_refuses_non_integral_entries(entry):
+    for bad in (1.9, 2.2, 2.5, True, "2", float("nan"), float("inf")):
+        rng = [1, 2]
+        rng[entry] = bad
+        with pytest.raises(InvalidSpec, match="dw_range"):
+            GeneratorSpec(seed=1, n=1, d=1, m=1, dw_range=tuple(rng))
+    # an integral entry of another type is the same int
+    rng = [1, 2]
+    rng[entry] = float(rng[entry])
+    spec = GeneratorSpec(seed=1, n=1, d=1, m=1, dw_range=tuple(rng))
+    assert spec.dw_range == (1, 2)
+    assert all(type(v) is int for v in spec.dw_range)
 
 
 def test_spectrum_ceiling():
@@ -175,3 +200,44 @@ def test_generated_commuting_controlled_verdict_matches_plain():
         sc = generate(GeneratorSpec(seed=seed, n=2, d=2, m=4, flavor="commuting"))
         assert (classify(sc.family).kind == FRAME) == (
             controlled_classify(sc).kind == FRAME)
+
+
+def _scenario_bytes(sc):
+    return (_family_bytes(sc.family) + sc.pair.c.base.action.tobytes()
+            + sc.pair.cp.base.action.tobytes() + sc.pair.c.inverse.action.tobytes()
+            + sc.pair.cp.inverse.action.tobytes())
+
+
+def _family_bytes(family):
+    return b"".join(np.float64(p.weight).tobytes() + p.lam.action.tobytes()
+                    for p in family.points)
+
+
+def test_batch_path_is_generate_pair_bit_for_bit():
+    batch = default_batch() + [
+        GeneratorSpec(seed=1300 + i, n=8, d=d, m=m, dw_range=(1, 3), flavor=fl)
+        for i, (fl, (d, m)) in enumerate(
+            (fl, dm) for fl in ("generic", "commuting", "parseval", "bessel_only")
+            for dm in ((2, 3), (4, 6)))]
+    got = [(_scenario_bytes(sc), _family_bytes(twin))
+           for sc, twin in _generate_batch(batch, twins=True)]
+    assert len(got) == len(batch)
+    for spec, pair in zip(batch, got):
+        sc, twin = generate_pair(spec)
+        assert pair == (_scenario_bytes(sc), _family_bytes(twin)), spec
+        assert _scenario_bytes(generate(spec)) == pair[0], spec
+
+
+def test_default_batch_takes_one_qr_per_size(calls):
+    run_suite(default_batch())
+    sizes = [z.shape[-1] for z in calls["qr"]]
+    assert sorted(sizes) == sorted(set(sizes))
+    assert len(sizes) == 7
+
+
+def test_generate_builds_no_twin(calls):
+    generate(GeneratorSpec(seed=1102, n=2, d=2, m=4, flavor="parseval"))
+    assert len(calls["frame_operator"]) == 1
+    calls["frame_operator"].clear()
+    generate_pair(GeneratorSpec(seed=1102, n=2, d=2, m=4, flavor="parseval"))
+    assert len(calls["frame_operator"]) == 2

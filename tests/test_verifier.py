@@ -10,7 +10,7 @@ import pytest
 from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
                      generate_pair, op_norm, run_suite, suite_passed,
                      surjectivity_transfer)
-from gframes.rng import complex_normal, stream
+from gframes.rng import _rekey, complex_normal, stream
 from gframes import controlled, verifier
 from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
 
@@ -319,6 +319,13 @@ def test_stacked_decompositions_match_per_slice_bit_for_bit(k):
     w = np.linalg.eigvalsh(h)
     for i in range(5):
         assert w[i].tobytes() == np.linalg.eigvalsh(h[i]).tobytes()
+    # and so does every stacked QR of the generators
+    z = a[..., :k]
+    q, r = np.linalg.qr(z)
+    for i in range(5):
+        qi, ri = np.linalg.qr(z[i])
+        assert q[i].tobytes() == qi.tobytes()
+        assert r[i].tobytes() == ri.tobytes()
 
 
 def test_stacked_svd_with_a_nan_slice_raises():
@@ -332,7 +339,10 @@ def test_sample_vectors_are_successive_complex_normal_draws():
     spec = GeneratorSpec(seed=11, n=2, d=3, m=1)
     rng = stream(spec.seed, verifier._CHECK_STREAM + 2)
     expected = np.stack([complex_normal(rng, (2, 6)) for _ in range(4)])
-    assert verifier._sample_vectors(spec, 2, 4).tobytes() == expected.tobytes()
+    # a generator left mid-stream elsewhere is re-keyed first
+    used = stream(5, 9)
+    used.uniform(size=3)
+    assert verifier._sample_vectors(used, spec, 2, 4).tobytes() == expected.tobytes()
 
 
 def test_point_norms_are_op_norms_bit_for_bit():
@@ -412,3 +422,51 @@ def test_default_batch_shape():
         assert s.n <= 3 and s.d <= 6 and s.m <= 8
     flavors = {s.flavor for s in batch}
     assert flavors == {"generic", "commuting", "parseval", "bessel_only"}
+
+
+REKEY_SEEDS = (0, 2**64 - 1)
+REKEY_INDICES = (0, 1, 2**32, 3 << 32)
+
+
+def _draws(rng):
+    return (rng.standard_normal(7).tobytes() + rng.uniform(0.5, 1.5, 5).tobytes()
+            + rng.integers(1, 4, size=9).tobytes() + rng.standard_normal(3).tobytes())
+
+
+def test_rekeyed_generator_draws_as_a_new_stream():
+    rng = stream(123, 456)
+    held = stream(7, 3)
+    first = _draws(held)
+    for seed in REKEY_SEEDS:
+        for index in REKEY_INDICES:
+            # left mid-buffer by a bounded integer draw and a normal draw
+            rng.integers(0, 10, size=3)
+            rng.standard_normal(1)
+            assert _rekey(rng, seed, index) is rng
+            assert _draws(rng) == _draws(stream(seed, index)), (seed, index)
+    # a generator held meanwhile goes on where it stopped
+    fresh = stream(7, 3)
+    assert _draws(fresh) == first
+    assert _draws(held) == _draws(fresh)
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_outcomes_do_not_depend_on_batch_neighbours(order):
+    # specs share one re-keyed Philox and one QR stack per size, so each
+    # spec's outcomes must be those it gets alone; at tol 1e-18 the order
+    # checks fail too, so their residual bits are compared as well
+    tol = 1e-18 if order % 2 else verifier.DEFAULT_TOL
+    full = default_batch()
+    batch = [full[i] for i in
+             np.random.default_rng(order).choice(len(full), 12, replace=False)]
+    together = {r.check_id: r for r in run_suite(batch, tol)}
+    alone = [{r.check_id: r for r in run_suite([s], tol)} for s in batch]
+    for cid, r in together.items():
+        assert r.scenarios_run == sum(a[cid].scenarios_run for a in alone)
+        assert r.passes == sum(a[cid].passes for a in alone)
+        failures = sorted((f for a in alone for f in a[cid].failures),
+                          key=lambda f: (f.seed, f.detail))
+        assert [(f.seed, f.detail, np.float64(f.residual).tobytes())
+                for f in r.failures] == [
+            (f.seed, f.detail, np.float64(f.residual).tobytes())
+            for f in failures]

@@ -10,6 +10,9 @@ this script and runs ``gframes.cli.main`` in-process on:
 * ``verify --batch`` of the 8 verify-ladder specs (seeds 900-907, n = 8,
   (d, m) in {(4, 16), (8, 32)}, dw 2, every flavor) at the default
   tolerance and 1e-18;
+* ``verify --batch`` of 8 mixed-size specs (seeds 970-977, (n, d, m) in
+  {(3, 3, 5), (8, 2, 6)}, dw_range [1, 3], every flavor), whose bases and
+  codomain unitaries share size stacks across specs and across roles;
 * ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
   1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
   (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32);
@@ -57,6 +60,11 @@ LADDER_BATCH = [{"seed": 900 + 4 * j + i, "n": 8, "d": d, "m": m,
                 for j, (d, m) in enumerate(((4, 16), (8, 32)))
                 for i, fl in enumerate(FLAVORS)]
 
+MIXED_BATCH = [{"seed": 970 + 4 * j + i, "n": n, "d": d, "m": m,
+                "dw_range": [1, 3], "flavor": fl}
+               for j, (n, d, m) in enumerate(((3, 3, 5), (8, 2, 6)))
+               for i, fl in enumerate(FLAVORS)]
+
 # Number and string tokens the JSON reader must take exactly as ``json``
 # does: tokens only ``json`` accepts, numbers at the edges of the doubles and
 # of the 64-bit integers, and text a strict parser refuses.
@@ -96,6 +104,8 @@ def sweep() -> None:
         run(f"verify_ladder_{tol or 'tol'}",
             ["verify", "--batch", "ladder.json"] + (["--tol", tol] if tol else []),
             "report.json")
+    Path("mixed.json").write_text(json.dumps(MIXED_BATCH), encoding="utf-8")
+    run("verify_mixed_tol", ["verify", "--batch", "mixed.json"], "report.json")
     for j, (n, d, m) in enumerate(SHAPES):
         for i, fl in enumerate(FLAVORS):
             tag = f"{fl}_{n}x{d}x{m}"
