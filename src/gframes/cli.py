@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -115,26 +116,50 @@ def _resolve_tol(arg_tol: float | None, default: float) -> float:
 _ORJSON_MAX_DEPTH = 1 << 16
 
 
-def _parse_json(text: str):
-    """The document in ``text``, parsed by orjson; ``json.loads`` takes only
-    what orjson refuses or cannot nest safely.
+def _text(doc: str | bytes) -> str:
+    """``doc`` as a text-mode read of its bytes gives it: UTF-8 with
+    universal newlines, so ``json`` counts lines as it always has.  Raises
+    ``UnicodeDecodeError`` on bytes that are not UTF-8."""
+    if isinstance(doc, str):
+        return doc
+    return io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8").read()
+
+
+def _opening_brackets(doc: str | bytes) -> int:
+    """The number of ``[`` and ``{`` in ``doc``.  Neither byte occurs inside
+    a multibyte UTF-8 character, so a file's bytes hold as many as its text."""
+    if isinstance(doc, str):
+        return doc.count("[") + doc.count("{")
+    b = np.frombuffer(doc, np.uint8)
+    return int(np.count_nonzero(b == ord("[")) + np.count_nonzero(b == ord("{")))
+
+
+def _parse_json(doc: str | bytes):
+    """The document in ``doc``, a file's bytes or an inline text, parsed by
+    orjson; ``json.loads`` takes only what orjson refuses or cannot nest
+    safely, as the text a text-mode read gives.
 
     The fallback exists for what orjson refuses -- NaN and Infinity tokens,
     numbers that overflow a double, over-long integers, lone surrogates, a
-    byte order mark, every syntax error -- and for text with more brackets
-    than orjson can safely nest: all of it keeps ``json``'s result or error
-    message.  Valid JSON gives the same objects both ways, down to every
-    float's bits, except that an integer outside [-2**63, 2**64) comes back
-    as the nearest float, which the schema checks then reject as a count,
-    and that nesting deeper than ``json``'s recursion limit parses.
+    byte order mark, bytes that are not UTF-8, every syntax error -- and for
+    text with more brackets than orjson can safely nest: all of it keeps
+    ``json``'s result or error message, line numbers of files with CR or CRLF
+    line ends included.  Valid JSON gives the same objects both ways, down to
+    every float's bits, except that an integer outside [-2**63, 2**64) comes
+    back as the nearest float, which the schema checks then reject as a
+    count, and that nesting deeper than ``json``'s recursion limit parses.
     """
-    if (len(text) > 2 * _ORJSON_MAX_DEPTH
-            and text.count("[") + text.count("{") > _ORJSON_MAX_DEPTH):
-        return json.loads(text)
+    # a byte count can exceed the character count, so the bound on the
+    # length is settled on the text
+    if (len(doc) > 2 * _ORJSON_MAX_DEPTH
+            and _opening_brackets(doc) > _ORJSON_MAX_DEPTH):
+        text = _text(doc)
+        if len(text) > 2 * _ORJSON_MAX_DEPTH:
+            return json.loads(text)
     try:
-        return orjson.loads(text)
+        return orjson.loads(doc)
     except orjson.JSONDecodeError:
-        return json.loads(text)
+        return json.loads(_text(doc))
 
 
 def _too_long(source: str) -> SchemaError:
@@ -145,14 +170,16 @@ def _too_long(source: str) -> SchemaError:
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GFrameError(f"cannot read {path}: {exc.strerror or exc}")
     try:
-        return _parse_json(text)
+        return _parse_json(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON ({exc.msg} at line {exc.lineno})")
+    except UnicodeDecodeError:
+        raise  # not UTF-8: reported as the codec words it
     except ValueError:
         raise _too_long(path)
 

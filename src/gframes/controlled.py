@@ -272,6 +272,27 @@ def controlled_classify(scenario: ControlledScenario,
     return verdict
 
 
+def _analyze(scenario: ControlledScenario, x: ModuleVector) -> list[np.ndarray]:
+    """``analysis`` of ``x`` as flattened coefficients, one per point."""
+    f = scenario.family
+    if x.algebra_dim != f.algebra_dim or x.rank != f.module_rank:
+        raise ValueError("vector does not live in the family's module")
+    xp = x.flat @ scenario.pair.product_sqrt.action
+    return [xp @ p.lam.action for p in f.points]
+
+
+def _synthesize(scenario: ControlledScenario, ys) -> np.ndarray:
+    """``synthesis`` of flattened coefficients ``ys``, one per point, as the
+    flattened module vector."""
+    f = scenario.family
+    p_act = scenario.pair.product_sqrt.action
+    n, d = f.algebra_dim, f.module_rank
+    acc = np.zeros((n, d * n), dtype=np.complex128)
+    for p, y in zip(f.points, ys):
+        acc = acc + p.weight * (y @ (p.lam.action.conj().T @ p_act))
+    return acc
+
+
 def synthesis(scenario: ControlledScenario,
               coefficients: Sequence[ModuleVector]) -> ModuleVector:
     """Weighted sum ``sum_w weight * sqrt(c c') adjoint(lam_w) y_w`` mapping a
@@ -280,27 +301,22 @@ def synthesis(scenario: ControlledScenario,
     f = scenario.family
     if len(coefficients) != f.size:
         raise ValueError(f"expected {f.size} coefficient vectors, got {len(coefficients)}")
-    p_act = scenario.pair.product_sqrt.action
-    n, d = f.algebra_dim, f.module_rank
-    acc = np.zeros((n, d * n), dtype=np.complex128)
+    n = f.algebra_dim
     for p, y in zip(f.points, coefficients):
         if y.algebra_dim != n or y.rank != p.codomain_rank:
             raise ValueError(
                 f"coefficient shape ({y.algebra_dim}, {y.rank}) does not match "
                 f"point codomain ({n}, {p.codomain_rank})")
-        acc = acc + p.weight * (y.flat @ (p.lam.action.conj().T @ p_act))
-    return ModuleVector(n, d, acc)
+    return ModuleVector(n, f.module_rank,
+                        _synthesize(scenario, [y.flat for y in coefficients]))
 
 
 def analysis(scenario: ControlledScenario, x: ModuleVector) -> list[ModuleVector]:
     """Coefficient list ``[lam_w (sqrt(c c') x)]`` of a module vector."""
     _require_certificate(scenario.family, scenario.pair)
     f = scenario.family
-    if x.algebra_dim != f.algebra_dim or x.rank != f.module_rank:
-        raise ValueError("vector does not live in the family's module")
-    xp = x.flat @ scenario.pair.product_sqrt.action
-    return [ModuleVector(f.algebra_dim, p.codomain_rank, xp @ p.lam.action)
-            for p in f.points]
+    return [ModuleVector(f.algebra_dim, p.codomain_rank, y)
+            for p, y in zip(f.points, _analyze(scenario, x))]
 
 
 def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
@@ -344,14 +360,16 @@ ADJOINT_TOL = 1e-10
 @dataclass(frozen=True)
 class CrossAdjointDiagnostic:
     """Relative residuals of the true adjoint against the two printed
-    closed forms (controls swapped between them), and the adjoint's norm,
-    which scales them and equals the cross operator's norm."""
+    closed forms (controls swapped between them), the adjoint's norm, which
+    scales them and equals the cross operator's norm, and the adjoint's
+    smallest singular value."""
 
     statement_residual: float
     proof_residual: float
     matches_statement: bool
     matches_proof: bool
     adjoint_norm: float
+    adjoint_min_singular: float
 
 
 def _check_same_measure(lam: GFrameFamily, gam: GFrameFamily) -> None:
@@ -394,15 +412,16 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     a = adj.action
     ca, cpa = pair.c.base.action, pair.cp.base.action
     mixed = gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
-    # the adjoint's norm and both differences' norms, from one stacked SVD
-    norm, d_stmt, d_proof = (float(v) for v in np.linalg.svd(
-        np.stack((a, a - ca @ mixed @ cpa, a - cpa @ mixed @ ca)),
-        compute_uv=False)[:, 0])
+    # the adjoint's extreme singular values and both differences' norms,
+    # from one stacked SVD
+    s = np.linalg.svd(np.stack((a, a - ca @ mixed @ cpa, a - cpa @ mixed @ ca)),
+                      compute_uv=False)
+    norm, d_stmt, d_proof = (float(v) for v in s[:, 0])
     scale = max(1.0, norm)
     r_stmt = d_stmt / scale
     r_proof = d_proof / scale
     return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
-                                       r_proof <= tol, norm)
+                                       r_proof <= tol, norm, float(s[0, -1]))
 
 
 def bounds_plain_from_cc(lower: float, upper: float,
@@ -451,21 +470,22 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     if v_lam.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     lo_gam = v_gam.witnesses["lambda_min"]
-    res, at_floor = _transfer(op_adjoint(cross), scen_gam, lo_gam, tol)
+    surjective, _ = is_bounded_below(op_adjoint(cross), tol)
+    res, at_floor = _transfer(surjective, scen_gam, lo_gam, tol)
     if not at_floor:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "
                               f"exceeds the spectral floor {lo_gam:.6e}")
     return res
 
 
-def _transfer(adj: ModuleOperator, scen_gam: ControlledScenario,
+def _transfer(surjective: bool, scen_gam: ControlledScenario,
               lo_gam: float, tol: float) -> tuple[TransferResult, bool]:
-    """Transfer from ``adj``, the adjoint of the cross operator of a known
-    controlled frame, to the second scenario with controlled floor
-    ``lo_gam``, and whether the derived bound stays at that floor within
-    ``tol * max(1, bound)``; a transfer with no bound stays there."""
-    ok, _ = is_bounded_below(adj, tol)
-    if not ok:
+    """Transfer from a known controlled frame whose cross operator against
+    the second scenario is ``surjective`` (its adjoint bounded below at
+    ``tol``) to that scenario, with controlled floor ``lo_gam``, and whether
+    the derived bound stays at that floor within ``tol * max(1, bound)``; a
+    transfer with no bound stays there."""
+    if not surjective:
         return TransferResult(False, None), True
     k = synthesis_operator(scen_gam)
     gram = k.action.conj().T @ k.action
@@ -496,9 +516,10 @@ def reconstruct(scenario: ControlledScenario,
     verdict = _verdict(sc)
     if verdict.kind != FRAME:
         raise NotAFrame("reconstruction requires a controlled frame")
-    y = synthesis(scenario, analysis(scenario, x))
-    # y.flat @ inverse(sc.action), via a solve against the transposed action
-    xhat_flat = np.linalg.solve(sc.action.T, y.flat.T).T
+    # the round trip on flattened arrays: analysis, then synthesis
+    y = _synthesize(scenario, _analyze(scenario, x))
+    # y @ inverse(sc.action), via a solve against the transposed action
+    xhat_flat = np.linalg.solve(sc.action.T, y.T).T
     xhat = ModuleVector(x.algebra_dim, x.rank, xhat_flat)
     return ReconstructionResult(xhat, vec_norm(x - xhat),
                                 verdict.bounds.upper / verdict.bounds.lower)

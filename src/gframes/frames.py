@@ -104,12 +104,15 @@ def frame_operator(family: GFrameFamily) -> ModuleOperator:
     return family._frame_operator
 
 
-def _spectra(ops) -> np.ndarray:
+def _spectra(ops) -> list[np.ndarray]:
     """Ascending eigenvalues of the Hermitian part of each operator in
-    ``ops``, all of one shape, from one ``eigvalsh`` over their stack;
-    LAPACK takes each slice alone, so every value is the one-operator one."""
-    a = np.stack([op.action for op in ops])
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    ``ops``, all of one shape, from one ``eigvalsh`` over the stack of the
+    distinct ones; LAPACK takes each slice alone, so every value is the
+    one-operator one, and an operator listed twice is decomposed once."""
+    slot = {op: i for i, op in enumerate(dict.fromkeys(ops))}
+    a = np.stack([op.action for op in slot])
+    w = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    return [w[slot[op]] for op in ops]
 
 
 def _spectrum(op: ModuleOperator) -> tuple[float, float]:

@@ -109,7 +109,13 @@ def is_bounded_below(t: ModuleOperator,
         m = 0.0
     else:
         m = float(s[-1])
-    return (m > tol * max(1.0, top), m)
+    return (_clears_floor(m, top, tol), m)
+
+
+def _clears_floor(m: float, top: float, tol: float) -> bool:
+    """Whether ``m``, a smallest singular value, counts as nonzero next to
+    the largest, ``top``: ``m > tol * max(1, top)``."""
+    return m > tol * max(1.0, top)
 
 
 def is_surjective(t: ModuleOperator, tol: float = SURJECTIVITY_TOL) -> bool:

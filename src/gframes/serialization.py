@@ -162,35 +162,52 @@ def matrix_to_obj(mat: np.ndarray) -> list:
     return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
-def _pairs_array(obj: list):
-    """The (len(obj), 2) float64 array of a list of finite ``[re, im]``
-    pairs of exact ``float`` / ``int`` numbers, or None, from one flat list.
-    The type check comes first because ``np.array`` turns strings, bools and
-    None into floats."""
-    if set(map(type, obj)) - {list} or set(map(len, obj)) - {2}:
+def _sweep(mats: list) -> dict | None:
+    """The entries of every list in ``mats`` as a flat complex128 array,
+    keyed by the list's ``id``, or None unless each list holds only finite
+    ``[re, im]`` pairs of exact ``float`` / ``int`` numbers.
+
+    All lists take one type scan, one ``np.array`` and one finiteness check,
+    and each array is a view of that one array.  The type scan comes first
+    because ``np.array`` turns strings, bools and None into floats.  Each
+    entry keeps its list, so no other live object can have its ``id``.
+    """
+    pairs = list(chain.from_iterable(mats))
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
-    flat = list(chain.from_iterable(obj))
+    flat = list(chain.from_iterable(pairs))
     if set(map(type, flat)) - {float, int}:
         return None
     try:
         arr = np.array(flat, dtype=np.float64)
     except OverflowError:  # an int beyond the doubles
         return None
-    return arr.reshape(-1, 2) if np.isfinite(arr).all() else None
+    if not np.isfinite(arr).all():
+        return None
+    # a view, not arithmetic: -0.0 and every other bit pattern survive
+    entries = arr.view(np.complex128)
+    swept, at = {}, 0
+    for m in mats:
+        swept[id(m)] = (m, entries[at:at + len(m)])
+        at += len(m)
+    return swept
 
 
-def matrix_from_obj(obj, rows: int, cols: int, path: str) -> np.ndarray:
+def matrix_from_obj(obj, rows: int, cols: int, path: str,
+                    swept: dict | None = None) -> np.ndarray:
     """Parse a flat row-major list of [re, im] pairs, keeping every bit.
 
-    Every valid matrix takes one vectorized pass.  Input that pass rejects
-    goes through the per-entry loop, whose only job is to raise
+    A list in ``swept``, the result of a ``_sweep`` over a whole document,
+    is read from it; any other takes a sweep of its own.  Input no sweep
+    takes goes through the per-entry loop, whose only job is to raise
     ``SchemaError`` at the first bad entry.
     """
     _want(isinstance(obj, list), path, "expected a list of [re, im] pairs")
     _want(len(obj) == rows * cols, path,
           f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(obj)}")
-    arr = _pairs_array(obj)
-    if arr is None:
+    if swept is None or id(obj) not in swept:
+        swept = _sweep([obj])
+    if swept is None:
         for i, pair in enumerate(obj):
             at = f"{path}[{i}]"
             _want(isinstance(pair, list) and len(pair) == 2, at,
@@ -200,8 +217,7 @@ def matrix_from_obj(obj, rows: int, cols: int, path: str) -> np.ndarray:
                 # numpy scalars and int / float subclasses are no JSON numbers
                 _want(type(v) in (float, int), at, "expected a real number")
         raise AssertionError(f"{path}: rejected matrix with no bad entry")
-    # a view, not arithmetic: -0.0 and every other bit pattern survive
-    return arr.view(np.complex128).reshape(rows, cols)
+    return swept[id(obj)][1].reshape(rows, cols)
 
 
 # ------------------------------------------------------- object schemas
@@ -220,7 +236,8 @@ def vector_from_obj(obj, path: str = "") -> ModuleVector:
     blocks_obj = _get(obj, "blocks", p)
     _want(isinstance(blocks_obj, list) and len(blocks_obj) == d, f"{p}.blocks",
           f"expected {d} blocks")
-    blocks = [matrix_from_obj(b, n, n, f"{p}.blocks[{i}]")
+    swept = _sweep([b for b in blocks_obj if isinstance(b, list)])
+    blocks = [matrix_from_obj(b, n, n, f"{p}.blocks[{i}]", swept)
               for i, b in enumerate(blocks_obj)]
     return ModuleVector.from_blocks(blocks)
 
@@ -245,7 +262,9 @@ def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
 
     Shape errors raise ``SchemaError`` naming the offending path; semantic
     control failures (not Hermitian, not positive definite) surface from the
-    certification step.
+    certification step.  The first error in document order is the one
+    raised.  Every ``lambda`` and control matrix is read from one
+    ``_sweep`` of them all, gathered before any is checked.
     """
     _want(isinstance(obj, dict), "", "expected a scenario object")
     version = _as_int(_get(obj, "version", ""), "version")
@@ -256,6 +275,9 @@ def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
     pts_obj = _get(obj, "points", "")
     _want(isinstance(pts_obj, list) and len(pts_obj) >= 1, "points",
           "expected a nonempty list")
+    swept = _sweep([m for m in chain(
+        (po.get("lambda") for po in pts_obj if isinstance(po, dict)),
+        (obj.get("C"), obj.get("Cprime"))) if isinstance(m, list)])
     points = []
     for i, po in enumerate(pts_obj):
         pp = f"points[{i}]"
@@ -263,7 +285,8 @@ def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
         weight = _as_real(_get(po, "weight", pp), f"{pp}.weight")
         _want(weight > 0, f"{pp}.weight", "must be positive")
         dw = _as_int(_get(po, "dw", pp), f"{pp}.dw", 1)
-        mat = matrix_from_obj(_get(po, "lambda", pp), d * n, dw * n, f"{pp}.lambda")
+        mat = matrix_from_obj(_get(po, "lambda", pp), d * n, dw * n,
+                              f"{pp}.lambda", swept)
         points.append(MeasurePoint(weight, ModuleOperator(n, d, dw, mat)))
     family = GFrameFamily(n, d, tuple(points))
     controls = []
@@ -272,7 +295,7 @@ def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
         if v == "identity":
             controls.append(identity_control(n, d))
         else:
-            mat = matrix_from_obj(v, d * n, d * n, key)
+            mat = matrix_from_obj(v, d * n, d * n, key, swept)
             controls.append(make_positive_invertible(ModuleOperator(n, d, d, mat)))
     return ControlledScenario(family, ControlPair(controls[0], controls[1], tol))
 

@@ -26,7 +26,7 @@ from .controlled import (ADJOINT_TOL, ControlledScenario, _norm_bound,
                          cross_adjoint_resolve, synthesis_operator)
 from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
 from .generators import GeneratorSpec, _generate_batch
-from .operators import SURJECTIVITY_TOL, op_norm
+from .operators import SURJECTIVITY_TOL, _clears_floor, op_norm
 from .rng import _rekey, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -270,7 +270,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
                                            "synthesis norm above bound")
 
     # Two-family checks against the twin, all on one cross operator.
-    adj, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
+    _, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
     # an operator and its adjoint have the same norm
     hi_twin = verdict_twin.witnesses["lambda_max"]
     out["cross_operator_norm_bound"] = _Outcome(
@@ -283,7 +283,10 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
     # surjectivity_transfer: first family must be a controlled frame.
     if verdict.kind == FRAME:
         lo_twin = verdict_twin.witnesses["lambda_min"]
-        res, at_floor = _transfer(adj, scen_twin, lo_twin, SURJECTIVITY_TOL)
+        # the adjoint's singular values came with the diagnostic's SVD
+        surjective = _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm,
+                                   SURJECTIVITY_TOL)
+        res, at_floor = _transfer(surjective, scen_twin, lo_twin, SURJECTIVITY_TOL)
         if not res.surjective:
             out["surjectivity_transfer"] = _Outcome(False, 1.0,
                                                     "mixed operator not surjective")

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gframes import GeneratorSpec, ModuleVector, controlled_classify, generate
+from gframes import (GeneratorSpec, ModuleVector, SchemaError,
+                     controlled_classify, generate)
 from gframes import cli
 from gframes import serialization as ser
 from gframes.cli import main
@@ -609,6 +610,63 @@ def test_analyze_parses_its_file_once_with_orjson(scen, tmp_path, calls):
     assert main(["analyze", str(scen), "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls["orjson.loads"]) == 1
     assert calls["json.loads"] == []
+
+
+def test_files_reach_orjson_as_bytes_and_inline_specs_as_text(scen, tmp_path, calls):
+    assert main(["reconstruct", str(scen), "--random", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert calls["orjson.loads"] == [scen.read_bytes()]
+    assert main(["generate", "--spec", COMMUTING_SPEC,
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert [type(a) for a in calls["orjson.loads"]] == [bytes, str]
+    assert calls["json.loads"] == []
+
+
+def test_file_that_is_not_utf8_keeps_the_codec_message(scen, capsys):
+    scen.write_bytes(scen.read_bytes().replace(b"\n", b"\n\xff", 1))
+    assert main(["analyze", str(scen)]) == 1
+    assert capsys.readouterr().err == ("gframes: error: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 2: "
+                                       "invalid start byte\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_syntax_error_line_counts_translated_newlines(newline, scen, capsys):
+    # line 3 is '"n": 2,'
+    text = scen.read_text().replace('"n": ', '"n" ', 1)
+    scen.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert main(["analyze", str(scen)]) == 1
+    assert capsys.readouterr().err == (f"gframes: schema error: {scen}: invalid "
+                                       "JSON (Expecting ':' delimiter at line 3)\n")
+
+
+DEPTH = cli._ORJSON_MAX_DEPTH
+
+
+def text_guard_takes_json(text: str) -> bool:
+    """The nesting guard on the text a text-mode read gives."""
+    return len(text) > 2 * DEPTH and text.count("[") + text.count("{") > DEPTH
+
+
+# A file of ``opening`` brackets and then ``filler``, 2 * DEPTH + ``extra``
+# characters long once read as text, and longer in bytes.  Its second
+# character is already invalid JSON, so either parser refuses it at once.
+@pytest.mark.parametrize("filler", ["\u00e9", "\u20ac", "\U0001f600", "\r\n"],
+                         ids=["2_bytes", "3_bytes", "4_bytes", "crlf"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_bound", "above_bound"])
+@pytest.mark.parametrize("opening", [DEPTH, DEPTH + 1],
+                         ids=["depth_at_bound", "depth_above_bound"])
+def test_nesting_guard_on_bytes_decides_as_on_text(filler, extra, opening,
+                                                   tmp_path, calls):
+    path = tmp_path / "deep.json"
+    path.write_bytes(("{" + "[" * (opening - 1)
+                      + filler * (2 * DEPTH + extra - opening)).encode("utf-8"))
+    text = path.read_text(encoding="utf-8")
+    assert len(text) == 2 * DEPTH + extra < path.stat().st_size
+    with pytest.raises(SchemaError, match="Expecting property name"):
+        cli._load_json(str(path))
+    assert len(calls["orjson.loads"]) == (0 if text_guard_takes_json(text) else 1)
+    assert calls["json.loads"] == [text]
 
 
 # token in place of the first weight, or None for a whole-file edit, then

@@ -8,7 +8,7 @@ from gframes import (AlgebraElement, BESSEL_ONLY, FRAME, GFrameFamily,
                      alg_norm, check_sandwich, classify, frame_operator, inner,
                      loewner_leq, op_apply, optimal_bounds, sandwich_sum,
                      vec_norm)
-from gframes.frames import _energy
+from gframes.frames import _energy, _verdicts
 from gframes.generators import GeneratorSpec, generate
 from gframes.rng import complex_normal, stream
 
@@ -239,3 +239,13 @@ def test_family_rejects_mixed_shapes():
     bad = MeasurePoint(1.0, ModuleOperator.identity(2, 3))
     with pytest.raises(ValueError):
         GFrameFamily(2, 2, (good, bad))
+
+
+def test_verdicts_decompose_a_repeated_operator_once(calls):
+    s = frame_operator(random_family(61, 2, 2, 4))
+    t = frame_operator(random_family(62, 2, 2, 4))
+    got = _verdicts((s, t, s, s))
+    assert [a.shape for a in calls["eigvalsh"]] == [(2, 4, 4)]
+    alone = [_verdicts((op,))[0] for op in (s, t, s, s)]
+    assert [(v.kind, v.witnesses) for v in got] == [(v.kind, v.witnesses)
+                                                   for v in alone]

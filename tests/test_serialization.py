@@ -1,5 +1,6 @@
 """JSON codecs: canonical emitter, matrix packing, schema diagnostics."""
 
+import copy
 import json
 import math
 
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gframes import GeneratorSpec, ModuleVector, SchemaError, generate
+from gframes import (ControlledScenario, ControlPair, GeneratorSpec,
+                     GFrameError, GFrameFamily, MeasurePoint, ModuleOperator,
+                     ModuleVector, SchemaError, generate, identity_control,
+                     make_positive_invertible)
 from gframes import serialization as ser
 from gframes.rng import complex_normal, stream
 
@@ -338,3 +342,136 @@ def test_check_result_serialization():
                         "status"}
     text = ser.dumps(obj)
     assert json.loads(text)["check_id"] == results[0].check_id
+
+
+# ------------------------------------------- one sweep per scenario document
+
+
+def reference_scenario_from_obj(obj, tol=ser.DEFAULT_TOL):
+    """``scenario_from_obj`` as a sequential validator: every matrix parsed
+    alone, in document order, by ``reference_matrix_from_obj``."""
+    ser._want(isinstance(obj, dict), "", "expected a scenario object")
+    version = ser._as_int(ser._get(obj, "version", ""), "version")
+    ser._want(version == ser.SCENARIO_VERSION, "version",
+              f"unsupported version {version}, expected {ser.SCENARIO_VERSION}")
+    n = ser._as_int(ser._get(obj, "n", ""), "n", 1)
+    d = ser._as_int(ser._get(obj, "d", ""), "d", 1)
+    pts_obj = ser._get(obj, "points", "")
+    ser._want(isinstance(pts_obj, list) and len(pts_obj) >= 1, "points",
+              "expected a nonempty list")
+    points = []
+    for i, po in enumerate(pts_obj):
+        pp = f"points[{i}]"
+        ser._want(isinstance(po, dict), pp, "expected an object")
+        weight = ser._as_real(ser._get(po, "weight", pp), f"{pp}.weight")
+        ser._want(weight > 0, f"{pp}.weight", "must be positive")
+        dw = ser._as_int(ser._get(po, "dw", pp), f"{pp}.dw", 1)
+        mat = reference_matrix_from_obj(ser._get(po, "lambda", pp), d * n, dw * n,
+                                        f"{pp}.lambda")
+        points.append(MeasurePoint(weight, ModuleOperator(n, d, dw, mat)))
+    family = GFrameFamily(n, d, tuple(points))
+    controls = []
+    for key in ("C", "Cprime"):
+        v = ser._get(obj, key, "")
+        if v == "identity":
+            controls.append(identity_control(n, d))
+        else:
+            mat = reference_matrix_from_obj(v, d * n, d * n, key)
+            controls.append(make_positive_invertible(ModuleOperator(n, d, d, mat)))
+    return ControlledScenario(family, ControlPair(controls[0], controls[1], tol))
+
+
+def outcome(read, obj):
+    """The error ``read(obj)`` raises, by type and message, or the bits of
+    every weight, point action and control action it reads."""
+    try:
+        sc = read(obj)
+    except (GFrameError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return ([p.weight for p in sc.family.points],
+            [p.lam.action.tobytes() for p in sc.family.points],
+            [k.base.action.tobytes() for k in (sc.pair.c, sc.pair.cp)])
+
+
+# (1, 1, 2) generic carries identity controls, (2, 2, 3) commuting explicit ones
+SWEEP_BASES = [ser.scenario_to_obj(generate(GeneratorSpec(
+    seed=23, n=n, d=d, m=m, dw_range=(1, 2), flavor=flavor)))
+    for n, d, m, flavor in ((1, 1, 2, "generic"), (2, 2, 3, "commuting"))]
+
+# entries that are no JSON real number, or no finite double; json reads
+# NaN and Infinity tokens as floats
+BAD_ENTRIES = [True, False, "1.5", None, 10**400, math.nan, -math.inf]
+# entries that keep the document valid and must keep their bits
+GOOD_ENTRIES = [0, -0.0, 3, 2**53 + 1, 2**64, 5e-324, -1.7976931348623157e308]
+CORRUPTIONS = ("entry", "pair_length", "scalar", "missing_key", "weight", "dw",
+               "lambda_not_list", "control")
+
+
+def corrupt(obj, kind, draw) -> None:
+    """Apply one corruption of ``kind`` at a drawn path of ``obj``, where
+    earlier corruptions left one to apply it at."""
+    def pick(seq):
+        return seq[draw(st.integers(0, len(seq) - 1))]
+    points = [p for p in obj.get("points", ()) if isinstance(p, dict)]
+    mats = ([p["lambda"] for p in points if isinstance(p.get("lambda"), list)]
+            + [obj[k] for k in ("C", "Cprime") if isinstance(obj.get(k), list)])
+    mats = [m for m in mats if m]
+    if kind in ("entry", "pair_length", "good_entry") and mats:
+        mat = pick(mats)
+        i = draw(st.integers(0, len(mat) - 1))
+        if kind == "pair_length":
+            mat[i] = pick([[], [1.0], [1.0, 2.0, 3.0], 1.0])
+        elif isinstance(mat[i], list) and len(mat[i]) == 2:
+            mat[i] = list(mat[i])
+            mat[i][draw(st.integers(0, 1))] = pick(
+                BAD_ENTRIES if kind == "entry" else GOOD_ENTRIES)
+    elif kind == "scalar":
+        target = pick([obj] + points)
+        keys = [k for k in ("version", "n", "d", "weight", "dw") if k in target]
+        if keys:
+            target[pick(keys)] = pick(BAD_ENTRIES + [1.5, -1])
+    elif kind == "missing_key":
+        target = pick([obj] + points)
+        if target:
+            del target[pick(sorted(target))]
+    elif kind in ("weight", "dw", "lambda_not_list") and points:
+        point = pick(points)
+        if kind == "weight":
+            point["weight"] = pick([0, 0.0, -0.0, -1, -1e-300, -2.5])
+        elif kind == "dw":
+            point["dw"] = 0
+        else:
+            point["lambda"] = pick([{}, "lambda", 1.5, None])
+    elif kind == "control":
+        k = obj.get("n", 1) * obj.get("d", 1)
+        obj[pick(["C", "Cprime"])] = pick(
+            ["Identity", [[1.0, 0.0]] * (k * k - 1), [[1.0, 0.0]] * (k * k + 1)])
+
+
+# a control entry near -1.8e308 overflows the control's Hermitian part,
+# in both readers alike
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scenario_sweep_keeps_the_sequential_outcome(data):
+    obj = copy.deepcopy(data.draw(st.sampled_from(SWEEP_BASES)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        corrupt(obj, "good_entry", data.draw)
+    for _ in range(data.draw(st.integers(0, 2))):
+        corrupt(obj, data.draw(st.sampled_from(CORRUPTIONS)), data.draw)
+    assert outcome(ser.scenario_from_obj, obj) == outcome(
+        reference_scenario_from_obj, obj)
+
+
+@pytest.mark.parametrize("base", SWEEP_BASES, ids=["identity", "explicit"])
+def test_scenario_takes_one_sweep(base, monkeypatch):
+    sweeps = []
+    real = ser._sweep
+    monkeypatch.setattr(ser, "_sweep", lambda mats: sweeps.append(mats) or real(mats))
+    assert outcome(ser.scenario_from_obj, base) == outcome(
+        reference_scenario_from_obj, base)
+    # every lambda and every explicit control, in one sweep
+    assert len(sweeps) == 1
+    assert sweeps[0] == [p["lambda"] for p in base["points"]] + [
+        base[k] for k in ("C", "Cprime") if base[k] != "identity"]

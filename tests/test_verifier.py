@@ -202,7 +202,8 @@ def test_scenario_builds_each_operator_once(calls, flavor):
 # Every other norm comes from a stacked SVD: one
 # per codomain rank for the point norms, one for the Hermitian-ness of the
 # distinct operators, one for the norm characterization of a frame, one
-# for the cross adjoint's three norms, one per certified control for its
+# for the cross adjoint's three norms and its smallest singular value, which
+# the surjectivity transfer reads, one per certified control for its
 # norm and asymmetry, and one per order check with a failing slice for the
 # scales of all its failing slices; a certificate takes none, since its
 # Frobenius bound passes every commutator here.  Which slices of a tight
@@ -210,9 +211,9 @@ def test_scenario_builds_each_operator_once(calls, flavor):
 # verdicts take one eigvalsh, and each order check one more.
 SCENARIO_NORMS = {
     "bessel_only": {"norm2": 1, "svd": 8, "eigvalsh": 4},
-    "commuting": {"norm2": 2, "svd": 13, "eigvalsh": 8},
-    "generic": {"norm2": 3, "svd": 12, "eigvalsh": 8},
-    "parseval": {"norm2": 3, "svd": 14, "eigvalsh": 8},
+    "commuting": {"norm2": 2, "svd": 12, "eigvalsh": 8},
+    "generic": {"norm2": 3, "svd": 11, "eigvalsh": 8},
+    "parseval": {"norm2": 3, "svd": 13, "eigvalsh": 8},
 }
 
 
@@ -221,6 +222,14 @@ def test_scenario_spectral_norm_count(calls, flavor):
     run_suite([GeneratorSpec(seed=7, n=2, d=2, m=4, flavor=flavor)])
     expected = SCENARIO_NORMS[flavor]
     assert {name: len(calls[name]) for name in expected} == expected
+
+
+@pytest.mark.parametrize("flavor,slices", [("generic", 2), ("commuting", 4)])
+def test_verdicts_stack_each_distinct_operator_once(calls, flavor, slices):
+    # identity controls make the controlled and same-control operators the
+    # plain one, so a generic scenario stacks that and the twin's
+    run_suite([GeneratorSpec(seed=7, n=2, d=2, m=4, flavor=flavor)])
+    assert calls["eigvalsh"][0].shape == (slices, 4, 4)
 
 
 def reference_order_violation(a, b):

@@ -21,7 +21,14 @@ this script and runs ``gframes.cli.main`` in-process on:
   ``reconstruct --random 3``, and in place of a spec's seed and of its upper
   spectrum bound, through ``generate --spec FILE``; the same files with a
   byte order mark in front and with a trailing comma before the closing
-  brace.  The files are written under ``OUT/edge/``.
+  brace.  The files are written under ``OUT/edge/``;
+* the byte-level edge corpus, through ``analyze`` and ``reconstruct
+  --random 3``: the commuting (3, 2, 3) scenario with one byte that is not
+  UTF-8, with a syntax error on line 3 and CRLF or CR-only line ends, and
+  with a byte order mark and CRLF line ends; and the commuting (8, 4, 16)
+  scenario, over 131,072 bytes, with ``true`` as the first entry of the
+  first point's ``lambda`` and -1 as the last point's weight.  These files
+  are written under ``OUT/edge/`` too.
 
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``.  Paths are relative to ``OUT``, so no
@@ -117,7 +124,9 @@ def sweep() -> None:
             run(f"analyze_stdout_{tag}", ["analyze", scen])
             run(f"analyze_1e-18_{tag}", ["analyze", scen, "--tol", "1e-18"], "report.json")
             run(f"reconstruct_{tag}", ["reconstruct", scen, "--random", "3"])
-    edge_sweep(Path("generate_commuting_3x2x3/scenario.json").read_text(
+    small = Path("generate_commuting_3x2x3/scenario.json").read_text(encoding="utf-8")
+    edge_sweep(small)
+    byte_edge_sweep(small, Path("generate_commuting_8x4x16/scenario.json").read_text(
         encoding="utf-8"))
 
 
@@ -144,6 +153,29 @@ def edge_sweep(scenario: str) -> None:
                 run(f"edge_reconstruct_{key}", ["reconstruct", path, "--random", "3"])
             else:
                 run(f"edge_generate_{key}", ["generate", "--spec", path])
+
+
+def byte_edge_sweep(small: str, large: str) -> None:
+    """Run the byte-level edge corpus on variants of the scenario texts
+    ``small`` and ``large``: files whose bytes and text-mode text differ,
+    and a file with two schema errors far apart."""
+    # '"n": 3,' is line 3 of every emitted scenario
+    broken = small.replace('"n": ', '"n" ', 1)
+    head, _, tail = re.sub(r'("lambda": \[\[)[^,]*', r"\1true", large,
+                           count=1).rpartition('"weight": ')
+    files = {
+        "not_utf8": small.encode("utf-8").replace(b"\n", b"\n\xff", 1),
+        "crlf_syntax_error": broken.replace("\n", "\r\n").encode("utf-8"),
+        "cr_syntax_error": broken.replace("\n", "\r").encode("utf-8"),
+        "bom_crlf": ("\ufeff" + small.replace("\n", "\r\n")).encode("utf-8"),
+        "large_two_errors": (head + '"weight": '
+                             + re.sub(r"^[^,]*", "-1", tail, count=1)).encode("utf-8"),
+    }
+    for key, data in files.items():
+        path = f"edge/scenario_{key}.json"
+        Path(path).write_bytes(data)
+        run(f"edge_analyze_{key}", ["analyze", path])
+        run(f"edge_reconstruct_{key}", ["reconstruct", path, "--random", "3"])
 
 
 def record_environment() -> None:
