@@ -1,5 +1,6 @@
 """Matrix *-algebra layer: adjoints, positivity, the semidefinite order,
-square roots and norms of square complex matrices.
+square roots and norms of square complex matrices, and the spectral
+kernels and the one relative scale, ``_scale``, that every module shares.
 
 The norm is the largest singular value, so the C*-identity
 ``alg_norm(a* a) == alg_norm(a)**2`` holds up to roundoff.  Positivity is
@@ -71,14 +72,31 @@ def _check_same_dim(a: AlgebraElement, b: AlgebraElement) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _scale(*norms: float) -> float:
+    """``max(1, *norms)``: what every relative tolerance is scaled by."""
+    return max(1.0, *norms)
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """Hermitian part of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _hmin(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix in a stack."""
+    return np.linalg.eigvalsh(_hermitian_part(m))[..., 0]
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a matrix, bit for bit the matrix 2-norm of
     numpy's ``norm`` without its axis handling."""
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _top_singular(stack: np.ndarray) -> list:
+    """``spectral_norm`` of each matrix in a stack, as nested lists of Python
+    floats, from one SVD: LAPACK takes each slice alone."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0].tolist()
 
 
 def alg_adjoint(a: AlgebraElement) -> AlgebraElement:
@@ -96,12 +114,12 @@ def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     and smallest eigenvalue of the Hermitian part >= ``-tol * max(1, norm)``."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    scale = max(1.0, alg_norm(a))
-    asym = spectral_norm(a.entries - a.entries.conj().T)
+    m = a.entries
+    nrm, asym = _top_singular(np.stack((m, m - m.conj().T)))
+    scale = _scale(nrm)
     if asym > tol * scale:
         return False
-    lo = float(np.linalg.eigvalsh(_hermitian_part(a.entries))[0])
-    return lo >= -tol * scale
+    return float(_hmin(m)) >= -tol * scale
 
 
 def loewner_leq(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:

@@ -27,7 +27,7 @@ from .frames import FRAME, FrameVerdict, classify
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, _scale
 from .verifier import SCALAR_TIGHT_TOL, default_batch, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -188,9 +188,12 @@ def _write_report(obj, out_path: str | None) -> None:
     text = ser.dumps(obj)
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise GFrameError(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
 def _bounds_obj(bounds):
@@ -285,6 +288,10 @@ def cmd_generate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     tol = _resolve_tol(args.tol, RECONSTRUCT_TOL)
+    # stream() keeps 64 bits of a seed, so a wider one draws another's vector
+    if args.random is not None and not 0 <= args.random < 1 << 64:
+        raise GFrameError(f"--random must be a 64-bit nonnegative integer, "
+                          f"got {args.random}")
     scenario = ser.scenario_from_obj(_load_json(args.path))
     family = scenario.family
     if args.vector is not None:
@@ -302,10 +309,10 @@ def cmd_reconstruct(args) -> int:
         sys.stderr.write(f"gframes: not a frame: {exc}\n")
         return EXIT_NOT_FRAME
     err = result.error
-    scale = max(1.0, vec_norm(x))
+    scale = _scale(vec_norm(x))
     rel = err / scale
     cond = result.condition_number
-    passed = rel <= tol * max(1.0, cond)
+    passed = rel <= tol * _scale(cond)
     report = {
         "version": ser.REPORT_VERSION,
         "error": err,

@@ -26,15 +26,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _psd_sqrt, spectral_norm
+from .algebra import DEFAULT_TOL, _hmin, _psd_sqrt, _scale, spectral_norm
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
-                     _spectrum, _verdict, _verdicts, frame_operator)
+                     _verdict, _verdicts, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
-                        SURJECTIVITY_TOL, is_bounded_below, op_adjoint,
-                        op_norm)
+                        SURJECTIVITY_TOL, _clears_floor, op_adjoint, op_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +157,7 @@ def _frobenius_passes(c: PositiveInvertibleOperator, x: np.ndarray,
     fro = math.sqrt(np.vdot(x, x).real)
     if fro == 0.0:
         return not x.any()
-    return (_FROBENIUS_FLOOR <= fro <= 0.5 * tol * max(1.0, c.norm * lo_b)
+    return (_FROBENIUS_FLOOR <= fro <= 0.5 * tol * _scale(c.norm * lo_b)
             and fro < math.inf)
 
 
@@ -189,7 +188,7 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
     same = cpa is ca
     x = ca @ cpa - cpa @ ca
     yield (0.0 if _frobenius_passes(c, x, cp.norm, tol)
-           else spectral_norm(x) / max(1.0, c.norm * cp.norm))
+           else spectral_norm(x) / _scale(c.norm * cp.norm))
     for p in family.points:
         l = p.lam.action
         gram = l @ l.conj().T
@@ -202,7 +201,7 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
             if not _frobenius_passes(k, x, g_lo, tol):
                 if ng is None:
                     ng = spectral_norm(gram)
-                r = spectral_norm(x) / max(1.0, k.norm * ng)
+                r = spectral_norm(x) / _scale(k.norm * ng)
             yield r
         if same:
             yield r
@@ -342,14 +341,14 @@ def _norm_bound(norm: float, upper: float,
     """Whether ``norm <= sqrt(upper)`` holds within ``tol * max(1,
     sqrt(upper))``, and by how much ``norm`` exceeds ``sqrt(upper)``."""
     root = float(np.sqrt(max(upper, 0.0)))
-    return norm - root - tol * max(1.0, root) <= 0, max(0.0, norm - root)
+    return norm - root - tol * _scale(root) <= 0, max(0.0, norm - root)
 
 
 def synthesis_norm_check(scenario: ControlledScenario,
                          tol: float = NORM_BOUND_TOL) -> bool:
     """Check the synthesis norm against the controlled upper bound:
     ``op_norm(synthesis) <= sqrt(lambda_max) + tol * scale``."""
-    hi = _spectrum(controlled_frame_operator(scenario))[1]
+    hi = _verdict(controlled_frame_operator(scenario)).witnesses["lambda_max"]
     return _norm_bound(op_norm(synthesis_operator(scenario)), hi, tol)[0]
 
 
@@ -416,10 +415,8 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     # from one stacked SVD
     s = np.linalg.svd(np.stack((a, a - ca @ mixed @ cpa, a - cpa @ mixed @ ca)),
                       compute_uv=False)
-    norm, d_stmt, d_proof = (float(v) for v in s[:, 0])
-    scale = max(1.0, norm)
-    r_stmt = d_stmt / scale
-    r_proof = d_proof / scale
+    norm, d_stmt, d_proof = s[:, 0].tolist()
+    r_stmt, r_proof = (d / _scale(norm) for d in (d_stmt, d_proof))
     return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
                                        r_proof <= tol, norm, float(s[0, -1]))
 
@@ -463,35 +460,32 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     fails.  Raises ``PreconditionViolated`` naming the failing hypothesis,
     or ``CommutationViolated`` from the certificate.
     """
-    cross = cross_operator(lam, gam, pair)
+    _, diag = cross_adjoint_resolve(lam, gam, pair)
     scen_lam, scen_gam = ControlledScenario(lam, pair), ControlledScenario(gam, pair)
     v_lam, v_gam = _verdicts((controlled_frame_operator(scen_lam),
                               controlled_frame_operator(scen_gam)))
     if v_lam.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     lo_gam = v_gam.witnesses["lambda_min"]
-    surjective, _ = is_bounded_below(op_adjoint(cross), tol)
-    res, at_floor = _transfer(surjective, scen_gam, lo_gam, tol)
+    res, at_floor = _transfer(diag, scen_gam, lo_gam, tol)
     if not at_floor:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "
                               f"exceeds the spectral floor {lo_gam:.6e}")
     return res
 
 
-def _transfer(surjective: bool, scen_gam: ControlledScenario,
+def _transfer(diag: CrossAdjointDiagnostic, scen_gam: ControlledScenario,
               lo_gam: float, tol: float) -> tuple[TransferResult, bool]:
-    """Transfer from a known controlled frame whose cross operator against
-    the second scenario is ``surjective`` (its adjoint bounded below at
-    ``tol``) to that scenario, with controlled floor ``lo_gam``, and whether
-    the derived bound stays at that floor within ``tol * max(1, bound)``; a
+    """Transfer from a known controlled frame to the second scenario, with
+    controlled floor ``lo_gam``, when ``diag``'s cross adjoint is bounded
+    below at ``tol`` by the rule of ``is_bounded_below``, and whether the
+    derived bound stays at that floor within ``tol * max(1, bound)``; a
     transfer with no bound stays there."""
-    if not surjective:
+    if not _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm, tol):
         return TransferResult(False, None), True
     k = synthesis_operator(scen_gam)
-    gram = k.action.conj().T @ k.action
-    m = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
-    m = max(m, 0.0)
-    return TransferResult(True, m), not lo_gam < m - tol * max(1.0, m)
+    m = max(float(_hmin(k.action.conj().T @ k.action)), 0.0)
+    return TransferResult(True, m), not lo_gam < m - tol * _scale(m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, loewner_leq
+from .algebra import DEFAULT_TOL, AlgebraElement, _hermitian_part, loewner_leq
 from .errors import NotAFrame
 from .module_space import ModuleVector, inner
 from .operators import ModuleOperator
@@ -111,39 +111,30 @@ def _spectra(ops) -> list[np.ndarray]:
     one-operator one, and an operator listed twice is decomposed once."""
     slot = {op: i for i, op in enumerate(dict.fromkeys(ops))}
     a = np.stack([op.action for op in slot])
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    w = np.linalg.eigvalsh(_hermitian_part(a))
     return [w[slot[op]] for op in ops]
 
 
-def _spectrum(op: ModuleOperator) -> tuple[float, float]:
-    w = _spectra((op,))[0]
-    return float(w[0]), float(w[-1])
-
-
-def _verdicts(ops, tol: float = DEFAULT_TOL,
-              **witnesses: float) -> list[FrameVerdict]:
+def _verdicts(ops, tol: float = DEFAULT_TOL) -> list[FrameVerdict]:
     """Frame / Bessel-only verdict of each frame operator in ``ops``, from
     one stacked spectrum: a frame when ``lambda_min > tol * lambda_max``.
     The threshold is relative, so rescaling an operator leaves its verdict
     alone; its default, ``DEFAULT_TOL``, is the one frame threshold of the
-    library, the verifier and every CLI command.
-
-    The extreme eigenvalues lead each verdict's witnesses, followed by
-    ``witnesses``.
+    library, the verifier and every CLI command.  Each verdict's witnesses
+    are the extreme eigenvalues.
     """
     out = []
     for w in _spectra(ops):
         lo, hi = float(w[0]), float(w[-1])
-        wit = {"lambda_min": lo, "lambda_max": hi, **witnesses}
+        wit = {"lambda_min": lo, "lambda_max": hi}
         out.append(FrameVerdict(FRAME, FrameBounds(lo, hi), wit) if lo > tol * hi
                    else FrameVerdict(BESSEL_ONLY, None, wit))
     return out
 
 
-def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL,
-             **witnesses: float) -> FrameVerdict:
+def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL) -> FrameVerdict:
     """``_verdicts`` of the one operator ``op``."""
-    return _verdicts((op,), tol, **witnesses)[0]
+    return _verdicts((op,), tol)[0]
 
 
 def optimal_bounds(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameBounds:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _hermitian_part
 from .controlled import ControlPair, ControlledScenario
 from .errors import InvalidSpec
 from .frames import GFrameFamily, MeasurePoint, frame_operator
@@ -98,7 +99,11 @@ class GeneratorSpec:
             raise InvalidSpec(f"dw_range must satisfy 1 <= lo <= hi, got {self.dw_range}")
         object.__setattr__(self, "dw_range", (lo, hi))
         try:
-            slo, shi = (float(self.spectrum_range[0]), float(self.spectrum_range[1]))
+            raw = (self.spectrum_range[0], self.spectrum_range[1])
+            # float() also reads a bool or a numeric string; neither is a real
+            if any(isinstance(v, (bool, str, bytes)) for v in raw):
+                raise TypeError
+            slo, shi = (float(v) for v in raw)
         except (TypeError, ValueError, IndexError):
             raise InvalidSpec(f"spectrum_range must be a pair of reals, got {self.spectrum_range}") from None
         if not (np.isfinite(slo) and np.isfinite(shi) and 0 < slo <= shi):
@@ -204,7 +209,7 @@ def _structured_family(drawn: _Drawn, sings) -> GFrameFamily:
     family = GFrameFamily(n, d, tuple(points))
     if spec.flavor == "parseval":
         s = frame_operator(family)
-        wv, vv = np.linalg.eigh(0.5 * (s.action + s.action.conj().T))
+        wv, vv = np.linalg.eigh(_hermitian_part(s.action))
         inv_root = (vv * (1.0 / np.sqrt(wv))) @ vv.conj().T
         family = GFrameFamily(n, d, tuple(
             MeasurePoint(p.weight, ModuleOperator(n, d, p.codomain_rank,

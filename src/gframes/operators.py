@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, loewner_leq, spectral_norm
+from .algebra import (DEFAULT_TOL, AlgebraElement, _hermitian_part, _hmin,
+                      _scale, _top_singular, loewner_leq, spectral_norm)
 from .errors import NotHermitian, NotPositiveDefinite, NotSurjective
 from .module_space import ModuleVector, inner
 
@@ -105,17 +106,14 @@ def is_bounded_below(t: ModuleOperator,
     """
     s = np.linalg.svd(t.action, compute_uv=False)
     top = float(s[0]) if s.size else 0.0
-    if t.action.shape[0] > t.action.shape[1]:
-        m = 0.0
-    else:
-        m = float(s[-1])
+    m = 0.0 if t.action.shape[0] > t.action.shape[1] else float(s[-1])
     return (_clears_floor(m, top, tol), m)
 
 
 def _clears_floor(m: float, top: float, tol: float) -> bool:
     """Whether ``m``, a smallest singular value, counts as nonzero next to
     the largest, ``top``: ``m > tol * max(1, top)``."""
-    return m > tol * max(1.0, top)
+    return m > tol * _scale(top)
 
 
 def is_surjective(t: ModuleOperator, tol: float = SURJECTIVITY_TOL) -> bool:
@@ -135,8 +133,7 @@ def gram_sandwich_check(t: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
         raise NotSurjective("gram sandwich requires a surjective operator")
     g = op_compose(t, op_adjoint(t))
     gm = AlgebraElement(g.action)
-    evals = np.linalg.eigvalsh(0.5 * (g.action + g.action.conj().T))
-    lo, hi = float(evals[0]), float(op_norm(t) ** 2)
+    lo, hi = float(_hmin(g.action)), float(op_norm(t) ** 2)
     eye = AlgebraElement.identity(g.action.shape[0])
     return loewner_leq(lo * eye, gm, tol) and loewner_leq(gm, hi * eye, tol)
 
@@ -177,11 +174,10 @@ def make_positive_invertible(m: ModuleOperator,
         raise ValueError("positive operators must be square")
     a = m.action
     # op_norm(m) and the asymmetry's norm, from one stacked SVD
-    nrm, asym = (float(v) for v in
-                 np.linalg.svd(np.stack((a, a - a.conj().T)), compute_uv=False)[:, 0])
-    if asym > tol * max(1.0, nrm):
+    nrm, asym = _top_singular(np.stack((a, a - a.conj().T)))
+    if asym > tol * _scale(nrm):
         raise NotHermitian(f"operator is not Hermitian within tol={tol}")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    w, v = np.linalg.eigh(_hermitian_part(a))
     lo, hi = float(w[0]), float(w[-1])
     if lo <= tol * nrm:
         raise NotPositiveDefinite(

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL
-from .controlled import (ADJOINT_TOL, ControlledScenario, _norm_bound,
+from .algebra import DEFAULT_TOL, _hmin, _scale, _top_singular
+from .controlled import (ControlledScenario, _norm_bound,
                          _same_control, _transfer, bounds_cc_from_plain,
                          bounds_plain_from_cc, controlled_frame_operator,
                          cross_adjoint_resolve, synthesis_operator)
 from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
 from .generators import GeneratorSpec, _generate_batch
-from .operators import SURJECTIVITY_TOL, _clears_floor, op_norm
+from .operators import SURJECTIVITY_TOL, op_norm
 from .rng import _rekey, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -70,11 +70,6 @@ class CheckResult:
     status: str = "pass"
 
 
-def _hmin(mat: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each matrix in a stack."""
-    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))[..., 0]
-
-
 def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
     """How far ``a <= b`` fails in the semidefinite order, relative: the
     largest violation over the matrices of two equal-shape stacks, or of two
@@ -93,12 +88,11 @@ def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
     bad = ~((h >= 0) & finite)
     if not bad.any():
         return 0.0
-    norms_a, norms_b = np.linalg.svd(np.stack((a[bad], b[bad])),
-                                     compute_uv=False)[..., 0].tolist()
+    norms_a, norms_b = _top_singular(np.stack((a[bad], b[bad])))
     viol = 0.0
     for hb, fb, na, nb in zip(h[bad].tolist(), finite[bad].tolist(),
                               norms_a, norms_b):
-        viol = max(viol, -hb / max(1.0, na, nb) if fb else math.inf)
+        viol = max(viol, -hb / _scale(na, nb) if fb else math.inf)
     return viol
 
 
@@ -122,9 +116,8 @@ def _point_norms(points) -> list:
         groups.setdefault(p.codomain_rank, []).append(i)
     norms = [0.0] * len(points)
     for idx in groups.values():
-        top = np.linalg.svd(np.stack([points[i].lam.action for i in idx]),
-                            compute_uv=False)[:, 0]
-        for i, v in zip(idx, top.tolist()):
+        top = _top_singular(np.stack([points[i].lam.action for i in idx]))
+        for i, v in zip(idx, top):
             norms[i] = v
     return norms
 
@@ -210,9 +203,8 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
     # once per distinct operator (two identity controls make sc the plain
     # one): the asymmetry's norm and the operator's, all from one stacked SVD
     acts = [op.action for op in dict.fromkeys((s_plain, sc))]
-    tops = np.linalg.svd(np.stack([m for a in acts for m in (a - a.conj().T, a)]),
-                         compute_uv=False)[:, 0].tolist()
-    herm = max(asym / max(1.0, nrm) for asym, nrm in zip(tops[::2], tops[1::2]))
+    tops = _top_singular(np.stack([m for a in acts for m in (a - a.conj().T, a)]))
+    herm = max(asym / _scale(nrm) for asym, nrm in zip(tops[::2], tops[1::2]))
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
     xs = _sample_vectors(rng, spec, 2, _SAMPLES)
@@ -227,15 +219,13 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
         xs = _sample_vectors(rng, spec, 3, _SAMPLES)
         # top singular values of every sample's gram and controlled energy,
         # from one stacked SVD
-        gram_norms, val_norms = np.linalg.svd(
-            np.stack((_gram(xs), _energy(points, xs @ ca, xs @ cpa))),
-            compute_uv=False)[..., 0]
+        gram_norms, val_norms = _top_singular(
+            np.stack((_gram(xs), _energy(points, xs @ ca, xs @ cpa))))
         viol = 0.0
-        for gn, vn in zip(gram_norms, val_norms):
+        for gn, nv in zip(gram_norms, val_norms):
             # vec_norm(x) ** 2, through the square root as vec_norm takes it
-            nx2 = float(np.sqrt(float(gn))) ** 2
-            nv = float(vn)
-            scale = max(1.0, hi_c * nx2)
+            nx2 = float(np.sqrt(gn)) ** 2
+            scale = _scale(hi_c * nx2)
             viol = max(viol, (lo_c * nx2 - nv) / scale, (nv - hi_c * nx2) / scale)
         viol = max(viol, 0.0)
         out["norm_characterization"] = _Outcome(viol <= tol, viol,
@@ -255,10 +245,10 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
             np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
             np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
         if spec.n == 1 and spec.d == 1:
-            tight = max(abs(pb.lower - a_pl) / max(1.0, a_pl),
-                        abs(pb.upper - b_pl) / max(1.0, b_pl),
-                        abs(cb.lower - a_cc) / max(1.0, a_cc),
-                        abs(cb.upper - b_cc) / max(1.0, b_cc))
+            tight = max(abs(pb.lower - a_pl) / _scale(a_pl),
+                        abs(pb.upper - b_pl) / _scale(b_pl),
+                        abs(cb.lower - a_cc) / _scale(a_cc),
+                        abs(cb.upper - b_cc) / _scale(b_cc))
     # a scalar transfer is held to its own gate, whatever tol is
     loose = tight > SCALAR_TIGHT_TOL
     out["cc_equivalence_bounds"] = _Outcome(
@@ -270,7 +260,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
                                            "synthesis norm above bound")
 
     # Two-family checks against the twin, all on one cross operator.
-    _, diag = cross_adjoint_resolve(family, twin, pair, ADJOINT_TOL)
+    _, diag = cross_adjoint_resolve(family, twin, pair)
     # an operator and its adjoint have the same norm
     hi_twin = verdict_twin.witnesses["lambda_max"]
     out["cross_operator_norm_bound"] = _Outcome(
@@ -283,10 +273,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
     # surjectivity_transfer: first family must be a controlled frame.
     if verdict.kind == FRAME:
         lo_twin = verdict_twin.witnesses["lambda_min"]
-        # the adjoint's singular values came with the diagnostic's SVD
-        surjective = _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm,
-                                   SURJECTIVITY_TOL)
-        res, at_floor = _transfer(surjective, scen_twin, lo_twin, SURJECTIVITY_TOL)
+        res, at_floor = _transfer(diag, scen_twin, lo_twin, SURJECTIVITY_TOL)
         if not res.surjective:
             out["surjectivity_transfer"] = _Outcome(False, 1.0,
                                                     "mixed operator not surjective")
@@ -304,7 +291,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
         claimed_hi = plain_verdict.bounds.upper * nc * ncp
         lo_gap = claimed_lo - lo_c
         hi_gap = hi_c - claimed_hi
-        scale = max(1.0, hi_c)
+        scale = _scale(hi_c)
         sides = []
         if lo_gap > tol * scale:
             sides.append("claimed lower bound exceeds the spectrum")

@@ -459,6 +459,22 @@ def test_reconstruct_bessel_only_exit_two(tmp_path, capsys):
     assert "not a frame" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+def test_reconstruct_refuses_a_seed_outside_64_bits(seed, tmp_path, capsys):
+    # refused before the scenario is read, so a missing file is not named
+    missing = tmp_path / "nope.json"
+    assert main(["reconstruct", str(missing), "--random", str(seed)]) == 1
+    assert capsys.readouterr().err == (
+        f"gframes: error: --random must be a 64-bit nonnegative integer, "
+        f"got {seed}\n")
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_reconstruct_takes_a_seed_at_either_end_of_64_bits(seed, scen, capsys):
+    assert main(["reconstruct", str(scen), "--random", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 # ----------------------------------------------------------- env and usage
 
 
@@ -510,6 +526,26 @@ def test_threads_option_is_gone(command, capsys):
         main(command + ["--threads", "2"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+WRITE_COMMANDS = {
+    "analyze": lambda scen, batch: ["analyze", str(scen)],
+    "verify": lambda scen, batch: ["verify", "--batch", str(batch)],
+    "generate": lambda scen, batch: ["generate", "--spec", COMMUTING_SPEC],
+    "reconstruct": lambda scen, batch: ["reconstruct", str(scen), "--random", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_COMMANDS))
+def test_unwritable_out_is_an_error_not_a_traceback(command, scen, tmp_path,
+                                                    capsys):
+    batch = write_batch(tmp_path, SMALL_BATCH[:1])
+    out = tmp_path / "missing" / "report.json"
+    args = WRITE_COMMANDS[command](scen, batch) + ["--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.endswith(
+        f"gframes: error: cannot write {out}: No such file or directory\n")
+    assert not out.parent.exists()
 
 
 def test_no_command_prints_help(capsys):

@@ -25,11 +25,11 @@ from gframes.controlled import (CommutationReport, TransferResult,
                                 _frobenius_passes, _same_control)
 from gframes.errors import (CommutationViolated, GFrameError,
                             PreconditionViolated)
-from gframes.frames import _spectrum, _verdict
+from gframes.frames import _verdict
 from gframes.generators import FLAVORS, GeneratorSpec
-from gframes.operators import SURJECTIVITY_TOL, is_bounded_below
+from gframes.operators import SURJECTIVITY_TOL, is_bounded_below, op_adjoint
 from gframes.rng import complex_normal, stream
-from gframes.verifier import run_suite
+from gframes.verifier import default_batch, run_suite
 
 
 def diag_control(n, d, *vals):
@@ -830,6 +830,27 @@ def test_surjectivity_bound_certifies_twin():
         assert result.gamma_lower_bound > 0
 
 
+def test_surjectivity_is_decided_from_the_adjoint_diagnostic(calls):
+    # every controlled frame of the default batch, against its twin: the
+    # decision is is_bounded_below's on the adjoint, and its only SVD is
+    # cross_adjoint_resolve's stack of the adjoint and its two differences
+    frames = 0
+    for spec in default_batch():
+        sc, twin = generate_pair(spec)
+        if controlled_classify(sc).kind != FRAME:
+            continue
+        frames += 1
+        # the certificates are kept on the pair, and may take their own SVDs
+        assert sc.pair.passed_on(sc.family) and sc.pair.passed_on(twin)
+        before = len(calls["svd"])
+        result = surjectivity_transfer(sc.family, twin, sc.pair)
+        dn = spec.d * spec.n
+        assert [m.shape for m in calls["svd"][before:]] == [(3, dn, dn)]
+        adj = op_adjoint(cross_operator(sc.family, twin, sc.pair))
+        assert result.surjective == is_bounded_below(adj)[0]
+    assert frames == 150
+
+
 def test_surjectivity_requires_frame_hypothesis():
     lam = GFrameFamily(1, 2, (MeasurePoint(1.0, ModuleOperator(
         1, 2, 2, np.diag([1.0, 0.0]).astype(np.complex128))),))
@@ -1020,7 +1041,8 @@ def reference_transfer(lam, gam, pair, tol=SURJECTIVITY_TOL):
     k = stacked(gam).conj().T @ pair.product_sqrt.action
     gram = k.conj().T @ k
     m = max(float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]), 0.0)
-    lo = _spectrum(as_operator(gam, reference_controlled(gam, pair)))[0]
+    lo = _verdict(as_operator(gam, reference_controlled(gam, pair))
+                  ).witnesses["lambda_min"]
     if lo < m - tol * max(1.0, m):
         raise ArithmeticError(
             f"derived bound {m:.6e} exceeds the spectral floor {lo:.6e}")

@@ -64,6 +64,19 @@ def test_spec_dw_range_refuses_non_integral_entries(entry):
     assert all(type(v) is int for v in spec.dw_range)
 
 
+@pytest.mark.parametrize("entry", [0, 1])
+def test_spec_spectrum_range_refuses_bools_and_strings(entry):
+    for bad in (True, False, "2", "0.5", b"2"):
+        rng = [0.5, 2.0]
+        rng[entry] = bad
+        with pytest.raises(InvalidSpec, match="spectrum_range"):
+            GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=tuple(rng))
+    # an int is a real, and becomes the same float
+    spec = GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=(1, 2))
+    assert spec.spectrum_range == (1.0, 2.0)
+    assert all(type(v) is float for v in spec.spectrum_range)
+
+
 def test_spectrum_ceiling():
     assert SPECTRUM_CEILING ** 2 < 1e300
     for lo, hi in ((1.0, SPECTRUM_CEILING), (SPECTRUM_CEILING, SPECTRUM_CEILING),

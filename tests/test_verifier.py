@@ -10,6 +10,7 @@ import pytest
 from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
                      generate_pair, op_norm, run_suite, suite_passed,
                      surjectivity_transfer)
+from gframes.algebra import _top_singular, spectral_norm
 from gframes.rng import _rekey, complex_normal, stream
 from gframes import controlled, verifier
 from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
@@ -323,8 +324,11 @@ def test_stacked_decompositions_match_per_slice_bit_for_bit(k):
     h = square + square.conj().swapaxes(-1, -2)
     for stack in (a, square):
         tops = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        floats = _top_singular(stack)
         for i in range(5):
             assert tops[i] == np.linalg.svd(stack[i], compute_uv=False)[0]
+            assert type(floats[i]) is float
+            assert floats[i] == spectral_norm(stack[i])
     w = np.linalg.eigvalsh(h)
     for i in range(5):
         assert w[i].tobytes() == np.linalg.eigvalsh(h[i]).tobytes()

@@ -28,10 +28,14 @@ this script and runs ``gframes.cli.main`` in-process on:
   with a byte order mark and CRLF line ends; and the commuting (8, 4, 16)
   scenario, over 131,072 bytes, with ``true`` as the first entry of the
   first point's ``lambda`` and -1 as the last point's weight.  These files
-  are written under ``OUT/edge/`` too.
+  are written under ``OUT/edge/`` too;
+* the argument edge corpus: ``reconstruct --random`` with seeds -1 and
+  2**64, and ``analyze`` and ``generate`` with ``--out`` in a directory
+  that does not exist.
 
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
-file it was given with ``--out``.  Paths are relative to ``OUT``, so no
+file it was given with ``--out``; a command that raises records the
+exception's type in ``exit``.  Paths are relative to ``OUT``, so no
 output names the directory.  ``OUT/environment`` records the BLAS thread
 variables, which the sweep does not set: a threaded GEMM may split an inner
 sum differently, so compare two sweeps run under the same setting, as in
@@ -96,7 +100,10 @@ def run(name: str, args: list, out: str | None = None) -> None:
         args = args + ["--out", f"{name}/{out}"]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(args)
+        try:
+            code = main(args)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}"
     for fname, text in (("stdout", stdout.getvalue()),
                         ("stderr", stderr.getvalue()), ("exit", f"{code}\n")):
         Path(name, fname).write_text(text, encoding="utf-8")
@@ -128,6 +135,18 @@ def sweep() -> None:
     edge_sweep(small)
     byte_edge_sweep(small, Path("generate_commuting_8x4x16/scenario.json").read_text(
         encoding="utf-8"))
+    argument_edge_sweep("generate_commuting_3x2x3/scenario.json")
+
+
+def argument_edge_sweep(scenario: str) -> None:
+    """Run the commands on arguments they must refuse: seeds outside 64 bits
+    and an ``--out`` path whose directory is missing."""
+    for seed in ("-1", str(1 << 64)):
+        run(f"arg_reconstruct_random_{seed}", ["reconstruct", scenario, "--random", seed])
+    run("arg_analyze_out_missing_dir", ["analyze", scenario], "missing/report.json")
+    run("arg_generate_out_missing_dir",
+        ["generate", "--spec", '{"seed": 1, "n": 1, "d": 1, "m": 1}'],
+        "missing/scenario.json")
 
 
 def edge_sweep(scenario: str) -> None:
