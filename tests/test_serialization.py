@@ -443,7 +443,11 @@ def corrupt(obj, kind, draw) -> None:
         else:
             point["lambda"] = pick([{}, "lambda", 1.5, None])
     elif kind == "control":
-        k = obj.get("n", 1) * obj.get("d", 1)
+        # the control's size follows n and d only where earlier corruptions
+        # left them small integers; a "scalar" corruption may have made them
+        # a string, None, a float or 10**400
+        n, d = obj.get("n", 1), obj.get("d", 1)
+        k = n * d if all(isinstance(v, int) and abs(v) <= 4 for v in (n, d)) else 1
         obj[pick(["C", "Cprime"])] = pick(
             ["Identity", [[1.0, 0.0]] * (k * k - 1), [[1.0, 0.0]] * (k * k + 1)])
 
