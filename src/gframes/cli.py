@@ -10,6 +10,7 @@ reconstruction check failed, 1 usage, schema, or data errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -184,16 +185,24 @@ def _load_json(path: str):
         raise _too_long(path)
 
 
+@contextlib.contextmanager
+def _report_file(out_path: str):
+    """``out_path`` open for writing; an ``OSError`` on opening, writing or
+    closing it is a ``GFrameError`` that names the file."""
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise GFrameError(f"cannot write {out_path}: {exc.strerror or exc}")
+
+
 def _write_report(obj, out_path: str | None) -> None:
     text = ser.dumps(obj)
     if out_path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise GFrameError(f"cannot write {out_path}: {exc.strerror or exc}")
+    with _report_file(out_path) as fh:
+        fh.write(text)
 
 
 def _bounds_obj(bounds):
@@ -251,21 +260,24 @@ def cmd_verify(args) -> int:
         batch = ser.batch_from_obj(_load_json(args.batch))
     else:
         batch = default_batch()
-    results = run_suite(batch, tol)
-    for r in results:
-        sys.stderr.write(f"{r.check_id}: {r.status} "
-                         f"({r.passes}/{r.scenarios_run})\n")
-    report = {
-        "version": ser.REPORT_VERSION,
-        "tolerances": {
-            "check": tol,
-            "norm_bound": NORM_BOUND_TOL,
-            "adjoint": ADJOINT_TOL,
-            "scalar_tight": SCALAR_TIGHT_TOL,
-        },
-        "results": [ser.check_result_to_obj(r) for r in results],
-    }
-    _write_report(report, args.out)
+    # an --out that cannot be written fails here, before the suite runs
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else _report_file(args.out)) as out:
+        results = run_suite(batch, tol)
+        for r in results:
+            sys.stderr.write(f"{r.check_id}: {r.status} "
+                             f"({r.passes}/{r.scenarios_run})\n")
+        report = {
+            "version": ser.REPORT_VERSION,
+            "tolerances": {
+                "check": tol,
+                "norm_bound": NORM_BOUND_TOL,
+                "adjoint": ADJOINT_TOL,
+                "scalar_tight": SCALAR_TIGHT_TOL,
+            },
+            "results": [ser.check_result_to_obj(r) for r in results],
+        }
+        out.write(ser.dumps(report))
     return EXIT_OK if suite_passed(results) else EXIT_CHECK_FAILED
 
 

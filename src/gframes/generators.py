@@ -93,7 +93,7 @@ class GeneratorSpec:
         except (TypeError, ValueError, IndexError, OverflowError):
             raise InvalidSpec(f"dw_range must be a pair of ints, got {self.dw_range}") from None
         # an entry is kept only when int() changes no value: 2.0, not 1.9
-        if any(isinstance(v, bool) or v != i for v, i in zip(raw, (lo, hi))):
+        if any(isinstance(v, (bool, np.bool_)) or v != i for v, i in zip(raw, (lo, hi))):
             raise InvalidSpec(f"dw_range must be a pair of ints, got {self.dw_range}")
         if not 1 <= lo <= hi:
             raise InvalidSpec(f"dw_range must satisfy 1 <= lo <= hi, got {self.dw_range}")
@@ -101,7 +101,7 @@ class GeneratorSpec:
         try:
             raw = (self.spectrum_range[0], self.spectrum_range[1])
             # float() also reads a bool or a numeric string; neither is a real
-            if any(isinstance(v, (bool, str, bytes)) for v in raw):
+            if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in raw):
                 raise TypeError
             slo, shi = (float(v) for v in raw)
         except (TypeError, ValueError, IndexError):

@@ -96,14 +96,13 @@ def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
     return viol
 
 
-def _sample_vectors(rng: np.random.Generator, spec: GeneratorSpec, offset: int,
-                    count: int) -> np.ndarray:
-    """``count`` seeded vectors of stream ``_CHECK_STREAM + offset``, drawn
-    from ``rng`` re-keyed to it, as one (count, n, d * n) stack: one draw
-    that fills each vector's real and then imaginary part in the order of
-    ``count`` successive ``complex_normal`` draws."""
-    n, d = spec.n, spec.d
-    z = _rekey(rng, spec.seed, _CHECK_STREAM + offset).standard_normal(
+def _sample_vectors(rng: np.random.Generator, seed: int, n: int, d: int,
+                    offset: int, count: int) -> np.ndarray:
+    """``count`` vectors of ``seed``'s stream ``_CHECK_STREAM + offset``,
+    drawn from ``rng`` re-keyed to it, as one (count, n, d * n) stack: one
+    draw that fills each vector's real and then imaginary part in the order
+    of ``count`` successive ``complex_normal`` draws."""
+    z = _rekey(rng, seed, _CHECK_STREAM + offset).standard_normal(
         (count, 2, n, d * n))
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
@@ -147,14 +146,16 @@ class _Outcome:
     detail: str
 
 
-def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
-                       twin: GFrameFamily, rng: np.random.Generator,
-                       tol: float) -> dict:
-    """Every check that applies to a spec's scenario and twin, by check id;
-    a check that does not apply has no entry.  Each operator, verdict and
-    norm is computed once and shared by the checks that read it; sampled
-    vectors are flattened arrays, drawn from ``rng``."""
+def _evaluate_scenario(scenario: ControlledScenario, twin: GFrameFamily,
+                       seed: int, tol: float) -> dict:
+    """Every check that applies to a scenario and its twin, by check id; a
+    check that does not apply has no entry.  A twin over another measure
+    raises ``MeasureMismatch``, a pair failing its certificate on either
+    family ``CommutationViolated``; a family is a valid twin of itself.
+    Operators, verdicts and norms are shared; samples are keyed by ``seed``."""
     family = scenario.family
+    shape = family.algebra_dim, family.module_rank
+    rng = stream(seed, _CHECK_STREAM)
     points = family.points
     pair = scenario.pair
     out: dict[str, _Outcome] = {}
@@ -173,7 +174,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
     sigma = op_norm(t)
 
     # op_energy_bound: every point operator against sampled vectors.
-    xs = _sample_vectors(rng, spec, 0, _SAMPLES)
+    xs = _sample_vectors(rng, seed, *shape, 0, _SAMPLES)
     xx = _gram(xs)
     energies = np.stack([_gram(xs @ p.lam.action) for p in points], axis=1)
     bounds = np.stack([nrm ** 2 * xx for nrm in _point_norms(points)], axis=1)
@@ -191,7 +192,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
     # plain_frame_sandwich: pointwise sums against the classifier bounds.
     lo_plain = plain_verdict.witnesses["lambda_min"]
     hi_plain = plain_verdict.witnesses["lambda_max"]
-    xs = _sample_vectors(rng, spec, 1, _SAMPLES)
+    xs = _sample_vectors(rng, seed, *shape, 1, _SAMPLES)
     viol = _sandwich(lo_plain if plain_verdict.kind == FRAME else None,
                      hi_plain, _gram(xs), _energy(points, xs, xs))
     out["plain_frame_sandwich"] = _Outcome(viol <= tol, viol, "plain sandwich violated")
@@ -207,7 +208,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
     herm = max(asym / _scale(nrm) for asym, nrm in zip(tops[::2], tops[1::2]))
     lo_c = verdict.witnesses["lambda_min"]
     hi_c = verdict.witnesses["lambda_max"]
-    xs = _sample_vectors(rng, spec, 2, _SAMPLES)
+    xs = _sample_vectors(rng, seed, *shape, 2, _SAMPLES)
     viol = max(herm, _sandwich(lo_c if verdict.kind == FRAME else None, hi_c,
                                _gram(xs), _energy(points, xs @ ca, xs @ cpa)))
     out["controlled_frame_sandwich"] = _Outcome(
@@ -216,7 +217,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
 
     # norm_characterization: scalar-norm version on controlled frames.
     if verdict.kind == FRAME:
-        xs = _sample_vectors(rng, spec, 3, _SAMPLES)
+        xs = _sample_vectors(rng, seed, *shape, 3, _SAMPLES)
         # top singular values of every sample's gram and controlled energy,
         # from one stacked SVD
         gram_norms, val_norms = _top_singular(
@@ -244,7 +245,7 @@ def _evaluate_scenario(spec: GeneratorSpec, scenario: ControlledScenario,
         viol = _order_violation(
             np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
             np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
-        if spec.n == 1 and spec.d == 1:
+        if shape == (1, 1):
             tight = max(abs(pb.lower - a_pl) / _scale(a_pl),
                         abs(pb.upper - b_pl) / _scale(b_pl),
                         abs(cb.lower - a_cc) / _scale(a_cc),
@@ -333,9 +334,8 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
     if not batch:
         raise ValueError("batch must contain at least one spec")
     results = {cid: CheckResult(cid) for cid in CHECKS}
-    rng = stream(0)
     for spec, (scenario, twin) in zip(batch, _generate_batch(batch, twins=True)):
-        for cid, o in _evaluate_scenario(spec, scenario, twin, rng, tol).items():
+        for cid, o in _evaluate_scenario(scenario, twin, spec.seed, tol).items():
             r = results[cid]
             r.scenarios_run += 1
             if o.ok:

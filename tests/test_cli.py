@@ -548,6 +548,20 @@ def test_unwritable_out_is_an_error_not_a_traceback(command, scen, tmp_path,
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("source", [["--default"], None], ids=["default", "batch"])
+def test_verify_unwritable_out_fails_before_the_suite(source, tmp_path, capsys,
+                                                      monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_suite called")
+    monkeypatch.setattr(cli, "run_suite", never)
+    if source is None:
+        source = ["--batch", str(write_batch(tmp_path, SMALL_BATCH[:1]))]
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify"] + source + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"gframes: error: cannot write {out}: No such file or directory\n"
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().err.lower()

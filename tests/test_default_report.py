@@ -40,8 +40,8 @@ def test_default_report_bytes_unchanged(tmp_path, extra):
 
 
 def test_default_report_is_the_same_at_any_blas_thread_count(tmp_path):
-    # a threaded GEMM may split its inner sums differently; the report must
-    # not show it
+    # a threaded LAPACK SVD may move the last bit of a spectral norm; the
+    # report must not show it
     src = str(Path(gframes.__file__).resolve().parents[1])
     reports = []
     for threads in (1, 2):

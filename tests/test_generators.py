@@ -77,6 +77,36 @@ def test_spec_spectrum_range_refuses_bools_and_strings(entry):
     assert all(type(v) is float for v in spec.spectrum_range)
 
 
+@pytest.mark.parametrize("entry", [0, 1])
+def test_spec_dw_range_refuses_numpy_bools(entry):
+    for bad in (np.True_, np.False_):
+        rng = [1, 2]
+        rng[entry] = bad
+        with pytest.raises(InvalidSpec, match="dw_range must be a pair of ints"):
+            GeneratorSpec(seed=1, n=1, d=1, m=1, dw_range=tuple(rng))
+    # a numpy integer is an int
+    rng = [1, 2]
+    rng[entry] = np.int64(rng[entry])
+    spec = GeneratorSpec(seed=1, n=1, d=1, m=1, dw_range=tuple(rng))
+    assert spec.dw_range == (1, 2)
+    assert all(type(v) is int for v in spec.dw_range)
+
+
+@pytest.mark.parametrize("entry", [0, 1])
+def test_spec_spectrum_range_refuses_numpy_bools(entry):
+    for bad in (np.True_, np.False_):
+        rng = [0.5, 2.0]
+        rng[entry] = bad
+        with pytest.raises(InvalidSpec, match="spectrum_range must be a pair of reals"):
+            GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=tuple(rng))
+    # a numpy float is a real
+    rng = [0.5, 2.0]
+    rng[entry] = np.float64(rng[entry])
+    spec = GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=tuple(rng))
+    assert spec.spectrum_range == (0.5, 2.0)
+    assert all(type(v) is float for v in spec.spectrum_range)
+
+
 def test_spectrum_ceiling():
     assert SPECTRUM_CEILING ** 2 < 1e300
     for lo, hi in ((1.0, SPECTRUM_CEILING), (SPECTRUM_CEILING, SPECTRUM_CEILING),

@@ -13,7 +13,15 @@ from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
 from gframes.algebra import _top_singular, spectral_norm
 from gframes.rng import _rekey, complex_normal, stream
 from gframes import controlled, verifier
+from gframes import serialization as ser
+from gframes.controlled import ControlledScenario, ControlPair, controlled_classify
+from gframes.errors import CommutationViolated, MeasureMismatch
+from gframes.frames import GFrameFamily, MeasurePoint
+from gframes.operators import (ModuleOperator, identity_control,
+                               make_positive_invertible)
 from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
+
+from test_report_bytes import HANDWRITTEN
 
 EXPECTED_IDS = {
     "op_energy_bound",
@@ -355,7 +363,8 @@ def test_sample_vectors_are_successive_complex_normal_draws():
     # a generator left mid-stream elsewhere is re-keyed first
     used = stream(5, 9)
     used.uniform(size=3)
-    assert verifier._sample_vectors(used, spec, 2, 4).tobytes() == expected.tobytes()
+    assert verifier._sample_vectors(used, spec.seed, spec.n, spec.d, 2, 4).tobytes() \
+        == expected.tobytes()
 
 
 def test_point_norms_are_op_norms_bit_for_bit():
@@ -483,3 +492,178 @@ def test_outcomes_do_not_depend_on_batch_neighbours(order):
                 for f in r.failures] == [
             (f.seed, f.detail, np.float64(f.residual).tobytes())
             for f in failures]
+
+
+# ``_evaluate_scenario`` takes any scenario, its twin and a seed; the tests
+# below call it directly, mostly on scenarios that no generator emits.
+
+def normative_failures(out):
+    """Check ids of ``out`` whose normative outcome failed."""
+    return [cid for cid, o in out.items()
+            if cid not in EMPIRICAL_CHECKS and not o.ok]
+
+
+def test_evaluator_runs_every_check_on_a_hand_written_scenario():
+    scenario = ser.scenario_from_obj(HANDWRITTEN)
+    out = verifier._evaluate_scenario(scenario, scenario.family, 0,
+                                      verifier.DEFAULT_TOL)
+    assert set(out) == set(CHECKS)
+    assert normative_failures(out) == []
+
+
+@pytest.mark.parametrize("tol", [verifier.DEFAULT_TOL, 1e-18])
+def test_evaluator_gives_what_the_suite_records(tol):
+    # the first 12 default specs hold every flavor and n = d = 1
+    batch = default_batch()[:12]
+    assert {s.flavor for s in batch} == {"generic", "commuting", "parseval",
+                                         "bessel_only"}
+    assert any(s.n == s.d == 1 for s in batch)
+    for spec in batch:
+        out = verifier._evaluate_scenario(*generate_pair(spec), spec.seed, tol)
+        for r in run_suite([spec], tol):
+            o = out.get(r.check_id)
+            assert r.scenarios_run == (o is not None)
+            if o is None:
+                continue
+            assert r.passes == o.ok
+            assert [(f.seed, np.float64(f.residual).tobytes(), f.detail)
+                    for f in r.failures] == ([] if o.ok else [
+                (spec.seed, np.float64(o.residual).tobytes(), o.detail)])
+
+
+def test_evaluator_refuses_a_twin_over_another_measure():
+    scenario, twin = generate_pair(GeneratorSpec(seed=7, n=2, d=2, m=4,
+                                                 flavor="commuting"))
+    first = dataclasses.replace(twin.points[0], weight=2 * twin.points[0].weight)
+    other = GFrameFamily(twin.algebra_dim, twin.module_rank,
+                         (first,) + twin.points[1:])
+    with pytest.raises(MeasureMismatch, match="weights differ at point 0"):
+        verifier._evaluate_scenario(scenario, other, 7, verifier.DEFAULT_TOL)
+
+
+def test_evaluator_refuses_a_pair_its_certificate_fails():
+    scenario, twin = generate_pair(GeneratorSpec(seed=7, n=2, d=2, m=4,
+                                                 flavor="commuting"))
+    generic, _ = generate_pair(GeneratorSpec(seed=7, n=2, d=2, m=4))
+    # the commuting pair on a generic family, first as the scenario's family
+    # and then as the twin
+    with pytest.raises(CommutationViolated):
+        verifier._evaluate_scenario(
+            ControlledScenario(generic.family, scenario.pair), generic.family,
+            7, verifier.DEFAULT_TOL)
+    with pytest.raises(CommutationViolated):
+        verifier._evaluate_scenario(scenario, generic.family, 7,
+                                    verifier.DEFAULT_TOL)
+
+
+SCALAR = {
+    "version": 1, "n": 1, "d": 1,
+    "points": [{"weight": 0.5, "dw": 1, "lambda": [[1.5, 0]]},
+               {"weight": 2, "dw": 2, "lambda": [[0.5, 0], [0, 1]]}],
+    "C": [[2, 0]], "Cprime": [[3, 0]],
+}
+
+
+def test_scalar_gate_holds_on_a_hand_built_scenario(monkeypatch):
+    # the n = d = 1 rule reads the family's shape, whatever the seed
+    scenario = ser.scenario_from_obj(SCALAR)
+    seed = 2**64 - 1
+    assert seed not in {s.seed for s in default_batch()}
+    out = verifier._evaluate_scenario(scenario, scenario.family, seed,
+                                      verifier.DEFAULT_TOL)
+    assert out["cc_equivalence_bounds"].ok
+    real = verifier.bounds_plain_from_cc
+
+    def loose(lower, upper, c):
+        b = real(lower, upper, c)
+        return dataclasses.replace(b, lower=b.lower * (1 + 1e-10))
+    monkeypatch.setattr(verifier, "bounds_plain_from_cc", loose)
+    o = verifier._evaluate_scenario(scenario, scenario.family, seed,
+                                    verifier.DEFAULT_TOL)["cc_equivalence_bounds"]
+    assert (o.ok, o.detail) == (False, "scalar transfer not tight")
+    assert 1e-10 <= o.residual <= 1.1e-10
+
+
+def family_of(family, points):
+    return GFrameFamily(family.algebra_dim, family.module_rank, tuple(points))
+
+
+def extremes(scenario):
+    w = controlled_classify(scenario).witnesses
+    return w["lambda_min"], w["lambda_max"]
+
+
+def assert_same_outcomes(scenario, twin, new_points, spec):
+    """Evaluate the scenario and twin with ``new_points`` applied to both
+    families' points; every normative check passes and the controlled
+    spectrum stays within 1e-12 of the original's top eigenvalue."""
+    fam = family_of(scenario.family, new_points(scenario.family.points))
+    new = ControlledScenario(fam, scenario.pair)
+    new_twin = family_of(twin, new_points(twin.points))
+    out = verifier._evaluate_scenario(new, new_twin, spec.seed,
+                                      verifier.DEFAULT_TOL)
+    assert normative_failures(out) == [], spec
+    (lo, hi), (lo2, hi2) = extremes(scenario), extremes(new)
+    assert abs(lo2 - lo) <= 1e-12 * hi and abs(hi2 - hi) <= 1e-12 * hi, spec
+
+
+def test_point_order_does_not_change_the_checks():
+    for spec in default_batch()[:100]:
+        scenario, twin = generate_pair(spec)
+        order = stream(spec.seed, 1).permutation(scenario.family.size)
+        assert_same_outcomes(scenario, twin,
+                             lambda pts: [pts[i] for i in order], spec)
+
+
+def test_measure_split_does_not_change_the_checks():
+    # each point (w, lam) becomes (0.3 w, lam) and (0.7 w, lam)
+    for spec in default_batch()[:100]:
+        scenario, twin = generate_pair(spec)
+        assert_same_outcomes(
+            scenario, twin, lambda pts: [MeasurePoint(t * p.weight, p.lam)
+                                         for p in pts for t in (0.3, 0.7)],
+            spec)
+
+
+def kron_family(f, g):
+    """The exterior tensor product of two families: every pair of points,
+    with the product of their weights and the Kronecker product of their
+    actions, over the algebra of the product size."""
+    n, d = f.algebra_dim * g.algebra_dim, f.module_rank * g.module_rank
+    return GFrameFamily(n, d, tuple(
+        MeasurePoint(p.weight * q.weight, ModuleOperator(
+            n, d, p.codomain_rank * q.codomain_rank,
+            np.kron(p.lam.action, q.lam.action)))
+        for p in f.points for q in g.points))
+
+
+def kron_control(c, e, n, d):
+    if c.is_identity and e.is_identity:
+        return identity_control(n, d)
+    return make_positive_invertible(ModuleOperator(
+        n, d, d, np.kron(c.base.action, e.base.action)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tensor_products_pass_every_check(seed):
+    # (2, 2, 3) x (2, 1, 2) over every pair of flavors, with controls
+    # C x D and twin x twin; the controlled spectrum of a product is the
+    # product of the spectra, so the top eigenvalues multiply
+    flavors = ("generic", "commuting", "parseval", "bessel_only")
+    for i, fa in enumerate(flavors):
+        for j, fb in enumerate(flavors):
+            sa, ta = generate_pair(GeneratorSpec(seed=500 + 16 * seed + i,
+                                                 n=2, d=2, m=3, flavor=fa))
+            sb, tb = generate_pair(GeneratorSpec(seed=600 + 16 * seed + j,
+                                                 n=2, d=1, m=2, flavor=fb))
+            fam = kron_family(sa.family, sb.family)
+            n, d = fam.algebra_dim, fam.module_rank
+            pair = ControlPair(kron_control(sa.pair.c, sb.pair.c, n, d),
+                               kron_control(sa.pair.cp, sb.pair.cp, n, d))
+            scenario = ControlledScenario(fam, pair)
+            out = verifier._evaluate_scenario(scenario, kron_family(ta, tb),
+                                              seed, verifier.DEFAULT_TOL)
+            assert normative_failures(out) == [], (fa, fb)
+            hi = extremes(scenario)[1]
+            product = extremes(sa)[1] * extremes(sb)[1]
+            assert abs(hi - product) <= 1e-12 * product, (fa, fb)

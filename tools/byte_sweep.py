@@ -30,15 +30,16 @@ this script and runs ``gframes.cli.main`` in-process on:
   first point's ``lambda`` and -1 as the last point's weight.  These files
   are written under ``OUT/edge/`` too;
 * the argument edge corpus: ``reconstruct --random`` with seeds -1 and
-  2**64, and ``analyze`` and ``generate`` with ``--out`` in a directory
-  that does not exist.
+  2**64, and ``analyze``, ``generate`` and ``verify --batch`` of one spec
+  with ``--out`` in a directory that does not exist.
 
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``; a command that raises records the
 exception's type in ``exit``.  Paths are relative to ``OUT``, so no
 output names the directory.  ``OUT/environment`` records the BLAS thread
-variables, which the sweep does not set: a threaded GEMM may split an inner
-sum differently, so compare two sweeps run under the same setting, as in
+variables, which the sweep does not set: a threaded LAPACK SVD may move the
+last bit of a spectral norm, so compare two sweeps run under the same
+setting, as in
 
     python3 tools/byte_sweep.py /tmp/before    # in the parent checkout
     python3 tools/byte_sweep.py /tmp/after     # in the changed checkout
@@ -147,6 +148,9 @@ def argument_edge_sweep(scenario: str) -> None:
     run("arg_generate_out_missing_dir",
         ["generate", "--spec", '{"seed": 1, "n": 1, "d": 1, "m": 1}'],
         "missing/scenario.json")
+    Path("one_spec.json").write_text(json.dumps(MIXED_BATCH[:1]), encoding="utf-8")
+    run("arg_verify_out_missing_dir", ["verify", "--batch", "one_spec.json"],
+        "missing/report.json")
 
 
 def edge_sweep(scenario: str) -> None:
