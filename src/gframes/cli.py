@@ -260,6 +260,9 @@ def cmd_verify(args) -> int:
         batch = ser.batch_from_obj(_load_json(args.batch))
     else:
         batch = default_batch()
+    if not batch:
+        # refused before --out is opened, so an existing file keeps its bytes
+        raise GFrameError("batch must contain at least one spec")
     # an --out that cannot be written fails here, before the suite runs
     with (contextlib.nullcontext(sys.stdout) if args.out is None
           else _report_file(args.out)) as out:

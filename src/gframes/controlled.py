@@ -408,17 +408,29 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     not guarantee.  Both residuals are reported rather than picking one.
     """
     adj = op_adjoint(cross_operator(lam, gam, pair))
-    a = adj.action
-    ca, cpa = pair.c.base.action, pair.cp.base.action
-    mixed = gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
-    # the adjoint's extreme singular values and both differences' norms,
-    # from one stacked SVD
-    s = np.linalg.svd(np.stack((a, a - ca @ mixed @ cpa, a - cpa @ mixed @ ca)),
-                      compute_uv=False)
-    norm, d_stmt, d_proof = s[:, 0].tolist()
-    r_stmt, r_proof = (d / _scale(norm) for d in (d_stmt, d_proof))
-    return adj, CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
-                                       r_proof <= tol, norm, float(s[0, -1]))
+    return adj, _adjoint_diagnostics([(adj, lam, gam, pair)], tol)[0]
+
+
+def _adjoint_diagnostics(cases, tol: float = ADJOINT_TOL) -> list:
+    """``cross_adjoint_resolve``'s diagnostic of each ``(adj, lam, gam,
+    pair)``, the true adjoint ``adj`` of the cross operator of ``lam``
+    against ``gam`` under ``pair``, all over one module: the adjoints'
+    extreme singular values and both differences' norms, from one stacked
+    SVD."""
+    a = np.stack([adj.action for adj, _, _, _ in cases])
+    mixed = np.stack([gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
+                      for _, lam, gam, _ in cases])
+    ca = np.stack([pair.c.base.action for *_, pair in cases])
+    cpa = np.stack([pair.cp.base.action for *_, pair in cases])
+    s = np.linalg.svd(np.stack((a, a - ca @ mixed @ cpa, a - cpa @ mixed @ ca),
+                               axis=1), compute_uv=False)
+    out = []
+    for (norm, d_stmt, d_proof), low in zip(s[:, :, 0].tolist(),
+                                            s[:, 0, -1].tolist()):
+        r_stmt, r_proof = (d / _scale(norm) for d in (d_stmt, d_proof))
+        out.append(CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
+                                          r_proof <= tol, norm, low))
+    return out
 
 
 def bounds_plain_from_cc(lower: float, upper: float,
@@ -467,25 +479,31 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     if v_lam.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     lo_gam = v_gam.witnesses["lambda_min"]
-    res, at_floor = _transfer(diag, scen_gam, lo_gam, tol)
+    [(res, at_floor)] = _transfer([(diag, scen_gam, lo_gam)], tol)
     if not at_floor:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "
                               f"exceeds the spectral floor {lo_gam:.6e}")
     return res
 
 
-def _transfer(diag: CrossAdjointDiagnostic, scen_gam: ControlledScenario,
-              lo_gam: float, tol: float) -> tuple[TransferResult, bool]:
-    """Transfer from a known controlled frame to the second scenario, with
-    controlled floor ``lo_gam``, when ``diag``'s cross adjoint is bounded
-    below at ``tol`` by the rule of ``is_bounded_below``, and whether the
-    derived bound stays at that floor within ``tol * max(1, bound)``; a
-    transfer with no bound stays there."""
-    if not _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm, tol):
-        return TransferResult(False, None), True
-    k = synthesis_operator(scen_gam)
-    m = max(float(_hmin(k.action.conj().T @ k.action)), 0.0)
-    return TransferResult(True, m), not lo_gam < m - tol * _scale(m)
+def _transfer(cases, tol: float) -> list:
+    """For each ``(diag, scen_gam, lo_gam)``, the transfer from a known
+    controlled frame to the second scenario ``scen_gam``, with controlled
+    floor ``lo_gam``, when ``diag``'s cross adjoint is bounded below at
+    ``tol`` by the rule of ``is_bounded_below``, and whether the derived
+    bound stays at that floor within ``tol * max(1, bound)``; a transfer
+    with no bound stays there.  The scenarios share one module, and the
+    bounds come from one stacked spectrum."""
+    out = [(TransferResult(False, None), True)] * len(cases)
+    live = [i for i, (diag, _, _) in enumerate(cases)
+            if _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm, tol)]
+    if live:
+        ks = [synthesis_operator(cases[i][1]).action for i in live]
+        floors = _hmin(np.stack([k.conj().T @ k for k in ks])).tolist()
+        for i, h in zip(live, floors):
+            m = max(h, 0.0)
+            out[i] = (TransferResult(True, m), not cases[i][2] < m - tol * _scale(m))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

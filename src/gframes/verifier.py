@@ -7,26 +7,38 @@ non-normative entry is ``bound_product_probe``, whose claimed lower bound is
 known to fail off the diagonal; its status is permanently ``empirical`` and
 its pass fraction is information, not a verdict.
 
-Results are ordered by check id and failure lists by seed, and scenarios are
-evaluated independently in batch order, so reports are byte-identical across
-runs.
+Scenarios are evaluated in groups that share (n, d): each check makes one
+stacked call per group for its decompositions, sample draws and products.
+A group is evaluated as soon as the synthesis matrices of its families and
+twins reach ``_GROUP_BYTES``, so a scenario that large alone.  Grouping moves
+no report byte.  Samples are keyed by seed, and numpy's stacked ``svd``,
+``eigvalsh`` and ``matmul`` run on each slice alone, so every value has the
+bits it has when its scenario is evaluated alone.  Outcomes are folded in
+batch order and failure lists sorted stably by (seed, detail), and each
+scenario is certified as it is read, before any grouped work, so a failing
+certificate raises as in a one-at-a-time run.  Results are ordered by check
+id, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, _hmin, _scale, _top_singular
-from .controlled import (ControlledScenario, _norm_bound,
-                         _same_control, _transfer, bounds_cc_from_plain,
-                         bounds_plain_from_cc, controlled_frame_operator,
-                         cross_adjoint_resolve, synthesis_operator)
-from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
+from .controlled import (ControlledScenario, _adjoint_diagnostics,
+                         _check_same_measure, _norm_bound,
+                         _require_certificate, _same_control, _transfer,
+                         bounds_cc_from_plain, bounds_plain_from_cc,
+                         controlled_frame_operator, cross_operator,
+                         synthesis_operator)
+from .frames import (FRAME, GFrameFamily, _energies, _point_grams,
+                     _point_stacks, _verdicts, frame_operator)
 from .generators import GeneratorSpec, _generate_batch
-from .operators import SURJECTIVITY_TOL, op_norm
+from .operators import SURJECTIVITY_TOL, op_adjoint
 from .rng import _rekey, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -70,53 +82,54 @@ class CheckResult:
     status: str = "pass"
 
 
-def _order_violation(a: np.ndarray, b: np.ndarray) -> float:
-    """How far ``a <= b`` fails in the semidefinite order, relative: the
-    largest violation over the matrices of two equal-shape stacks, or of two
-    matrices, folded in stack order.
+def _order_violations(a: np.ndarray, b: np.ndarray) -> list:
+    """How far ``a <= b`` fails in the semidefinite order, relative, for
+    each index of the leading axis: the largest violation over the matrices
+    of ``a[i]`` and ``b[i]``, two equal-shape stacks.
 
     A finite slice of ``b - a`` with no negative eigenvalue gives 0.0 whatever
-    the scale, so the scale ``max(1, norm(a_i), norm(b_i))`` is taken only
+    the scale, so the scale ``max(1, norm(a_s), norm(b_s))`` is taken only
     for the others, the norms of all of them from one stacked SVD.  A slice
     whose difference is not finite, or whose smallest eigenvalue is NaN,
     cannot show the order and gives inf; it still reaches that SVD, which
-    raises ``LinAlgError`` on NaN.
+    raises ``LinAlgError`` on NaN.  The violation is a maximum, so neither
+    the order of the slices nor slices of exact zeros change it.
     """
     diff = b - a
     h = _hmin(diff)
     finite = np.isfinite(diff).all(axis=(-2, -1)) & ~np.isnan(h)
     bad = ~((h >= 0) & finite)
+    viol = [0.0] * len(a)
     if not bad.any():
-        return 0.0
+        return viol
     norms_a, norms_b = _top_singular(np.stack((a[bad], b[bad])))
-    viol = 0.0
-    for hb, fb, na, nb in zip(h[bad].tolist(), finite[bad].tolist(),
-                              norms_a, norms_b):
-        viol = max(viol, -hb / _scale(na, nb) if fb else math.inf)
+    for i, hb, fb, na, nb in zip(np.nonzero(bad)[0].tolist(), h[bad].tolist(),
+                                 finite[bad].tolist(), norms_a, norms_b):
+        viol[i] = max(viol[i], -hb / _scale(na, nb) if fb else math.inf)
     return viol
 
 
-def _sample_vectors(rng: np.random.Generator, seed: int, n: int, d: int,
+def _sample_vectors(rng: np.random.Generator, seeds, n: int, d: int,
                     offset: int, count: int) -> np.ndarray:
-    """``count`` vectors of ``seed``'s stream ``_CHECK_STREAM + offset``,
-    drawn from ``rng`` re-keyed to it, as one (count, n, d * n) stack: one
-    draw that fills each vector's real and then imaginary part in the order
-    of ``count`` successive ``complex_normal`` draws."""
-    z = _rekey(rng, seed, _CHECK_STREAM + offset).standard_normal(
-        (count, 2, n, d * n))
-    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    """``count`` vectors of each seed's stream ``_CHECK_STREAM + offset``,
+    drawn from ``rng`` re-keyed to it, as one (len(seeds), count, n, d * n)
+    stack: per seed, one draw that fills each vector's real and then
+    imaginary part in the order of ``count`` successive ``complex_normal``
+    draws."""
+    z = np.stack([_rekey(rng, seed, _CHECK_STREAM + offset).standard_normal(
+        (count, 2, n, d * n)) for seed in seeds])
+    return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
 
 
-def _point_norms(points) -> list:
-    """``op_norm`` of each point operator, in point order, from one stacked
-    SVD per codomain rank."""
-    groups: dict[int, list] = {}
-    for i, p in enumerate(points):
-        groups.setdefault(p.codomain_rank, []).append(i)
-    norms = [0.0] * len(points)
-    for idx in groups.values():
-        top = _top_singular(np.stack([points[i].lam.action for i in idx]))
-        for i, v in zip(idx, top):
+def _norms(mats) -> list:
+    """``spectral_norm`` of each matrix, in order, from one stacked SVD per
+    shape."""
+    by_shape: dict[tuple, list] = {}
+    for i, m in enumerate(mats):
+        by_shape.setdefault(m.shape, []).append(i)
+    norms = [0.0] * len(mats)
+    for idx in by_shape.values():
+        for i, v in zip(idx, _top_singular(np.stack([mats[i] for i in idx]))):
             norms[i] = v
     return norms
 
@@ -126,15 +139,22 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x @ x.conj().swapaxes(-1, -2)
 
 
-def _sandwich(lo: float | None, hi: float, xx: np.ndarray,
-              val: np.ndarray) -> float:
-    """Violation of ``lo * xx <= val <= hi * xx`` over a stack of samples,
-    sample by sample and lower side first; ``lo=None`` checks the upper side
-    only."""
-    if lo is None:
-        return _order_violation(val, hi * xx)
-    return _order_violation(np.stack((lo * xx, val), axis=1),
-                            np.stack((val, hi * xx), axis=1))
+def _column(values) -> np.ndarray:
+    """One float per index of a leading axis, shaped to scale a stack of
+    matrices (or of stacks of them) slice by slice."""
+    return np.array(values, dtype=float)[:, None, None, None]
+
+
+def _sandwich(lo: list, hi: list, xx: np.ndarray, val: np.ndarray) -> list:
+    """Violation of ``lo[i] * xx[i] <= val[i] <= hi[i] * xx[i]`` for each
+    index ``i`` over its stack of samples, sample by sample and lower side
+    first; a ``lo[i]`` of None checks the upper side only, its lower side
+    being exact zeros."""
+    lower = np.array([v is not None for v in lo])[:, None, None, None]
+    lo_xx = _column([0.0 if v is None else v for v in lo]) * xx
+    return _order_violations(
+        np.stack((lo_xx, val), axis=2),
+        np.stack((np.where(lower, val, 0.0), _column(hi) * xx), axis=2))
 
 
 @dataclass
@@ -146,163 +166,260 @@ class _Outcome:
     detail: str
 
 
+def _certify(scenario: ControlledScenario, twin: GFrameFamily) -> None:
+    """Raise what evaluating this scenario alone raises first, if anything:
+    ``CommutationViolated`` for a pair failing its certificate on the
+    family, then a twin's shape, certificate or measure error.  The
+    verdicts stay on the pair, so the checks take no certificate again."""
+    pair = scenario.pair
+    _require_certificate(scenario.family, pair)
+    _require_certificate(ControlledScenario(twin, pair).family, pair)
+    _check_same_measure(scenario.family, twin)
+
+
+# A shape group is evaluated as soon as the synthesis matrices of its
+# families and twins hold this many bytes, so a scenario that large alone.
+_GROUP_BYTES = 512 * 1024
+
+
+def _evaluate(cases, tol: float) -> list:
+    """Every check that applies to each ``(scenario, twin, seed)`` of
+    ``cases``, as a dict by check id, in input order; a check that does not
+    apply has no entry.
+
+    Each case is certified as it is read, so a twin over another measure
+    raises ``MeasureMismatch`` and a pair failing its certificate on either
+    family ``CommutationViolated``, from the first such case; a family is a
+    valid twin of itself.  Certified cases wait in groups of one (n, d)
+    until a group reaches ``_GROUP_BYTES`` or the cases end, and each
+    group's checks are evaluated together.  Samples are keyed by seed and
+    every stacked call works slice by slice, so no outcome depends on the
+    other cases.
+    """
+    out: list = []
+    groups: dict = {}
+
+    def flush(key):
+        positions, group, _ = groups.pop(key)
+        for pos, o in zip(positions, _evaluate_group(group, tol)):
+            out[pos] = o
+
+    for case in cases:
+        scenario, twin, _ = case
+        _certify(scenario, twin)
+        family = scenario.family
+        key = family.algebra_dim, family.module_rank
+        # the bytes of both synthesis matrices, before either is built
+        size = sum(p.lam.action.nbytes for f in (family, twin) for p in f.points)
+        group = groups.setdefault(key, [[], [], 0])
+        group[0].append(len(out))
+        group[1].append(case)
+        group[2] += size
+        out.append(None)
+        if group[2] >= _GROUP_BYTES:
+            flush(key)
+    for key in list(groups):
+        flush(key)
+    return out
+
+
 def _evaluate_scenario(scenario: ControlledScenario, twin: GFrameFamily,
                        seed: int, tol: float) -> dict:
-    """Every check that applies to a scenario and its twin, by check id; a
-    check that does not apply has no entry.  A twin over another measure
-    raises ``MeasureMismatch``, a pair failing its certificate on either
-    family ``CommutationViolated``; a family is a valid twin of itself.
-    Operators, verdicts and norms are shared; samples are keyed by ``seed``."""
-    family = scenario.family
-    shape = family.algebra_dim, family.module_rank
-    rng = stream(seed, _CHECK_STREAM)
-    points = family.points
-    pair = scenario.pair
-    out: dict[str, _Outcome] = {}
+    """``_evaluate`` of the one case ``(scenario, twin, seed)``."""
+    return _evaluate([(scenario, twin, seed)], tol)[0]
 
-    # The plain, controlled, same-control and twin operators, with their
-    # verdicts from one stacked spectrum.  The same-control pair's
-    # certificate is a subset of the scenario pair's, which passed.
-    s_plain = frame_operator(family)
-    sc = controlled_frame_operator(scenario)
-    sc_cc = controlled_frame_operator(ControlledScenario(family,
-                                                         _same_control(pair)))
-    scen_twin = ControlledScenario(twin, pair)
-    plain_verdict, verdict, verdict_cc, verdict_twin = _verdicts(
-        (s_plain, sc, sc_cc, controlled_frame_operator(scen_twin)))
-    t = synthesis_operator(scenario)
-    sigma = op_norm(t)
+
+def _evaluate_group(cases: list, tol: float) -> list:
+    """Every check on certified cases ``(scenario, twin, seed)`` of one
+    (n, d), by check id per case.  Each check takes one stacked call for
+    the group per decomposition, sample stack and product shape."""
+    k = len(cases)
+    scenarios = [sc for sc, _, _ in cases]
+    families = [sc.family for sc in scenarios]
+    pairs = [sc.pair for sc in scenarios]
+    scen_twins = [ControlledScenario(tw, p) for (_, tw, _), p in zip(cases, pairs)]
+    n, d = families[0].algebra_dim, families[0].module_rank
+    out = [{} for _ in cases]
+    rng = stream(0, _CHECK_STREAM)  # re-keyed for every draw
+
+    def samples(offset: int, idx) -> np.ndarray:
+        return _sample_vectors(rng, [cases[i][2] for i in idx], n, d, offset,
+                               _SAMPLES)
+
+    # The plain, controlled, same-control and twin operators, with every
+    # scenario's four verdicts from one stacked spectrum.
+    ops = [(frame_operator(sc.family), controlled_frame_operator(sc),
+            controlled_frame_operator(ControlledScenario(
+                sc.family, _same_control(sc.pair))),
+            controlled_frame_operator(st)) for sc, st in zip(scenarios, scen_twins)]
+    verdicts = _verdicts([op for quad in ops for op in quad])
+    plain, ctrl, same, twin_v = (verdicts[j::4] for j in range(4))
+    frames = [i for i, v in enumerate(ctrl) if v.kind == FRAME]
+    lo_c = [v.witnesses["lambda_min"] for v in ctrl]
+    hi_c = [v.witnesses["lambda_max"] for v in ctrl]
+    ts = [synthesis_operator(sc).action for sc in scenarios]
+    sigma = _norms(ts)
+    stacks = _point_stacks([f.points for f in families])
+    ca = np.stack([p.c.base.action for p in pairs])[:, None]
+    cpa = np.stack([p.cp.base.action for p in pairs])[:, None]
 
     # op_energy_bound: every point operator against sampled vectors.
-    xs = _sample_vectors(rng, seed, *shape, 0, _SAMPLES)
-    xx = _gram(xs)
-    energies = np.stack([_gram(xs @ p.lam.action) for p in points], axis=1)
-    bounds = np.stack([nrm ** 2 * xx for nrm in _point_norms(points)], axis=1)
-    viol = _order_violation(energies, bounds)
-    out["op_energy_bound"] = _Outcome(viol <= tol, viol, "energy bound violated")
+    xs = samples(0, range(k))
+    grams = _point_grams(stacks, xs, xs)
+    sq = np.zeros(grams.shape[:2])
+    for ii, jj, _, acts in stacks:
+        sq[jj, ii] = [v ** 2 for v in _top_singular(acts)]
+    bounds = sq.reshape(sq.shape + (1, 1, 1)) * _gram(xs)
+    for o, viol in zip(out, _order_violations(grams.swapaxes(0, 1),
+                                              bounds.swapaxes(0, 1))):
+        o["op_energy_bound"] = _Outcome(viol <= tol, viol, "energy bound violated")
 
     # gram_sandwich: needs a surjective operator; the stacked synthesis of a
     # controlled frame is one.
-    if verdict.kind == FRAME:
-        gram = t.action.conj().T @ t.action
-        viol = _sandwich(_hmin(gram), sigma ** 2, np.eye(gram.shape[0])[None],
-                         gram[None])
-        out["gram_sandwich"] = _Outcome(viol <= tol, viol, "gram sandwich violated")
+    if frames:
+        gram = np.stack([ts[i].conj().T @ ts[i] for i in frames])
+        viols = _sandwich(_hmin(gram).tolist(), [sigma[i] ** 2 for i in frames],
+                          np.eye(gram.shape[-1])[None, None], gram[:, None])
+        for i, viol in zip(frames, viols):
+            out[i]["gram_sandwich"] = _Outcome(viol <= tol, viol,
+                                               "gram sandwich violated")
 
     # plain_frame_sandwich: pointwise sums against the classifier bounds.
-    lo_plain = plain_verdict.witnesses["lambda_min"]
-    hi_plain = plain_verdict.witnesses["lambda_max"]
-    xs = _sample_vectors(rng, seed, *shape, 1, _SAMPLES)
-    viol = _sandwich(lo_plain if plain_verdict.kind == FRAME else None,
-                     hi_plain, _gram(xs), _energy(points, xs, xs))
-    out["plain_frame_sandwich"] = _Outcome(viol <= tol, viol, "plain sandwich violated")
+    xs = samples(1, range(k))
+    viols = _sandwich([v.witnesses["lambda_min"] if v.kind == FRAME else None
+                       for v in plain], [v.witnesses["lambda_max"] for v in plain],
+                      _gram(xs), _energies(stacks, xs, xs))
+    for o, viol in zip(out, viols):
+        o["plain_frame_sandwich"] = _Outcome(viol <= tol, viol,
+                                             "plain sandwich violated")
 
     # controlled_frame_sandwich: Hermitian-ness of both operators plus the
-    # controlled energy against the classifier bounds.
-    ca = pair.c.base.action
-    cpa = pair.cp.base.action
-    # once per distinct operator (two identity controls make sc the plain
-    # one): the asymmetry's norm and the operator's, all from one stacked SVD
-    acts = [op.action for op in dict.fromkeys((s_plain, sc))]
-    tops = _top_singular(np.stack([m for a in acts for m in (a - a.conj().T, a)]))
-    herm = max(asym / _scale(nrm) for asym, nrm in zip(tops[::2], tops[1::2]))
-    lo_c = verdict.witnesses["lambda_min"]
-    hi_c = verdict.witnesses["lambda_max"]
-    xs = _sample_vectors(rng, seed, *shape, 2, _SAMPLES)
-    viol = max(herm, _sandwich(lo_c if verdict.kind == FRAME else None, hi_c,
-                               _gram(xs), _energy(points, xs @ ca, xs @ cpa)))
-    out["controlled_frame_sandwich"] = _Outcome(
-        viol <= tol, viol, "frame operator not Hermitian" if herm > tol
-        else "controlled sandwich violated")
+    # controlled energy against the classifier bounds.  Each distinct
+    # operator (two identity controls make sc the plain one) gives its
+    # asymmetry's norm and its own, all from one stacked SVD.
+    acts = [[op.action for op in dict.fromkeys(quad[:2])] for quad in ops]
+    tops = _top_singular(np.stack([m for a in acts for x in a
+                                   for m in (x - x.conj().T, x)]))
+    norm_pairs = zip(tops[::2], tops[1::2])
+    herm = [max(asym / _scale(nrm) for asym, nrm in islice(norm_pairs, len(a)))
+            for a in acts]
+    xs = samples(2, range(k))
+    viols = _sandwich([lo if v.kind == FRAME else None for v, lo in zip(ctrl, lo_c)],
+                      hi_c, _gram(xs), _energies(stacks, xs @ ca, xs @ cpa))
+    for o, h, viol in zip(out, herm, viols):
+        viol = max(h, viol)
+        o["controlled_frame_sandwich"] = _Outcome(
+            viol <= tol, viol, "frame operator not Hermitian" if h > tol
+            else "controlled sandwich violated")
 
     # norm_characterization: scalar-norm version on controlled frames.
-    if verdict.kind == FRAME:
-        xs = _sample_vectors(rng, seed, *shape, 3, _SAMPLES)
+    if frames:
+        xs = samples(3, frames)
         # top singular values of every sample's gram and controlled energy,
         # from one stacked SVD
-        gram_norms, val_norms = _top_singular(
-            np.stack((_gram(xs), _energy(points, xs @ ca, xs @ cpa))))
-        viol = 0.0
-        for gn, nv in zip(gram_norms, val_norms):
-            # vec_norm(x) ** 2, through the square root as vec_norm takes it
-            nx2 = float(np.sqrt(gn)) ** 2
-            scale = _scale(hi_c * nx2)
-            viol = max(viol, (lo_c * nx2 - nv) / scale, (nv - hi_c * nx2) / scale)
-        viol = max(viol, 0.0)
-        out["norm_characterization"] = _Outcome(viol <= tol, viol,
-                                                "norm characterization violated")
+        gram_norms, val_norms = _top_singular(np.stack((
+            _gram(xs), _energies(stacks if len(frames) == k else
+                                 _point_stacks([families[i].points for i in frames]),
+                                 xs @ ca[frames], xs @ cpa[frames]))))
+        for i, gns, nvs in zip(frames, gram_norms, val_norms):
+            viol = 0.0
+            for gn, nv in zip(gns, nvs):
+                # vec_norm(x) ** 2, through the square root as vec_norm takes it
+                nx2 = float(np.sqrt(gn)) ** 2
+                scale = _scale(hi_c[i] * nx2)
+                viol = max(viol, (lo_c[i] * nx2 - nv) / scale,
+                           (nv - hi_c[i] * nx2) / scale)
+            viol = max(viol, 0.0)
+            out[i]["norm_characterization"] = _Outcome(
+                viol <= tol, viol, "norm characterization violated")
 
     # cc_equivalence_bounds: same-control pair against the plain family.
-    agree = (verdict_cc.kind == FRAME) == (plain_verdict.kind == FRAME)
-    viol = 0.0 if agree else 1.0
-    tight = 0.0
-    if agree and plain_verdict.kind == FRAME:
-        a_cc, b_cc = verdict_cc.bounds.lower, verdict_cc.bounds.upper
-        a_pl, b_pl = plain_verdict.bounds.lower, plain_verdict.bounds.upper
-        pb = bounds_plain_from_cc(a_cc, b_cc, pair.c)
-        cb = bounds_cc_from_plain(a_pl, b_pl, pair.c)
-        eye = np.eye(s_plain.action.shape[0])
-        viol = _order_violation(
-            np.stack((pb.lower * eye, s_plain.action, cb.lower * eye, sc_cc.action)),
-            np.stack((s_plain.action, pb.upper * eye, sc_cc.action, cb.upper * eye)))
-        if shape == (1, 1):
-            tight = max(abs(pb.lower - a_pl) / _scale(a_pl),
-                        abs(pb.upper - b_pl) / _scale(b_pl),
-                        abs(cb.lower - a_cc) / _scale(a_cc),
-                        abs(cb.upper - b_cc) / _scale(b_cc))
-    # a scalar transfer is held to its own gate, whatever tol is
-    loose = tight > SCALAR_TIGHT_TOL
-    out["cc_equivalence_bounds"] = _Outcome(
-        agree and viol <= tol and not loose, max(viol, tight) if loose else viol,
-        "verdicts disagree" if not agree else "scalar transfer not tight" if loose
-        else "transferred bounds invalid")
+    # The transferred bounds of every frame are checked in one stack.
+    checked, lows, mats, highs, tight = [], [], [], [], [0.0] * k
+    for i, (pv, sv) in enumerate(zip(plain, same)):
+        if pv.kind == sv.kind == FRAME:
+            a_cc, b_cc = sv.bounds.lower, sv.bounds.upper
+            a_pl, b_pl = pv.bounds.lower, pv.bounds.upper
+            pb = bounds_plain_from_cc(a_cc, b_cc, pairs[i].c)
+            cb = bounds_cc_from_plain(a_pl, b_pl, pairs[i].c)
+            checked.append(i)
+            lows.append((pb.lower, cb.lower))
+            highs.append((pb.upper, cb.upper))
+            mats.append((ops[i][0].action, ops[i][2].action))
+            if (n, d) == (1, 1):
+                tight[i] = max(abs(pb.lower - a_pl) / _scale(a_pl),
+                               abs(pb.upper - b_pl) / _scale(b_pl),
+                               abs(cb.lower - a_cc) / _scale(a_cc),
+                               abs(cb.upper - b_cc) / _scale(b_cc))
+    viols = [0.0] * k
+    if checked:
+        # lower bounds <= (S, S_cc) <= upper bounds, as slices of one stack
+        eye = np.eye(n * d)
+        mats = np.array(mats)
+        for i, viol in zip(checked, _order_violations(
+                np.concatenate((np.array(lows)[..., None, None] * eye, mats), axis=1),
+                np.concatenate((mats, np.array(highs)[..., None, None] * eye), axis=1))):
+            viols[i] = viol
+    for i, (pv, sv) in enumerate(zip(plain, same)):
+        agree = (sv.kind == FRAME) == (pv.kind == FRAME)
+        viol = viols[i] if agree else 1.0
+        # a scalar transfer is held to its own gate, whatever tol is
+        loose = tight[i] > SCALAR_TIGHT_TOL
+        out[i]["cc_equivalence_bounds"] = _Outcome(
+            agree and viol <= tol and not loose,
+            max(viol, tight[i]) if loose else viol,
+            "verdicts disagree" if not agree else "scalar transfer not tight"
+            if loose else "transferred bounds invalid")
 
-    out["synthesis_norm_bound"] = _Outcome(*_norm_bound(sigma, hi_c),
-                                           "synthesis norm above bound")
+    for o, sg, hi in zip(out, sigma, hi_c):
+        o["synthesis_norm_bound"] = _Outcome(*_norm_bound(sg, hi),
+                                             "synthesis norm above bound")
 
-    # Two-family checks against the twin, all on one cross operator.
-    _, diag = cross_adjoint_resolve(family, twin, pair)
-    # an operator and its adjoint have the same norm
-    hi_twin = verdict_twin.witnesses["lambda_max"]
-    out["cross_operator_norm_bound"] = _Outcome(
-        *_norm_bound(diag.adjoint_norm, hi_c * hi_twin), "cross norm above bound")
-
-    amax = max(diag.statement_residual, diag.proof_residual)
-    aok = diag.matches_proof and diag.matches_statement
-    out["cross_adjoint_identity"] = _Outcome(aok, amax, "adjoint closed form mismatch")
+    # Two-family checks against the twin, all on one cross operator each;
+    # an operator and its adjoint have the same norm.
+    diags = _adjoint_diagnostics([
+        (op_adjoint(cross_operator(f, tw, p)), f, tw, p)
+        for f, (_, tw, _), p in zip(families, cases, pairs)])
+    for o, diag, hi, tv in zip(out, diags, hi_c, twin_v):
+        o["cross_operator_norm_bound"] = _Outcome(
+            *_norm_bound(diag.adjoint_norm, hi * tv.witnesses["lambda_max"]),
+            "cross norm above bound")
+        amax = max(diag.statement_residual, diag.proof_residual)
+        aok = diag.matches_proof and diag.matches_statement
+        o["cross_adjoint_identity"] = _Outcome(aok, amax,
+                                               "adjoint closed form mismatch")
 
     # surjectivity_transfer: first family must be a controlled frame.
-    if verdict.kind == FRAME:
-        lo_twin = verdict_twin.witnesses["lambda_min"]
-        res, at_floor = _transfer(diag, scen_twin, lo_twin, SURJECTIVITY_TOL)
+    lo_twin = [v.witnesses["lambda_min"] for v in twin_v]
+    transfers = _transfer([(diags[i], scen_twins[i], lo_twin[i])
+                           for i in frames], SURJECTIVITY_TOL)
+    for i, (res, at_floor) in zip(frames, transfers):
         if not res.surjective:
-            out["surjectivity_transfer"] = _Outcome(False, 1.0,
-                                                    "mixed operator not surjective")
+            out[i]["surjectivity_transfer"] = _Outcome(
+                False, 1.0, "mixed operator not surjective")
         else:
-            out["surjectivity_transfer"] = _Outcome(
-                at_floor and verdict_twin.kind == FRAME,
-                abs(res.gamma_lower_bound - lo_twin),
+            out[i]["surjectivity_transfer"] = _Outcome(
+                at_floor and twin_v[i].kind == FRAME,
+                abs(res.gamma_lower_bound - lo_twin[i]),
                 "derived bound does not certify the twin")
 
     # bound_product_probe (empirical): claimed bounds scaled by control norms.
-    if plain_verdict.kind == FRAME:
+    for o, pv, pair, lo, hi in zip(out, plain, pairs, lo_c, hi_c):
+        if pv.kind != FRAME:
+            continue
         nc = pair.c.norm
         ncp = pair.cp.norm
-        claimed_lo = plain_verdict.bounds.lower * nc * ncp
-        claimed_hi = plain_verdict.bounds.upper * nc * ncp
-        lo_gap = claimed_lo - lo_c
-        hi_gap = hi_c - claimed_hi
-        scale = _scale(hi_c)
+        lo_gap = pv.bounds.lower * nc * ncp - lo
+        hi_gap = hi - pv.bounds.upper * nc * ncp
+        scale = _scale(hi)
         sides = []
         if lo_gap > tol * scale:
             sides.append("claimed lower bound exceeds the spectrum")
         if hi_gap > tol * scale:
             sides.append("claimed upper bound below the spectrum")
-        ok = not sides
-        out["bound_product_probe"] = _Outcome(ok,
-                                              max(lo_gap, hi_gap, 0.0) / scale,
-                                              "; ".join(sides))
-
+        o["bound_product_probe"] = _Outcome(not sides,
+                                            max(lo_gap, hi_gap, 0.0) / scale,
+                                            "; ".join(sides))
     return out
 
 
@@ -329,13 +446,21 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
         Scenarios to generate and test; must be nonempty.
     tol : float
         Working tolerance for semidefinite-order margins.
+
+    Scenarios are generated one by one and certified as they come; the
+    checks then run per (n, d) group, up to ``_GROUP_BYTES`` a group, and
+    each scenario's outcomes are folded in batch order.  The report is the
+    one a scenario-by-scenario run gives.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("batch must contain at least one spec")
     results = {cid: CheckResult(cid) for cid in CHECKS}
-    for spec, (scenario, twin) in zip(batch, _generate_batch(batch, twins=True)):
-        for cid, o in _evaluate_scenario(scenario, twin, spec.seed, tol).items():
+    cases = ((scenario, twin, spec.seed) for spec, (scenario, twin)
+             in zip(batch, _generate_batch(batch, twins=True)))
+    # folded in batch order, so failures of equal (seed, detail) keep it
+    for spec, out in zip(batch, _evaluate(cases, tol)):
+        for cid, o in out.items():
             r = results[cid]
             r.scenarios_run += 1
             if o.ok:

@@ -377,6 +377,13 @@ def test_verify_empty_batch_exit_one(tmp_path, capsys):
     batch = write_batch(tmp_path, [])
     assert main(["verify", "--batch", str(batch)]) == 1
     assert "batch" in capsys.readouterr().err
+    # refused before the --out file is opened: it keeps its bytes
+    out = tmp_path / "report.json"
+    out.write_bytes(b"kept\n")
+    assert main(["verify", "--batch", str(batch), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "gframes: error: batch must contain at least one spec\n"
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_verify_batch_schema_error(tmp_path, capsys):

@@ -833,7 +833,8 @@ def test_surjectivity_bound_certifies_twin():
 def test_surjectivity_is_decided_from_the_adjoint_diagnostic(calls):
     # every controlled frame of the default batch, against its twin: the
     # decision is is_bounded_below's on the adjoint, and its only SVD is
-    # cross_adjoint_resolve's stack of the adjoint and its two differences
+    # cross_adjoint_resolve's stack of the adjoint and its two differences,
+    # a stack of one case
     frames = 0
     for spec in default_batch():
         sc, twin = generate_pair(spec)
@@ -845,7 +846,7 @@ def test_surjectivity_is_decided_from_the_adjoint_diagnostic(calls):
         before = len(calls["svd"])
         result = surjectivity_transfer(sc.family, twin, sc.pair)
         dn = spec.d * spec.n
-        assert [m.shape for m in calls["svd"][before:]] == [(3, dn, dn)]
+        assert [m.shape for m in calls["svd"][before:]] == [(1, 3, dn, dn)]
         adj = op_adjoint(cross_operator(sc.family, twin, sc.pair))
         assert result.surjective == is_bounded_below(adj)[0]
     assert frames == 150

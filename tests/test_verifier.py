@@ -19,9 +19,15 @@ from gframes.errors import CommutationViolated, MeasureMismatch
 from gframes.frames import GFrameFamily, MeasurePoint
 from gframes.operators import (ModuleOperator, identity_control,
                                make_positive_invertible)
-from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violation
+from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violations
 
 from test_report_bytes import HANDWRITTEN
+
+
+def _order_violation(a, b):
+    """``_order_violations`` of the one pair of stacks ``a`` and ``b``."""
+    return _order_violations(a[None], b[None])[0]
+
 
 EXPECTED_IDS = {
     "op_energy_bound",
@@ -178,21 +184,21 @@ def test_empty_batch_rejected():
 # operator, which conjugates the plain operator of its family; one cross
 # operator serves every two-family check, its norm taken once by the
 # adjoint diagnostic, and the transfer step of a frame
-# builds the twin's synthesis.  op_norm is left with the synthesis norm
-# and the control norms nothing took yet: a certified control comes with
-# its norm, an identity control takes its norm and inverse norm for the
-# bound probe of a frame, and the transferred bounds of a frame take
-# C^-1's.  The point norms and the Hermitian-ness norms come from stacked
-# SVDs, which op_norm does not see.
+# builds the twin's synthesis.  op_norm is left with the control norms
+# nothing took yet: a certified control comes with its norm, an identity
+# control takes its norm and inverse norm for the bound probe of a frame,
+# and the transferred bounds of a frame take C^-1's.  The synthesis norm,
+# the point norms and the Hermitian-ness norms come from stacked SVDs,
+# which op_norm does not see.
 SCENARIO_BUILDS = {
     "generic": {"frame_operator": 2, "controlled_frame_operator": 3,
-                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 3},
+                "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
     "commuting": {"frame_operator": 2, "controlled_frame_operator": 3,
-                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
+                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 1},
     "parseval": {"frame_operator": 4, "controlled_frame_operator": 3,
-                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 3},
+                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
     "bessel_only": {"frame_operator": 2, "controlled_frame_operator": 3,
-                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 1},
+                    "synthesis_operator": 1, "cross_operator": 1, "op_norm": 0},
 }
 
 
@@ -209,20 +215,21 @@ def test_scenario_builds_each_operator_once(calls, flavor):
 # Spectral norms, SVDs and eigvalsh calls of the same scenario.  Every
 # spectral_norm left is an op_norm above, so norm2 reads op_norm's count.
 # Every other norm comes from a stacked SVD: one
-# per codomain rank for the point norms, one for the Hermitian-ness of the
-# distinct operators, one for the norm characterization of a frame, one
-# for the cross adjoint's three norms and its smallest singular value, which
-# the surjectivity transfer reads, one per certified control for its
-# norm and asymmetry, and one per order check with a failing slice for the
-# scales of all its failing slices; a certificate takes none, since its
-# Frobenius bound passes every commutator here.  Which slices of a tight
+# for the synthesis norm, one per codomain rank for the point norms, one
+# for the Hermitian-ness of the distinct operators, one for the norm
+# characterization of a frame, one for the cross adjoint's three norms
+# and its smallest singular value, which the surjectivity transfer reads,
+# one per certified control for its norm and asymmetry, and one per order
+# check with a failing slice for the scales of all its failing slices; a
+# certificate takes none, since its Frobenius bound passes every commutator
+# here.  Which slices of a tight
 # order check fail by roundoff follows the operators' last bits.  The four
 # verdicts take one eigvalsh, and each order check one more.
 SCENARIO_NORMS = {
-    "bessel_only": {"norm2": 1, "svd": 8, "eigvalsh": 4},
-    "commuting": {"norm2": 2, "svd": 12, "eigvalsh": 8},
-    "generic": {"norm2": 3, "svd": 11, "eigvalsh": 8},
-    "parseval": {"norm2": 3, "svd": 13, "eigvalsh": 8},
+    "bessel_only": {"norm2": 0, "svd": 8, "eigvalsh": 4},
+    "commuting": {"norm2": 1, "svd": 12, "eigvalsh": 8},
+    "generic": {"norm2": 2, "svd": 11, "eigvalsh": 8},
+    "parseval": {"norm2": 2, "svd": 13, "eigvalsh": 8},
 }
 
 
@@ -349,6 +356,30 @@ def test_stacked_decompositions_match_per_slice_bit_for_bit(k):
         assert r[i].tobytes() == ri.tobytes()
 
 
+@pytest.mark.parametrize("n,d,e", [(1, 1, 1), (1, 3, 2), (2, 1, 1), (3, 2, 3),
+                                   (8, 4, 2)])
+def test_stacked_products_match_per_slice_bit_for_bit(n, d, e):
+    # the grouped evaluator's products: sample stacks against point actions
+    # broadcast over the samples, grams, controls broadcast over a stack and
+    # chains of equal-shape stacks; numpy runs BLAS on each slice alone, on
+    # the vector paths of one-row and one-column slices too
+    rng = stream(40 + n, d)
+    x = complex_normal(rng, (5, 6, n, d * n))
+    lam = complex_normal(rng, (5, d * n, e * n))
+    a = complex_normal(rng, (5, d * n, d * n))
+    xl = x @ lam[:, None]
+    gram = xl @ xl.conj().swapaxes(-1, -2)
+    chain = a @ a.conj().swapaxes(-1, -2) @ a
+    for i in range(5):
+        assert xl[i].tobytes() == (x[i] @ lam[i]).tobytes()
+        assert gram[i].tobytes() == (
+            xl[i] @ xl[i].conj().swapaxes(-1, -2)).tobytes()
+        assert chain[i].tobytes() == (a[i] @ a[i].conj().T @ a[i]).tobytes()
+        assert (x @ a[i]).tobytes() == np.stack([s @ a[i] for s in x]).tobytes()
+        for s in range(6):
+            assert xl[i, s].tobytes() == (x[i, s] @ lam[i]).tobytes()
+
+
 def test_stacked_svd_with_a_nan_slice_raises():
     eye = np.eye(2, dtype=np.complex128)
     nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=np.complex128)
@@ -363,14 +394,15 @@ def test_sample_vectors_are_successive_complex_normal_draws():
     # a generator left mid-stream elsewhere is re-keyed first
     used = stream(5, 9)
     used.uniform(size=3)
-    assert verifier._sample_vectors(used, spec.seed, spec.n, spec.d, 2, 4).tobytes() \
-        == expected.tobytes()
+    assert verifier._sample_vectors(used, [spec.seed], spec.n, spec.d, 2,
+                                    4).tobytes() == expected.tobytes()
 
 
 def test_point_norms_are_op_norms_bit_for_bit():
     points = generate(GeneratorSpec(seed=12, n=2, d=2, m=6)).family.points
     assert len({p.codomain_rank for p in points}) == 3
-    assert verifier._point_norms(points) == [op_norm(p.lam) for p in points]
+    assert verifier._norms([p.lam.action for p in points]) == [
+        op_norm(p.lam) for p in points]
 
 
 def test_order_violation_on_nan_takes_the_scale():
@@ -408,11 +440,12 @@ def test_default_batch_eigh_count(monkeypatch):
     # eigh: two controls per commuting or bessel_only spec, family and twin
     # renormalization per parseval spec, and one product root per commuting
     # or bessel_only scenario; a same-control pair's root is its control,
-    # and the generic and parseval flavors pair one identity with itself.  Order checks: one stacked
-    # check per sampled check, one for the gram sandwich and one for the
-    # transferred bounds of a frame, each one eigvalsh; the other eigvalsh
-    # calls are the gram floors and the verdict spectra, the four verdicts
-    # of a scenario in one call.
+    # and the generic and parseval flavors pair one identity with itself.
+    # The rest is per (n, d) group, and the batch has ten: order checks,
+    # one stacked check per sampled check, one for the gram sandwich and
+    # one for the transferred bounds, each one eigvalsh; the other eigvalsh
+    # calls are the gram floors, the transfer floors and the verdict
+    # spectra, the four verdicts of every scenario in one call.
     seen = {"eigh": [], "eigvalsh": [], "order": []}
 
     def counting(log, real):
@@ -423,11 +456,11 @@ def test_default_batch_eigh_count(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
                             counting(seen[name], getattr(np.linalg, name)))
-    monkeypatch.setattr(verifier, "_order_violation",
-                        counting(seen["order"], _order_violation))
+    monkeypatch.setattr(verifier, "_order_violations",
+                        counting(seen["order"], _order_violations))
     run_suite(default_batch())
     assert {name: len(log) for name, log in seen.items()} == \
-        {"eigh": 400, "eigvalsh": 1400, "order": 900}
+        {"eigh": 400, "eigvalsh": 80, "order": 50}
 
 
 def test_suite_constructs_no_wrappers(calls):
@@ -667,3 +700,132 @@ def test_tensor_products_pass_every_check(seed):
             hi = extremes(scenario)[1]
             product = extremes(sa)[1] * extremes(sb)[1]
             assert abs(hi - product) <= 1e-12 * product, (fa, fb)
+
+
+# Grouped evaluation: ``_evaluate`` takes cases of any shapes in any order,
+# evaluates each (n, d) group's checks together, and must give every case
+# what ``_evaluate_scenario`` gives it alone.
+
+def mixed_cases():
+    """Cases of many shapes in a seeded order: default specs, the byte
+    sweep's mixed-size specs, and hand-written scenarios, one of them with
+    more points than the generated scenarios of its shape."""
+    specs = default_batch()[::7] + [
+        GeneratorSpec(seed=970 + 4 * j + i, n=n, d=d, m=m, dw_range=(1, 3),
+                      flavor=fl)
+        for j, (n, d, m) in enumerate(((3, 3, 5), (8, 2, 6)))
+        for i, fl in enumerate(("generic", "commuting", "parseval",
+                                "bessel_only"))]
+    cases = [(*generate_pair(s), s.seed) for s in specs]
+    for obj, seed in ((HANDWRITTEN, 1), (SCALAR, 2)):
+        scenario = ser.scenario_from_obj(obj)
+        cases.append((scenario, scenario.family, seed))
+    sa, ta = generate_pair(GeneratorSpec(seed=500, n=2, d=1, m=3,
+                                         flavor="commuting"))
+    sb, tb = generate_pair(GeneratorSpec(seed=600, n=1, d=2, m=2))
+    fam = kron_family(sa.family, sb.family)
+    pair = ControlPair(kron_control(sa.pair.c, sb.pair.c, 2, 2),
+                       kron_control(sa.pair.cp, sb.pair.cp, 2, 2))
+    cases.append((ControlledScenario(fam, pair), kron_family(ta, tb), 3))
+    order = stream(17, 0).permutation(len(cases))
+    return [cases[i] for i in order]
+
+
+def outcome_bits(out):
+    return {cid: (o.ok, o.detail, np.float64(o.residual).tobytes())
+            for cid, o in out.items()}
+
+
+@pytest.mark.parametrize("tol", [verifier.DEFAULT_TOL, 1e-18])
+def test_grouped_evaluation_gives_each_case_its_own_outcomes(tol):
+    cases = mixed_cases()
+    shapes = [(sc.family.algebra_dim, sc.family.module_rank)
+              for sc, _, _ in cases]
+    # shapes interleave, so group order is not input order
+    assert len(set(shapes)) >= 8 and shapes != sorted(shapes, key=shapes.index)
+    grouped = verifier._evaluate(cases, tol)
+    assert len(grouped) == len(cases)
+    for case, out in zip(cases, grouped):
+        assert outcome_bits(out) == outcome_bits(
+            verifier._evaluate_scenario(*case, tol)), case[2]
+
+
+def test_failures_of_equal_seed_and_detail_keep_batch_order():
+    # three specs share a seed; the middle one has another shape, so its
+    # group comes after the first group in any order of groups
+    batch = [GeneratorSpec(seed=5, n=2, d=2, m=4, flavor="commuting"),
+             GeneratorSpec(seed=5, n=1, d=1, m=2),
+             GeneratorSpec(seed=5, n=2, d=2, m=4)]
+    alone = [{r.check_id: r for r in run_suite([s], 1e-18)} for s in batch]
+
+    def folded(order, cid):
+        return [(f.seed, f.detail, np.float64(f.residual).tobytes())
+                for f in sorted((f for i in order for f in alone[i][cid].failures),
+                                key=lambda f: (f.seed, f.detail))]
+    reordered = False
+    for r in run_suite(batch, 1e-18):
+        want = folded((0, 1, 2), r.check_id)
+        assert [(f.seed, f.detail, np.float64(f.residual).tobytes())
+                for f in r.failures] == want
+        reordered |= folded((0, 2, 1), r.check_id) != want
+    # folding in group order would have shown
+    assert reordered
+
+
+def certificate_failures():
+    """Three scenarios whose pairs fail their certificates, with distinct
+    worst commutators: two at (2, 2) and, between them in input order, one
+    at (3, 2)."""
+    bad = []
+    for seed, n, d, m in ((7, 2, 2, 4), (9, 3, 2, 3), (8, 2, 2, 4)):
+        commuting, _ = generate_pair(GeneratorSpec(seed=seed, n=n, d=d, m=m,
+                                                   flavor="commuting"))
+        generic, _ = generate_pair(GeneratorSpec(seed=seed, n=n, d=d, m=m))
+        bad.append((ControlledScenario(generic.family, commuting.pair),
+                    generic.family, seed))
+    return bad
+
+
+def raised(cases):
+    with pytest.raises(CommutationViolated) as info:
+        verifier._evaluate(cases, verifier.DEFAULT_TOL)
+    return str(info.value)
+
+
+def test_the_first_failing_certificate_in_input_order_raises():
+    first, other_shape, second = certificate_failures()
+    messages = [raised([case]) for case in (first, other_shape, second)]
+    assert len(set(messages)) == 3
+    # two failures in one group
+    assert raised([first, second]) == messages[0]
+    assert raised([second, first]) == messages[2]
+    # a group that waits: its passing first case comes before the failure
+    # of another shape, and its own failure after it
+    good = default_batch()[3]
+    assert (good.n, good.d) == (2, 2)
+    good_case = (*generate_pair(good), good.seed)
+    assert raised([good_case, other_shape, second]) == messages[1]
+
+
+def test_group_cap_keeps_default_groups_whole_and_large_scenarios_alone(
+        monkeypatch):
+    groups = []
+
+    def record(cases, tol):
+        groups.append([(sc.family.algebra_dim, sc.family.module_rank, seed)
+                       for sc, _, seed in cases])
+        return [{} for _ in cases]
+    monkeypatch.setattr(verifier, "_evaluate_group", record)
+    run_suite(default_batch())
+    assert sorted(len(g) for g in groups) == [20] * 10
+    assert all(len({(n, d) for n, d, _ in g}) == 1 for g in groups)
+    # the verify-ladder shapes: (8, 4, 16) scenarios in pairs, each
+    # (8, 8, 32) alone, each group evaluated as soon as it is full
+    del groups[:]
+    run_suite([GeneratorSpec(seed=900 + 4 * j + i, n=8, d=d, m=m,
+                             dw_range=(2, 2), flavor=fl)
+               for j, (d, m) in enumerate(((4, 16), (8, 32)))
+               for i, fl in enumerate(("generic", "commuting", "parseval",
+                                       "bessel_only"))])
+    assert [[seed for *_, seed in g] for g in groups] == [
+        [900, 901], [902, 903], [904], [905], [906], [907]]

@@ -13,6 +13,11 @@ this script and runs ``gframes.cli.main`` in-process on:
 * ``verify --batch`` of 8 mixed-size specs (seeds 970-977, (n, d, m) in
   {(3, 3, 5), (8, 2, 6)}, dw_range [1, 3], every flavor), whose bases and
   codomain unitaries share size stacks across specs and across roles;
+* ``verify --batch`` of 11 specs (seeds 980-989, flavors in turn) at the
+  default tolerance and 1e-18, whose shapes (n, d, m) come in no cyclic
+  order: (1, 1, 1), (2, 2, 4) and (3, 2, 3) with dw_range [1, 3], and four
+  (8, 4, 16) with dw 2, which together hold more bytes than the verifier
+  evaluates in one group.  Seed 985 names a (3, 2, 3) and a (1, 1, 1) spec;
 * ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
   1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
   (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32);
@@ -77,6 +82,15 @@ MIXED_BATCH = [{"seed": 970 + 4 * j + i, "n": n, "d": d, "m": m,
                for j, (n, d, m) in enumerate(((3, 3, 5), (8, 2, 6)))
                for i, fl in enumerate(FLAVORS)]
 
+SHAPE_ORDER_BATCH = [{"seed": seed, "n": n, "d": d, "m": m,
+                      "dw_range": [2, 2] if n == 8 else [1, 3],
+                      "flavor": FLAVORS[i % len(FLAVORS)]}
+                     for i, (seed, (n, d, m)) in enumerate((
+                         (980, (2, 2, 4)), (981, (8, 4, 16)), (982, (1, 1, 1)),
+                         (983, (2, 2, 4)), (984, (8, 4, 16)), (985, (3, 2, 3)),
+                         (985, (1, 1, 1)), (986, (8, 4, 16)), (987, (2, 2, 4)),
+                         (988, (8, 4, 16)), (989, (3, 2, 3))))]
+
 # Number and string tokens the JSON reader must take exactly as ``json``
 # does: tokens only ``json`` accepts, numbers at the edges of the doubles and
 # of the 64-bit integers, and text a strict parser refuses.
@@ -121,6 +135,11 @@ def sweep() -> None:
             "report.json")
     Path("mixed.json").write_text(json.dumps(MIXED_BATCH), encoding="utf-8")
     run("verify_mixed_tol", ["verify", "--batch", "mixed.json"], "report.json")
+    Path("shape_order.json").write_text(json.dumps(SHAPE_ORDER_BATCH), encoding="utf-8")
+    for tol in (None, "1e-18"):
+        run(f"verify_shape_order_{tol or 'tol'}",
+            ["verify", "--batch", "shape_order.json"] + (["--tol", tol] if tol else []),
+            "report.json")
     for j, (n, d, m) in enumerate(SHAPES):
         for i, fl in enumerate(FLAVORS):
             tag = f"{fl}_{n}x{d}x{m}"
