@@ -76,9 +76,11 @@ class ControlPair:
         # NaN fails the comparison too
         if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
-        # norms multiplying past 1e300 overflow c o cp and every controlled operator
+        # norms multiplying past 1e300 overflow c o cp and every controlled
+        # operator; a relative 1e-12 above it is the SVD roundoff of controls
+        # whose spectra end at the generators' ceiling, 1e150
         product = self.c.norm * self.cp.norm
-        if product > 1e300:
+        if product > 1e300 * (1 + 1e-12):
             raise ValueError(f"the controls' norms multiply to {product:.3e}, "
                              f"above 1e300: their product overflows")
 

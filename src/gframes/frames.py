@@ -104,27 +104,19 @@ def frame_operator(family: GFrameFamily) -> ModuleOperator:
     return family._frame_operator
 
 
-def _spectra(ops) -> list[np.ndarray]:
-    """Ascending eigenvalues of the Hermitian part of each operator in
-    ``ops``, all of one shape, from one ``eigvalsh`` over the stack of the
-    distinct ones; LAPACK takes each slice alone, so every value is the
-    one-operator one, and an operator listed twice is decomposed once."""
-    slot = {op: i for i, op in enumerate(dict.fromkeys(ops))}
-    a = np.stack([op.action for op in slot])
-    w = np.linalg.eigvalsh(_hermitian_part(a))
-    return [w[slot[op]] for op in ops]
-
-
 def _verdicts(ops, tol: float = DEFAULT_TOL) -> list[FrameVerdict]:
-    """Frame / Bessel-only verdict of each frame operator in ``ops``, from
-    one stacked spectrum: a frame when ``lambda_min > tol * lambda_max``.
-    The threshold is relative, so rescaling an operator leaves its verdict
-    alone; its default, ``DEFAULT_TOL``, is the one frame threshold of the
-    library, the verifier and every CLI command.  Each verdict's witnesses
-    are the extreme eigenvalues.
+    """Frame / Bessel-only verdict of each frame operator in ``ops``, all of
+    one shape, from one ``eigvalsh`` over their stack: a frame when
+    ``lambda_min > tol * lambda_max``.  LAPACK takes each slice alone, so
+    every value is the one-operator one.  The threshold is relative, so
+    rescaling an operator leaves its verdict alone; its default,
+    ``DEFAULT_TOL``, is the one frame threshold of the library, the verifier
+    and every CLI command.  Each verdict's witnesses are the extreme
+    eigenvalues.
     """
     out = []
-    for w in _spectra(ops):
+    stack = np.stack([op.action for op in ops])
+    for w in np.linalg.eigvalsh(_hermitian_part(stack)):
         lo, hi = float(w[0]), float(w[-1])
         wit = {"lambda_min": lo, "lambda_max": hi}
         out.append(FrameVerdict(FRAME, FrameBounds(lo, hi), wit) if lo > tol * hi

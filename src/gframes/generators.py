@@ -62,6 +62,9 @@ _SING_LO, _SING_HI = 0.5, 1.5
 # Largest upper end of ``spectrum_range``: the controls' product and every
 # controlled operator scale with its square, which stays under 1e300 here.
 SPECTRUM_CEILING = 1e150
+# Smallest lower end, the ceiling's reciprocal: the transferred frame bounds
+# scale with the square of a control's inverse norm, at most 1e300 here.
+SPECTRUM_FLOOR = 1e-150
 
 
 def _is_int(v) -> bool:
@@ -111,6 +114,9 @@ class GeneratorSpec:
         if shi > SPECTRUM_CEILING:
             raise InvalidSpec(f"spectrum_range upper end must be at most "
                               f"{SPECTRUM_CEILING:g}, got {self.spectrum_range}")
+        if slo < SPECTRUM_FLOOR:
+            raise InvalidSpec(f"spectrum_range lower end must be at least "
+                              f"{SPECTRUM_FLOOR:g}, got {self.spectrum_range}")
         object.__setattr__(self, "spectrum_range", (slo, shi))
         if self.flavor not in FLAVORS:
             raise InvalidSpec(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")
@@ -244,30 +250,21 @@ def _assemble(rng: np.random.Generator, drawn: _Drawn,
     return ControlledScenario(family, pair), other
 
 
-def _draw_batch(specs) -> tuple[np.random.Generator, list]:
-    """The one Philox of a batch and every spec's draws, its unitaries
-    taken with one QR per size for the whole batch and kept as views into
-    those size stacks.  The sizes are factored one at a time, so only one
-    size's normals are ever copied into a stack."""
+def _generate_batch(specs, twins: bool):
+    """``(scenario, twin)`` of each spec in order, ``twin`` None unless
+    ``twins``.  Every spec is drawn first, from the batch's one Philox; its
+    unitaries come from one QR per size for the whole batch, each size's
+    normals let go once it is factored, and stay as views into those size
+    stacks.  Each pair is built when it is read, and then the batch lets go
+    of that spec's draws; a size stack goes with the last view into it."""
     rng = stream(0)
     normals: dict = {}
     drawn = [_draw(rng, spec, normals) for spec in specs]
-    stacks = {}
-    while normals:
-        k, zs = normals.popitem()
-        stacks[k] = _unitaries(np.stack(zs))
+    stacks = {k: _unitaries(np.stack(normals.pop(k))) for k in list(normals)}
     for dr in drawn:
         if dr.unitaries is not None:
             dr.unitaries = [stacks[k][i] for k, i in dr.unitaries]
-    return rng, drawn
-
-
-def _generate_batch(specs, twins: bool):
-    """``(scenario, twin)`` of each spec in order, ``twin`` None unless
-    ``twins``; each pair is built when it is read.  Once it is, the batch
-    lets go of that spec's draws, and a size stack goes with the last view
-    into it."""
-    rng, drawn = _draw_batch(specs)
+    stacks = dr = None  # a paused generator would hold them to its end
     drawn.reverse()
     while drawn:
         yield _assemble(rng, drawn.pop(), twins)

@@ -10,21 +10,20 @@ its pass fraction is information, not a verdict.
 Scenarios are evaluated in groups that share (n, d): each check makes one
 stacked call per group for its decompositions, sample draws and products.
 A group is evaluated as soon as the synthesis matrices of its families and
-twins reach ``_GROUP_BYTES``, so a scenario that large alone.  Grouping moves
-no report byte.  Samples are keyed by seed, and numpy's stacked ``svd``,
-``eigvalsh`` and ``matmul`` run on each slice alone, so every value has the
-bits it has when its scenario is evaluated alone.  Outcomes are folded in
-batch order and failure lists sorted stably by (seed, detail), and each
-scenario is certified as it is read, before any grouped work, so a failing
-certificate raises as in a one-at-a-time run.  Results are ordered by check
-id, so reports are byte-identical across runs.
+twins reach ``_GROUP_BYTES``, so a scenario that large is evaluated alone.
+Grouping moves no report byte.  Samples are keyed by seed, and numpy's
+stacked ``svd``, ``eigvalsh`` and ``matmul`` run on each slice alone, so
+every value has the bits it has when its scenario is evaluated alone.
+Outcomes are folded in batch order and failure lists sorted stably by (seed,
+detail), and each scenario is certified as it is read, before any grouped
+work, so a failing certificate raises as in a one-at-a-time run.  Results
+are ordered by check id, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -139,22 +138,24 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x @ x.conj().swapaxes(-1, -2)
 
 
-def _column(values) -> np.ndarray:
-    """One float per index of a leading axis, shaped to scale a stack of
-    matrices (or of stacks of them) slice by slice."""
-    return np.array(values, dtype=float)[:, None, None, None]
+def _sandwich(lo, hi, xx: np.ndarray, val: np.ndarray) -> list:
+    """Violation of ``lo * xx <= val <= hi * xx`` for each case, the leading
+    axis of ``val``: the largest over its slices.  A bound holds one value
+    per case, or per case and slice, and broadcasts over the leading axes of
+    ``val``, as ``xx`` does.  A ``lo`` of None checks the upper side only; a
+    None entry of ``lo`` leaves its case's lower side exact zeros."""
 
+    def spread(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape + (1,) * (val.ndim - a.ndim))
 
-def _sandwich(lo: list, hi: list, xx: np.ndarray, val: np.ndarray) -> list:
-    """Violation of ``lo[i] * xx[i] <= val[i] <= hi[i] * xx[i]`` for each
-    index ``i`` over its stack of samples, sample by sample and lower side
-    first; a ``lo[i]`` of None checks the upper side only, its lower side
-    being exact zeros."""
-    lower = np.array([v is not None for v in lo])[:, None, None, None]
-    lo_xx = _column([0.0 if v is None else v for v in lo]) * xx
+    upper = spread(np.asarray(hi, dtype=float)) * xx
+    if lo is None:
+        return _order_violations(val, upper)
+    has_lo = np.not_equal(lo, None)
+    lo_xx = spread(np.where(has_lo, lo, 0.0).astype(float)) * xx
     return _order_violations(
-        np.stack((lo_xx, val), axis=2),
-        np.stack((np.where(lower, val, 0.0), _column(hi) * xx), axis=2))
+        np.stack((lo_xx, val), axis=1),
+        np.stack((np.where(spread(has_lo), val, 0.0), upper), axis=1))
 
 
 @dataclass
@@ -178,7 +179,9 @@ def _certify(scenario: ControlledScenario, twin: GFrameFamily) -> None:
 
 
 # A shape group is evaluated as soon as the synthesis matrices of its
-# families and twins hold this many bytes, so a scenario that large alone.
+# families and twins hold this many bytes, so a scenario that large is
+# evaluated alone.  Without the cap, the tracemalloc peak of ``run_suite``
+# over the eight verify-ladder specs rises from 6.9 to 21.0 MB.
 _GROUP_BYTES = 512 * 1024
 
 
@@ -266,20 +269,19 @@ def _evaluate_group(cases: list, tol: float) -> list:
     # op_energy_bound: every point operator against sampled vectors.
     xs = samples(0, range(k))
     grams = _point_grams(stacks, xs, xs)
-    sq = np.zeros(grams.shape[:2])
+    sq = np.zeros((k, len(grams)))
     for ii, jj, _, acts in stacks:
-        sq[jj, ii] = [v ** 2 for v in _top_singular(acts)]
-    bounds = sq.reshape(sq.shape + (1, 1, 1)) * _gram(xs)
-    for o, viol in zip(out, _order_violations(grams.swapaxes(0, 1),
-                                              bounds.swapaxes(0, 1))):
+        sq[ii, jj] = [v ** 2 for v in _top_singular(acts)]
+    for o, viol in zip(out, _sandwich(None, sq, _gram(xs)[:, None],
+                                      grams.swapaxes(0, 1))):
         o["op_energy_bound"] = _Outcome(viol <= tol, viol, "energy bound violated")
 
     # gram_sandwich: needs a surjective operator; the stacked synthesis of a
     # controlled frame is one.
     if frames:
         gram = np.stack([ts[i].conj().T @ ts[i] for i in frames])
-        viols = _sandwich(_hmin(gram).tolist(), [sigma[i] ** 2 for i in frames],
-                          np.eye(gram.shape[-1])[None, None], gram[:, None])
+        viols = _sandwich(_hmin(gram), [sigma[i] ** 2 for i in frames],
+                          np.eye(gram.shape[-1]), gram)
         for i, viol in zip(frames, viols):
             out[i]["gram_sandwich"] = _Outcome(viol <= tol, viol,
                                                "gram sandwich violated")
@@ -294,15 +296,13 @@ def _evaluate_group(cases: list, tol: float) -> list:
                                              "plain sandwich violated")
 
     # controlled_frame_sandwich: Hermitian-ness of both operators plus the
-    # controlled energy against the classifier bounds.  Each distinct
-    # operator (two identity controls make sc the plain one) gives its
-    # asymmetry's norm and its own, all from one stacked SVD.
-    acts = [[op.action for op in dict.fromkeys(quad[:2])] for quad in ops]
-    tops = _top_singular(np.stack([m for a in acts for x in a
+    # controlled energy against the classifier bounds.  Each operator gives
+    # its asymmetry's norm and its own, all from one stacked SVD.
+    tops = _top_singular(np.stack([m for plain_op, ctrl_op, _, _ in ops
+                                   for x in (plain_op.action, ctrl_op.action)
                                    for m in (x - x.conj().T, x)]))
-    norm_pairs = zip(tops[::2], tops[1::2])
-    herm = [max(asym / _scale(nrm) for asym, nrm in islice(norm_pairs, len(a)))
-            for a in acts]
+    herm = [max(asym / _scale(nrm), asym_c / _scale(nrm_c))
+            for asym, nrm, asym_c, nrm_c in zip(*[iter(tops)] * 4)]
     xs = samples(2, range(k))
     viols = _sandwich([lo if v.kind == FRAME else None for v, lo in zip(ctrl, lo_c)],
                       hi_c, _gram(xs), _energies(stacks, xs @ ca, xs @ cpa))
@@ -351,18 +351,12 @@ def _evaluate_group(cases: list, tol: float) -> list:
                                abs(pb.upper - b_pl) / _scale(b_pl),
                                abs(cb.lower - a_cc) / _scale(a_cc),
                                abs(cb.upper - b_cc) / _scale(b_cc))
-    viols = [0.0] * k
-    if checked:
-        # lower bounds <= (S, S_cc) <= upper bounds, as slices of one stack
-        eye = np.eye(n * d)
-        mats = np.array(mats)
-        for i, viol in zip(checked, _order_violations(
-                np.concatenate((np.array(lows)[..., None, None] * eye, mats), axis=1),
-                np.concatenate((mats, np.array(highs)[..., None, None] * eye), axis=1))):
-            viols[i] = viol
+    # lower bounds <= (S, S_cc) <= upper bounds, one bound pair a slice
+    viols = dict(zip(checked, _sandwich(lows, highs, np.eye(n * d),
+                                        np.array(mats)) if checked else ()))
     for i, (pv, sv) in enumerate(zip(plain, same)):
         agree = (sv.kind == FRAME) == (pv.kind == FRAME)
-        viol = viols[i] if agree else 1.0
+        viol = viols.get(i, 0.0) if agree else 1.0
         # a scalar transfer is held to its own gate, whatever tol is
         loose = tight[i] > SCALAR_TIGHT_TOL
         out[i]["cc_equivalence_bounds"] = _Outcome(

@@ -417,6 +417,23 @@ def test_verify_spectrum_above_the_ceiling_is_a_spec_error(flavor, hi, tmp_path,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_spectrum_below_the_floor_is_a_spec_error(command, tmp_path, capsys,
+                                                  recwarn):
+    spec = {"seed": 0, "n": 2, "d": 2, "m": 4, "flavor": "commuting",
+            "spectrum_range": [1e-155, 2e-155]}
+    out = tmp_path / "out.json"
+    out.write_bytes(b"kept")
+    args = (["generate", "--spec", json.dumps(spec)] if command == "generate"
+            else ["verify", "--batch", str(write_batch(tmp_path, [spec]))])
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "gframes: error: spectrum_range lower end must be at least 1e-150, "
+        "got (1e-155, 2e-155)\n")
+    assert out.read_bytes() == b"kept"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_verify_rejects_batch_plus_default(tmp_path):
     batch = write_batch(tmp_path, SMALL_BATCH)
     assert main(["verify", "--batch", str(batch), "--default"]) == 1

@@ -241,11 +241,10 @@ def test_family_rejects_mixed_shapes():
         GFrameFamily(2, 2, (good, bad))
 
 
-def test_verdicts_decompose_a_repeated_operator_once(calls):
+def test_verdicts_of_a_repeated_operator_match_one_at_a_time():
     s = frame_operator(random_family(61, 2, 2, 4))
     t = frame_operator(random_family(62, 2, 2, 4))
     got = _verdicts((s, t, s, s))
-    assert [a.shape for a in calls["eigvalsh"]] == [(2, 4, 4)]
     alone = [_verdicts((op,))[0] for op in (s, t, s, s)]
     assert [(v.kind, v.witnesses) for v in got] == [(v.kind, v.witnesses)
                                                    for v in alone]

@@ -6,8 +6,8 @@ import pytest
 from gframes import (BESSEL_ONLY, FRAME, GeneratorSpec, InvalidSpec, classify,
                      controlled_classify, frame_operator, generate,
                      generate_pair, optimal_bounds, validate_commutation)
-from gframes.generators import SPECTRUM_CEILING, _generate_batch
-from gframes.verifier import default_batch, run_suite
+from gframes.generators import SPECTRUM_CEILING, SPECTRUM_FLOOR, _generate_batch
+from gframes.verifier import default_batch, run_suite, suite_passed
 from gframes.serialization import dumps, scenario_to_obj
 
 SEEDS = range(1000, 1100)
@@ -110,12 +110,61 @@ def test_spec_spectrum_range_refuses_numpy_bools(entry):
 def test_spectrum_ceiling():
     assert SPECTRUM_CEILING ** 2 < 1e300
     for lo, hi in ((1.0, SPECTRUM_CEILING), (SPECTRUM_CEILING, SPECTRUM_CEILING),
-                   (1e-200, 1.0)):
+                   (SPECTRUM_FLOOR, 1.0)):
         GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=(lo, hi))
     above = float(np.nextafter(SPECTRUM_CEILING, np.inf))
     for rng in ((1.0, above), (above, above), (1.0, 1e300)):
         with pytest.raises(InvalidSpec, match="spectrum_range upper end"):
             GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=rng)
+
+
+def test_spectrum_floor_is_checked_after_the_ordering_and_the_ceiling():
+    assert SPECTRUM_FLOOR == 1 / SPECTRUM_CEILING
+    below = float(np.nextafter(SPECTRUM_FLOOR, 0.0))
+    for rng in ((below, 1.0), (1e-200, 1e-200), (1e-155, 2e-155)):
+        with pytest.raises(InvalidSpec, match="spectrum_range lower end must "
+                                              "be at least 1e-150"):
+            GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=rng)
+    with pytest.raises(InvalidSpec, match="positive ordered interval"):
+        GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=(1.0, 1e-200))
+    with pytest.raises(InvalidSpec, match="upper end"):
+        GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=(1e-200, 1e160))
+
+
+@pytest.mark.parametrize("flavor", ["commuting", "bessel_only"])
+def test_specs_at_either_spectrum_end_generate_and_verify(flavor):
+    # at the ceiling the controls' SVD norms land a few ulps above 1e150, and
+    # at the floor their inverses' norms do; neither may raise or warn
+    for end in (SPECTRUM_CEILING, SPECTRUM_FLOOR):
+        specs = [GeneratorSpec(seed=seed, n=n, d=d, m=m, flavor=flavor,
+                               spectrum_range=(end, end))
+                 for seed in range(20) for n, d, m in ((1, 1, 1), (2, 2, 4))]
+        for spec in specs:
+            generate(spec)
+        run_suite(specs)
+
+
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval",
+                                    "bessel_only"])
+def test_spectrum_floor_is_the_lowest_verifiable_end(flavor):
+    below = float(np.nextafter(SPECTRUM_FLOOR, 0.0))
+    with pytest.raises(InvalidSpec, match="lower end"):
+        GeneratorSpec(seed=0, n=1, d=1, m=1, spectrum_range=(below, 1.0),
+                      flavor=flavor)
+    specs = [GeneratorSpec(seed=seed, n=n, d=d, m=m, flavor=flavor,
+                           spectrum_range=(SPECTRUM_FLOOR, 1.0))
+             for seed in range(20) for n, d, m in ((1, 1, 1), (2, 2, 4))]
+    assert suite_passed(run_suite(specs))
+
+
+@pytest.mark.xfail(strict=True, reason="the surjectivity floor is absolute "
+                   "(roadmap item 3): sigma_min is held to tol * max(1, "
+                   "sigma_max), which the tiny mixed operator cannot clear")
+def test_controls_at_the_spectrum_floor_keep_the_surjectivity_transfer():
+    spec = GeneratorSpec(seed=0, n=2, d=2, m=4, flavor="commuting",
+                         spectrum_range=(SPECTRUM_FLOOR, 2 * SPECTRUM_FLOOR))
+    (surj,) = [r for r in run_suite([spec]) if r.check_id == "surjectivity_transfer"]
+    assert not surj.failures
 
 
 def test_generic_flavor_contract():

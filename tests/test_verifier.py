@@ -19,7 +19,8 @@ from gframes.errors import CommutationViolated, MeasureMismatch
 from gframes.frames import GFrameFamily, MeasurePoint
 from gframes.operators import (ModuleOperator, identity_control,
                                make_positive_invertible)
-from gframes.verifier import EMPIRICAL_CHECKS, _hmin, _order_violations
+from gframes.verifier import (EMPIRICAL_CHECKS, _hmin, _order_violations,
+                              _sandwich)
 
 from test_report_bytes import HANDWRITTEN
 
@@ -240,12 +241,18 @@ def test_scenario_spectral_norm_count(calls, flavor):
     assert {name: len(calls[name]) for name in expected} == expected
 
 
-@pytest.mark.parametrize("flavor,slices", [("generic", 2), ("commuting", 4)])
-def test_verdicts_stack_each_distinct_operator_once(calls, flavor, slices):
+@pytest.mark.parametrize("flavor", ["generic", "commuting"])
+def test_verdicts_give_a_repeated_operator_the_same_bits(calls, flavor):
     # identity controls make the controlled and same-control operators the
-    # plain one, so a generic scenario stacks that and the twin's
+    # plain one; each slice of the verdicts' stack has the eigenvalues it
+    # has alone, so a repeated operator gets the same bits every time
     run_suite([GeneratorSpec(seed=7, n=2, d=2, m=4, flavor=flavor)])
-    assert calls["eigvalsh"][0].shape == (slices, 4, 4)
+    stack = calls["eigvalsh"][0]
+    got = np.linalg.eigvalsh(stack)
+    for a, w in zip(stack, got):
+        assert np.array_equal(np.linalg.eigvalsh(a), w)
+    if flavor == "generic":
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
 
 def reference_order_violation(a, b):
@@ -308,6 +315,51 @@ def test_stacked_order_violation_matches_per_slice_fold(seed):
     assert got == reference_fold(a, b)
     assert got > 0.0
     assert _order_violation(a[:, :0], b[:, :0]) == 0.0
+
+
+def psd_stack(seed, shape, k):
+    """Seeded stack of full-rank positive semidefinite k x k matrices."""
+    return np.stack([hermitian(seed + j, k, k)
+                     for j in range(math.prod(shape))]).reshape(shape + (k, k))
+
+
+def test_sandwich_per_case_bounds_match_the_fold_bit_for_bit():
+    # a None lower bound checks that case's upper side only
+    k, lo, hi = 3, [0.03, None, 0.05, None, 0.004], [160.0, 18.0, 90.0, 100.0, 140.0]
+    xx, val = psd_stack(20, (5, 4), k), psd_stack(60, (5, 4), k)
+    got = _sandwich(lo, hi, xx, val)
+    ref = [max(0.0 if l is None else reference_fold(l * x, v),
+               reference_fold(v, h * x)) for l, h, x, v in zip(lo, hi, xx, val)]
+    assert got == ref
+    assert got[0] == got[1] == got[4] == 0.0 and got[2] > 0.0 and got[3] > 0.0
+
+
+def test_sandwich_per_slice_bound_pairs_match_the_fold_bit_for_bit():
+    # the cc_equivalence_bounds form: one (lower, upper) pair per slice
+    k = 4
+    val = psd_stack(30, (3, 2), k)
+    lo = np.array([[0.1, 0.04], [0.1, 0.1], [0.1, 0.4]])
+    hi = np.array([[7.0, 9.0], [10.0, 10.0], [6.0, 9.0]])
+    eye = np.eye(k)
+    got = _sandwich(lo, hi, eye, val)
+    ref = [max(max(reference_fold(l * eye, v), reference_fold(v, h * eye))
+               for l, h, v in zip(ls, hs, vs)) for ls, hs, vs in zip(lo, hi, val)]
+    assert got == ref
+    assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0
+
+
+def test_sandwich_upper_only_matches_the_fold_bit_for_bit():
+    # the op_energy_bound form: a bound per case and point, broadcast over
+    # that case's samples
+    k = 2
+    xx = psd_stack(40, (3, 1, 5), k)
+    val = psd_stack(70, (3, 2, 5), k)
+    hi = np.array([[600.0, 400.0], [30.0, 15.0], [60.0, 25.0]])
+    got = _sandwich(None, hi, xx, val)
+    ref = [reference_fold(v, h[:, None, None, None] * x)
+           for h, x, v in zip(hi, xx, val)]
+    assert got == ref
+    assert got[0] > 0.0 and got[1] == got[2] == 0.0
 
 
 def test_stacked_order_violation_with_a_nan_slice_raises():
