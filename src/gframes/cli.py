@@ -186,11 +186,11 @@ def _load_json(path: str):
 
 
 @contextlib.contextmanager
-def _report_file(out_path: str):
-    """``out_path`` open for writing; an ``OSError`` on opening, writing or
-    closing it is a ``GFrameError`` that names the file."""
+def _report_file(out_path: str, mode: str = "w"):
+    """``out_path`` open for writing in ``mode``; an ``OSError`` on opening,
+    writing or closing it is a ``GFrameError`` that names the file."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, mode, encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise GFrameError(f"cannot write {out_path}: {exc.strerror or exc}")
@@ -263,24 +263,26 @@ def cmd_verify(args) -> int:
     if not batch:
         # refused before --out is opened, so an existing file keeps its bytes
         raise GFrameError("batch must contain at least one spec")
-    # an --out that cannot be written fails here, before the suite runs
-    with (contextlib.nullcontext(sys.stdout) if args.out is None
-          else _report_file(args.out)) as out:
-        results = run_suite(batch, tol)
-        for r in results:
-            sys.stderr.write(f"{r.check_id}: {r.status} "
-                             f"({r.passes}/{r.scenarios_run})\n")
-        report = {
-            "version": ser.REPORT_VERSION,
-            "tolerances": {
-                "check": tol,
-                "norm_bound": NORM_BOUND_TOL,
-                "adjoint": ADJOINT_TOL,
-                "scalar_tight": SCALAR_TIGHT_TOL,
-            },
-            "results": [ser.check_result_to_obj(r) for r in results],
-        }
-        out.write(ser.dumps(report))
+    if args.out is not None:
+        # an --out that cannot be written fails here, before the suite runs;
+        # append mode keeps an existing file's bytes if the suite raises
+        with _report_file(args.out, "a"):
+            pass
+    results = run_suite(batch, tol)
+    for r in results:
+        sys.stderr.write(f"{r.check_id}: {r.status} "
+                         f"({r.passes}/{r.scenarios_run})\n")
+    report = {
+        "version": ser.REPORT_VERSION,
+        "tolerances": {
+            "check": tol,
+            "norm_bound": NORM_BOUND_TOL,
+            "adjoint": ADJOINT_TOL,
+            "scalar_tight": SCALAR_TIGHT_TOL,
+        },
+        "results": [ser.check_result_to_obj(r) for r in results],
+    }
+    _write_report(report, args.out)
     return EXIT_OK if suite_passed(results) else EXIT_CHECK_FAILED
 
 

@@ -481,31 +481,25 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     if v_lam.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     lo_gam = v_gam.witnesses["lambda_min"]
-    [(res, at_floor)] = _transfer([(diag, scen_gam, lo_gam)], tol)
+    res, at_floor = _transfer(diag, scen_gam, lo_gam, tol)
     if not at_floor:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "
                               f"exceeds the spectral floor {lo_gam:.6e}")
     return res
 
 
-def _transfer(cases, tol: float) -> list:
-    """For each ``(diag, scen_gam, lo_gam)``, the transfer from a known
-    controlled frame to the second scenario ``scen_gam``, with controlled
-    floor ``lo_gam``, when ``diag``'s cross adjoint is bounded below at
-    ``tol`` by the rule of ``is_bounded_below``, and whether the derived
-    bound stays at that floor within ``tol * max(1, bound)``; a transfer
-    with no bound stays there.  The scenarios share one module, and the
-    bounds come from one stacked spectrum."""
-    out = [(TransferResult(False, None), True)] * len(cases)
-    live = [i for i, (diag, _, _) in enumerate(cases)
-            if _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm, tol)]
-    if live:
-        ks = [synthesis_operator(cases[i][1]).action for i in live]
-        floors = _hmin(np.stack([k.conj().T @ k for k in ks])).tolist()
-        for i, h in zip(live, floors):
-            m = max(h, 0.0)
-            out[i] = (TransferResult(True, m), not cases[i][2] < m - tol * _scale(m))
-    return out
+def _transfer(diag: CrossAdjointDiagnostic, scen_gam: ControlledScenario,
+              lo_gam: float, tol: float) -> tuple[TransferResult, bool]:
+    """Transfer from a known controlled frame to the second scenario, with
+    controlled floor ``lo_gam``, when ``diag``'s cross adjoint is bounded
+    below at ``tol`` by the rule of ``is_bounded_below``, and whether the
+    derived bound stays at that floor within ``tol * max(1, bound)``; a
+    transfer with no bound stays there."""
+    if not _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm, tol):
+        return TransferResult(False, None), True
+    k = synthesis_operator(scen_gam).action
+    m = max(float(_hmin(k.conj().T @ k)), 0.0)
+    return TransferResult(True, m), not lo_gam < m - tol * _scale(m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,15 +9,16 @@ its pass fraction is information, not a verdict.
 
 Scenarios are evaluated in groups that share (n, d): each check makes one
 stacked call per group for its decompositions, sample draws and products.
-A group is evaluated as soon as the synthesis matrices of its families and
-twins reach ``_GROUP_BYTES``, so a scenario that large is evaluated alone.
-Grouping moves no report byte.  Samples are keyed by seed, and numpy's
-stacked ``svd``, ``eigvalsh`` and ``matmul`` run on each slice alone, so
-every value has the bits it has when its scenario is evaluated alone.
-Outcomes are folded in batch order and failure lists sorted stably by (seed,
-detail), and each scenario is certified as it is read, before any grouped
-work, so a failing certificate raises as in a one-at-a-time run.  Results
-are ordered by check id, so reports are byte-identical across runs.
+``run_suite`` takes a batch in a stable (n, d) order and holds one group at
+a time, evaluated when the next scenario has another shape, when the
+synthesis matrices of its families and twins reach ``_GROUP_BYTES``, or at
+the end.  Grouping moves no report byte.  Samples are keyed by seed, and
+numpy's stacked ``svd``, ``eigvalsh`` and ``matmul`` run on each slice
+alone, so every value has the bits it has when its scenario is evaluated
+alone.  Outcomes are folded in batch order and failure lists sorted stably
+by (seed, detail).  Each scenario is certified as it is read, so a failing
+certificate raises as in a one-at-a-time run in (n, d) order.  Results are
+ordered by check id, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _hmin, _scale, _top_singular
+from .algebra import DEFAULT_TOL, _hmin, _scale, _top_singular, spectral_norm
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _check_same_measure, _norm_bound,
                          _require_certificate, _same_control, _transfer,
@@ -120,19 +121,6 @@ def _sample_vectors(rng: np.random.Generator, seeds, n: int, d: int,
     return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
 
 
-def _norms(mats) -> list:
-    """``spectral_norm`` of each matrix, in order, from one stacked SVD per
-    shape."""
-    by_shape: dict[tuple, list] = {}
-    for i, m in enumerate(mats):
-        by_shape.setdefault(m.shape, []).append(i)
-    norms = [0.0] * len(mats)
-    for idx in by_shape.values():
-        for i, v in zip(idx, _top_singular(np.stack([mats[i] for i in idx]))):
-            norms[i] = v
-    return norms
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     """``x x^H`` for each matrix in a stack."""
     return x @ x.conj().swapaxes(-1, -2)
@@ -178,8 +166,8 @@ def _certify(scenario: ControlledScenario, twin: GFrameFamily) -> None:
     _check_same_measure(scenario.family, twin)
 
 
-# A shape group is evaluated as soon as the synthesis matrices of its
-# families and twins hold this many bytes, so a scenario that large is
+# The open shape group is evaluated as soon as the synthesis matrices of
+# its families and twins hold this many bytes, so a scenario that large is
 # evaluated alone.  Without the cap, the tracemalloc peak of ``run_suite``
 # over the eight verify-ladder specs rises from 6.9 to 21.0 MB.
 _GROUP_BYTES = 512 * 1024
@@ -193,36 +181,31 @@ def _evaluate(cases, tol: float) -> list:
     Each case is certified as it is read, so a twin over another measure
     raises ``MeasureMismatch`` and a pair failing its certificate on either
     family ``CommutationViolated``, from the first such case; a family is a
-    valid twin of itself.  Certified cases wait in groups of one (n, d)
-    until a group reaches ``_GROUP_BYTES`` or the cases end, and each
-    group's checks are evaluated together.  Samples are keyed by seed and
-    every stacked call works slice by slice, so no outcome depends on the
-    other cases.
+    valid twin of itself.  Certified cases wait in one open group of one
+    (n, d), whose checks are evaluated together when the next case has
+    another (n, d), when it reaches ``_GROUP_BYTES`` or when the cases end.
+    Samples are keyed by seed and every stacked call works slice by slice,
+    so no outcome depends on the other cases.
     """
     out: list = []
-    groups: dict = {}
-
-    def flush(key):
-        positions, group, _ = groups.pop(key)
-        for pos, o in zip(positions, _evaluate_group(group, tol)):
-            out[pos] = o
-
+    group: list = []
     for case in cases:
         scenario, twin, _ = case
         _certify(scenario, twin)
         family = scenario.family
-        key = family.algebra_dim, family.module_rank
+        if group and (family.algebra_dim, family.module_rank) != shape:
+            out += _evaluate_group(group, tol)
+            group = []
+        if not group:
+            shape, size = (family.algebra_dim, family.module_rank), 0
+        group.append(case)
         # the bytes of both synthesis matrices, before either is built
-        size = sum(p.lam.action.nbytes for f in (family, twin) for p in f.points)
-        group = groups.setdefault(key, [[], [], 0])
-        group[0].append(len(out))
-        group[1].append(case)
-        group[2] += size
-        out.append(None)
-        if group[2] >= _GROUP_BYTES:
-            flush(key)
-    for key in list(groups):
-        flush(key)
+        size += sum(p.lam.action.nbytes for f in (family, twin) for p in f.points)
+        if size >= _GROUP_BYTES:
+            out += _evaluate_group(group, tol)
+            group = []
+    if group:
+        out += _evaluate_group(group, tol)
     return out
 
 
@@ -261,7 +244,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
     lo_c = [v.witnesses["lambda_min"] for v in ctrl]
     hi_c = [v.witnesses["lambda_max"] for v in ctrl]
     ts = [synthesis_operator(sc).action for sc in scenarios]
-    sigma = _norms(ts)
+    sigma = [spectral_norm(t) for t in ts]
     stacks = _point_stacks([f.points for f in families])
     ca = np.stack([p.c.base.action for p in pairs])[:, None]
     cpa = np.stack([p.cp.base.action for p in pairs])[:, None]
@@ -385,9 +368,9 @@ def _evaluate_group(cases: list, tol: float) -> list:
 
     # surjectivity_transfer: first family must be a controlled frame.
     lo_twin = [v.witnesses["lambda_min"] for v in twin_v]
-    transfers = _transfer([(diags[i], scen_twins[i], lo_twin[i])
-                           for i in frames], SURJECTIVITY_TOL)
-    for i, (res, at_floor) in zip(frames, transfers):
+    for i in frames:
+        res, at_floor = _transfer(diags[i], scen_twins[i], lo_twin[i],
+                                  SURJECTIVITY_TOL)
         if not res.surjective:
             out[i]["surjectivity_transfer"] = _Outcome(
                 False, 1.0, "mixed operator not surjective")
@@ -441,20 +424,23 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
     tol : float
         Working tolerance for semidefinite-order margins.
 
-    Scenarios are generated one by one and certified as they come; the
-    checks then run per (n, d) group, up to ``_GROUP_BYTES`` a group, and
-    each scenario's outcomes are folded in batch order.  The report is the
-    one a scenario-by-scenario run gives.
+    The specs are generated and checked in a stable (n, d) order, one group
+    of up to ``_GROUP_BYTES`` at a time, and each scenario's outcomes are
+    folded in batch order: the report is the one a scenario-by-scenario run
+    gives.  Of several specs that raise, the first in (n, d) order raises.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("batch must contain at least one spec")
     results = {cid: CheckResult(cid) for cid in CHECKS}
+    order = sorted(range(len(batch)), key=lambda i: (batch[i].n, batch[i].d))
+    specs = [batch[i] for i in order]
     cases = ((scenario, twin, spec.seed) for spec, (scenario, twin)
-             in zip(batch, _generate_batch(batch, twins=True)))
+             in zip(specs, _generate_batch(specs, twins=True)))
+    outs = dict(zip(order, _evaluate(cases, tol)))
     # folded in batch order, so failures of equal (seed, detail) keep it
-    for spec, out in zip(batch, _evaluate(cases, tol)):
-        for cid, o in out.items():
+    for i, spec in enumerate(batch):
+        for cid, o in outs[i].items():
             r = results[cid]
             r.scenarios_run += 1
             if o.ok:

@@ -16,6 +16,7 @@ from gframes import (GeneratorSpec, ModuleVector, SchemaError,
 from gframes import cli
 from gframes import serialization as ser
 from gframes.cli import main
+from gframes.errors import GFrameError
 from gframes.rng import complex_normal, stream
 
 COMMUTING_SPEC = '{"seed": 42, "n": 2, "d": 2, "m": 4, "flavor": "commuting"}'
@@ -165,6 +166,34 @@ def test_analyze_verdict_ignores_weight_scale(build, tmp_path, capsys):
     assert main(["reconstruct", str(path), "--random", "1"]) == 0
     assert main(["analyze", str(path)]) == 0
     assert "verdict: frame" in capsys.readouterr().err
+
+
+def scaled(obj, factor):
+    """Every number in ``obj`` times ``factor``."""
+    if isinstance(obj, list):
+        return [scaled(x, factor) for x in obj]
+    return obj * factor
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="controls below the generators' spectrum floor "
+                   "(CHANGES.md FOUND line on scenario files below "
+                   "SPECTRUM_FLOOR): analyze says frame, reconstruct "
+                   "fails with non-finite vector entries")
+def test_analyze_frame_below_the_spectrum_floor_reconstructs(tmp_path, capsys):
+    # roadmap item 5's invariant: a file analyze calls a frame reconstructs
+    spec = {"seed": 0, "n": 2, "d": 2, "m": 4, "flavor": "commuting",
+            "spectrum_range": [1e-150, 2e-150]}
+    path = tmp_path / "scen.json"
+    assert main(["generate", "--spec", json.dumps(spec), "--out", str(path)]) == 0
+    obj = read(path)
+    for key in ("C", "Cprime"):
+        obj[key] = scaled(obj[key], 1e-5)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    assert "verdict: frame" in capsys.readouterr().err
+    assert main(["reconstruct", str(path), "--random", "3"]) == 0
 
 
 def test_analyze_schema_error_names_path(scen, tmp_path, capsys):
@@ -570,6 +599,18 @@ def test_unwritable_out_is_an_error_not_a_traceback(command, scen, tmp_path,
     assert capsys.readouterr().err.endswith(
         f"gframes: error: cannot write {out}: No such file or directory\n")
     assert not out.parent.exists()
+
+
+def test_verify_out_keeps_its_bytes_when_the_suite_raises(tmp_path, capsys,
+                                                          monkeypatch):
+    def broken(*args, **kwargs):
+        raise GFrameError("suite failed")
+    monkeypatch.setattr(cli, "run_suite", broken)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"kept\n")
+    assert main(["verify", "--default", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "gframes: error: suite failed\n"
+    assert out.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("source", [["--default"], None], ids=["default", "batch"])

@@ -188,9 +188,9 @@ def test_empty_batch_rejected():
 # builds the twin's synthesis.  op_norm is left with the control norms
 # nothing took yet: a certified control comes with its norm, an identity
 # control takes its norm and inverse norm for the bound probe of a frame,
-# and the transferred bounds of a frame take C^-1's.  The synthesis norm,
-# the point norms and the Hermitian-ness norms come from stacked SVDs,
-# which op_norm does not see.
+# and the transferred bounds of a frame take C^-1's.  The synthesis norm
+# is a spectral_norm, and the point norms and the Hermitian-ness norms
+# come from stacked SVDs, none of which op_norm sees.
 SCENARIO_BUILDS = {
     "generic": {"frame_operator": 2, "controlled_frame_operator": 3,
                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
@@ -213,24 +213,24 @@ def test_scenario_builds_each_operator_once(calls, flavor):
     assert counts == expected
 
 
-# Spectral norms, SVDs and eigvalsh calls of the same scenario.  Every
-# spectral_norm left is an op_norm above, so norm2 reads op_norm's count.
-# Every other norm comes from a stacked SVD: one
-# for the synthesis norm, one per codomain rank for the point norms, one
-# for the Hermitian-ness of the distinct operators, one for the norm
-# characterization of a frame, one for the cross adjoint's three norms
-# and its smallest singular value, which the surjectivity transfer reads,
-# one per certified control for its norm and asymmetry, and one per order
-# check with a failing slice for the scales of all its failing slices; a
-# certificate takes none, since its Frobenius bound passes every commutator
-# here.  Which slices of a tight
-# order check fail by roundoff follows the operators' last bits.  The four
-# verdicts take one eigvalsh, and each order check one more.
+# Spectral norms, SVDs and eigvalsh calls of the same scenario.  The
+# synthesis norm is a spectral_norm of its own, and every other
+# spectral_norm is an op_norm above, so norm2 reads op_norm's count plus
+# one.  Every other norm comes from a stacked SVD: one per codomain rank
+# for the point norms, one for the Hermitian-ness of the distinct
+# operators, one for the norm characterization of a frame, one for the
+# cross adjoint's three norms and its smallest singular value, which the
+# surjectivity transfer reads, one per certified control for its norm and
+# asymmetry, and one per order check with a failing slice for the scales
+# of all its failing slices; a certificate takes none, since its Frobenius
+# bound passes every commutator here.  Which slices of a tight order check
+# fail by roundoff follows the operators' last bits.  The four verdicts
+# take one eigvalsh, and each order check one more.
 SCENARIO_NORMS = {
-    "bessel_only": {"norm2": 0, "svd": 8, "eigvalsh": 4},
-    "commuting": {"norm2": 1, "svd": 12, "eigvalsh": 8},
-    "generic": {"norm2": 2, "svd": 11, "eigvalsh": 8},
-    "parseval": {"norm2": 2, "svd": 13, "eigvalsh": 8},
+    "bessel_only": {"norm2": 1, "svd": 8, "eigvalsh": 4},
+    "commuting": {"norm2": 2, "svd": 12, "eigvalsh": 8},
+    "generic": {"norm2": 3, "svd": 11, "eigvalsh": 8},
+    "parseval": {"norm2": 3, "svd": 13, "eigvalsh": 8},
 }
 
 
@@ -451,10 +451,16 @@ def test_sample_vectors_are_successive_complex_normal_draws():
 
 
 def test_point_norms_are_op_norms_bit_for_bit():
+    # op_energy_bound takes the point norms from one stacked SVD per rank
     points = generate(GeneratorSpec(seed=12, n=2, d=2, m=6)).family.points
-    assert len({p.codomain_rank for p in points}) == 3
-    assert verifier._norms([p.lam.action for p in points]) == [
-        op_norm(p.lam) for p in points]
+    stacks = verifier._point_stacks([points])
+    assert len(stacks) == len({p.codomain_rank for p in points}) == 3
+    norms = [None] * len(points)
+    for ii, jj, _, acts in stacks:
+        assert set(ii) == {0}
+        for j, v in zip(jj, _top_singular(acts)):
+            norms[j] = v
+    assert norms == [op_norm(p.lam) for p in points]
 
 
 def test_order_violation_on_nan_takes_the_scale():
@@ -496,8 +502,9 @@ def test_default_batch_eigh_count(monkeypatch):
     # The rest is per (n, d) group, and the batch has ten: order checks,
     # one stacked check per sampled check, one for the gram sandwich and
     # one for the transferred bounds, each one eigvalsh; the other eigvalsh
-    # calls are the gram floors, the transfer floors and the verdict
-    # spectra, the four verdicts of every scenario in one call.
+    # calls are the gram floors and the verdict spectra, the four verdicts
+    # of every scenario in one call, and one transfer floor per frame whose
+    # cross adjoint is bounded below, 150 of them.
     seen = {"eigh": [], "eigvalsh": [], "order": []}
 
     def counting(log, real):
@@ -512,7 +519,7 @@ def test_default_batch_eigh_count(monkeypatch):
                         counting(seen["order"], _order_violations))
     run_suite(default_batch())
     assert {name: len(log) for name, log in seen.items()} == \
-        {"eigh": 400, "eigvalsh": 80, "order": 50}
+        {"eigh": 400, "eigvalsh": 220, "order": 50}
 
 
 def test_suite_constructs_no_wrappers(calls):
@@ -793,13 +800,17 @@ def test_grouped_evaluation_gives_each_case_its_own_outcomes(tol):
     cases = mixed_cases()
     shapes = [(sc.family.algebra_dim, sc.family.module_rank)
               for sc, _, _ in cases]
-    # shapes interleave, so group order is not input order
+    # shapes interleave, so most groups hold one case; a stable shape-sorted
+    # copy of the same cases makes groups of several
     assert len(set(shapes)) >= 8 and shapes != sorted(shapes, key=shapes.index)
-    grouped = verifier._evaluate(cases, tol)
-    assert len(grouped) == len(cases)
-    for case, out in zip(cases, grouped):
-        assert outcome_bits(out) == outcome_bits(
-            verifier._evaluate_scenario(*case, tol)), case[2]
+    order = sorted(range(len(cases)), key=shapes.__getitem__)
+    alone = [outcome_bits(verifier._evaluate_scenario(*case, tol))
+             for case in cases]
+    for idx in (range(len(cases)), order):
+        grouped = verifier._evaluate([cases[i] for i in idx], tol)
+        assert len(grouped) == len(cases)
+        for i, out in zip(idx, grouped):
+            assert outcome_bits(out) == alone[i], cases[i][2]
 
 
 def test_failures_of_equal_seed_and_detail_keep_batch_order():
@@ -822,6 +833,42 @@ def test_failures_of_equal_seed_and_detail_keep_batch_order():
         reordered |= folded((0, 2, 1), r.check_id) != want
     # folding in group order would have shown
     assert reordered
+
+
+def test_suite_holds_one_shape_group_at_a_time(monkeypatch):
+    # default_batch cycles its ten shapes; taken in shape order, each group
+    # is evaluated once the first case of the next shape is generated, so
+    # no scenario of a later group is alive yet
+    real_batch, real_group = verifier._generate_batch, verifier._evaluate_group
+    generated, evaluated, seen = [0], [0], []
+
+    def counting_batch(specs, twins):
+        for pair in real_batch(specs, twins):
+            generated[0] += 1
+            yield pair
+
+    def counting_group(cases, tol):
+        seen.append((generated[0], evaluated[0], len(cases)))
+        evaluated[0] += len(cases)
+        return real_group(cases, tol)
+    monkeypatch.setattr(verifier, "_generate_batch", counting_batch)
+    monkeypatch.setattr(verifier, "_evaluate_group", counting_group)
+    run_suite(default_batch())
+    assert [k for _, _, k in seen] == [20] * 10
+    for made, done, k in seen:
+        assert made <= done + k + 1, seen
+
+
+def result_bits(results):
+    return [(r.check_id, r.scenarios_run, r.passes, r.status,
+             [(f.seed, f.detail, np.float64(f.residual).tobytes())
+              for f in r.failures]) for r in results]
+
+
+def test_reversed_default_batch_gives_the_same_report():
+    # at 1e-18 the order checks fail too, so residual bits are compared
+    assert result_bits(run_suite(default_batch()[::-1], 1e-18)) == \
+        result_bits(run_suite(default_batch(), 1e-18))
 
 
 def certificate_failures():

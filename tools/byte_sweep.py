@@ -7,6 +7,10 @@ Imports ``gframes`` from the ``src/`` directory of the checkout that holds
 this script and runs ``gframes.cli.main`` in-process on:
 
 * ``verify --default`` at the default tolerance, 1e-14 and 1e-18;
+* ``verify --batch`` of the 200 default specs in reverse order at the
+  default tolerance and 1e-18, whose report must be byte-identical to
+  ``verify --default`` at the same tolerance: the verifier takes a batch in
+  (n, d) order and folds its outcomes back in batch order;
 * ``verify --batch`` of the 8 verify-ladder specs (seeds 900-907, n = 8,
   (d, m) in {(4, 16), (8, 32)}, dw 2, every flavor) at the default
   tolerance and 1e-18;
@@ -65,7 +69,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gframes import serialization as ser  # noqa: E402
 from gframes.cli import main  # noqa: E402
+from gframes.verifier import default_batch  # noqa: E402
 
 FLAVORS = ("generic", "commuting", "parseval", "bessel_only")
 SHAPES = ((1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32))
@@ -128,6 +134,13 @@ def sweep() -> None:
     for tol in (None, "1e-14", "1e-18"):
         run(f"verify_default_{tol or 'tol'}",
             ["verify", "--default"] + (["--tol", tol] if tol else []), "report.json")
+    Path("default_reversed.json").write_text(
+        json.dumps([ser.spec_to_obj(s) for s in default_batch()[::-1]]),
+        encoding="utf-8")
+    for tol in (None, "1e-18"):
+        run(f"verify_default_reversed_{tol or 'tol'}",
+            ["verify", "--batch", "default_reversed.json"]
+            + (["--tol", tol] if tol else []), "report.json")
     Path("ladder.json").write_text(json.dumps(LADDER_BATCH), encoding="utf-8")
     for tol in (None, "1e-18"):
         run(f"verify_ladder_{tol or 'tol'}",
