@@ -263,12 +263,21 @@ def cmd_verify(args) -> int:
     if not batch:
         # refused before --out is opened, so an existing file keeps its bytes
         raise GFrameError("batch must contain at least one spec")
+    made = False
     if args.out is not None:
         # an --out that cannot be written fails here, before the suite runs;
-        # append mode keeps an existing file's bytes if the suite raises
+        # a file that only this check made goes again if the suite raises
+        with contextlib.suppress(GFrameError), _report_file(args.out, "x"):
+            made = True
         with _report_file(args.out, "a"):
             pass
-    results = run_suite(batch, tol)
+    try:
+        results = run_suite(batch, tol)
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        raise
     for r in results:
         sys.stderr.write(f"{r.check_id}: {r.status} "
                          f"({r.passes}/{r.scenarios_run})\n")

@@ -146,60 +146,17 @@ def classify(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameVerdict:
     return _verdict(frame_operator(family), tol)
 
 
-def _point_stacks(point_lists) -> list:
-    """The points of each list in ``point_lists`` by codomain rank: per
-    rank, the list index, point index and weight of each point with it, as
-    arrays, and the points' actions, stacked."""
-    by_rank: dict[int, list] = {}
-    for i, points in enumerate(point_lists):
-        for j, p in enumerate(points):
-            by_rank.setdefault(p.codomain_rank, []).append((i, j, p))
-    return [(np.array([i for i, _, _ in pts]), np.array([j for _, j, _ in pts]),
-             np.array([p.weight for _, _, p in pts]),
-             np.stack([p.lam.action for _, _, p in pts]))
-            for pts in by_rank.values()]
-
-
-def _point_grams(stacks, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(x_i lam)(y_i lam)^H`` at ``[j, i]`` for the action ``lam`` of
-    point ``j`` of list ``i`` of ``stacks``, on stacks of flattened vectors
-    led by the list axis, and zero past a list's last point.  A list's
-    points of one rank are adjacent in ``stacks``, so they meet its vectors
-    in one stacked matmul, which runs BLAS on each slice alone and copies no
-    vector once per point."""
-    size = 1 + max(int(jj.max()) for _, jj, _, _ in stacks)
-    out = np.zeros((size,) + x.shape[:-1] + x.shape[-2:-1], dtype=np.complex128)
-    for ii, jj, _, acts in stacks:
-        lam = acts.reshape(acts.shape[:1] + (1,) * (x.ndim - 3) + acts.shape[1:])
-        starts = np.flatnonzero(np.diff(ii, prepend=-1)).tolist()
-        for start, end in zip(starts, starts[1:] + [len(ii)]):
-            i = ii[start]
-            xl = x[i] @ lam[start:end]
-            yl = xl if y is x else y[i] @ lam[start:end]
-            out[jj[start:end], i] = xl @ yl.conj().swapaxes(-1, -2)
-    return out
-
-
-def _energies(stacks, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_w weight * (x_i lam_w)(y_i lam_w)^H`` over the points of each
-    list ``i`` of ``stacks`` in point order, led by the list axis; a list
-    with fewer points adds exact zeros."""
-    grams = _point_grams(stacks, x, y)
-    weights = np.zeros(grams.shape[:2])
-    for ii, jj, w, _ in stacks:
-        weights[jj, ii] = w
-    terms = weights.reshape(weights.shape + (1,) * (grams.ndim - 2)) * grams
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = acc + term
-    return acc
-
-
 def _energy(points, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``sum_w weight * (x lam_w)(y lam_w)^H`` over ``points`` in point order,
     on flattened vectors or stacks of them, slice by slice."""
-    x1 = x[None]
-    return _energies(_point_stacks([points]), x1, x1 if y is x else y[None])[0]
+    acc = None
+    for p in points:
+        l = p.lam.action
+        xl = x @ l
+        yl = xl if y is x else y @ l
+        term = p.weight * (xl @ yl.conj().swapaxes(-1, -2))
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def sandwich_sum(family: GFrameFamily, x: ModuleVector) -> AlgebraElement:

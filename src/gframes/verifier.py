@@ -8,15 +8,16 @@ known to fail off the diagonal; its status is permanently ``empirical`` and
 its pass fraction is information, not a verdict.
 
 Scenarios are evaluated in groups that share (n, d): each check makes one
-stacked call per group for its decompositions, sample draws and products.
-``run_suite`` takes a batch in a stable (n, d) order and holds one group at
-a time, evaluated when the next scenario has another shape, when the
-synthesis matrices of its families and twins reach ``_GROUP_BYTES``, or at
-the end.  Grouping moves no report byte.  Samples are keyed by seed, and
-numpy's stacked ``svd``, ``eigvalsh`` and ``matmul`` run on each slice
-alone, so every value has the bits it has when its scenario is evaluated
-alone.  Outcomes are folded in batch order and failure lists sorted stably
-by (seed, detail).  Each scenario is certified as it is read, so a failing
+stacked call per group for its decompositions and sample draws, while its
+products are taken per point, the sampled energies by ``sandwich_sum``'s
+own kernel.  ``run_suite`` takes a batch in a stable (n, d) order and holds
+one group at a time, evaluated when the next scenario has another shape,
+when the synthesis matrices of its families and twins reach
+``_GROUP_BYTES``, or at the end.  Samples are keyed by seed and numpy's
+stacked ``svd``, ``eigvalsh`` and ``matmul`` run on each slice alone, so
+every value has the bits of a one-scenario run and no report byte moves.
+Outcomes are folded in batch order and failure lists sorted stably by
+(seed, detail).  Each scenario is certified as it is read, so a failing
 certificate raises as in a one-at-a-time run in (n, d) order.  Results are
 ordered by check id, so reports are byte-identical across runs.
 """
@@ -35,8 +36,7 @@ from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          bounds_cc_from_plain, bounds_plain_from_cc,
                          controlled_frame_operator, cross_operator,
                          synthesis_operator)
-from .frames import (FRAME, GFrameFamily, _energies, _point_grams,
-                     _point_stacks, _verdicts, frame_operator)
+from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
 from .generators import GeneratorSpec, _generate_batch
 from .operators import SURJECTIVITY_TOL, op_adjoint
 from .rng import _rekey, stream
@@ -119,6 +119,16 @@ def _sample_vectors(rng: np.random.Generator, seeds, n: int, d: int,
     z = np.stack([_rekey(rng, seed, _CHECK_STREAM + offset).standard_normal(
         (count, 2, n, d * n)) for seed in seeds])
     return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+
+
+def _point_norms(actions) -> list:
+    """``op_norm`` of each of ``actions``, in order, one SVD per shape."""
+    norms = [0.0] * len(actions)
+    for shape in dict.fromkeys(a.shape for a in actions):
+        idx = [i for i, a in enumerate(actions) if a.shape == shape]
+        for i, v in zip(idx, _top_singular(np.stack([actions[i] for i in idx]))):
+            norms[i] = v
+    return norms
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -217,8 +227,8 @@ def _evaluate_scenario(scenario: ControlledScenario, twin: GFrameFamily,
 
 def _evaluate_group(cases: list, tol: float) -> list:
     """Every check on certified cases ``(scenario, twin, seed)`` of one
-    (n, d), by check id per case.  Each check takes one stacked call for
-    the group per decomposition, sample stack and product shape."""
+    (n, d), by check id per case.  Decompositions and sample draws take one
+    stacked call for the group; products and energies are taken per point."""
     k = len(cases)
     scenarios = [sc for sc, _, _ in cases]
     families = [sc.family for sc in scenarios]
@@ -245,18 +255,21 @@ def _evaluate_group(cases: list, tol: float) -> list:
     hi_c = [v.witnesses["lambda_max"] for v in ctrl]
     ts = [synthesis_operator(sc).action for sc in scenarios]
     sigma = [spectral_norm(t) for t in ts]
-    stacks = _point_stacks([f.points for f in families])
-    ca = np.stack([p.c.base.action for p in pairs])[:, None]
-    cpa = np.stack([p.cp.base.action for p in pairs])[:, None]
 
-    # op_energy_bound: every point operator against sampled vectors.
+    def controlled_energy(idx, xs: np.ndarray) -> np.ndarray:
+        return np.stack([_energy(families[i].points, x @ pairs[i].c.base.action,
+                                 x @ pairs[i].cp.base.action) for i, x in zip(idx, xs)])
+
+    # op_energy_bound: every point operator against its case's samples.
     xs = samples(0, range(k))
-    grams = _point_grams(stacks, xs, xs)
-    sq = np.zeros((k, len(grams)))
-    for ii, jj, _, acts in stacks:
-        sq[ii, jj] = [v ** 2 for v in _top_singular(acts)]
-    for o, viol in zip(out, _sandwich(None, sq, _gram(xs)[:, None],
-                                      grams.swapaxes(0, 1))):
+    owner = [i for i, f in enumerate(families) for _ in f.points]
+    acts = [p.lam.action for f in families for p in f.points]
+    grams = np.stack([_gram(xs[i] @ a) for i, a in zip(owner, acts)])
+    viols = [0.0] * k
+    for i, viol in zip(owner, _sandwich(None, [v ** 2 for v in _point_norms(acts)],
+                                        _gram(xs)[owner], grams)):
+        viols[i] = max(viols[i], viol)
+    for o, viol in zip(out, viols):
         o["op_energy_bound"] = _Outcome(viol <= tol, viol, "energy bound violated")
 
     # gram_sandwich: needs a surjective operator; the stacked synthesis of a
@@ -273,7 +286,8 @@ def _evaluate_group(cases: list, tol: float) -> list:
     xs = samples(1, range(k))
     viols = _sandwich([v.witnesses["lambda_min"] if v.kind == FRAME else None
                        for v in plain], [v.witnesses["lambda_max"] for v in plain],
-                      _gram(xs), _energies(stacks, xs, xs))
+                      _gram(xs),
+                      np.stack([_energy(f.points, x, x) for f, x in zip(families, xs)]))
     for o, viol in zip(out, viols):
         o["plain_frame_sandwich"] = _Outcome(viol <= tol, viol,
                                              "plain sandwich violated")
@@ -288,7 +302,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
             for asym, nrm, asym_c, nrm_c in zip(*[iter(tops)] * 4)]
     xs = samples(2, range(k))
     viols = _sandwich([lo if v.kind == FRAME else None for v, lo in zip(ctrl, lo_c)],
-                      hi_c, _gram(xs), _energies(stacks, xs @ ca, xs @ cpa))
+                      hi_c, _gram(xs), controlled_energy(range(k), xs))
     for o, h, viol in zip(out, herm, viols):
         viol = max(h, viol)
         o["controlled_frame_sandwich"] = _Outcome(
@@ -301,9 +315,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
         # top singular values of every sample's gram and controlled energy,
         # from one stacked SVD
         gram_norms, val_norms = _top_singular(np.stack((
-            _gram(xs), _energies(stacks if len(frames) == k else
-                                 _point_stacks([families[i].points for i in frames]),
-                                 xs @ ca[frames], xs @ cpa[frames]))))
+            _gram(xs), controlled_energy(frames, xs))))
         for i, gns, nvs in zip(frames, gram_norms, val_norms):
             viol = 0.0
             for gn, nv in zip(gns, nvs):

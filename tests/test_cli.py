@@ -613,6 +613,17 @@ def test_verify_out_keeps_its_bytes_when_the_suite_raises(tmp_path, capsys,
     assert out.read_bytes() == b"kept\n"
 
 
+def test_verify_out_made_for_a_suite_that_raises_is_removed(tmp_path, capsys,
+                                                            monkeypatch):
+    def broken(*args, **kwargs):
+        raise GFrameError("suite failed")
+    monkeypatch.setattr(cli, "run_suite", broken)
+    out = tmp_path / "new.json"
+    assert main(["verify", "--default", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "gframes: error: suite failed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("source", [["--default"], None], ids=["default", "batch"])
 def test_verify_unwritable_out_fails_before_the_suite(source, tmp_path, capsys,
                                                       monkeypatch):

@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
                      generate_pair, op_norm, run_suite, suite_passed,
@@ -16,7 +18,9 @@ from gframes import controlled, verifier
 from gframes import serialization as ser
 from gframes.controlled import ControlledScenario, ControlPair, controlled_classify
 from gframes.errors import CommutationViolated, MeasureMismatch
-from gframes.frames import GFrameFamily, MeasurePoint
+from gframes.frames import (FRAME, GFrameFamily, MeasurePoint, classify,
+                            sandwich_sum)
+from gframes.module_space import ModuleVector, inner
 from gframes.operators import (ModuleOperator, identity_control,
                                make_positive_invertible)
 from gframes.verifier import (EMPIRICAL_CHECKS, _hmin, _order_violations,
@@ -453,14 +457,9 @@ def test_sample_vectors_are_successive_complex_normal_draws():
 def test_point_norms_are_op_norms_bit_for_bit():
     # op_energy_bound takes the point norms from one stacked SVD per rank
     points = generate(GeneratorSpec(seed=12, n=2, d=2, m=6)).family.points
-    stacks = verifier._point_stacks([points])
-    assert len(stacks) == len({p.codomain_rank for p in points}) == 3
-    norms = [None] * len(points)
-    for ii, jj, _, acts in stacks:
-        assert set(ii) == {0}
-        for j, v in zip(jj, _top_singular(acts)):
-            norms[j] = v
-    assert norms == [op_norm(p.lam) for p in points]
+    assert len({p.codomain_rank for p in points}) == 3
+    assert verifier._point_norms([p.lam.action for p in points]) == \
+        [op_norm(p.lam) for p in points]
 
 
 def test_order_violation_on_nan_takes_the_scale():
@@ -761,6 +760,57 @@ def test_tensor_products_pass_every_check(seed):
             assert abs(hi - product) <= 1e-12 * product, (fa, fb)
 
 
+FLAVORS = ("generic", "commuting", "parseval", "bessel_only")
+
+
+@st.composite
+def factor_specs(draw):
+    """A small generated factor: n * d <= 8 and m <= 3, with m >= d for
+    parseval."""
+    flavor = draw(st.sampled_from(FLAVORS))
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, min(8 // n, 3) if flavor == "parseval" else 8 // n))
+    m = draw(st.integers(d if flavor == "parseval" else 1, 3))
+    return GeneratorSpec(seed=draw(st.integers(0, 2**32)), n=n, d=d, m=m,
+                         dw_range=(1, 2), flavor=flavor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_specs(), factor_specs())
+# the controlled lambda_min of this product is off by 6.6e-12 of itself
+@example(GeneratorSpec(seed=17, n=2, d=3, m=2, dw_range=(1, 2)),
+         GeneratorSpec(seed=117, n=4, d=2, m=1, dw_range=(1, 2)))
+# the zero family times a frame
+@example(GeneratorSpec(seed=3, n=1, d=1, m=2, dw_range=(1, 2),
+                       flavor="bessel_only"),
+         GeneratorSpec(seed=4, n=2, d=2, m=3, dw_range=(1, 2),
+                       flavor="commuting"))
+def test_tensor_products_compose_spectra_and_verdicts(spec_a, spec_b):
+    # the plain and controlled operators of a product are the Kronecker
+    # products of the factors', so their extreme eigenvalues multiply and the
+    # product is a frame exactly when both factors are.  lambda_min is held
+    # to 1e-12 of the top one: relative to itself it carries roundoff scaled
+    # by the condition number.  A bessel_only factor at n = d = 1 is the zero
+    # family, whose products are zero.
+    sa, ta = generate_pair(spec_a)
+    sb, tb = generate_pair(spec_b)
+    fam = kron_family(sa.family, sb.family)
+    n, d = fam.algebra_dim, fam.module_rank
+    pair = ControlPair(kron_control(sa.pair.c, sb.pair.c, n, d),
+                       kron_control(sa.pair.cp, sb.pair.cp, n, d))
+    scenario = ControlledScenario(fam, pair)
+    out = verifier._evaluate_scenario(scenario, kron_family(ta, tb),
+                                      spec_a.seed, verifier.DEFAULT_TOL)
+    assert normative_failures(out) == []
+    for a, b, prod in ([classify(f) for f in (sa.family, sb.family, fam)],
+                       [controlled_classify(sc) for sc in (sa, sb, scenario)]):
+        top = a.witnesses["lambda_max"] * b.witnesses["lambda_max"]
+        low = a.witnesses["lambda_min"] * b.witnesses["lambda_min"]
+        assert abs(prod.witnesses["lambda_max"] - top) <= 1e-12 * top
+        assert abs(prod.witnesses["lambda_min"] - low) <= 1e-12 * top
+        assert (prod.kind == FRAME) == (a.kind == b.kind == FRAME)
+
+
 # Grouped evaluation: ``_evaluate`` takes cases of any shapes in any order,
 # evaluates each (n, d) group's checks together, and must give every case
 # what ``_evaluate_scenario`` gives it alone.
@@ -811,6 +861,30 @@ def test_grouped_evaluation_gives_each_case_its_own_outcomes(tol):
         assert len(grouped) == len(cases)
         for i, out in zip(idx, grouped):
             assert outcome_bits(out) == alone[i], cases[i][2]
+
+
+@pytest.mark.parametrize("tol", [verifier.DEFAULT_TOL, 1e-18])
+def test_plain_sandwich_residual_is_the_public_sandwich_sums(tol):
+    # the library and the verifier share one energy kernel: the check's
+    # residual, rebuilt from sandwich_sum on the check's own samples and the
+    # plain verdict's bounds, has the same bits
+    for scenario, twin, seed in mixed_cases():
+        family = scenario.family
+        n, d = family.algebra_dim, family.module_rank
+        verdict = classify(family)
+        lo = verdict.witnesses["lambda_min"] if verdict.kind == FRAME else None
+        hi = verdict.witnesses["lambda_max"]
+        viol = 0.0
+        for x in verifier._sample_vectors(stream(0, 0), [seed], n, d, 1,
+                                          verifier._SAMPLES)[0]:
+            v = ModuleVector(n, d, x)
+            xx, val = inner(v, v).entries, sandwich_sum(family, v).entries
+            viol = max(viol, 0.0 if lo is None else reference_fold(lo * xx, val),
+                       reference_fold(val, hi * xx))
+        o = verifier._evaluate_scenario(scenario, twin, seed, tol)[
+            "plain_frame_sandwich"]
+        assert np.float64(o.residual).tobytes() == np.float64(viol).tobytes(), seed
+        assert o.ok == (viol <= tol)
 
 
 def test_failures_of_equal_seed_and_detail_keep_batch_order():

@@ -22,6 +22,10 @@ this script and runs ``gframes.cli.main`` in-process on:
   order: (1, 1, 1), (2, 2, 4) and (3, 2, 3) with dw_range [1, 3], and four
   (8, 4, 16) with dw 2, which together hold more bytes than the verifier
   evaluates in one group.  Seed 985 names a (3, 2, 3) and a (1, 1, 1) spec;
+* ``verify --batch`` of 23 specs at (n, d) = (2, 2) (seeds 990-1012,
+  dw_range [1, 3]) with m = 1 to 6 and every flavor, parseval from m = 2,
+  at the default tolerance and 1e-18: one shape group whose families have
+  different numbers of points;
 * ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
   1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
   (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32);
@@ -97,6 +101,12 @@ SHAPE_ORDER_BATCH = [{"seed": seed, "n": n, "d": d, "m": m,
                          (985, (1, 1, 1)), (986, (8, 4, 16)), (987, (2, 2, 4)),
                          (988, (8, 4, 16)), (989, (3, 2, 3))))]
 
+MIXED_M_BATCH = [{"seed": 990 + i, "n": 2, "d": 2, "m": m, "dw_range": [1, 3],
+                  "flavor": fl}
+                 for i, (m, fl) in enumerate(
+                     (m, fl) for m in range(1, 7) for fl in FLAVORS
+                     if fl != "parseval" or m >= 2)]
+
 # Number and string tokens the JSON reader must take exactly as ``json``
 # does: tokens only ``json`` accepts, numbers at the edges of the doubles and
 # of the 64-bit integers, and text a strict parser refuses.
@@ -152,6 +162,11 @@ def sweep() -> None:
     for tol in (None, "1e-18"):
         run(f"verify_shape_order_{tol or 'tol'}",
             ["verify", "--batch", "shape_order.json"] + (["--tol", tol] if tol else []),
+            "report.json")
+    Path("mixed_m.json").write_text(json.dumps(MIXED_M_BATCH), encoding="utf-8")
+    for tol in (None, "1e-18"):
+        run(f"verify_mixed_m_{tol or 'tol'}",
+            ["verify", "--batch", "mixed_m.json"] + (["--tol", tol] if tol else []),
             "report.json")
     for j, (n, d, m) in enumerate(SHAPES):
         for i, fl in enumerate(FLAVORS):
