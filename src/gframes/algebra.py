@@ -72,6 +72,12 @@ def _check_same_dim(a: AlgebraElement, b: AlgebraElement) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is NaN or negative."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+
+
 def _scale(*norms: float) -> float:
     """``max(1, *norms)``: what every relative tolerance is scaled by."""
     return max(1.0, *norms)
@@ -112,8 +118,7 @@ def alg_norm(a: AlgebraElement) -> float:
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     """Positive semidefinite within ``tol``: Hermitian up to ``tol * max(1, norm)``
     and smallest eigenvalue of the Hermitian part >= ``-tol * max(1, norm)``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     m = a.entries
     nrm, asym = _top_singular(np.stack((m, m - m.conj().T)))
     scale = _scale(nrm)

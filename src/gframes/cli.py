@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -111,10 +112,11 @@ def _resolve_tol(arg_tol: float | None, default: float) -> float:
 
 # orjson 3.8 turns a parsed document into Python objects by native recursion
 # with no depth limit, some 64 bytes of C stack a level, so a document about
-# 130,000 levels deep overflows an 8 MiB stack and kills the process.
-# Nesting that deep takes as many opening brackets and twice as many
-# characters, so text within this bound on either is safe to hand it.
+# 130,000 levels deep overflows an 8 MiB stack and kills the process.  A
+# document nested no deeper than this bound is safe to hand it.
 _ORJSON_MAX_DEPTH = 1 << 16
+
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
 
 
 def _text(doc: str | bytes) -> str:
@@ -126,13 +128,20 @@ def _text(doc: str | bytes) -> str:
     return io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8").read()
 
 
-def _opening_brackets(doc: str | bytes) -> int:
-    """The number of ``[`` and ``{`` in ``doc``.  Neither byte occurs inside
-    a multibyte UTF-8 character, so a file's bytes hold as many as its text."""
-    if isinstance(doc, str):
-        return doc.count("[") + doc.count("{")
+def _opening_brackets(doc: bytes) -> int:
+    """The number of ``[`` and ``{`` in ``doc``, a bound on its depth."""
     b = np.frombuffer(doc, np.uint8)
     return int(np.count_nonzero(b == ord("[")) + np.count_nonzero(b == ord("{")))
+
+
+def _depth(doc: bytes) -> int:
+    """The deepest nesting of the brackets of ``doc`` outside its strings,
+    whose escapes are backslash pairs: exact for valid JSON, and at least
+    the depth a parser reaches before the first error of any other text."""
+    bare = re.sub(rb'"[^"]*"', b"", re.sub(rb"\\.", b"", doc, flags=re.S))
+    brackets = np.frombuffer(bare.translate(None, _NOT_BRACKETS), np.uint8)
+    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
+    return int(steps.cumsum().max(initial=0))
 
 
 def _parse_json(doc: str | bytes):
@@ -143,30 +152,37 @@ def _parse_json(doc: str | bytes):
     The fallback exists for what orjson refuses -- NaN and Infinity tokens,
     numbers that overflow a double, over-long integers, lone surrogates, a
     byte order mark, bytes that are not UTF-8, every syntax error -- and for
-    text with more brackets than orjson can safely nest: all of it keeps
+    documents nested deeper than orjson can safely take: all of it keeps
     ``json``'s result or error message, line numbers of files with CR or CRLF
     line ends included.  Valid JSON gives the same objects both ways, down to
     every float's bits, except that an integer outside [-2**63, 2**64) comes
     back as the nearest float, which the schema checks then reject as a
     count, and that nesting deeper than ``json``'s recursion limit parses.
     """
-    # a byte count can exceed the character count, so the bound on the
-    # length is settled on the text
-    if (len(doc) > 2 * _ORJSON_MAX_DEPTH
-            and _opening_brackets(doc) > _ORJSON_MAX_DEPTH):
-        text = _text(doc)
-        if len(text) > 2 * _ORJSON_MAX_DEPTH:
-            return json.loads(text)
+    # brackets, quotes and backslashes are single UTF-8 bytes, so a text's
+    # bytes nest as it does; the cheap count settles all but the largest
+    raw = doc.encode("utf-8", "surrogatepass") if isinstance(doc, str) else doc
+    if _opening_brackets(raw) > _ORJSON_MAX_DEPTH and _depth(raw) > _ORJSON_MAX_DEPTH:
+        return json.loads(_text(doc))
     try:
         return orjson.loads(doc)
     except orjson.JSONDecodeError:
         return json.loads(_text(doc))
 
 
-def _too_long(source: str) -> SchemaError:
-    # json.loads turns a digit string into an int, which refuses more digits
-    # than the interpreter's limit with a plain ValueError
-    return SchemaError(source, f"integer longer than {sys.get_int_max_str_digits()} digits")
+def _parse(doc: str | bytes, source: str, lines: bool):
+    """``_parse_json(doc)``, with parse errors as ``SchemaError``s on ``source``."""
+    try:
+        return _parse_json(doc)
+    except json.JSONDecodeError as exc:
+        at = f" at line {exc.lineno}" if lines else ""
+        raise SchemaError(source, f"invalid JSON ({exc.msg}{at})")
+    except UnicodeDecodeError:
+        raise  # not UTF-8: reported as the codec words it
+    except ValueError:
+        # json.loads turns a digit string into an int, which refuses more
+        # digits than the interpreter's limit with a plain ValueError
+        raise SchemaError(source, f"integer longer than {sys.get_int_max_str_digits()} digits")
 
 
 def _load_json(path: str):
@@ -175,14 +191,7 @@ def _load_json(path: str):
             data = fh.read()
     except OSError as exc:
         raise GFrameError(f"cannot read {path}: {exc.strerror or exc}")
-    try:
-        return _parse_json(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"invalid JSON ({exc.msg} at line {exc.lineno})")
-    except UnicodeDecodeError:
-        raise  # not UTF-8: reported as the codec words it
-    except ValueError:
-        raise _too_long(path)
+    return _parse(data, path, lines=True)
 
 
 @contextlib.contextmanager
@@ -297,15 +306,8 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     raw = args.spec.strip()
-    if raw.startswith("{"):
-        try:
-            obj = _parse_json(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("--spec", f"invalid JSON ({exc.msg})")
-        except ValueError:
-            raise _too_long("--spec")
-    else:
-        obj = _load_json(args.spec)
+    obj = (_parse(raw, "--spec", lines=False) if raw.startswith("{")
+           else _load_json(args.spec))
     spec = ser.spec_from_obj(obj)
     scenario = generate(spec)
     _write_report(ser.scenario_to_obj(scenario), args.out)

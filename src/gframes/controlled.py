@@ -26,7 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _hmin, _psd_sqrt, _scale, spectral_norm
+from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _psd_sqrt, _scale,
+                      spectral_norm)
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
@@ -73,9 +74,7 @@ class ControlPair:
     def __post_init__(self):
         if self.c.base.action.shape != self.cp.base.action.shape:
             raise ValueError("controls must act on the same space")
-        # NaN fails the comparison too
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
+        _check_tol(self.tol)
         # norms multiplying past 1e300 overflow c o cp and every controlled
         # operator; a relative 1e-12 above it is the SVD roundoff of controls
         # whose spectra end at the generators' ceiling, 1e150
@@ -187,7 +186,6 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
         yield from [0.0] * (1 + 2 * family.size)
         return
     ca, cpa = c.base.action, cp.base.action
-    same = cpa is ca
     x = ca @ cpa - cpa @ ca
     yield (0.0 if _frobenius_passes(c, x, cp.norm, tol)
            else spectral_norm(x) / _scale(c.norm * cp.norm))
@@ -196,7 +194,7 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
         gram = l @ l.conj().T
         g_lo = float(gram.diagonal().real.max())
         ng = None
-        for k in (c,) if same else (c, cp):
+        for k in (c, cp):
             a = k.base.action
             x = a @ gram - gram @ a
             r = 0.0
@@ -204,8 +202,6 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
                 if ng is None:
                     ng = spectral_norm(gram)
                 r = spectral_norm(x) / _scale(k.norm * ng)
-            yield r
-        if same:
             yield r
 
 

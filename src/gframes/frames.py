@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, _hermitian_part, loewner_leq
+from .algebra import (DEFAULT_TOL, AlgebraElement, _check_tol, _hermitian_part,
+                      loewner_leq)
 from .errors import NotAFrame
 from .module_space import ModuleVector, inner
 from .operators import ModuleOperator
@@ -114,6 +115,7 @@ def _verdicts(ops, tol: float = DEFAULT_TOL) -> list[FrameVerdict]:
     and every CLI command.  Each verdict's witnesses are the extreme
     eigenvalues.
     """
+    _check_tol(tol)
     out = []
     stack = np.stack([op.action for op in ops])
     for w in np.linalg.eigvalsh(_hermitian_part(stack)):

@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, AlgebraElement, _hermitian_part, _hmin,
-                      _scale, _top_singular, loewner_leq, spectral_norm)
+from .algebra import (DEFAULT_TOL, AlgebraElement, _check_tol, _hermitian_part,
+                      _hmin, _scale, _top_singular, loewner_leq, spectral_norm)
 from .errors import NotHermitian, NotPositiveDefinite, NotSurjective
 from .module_space import ModuleVector, inner
 
@@ -104,6 +104,7 @@ def is_bounded_below(t: ModuleOperator,
     convention (deficient directions count), which makes the boolean agree
     exactly with surjectivity of ``op_adjoint(t)``.
     """
+    _check_tol(tol)
     s = np.linalg.svd(t.action, compute_uv=False)
     top = float(s[0]) if s.size else 0.0
     m = 0.0 if t.action.shape[0] > t.action.shape[1] else float(s[-1])
@@ -172,6 +173,7 @@ def make_positive_invertible(m: ModuleOperator,
     """
     if not m.is_square:
         raise ValueError("positive operators must be square")
+    _check_tol(tol)
     a = m.action
     # op_norm(m) and the asymmetry's norm, from one stacked SVD
     nrm, asym = _top_singular(np.stack((a, a - a.conj().T)))

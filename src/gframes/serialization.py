@@ -31,8 +31,6 @@ REPORT_VERSION = 1
 
 
 def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     v = float(x)
@@ -43,14 +41,6 @@ def _fmt_number(x) -> str:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _all_numeric(obj) -> bool:
-    if _is_number(obj):
-        return True
-    if isinstance(obj, (list, tuple)):
-        return all(_all_numeric(v) for v in obj)
-    return False
 
 
 def _float_pairs(obj) -> str | None:
@@ -79,13 +69,9 @@ def _emit(obj, out: list, level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-        elif (pairs := _float_pairs(obj)) is not None:
-            out.append(pairs)
-        elif _all_numeric(obj):
-            # other numeric payloads (ranges, integer matrices) stay on one line
-            out.append("[" + ", ".join(_inline(v) for v in obj) + "]")
+        text = _float_pairs(obj) or _inline(obj)
+        if text is not None:
+            out.append(text)
         else:
             out.append("[\n")
             for i, v in enumerate(obj):
@@ -110,10 +96,19 @@ def _emit(obj, out: list, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _inline(obj) -> str:
+def _inline(obj) -> str | None:
+    """One-line text of a number, or of a list or tuple of numbers nested to
+    any depth; None at the first entry that is neither."""
     if _is_number(obj):
         return _fmt_number(obj)
-    return "[" + ", ".join(_inline(v) for v in obj) + "]"
+    if not isinstance(obj, (list, tuple)):
+        return None
+    parts = []
+    for v in obj:
+        if (text := _inline(v)) is None:
+            return None
+        parts.append(text)
+    return "[" + ", ".join(parts) + "]"
 
 
 def dumps(obj) -> str:
@@ -318,18 +313,13 @@ def spec_from_obj(obj, path: str = "") -> GeneratorSpec:
     d = _as_int(_get(obj, "d", p), f"{p}.d", 1)
     m = _as_int(_get(obj, "m", p), f"{p}.m", 1)
     kwargs = {}
-    if "dw_range" in obj:
-        v = obj["dw_range"]
-        _want(isinstance(v, list) and len(v) == 2, f"{p}.dw_range",
-              "expected a [lo, hi] pair")
-        kwargs["dw_range"] = (_as_int(v[0], f"{p}.dw_range[0]", 1),
-                              _as_int(v[1], f"{p}.dw_range[1]", 1))
-    if "spectrum_range" in obj:
-        v = obj["spectrum_range"]
-        _want(isinstance(v, list) and len(v) == 2, f"{p}.spectrum_range",
-              "expected a [lo, hi] pair")
-        kwargs["spectrum_range"] = (_as_real(v[0], f"{p}.spectrum_range[0]"),
-                                    _as_real(v[1], f"{p}.spectrum_range[1]"))
+    for key, read in (("dw_range", lambda v, at: _as_int(v, at, 1)),
+                      ("spectrum_range", _as_real)):
+        if key in obj:
+            v = obj[key]
+            _want(isinstance(v, list) and len(v) == 2, f"{p}.{key}",
+                  "expected a [lo, hi] pair")
+            kwargs[key] = (read(v[0], f"{p}.{key}[0]"), read(v[1], f"{p}.{key}[1]"))
     if "flavor" in obj:
         v = obj["flavor"]
         _want(isinstance(v, str), f"{p}.flavor", "expected a string")

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _hmin, _scale, _top_singular, spectral_norm
+from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _scale, _top_singular,
+                      spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _check_same_measure, _norm_bound,
                          _require_certificate, _same_control, _transfer,
@@ -441,6 +442,7 @@ def run_suite(batch, tol: float = DEFAULT_TOL) -> list:
     folded in batch order: the report is the one a scenario-by-scenario run
     gives.  Of several specs that raise, the first in (n, d) order raises.
     """
+    _check_tol(tol)
     batch = list(batch)
     if not batch:
         raise ValueError("batch must contain at least one spec")

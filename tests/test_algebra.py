@@ -185,3 +185,9 @@ def test_norm_subadditive(seed):
     a = random_elem(seed, 3)
     b = random_elem(seed + 1, 3)
     assert alg_norm(a + b) <= alg_norm(a) + alg_norm(b) + 1e-12
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9])
+def test_is_positive_refuses_a_nan_or_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        is_positive(AlgebraElement.identity(2), tol)

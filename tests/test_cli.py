@@ -770,8 +770,21 @@ DEPTH = cli._ORJSON_MAX_DEPTH
 
 
 def text_guard_takes_json(text: str) -> bool:
-    """The nesting guard on the text a text-mode read gives."""
-    return len(text) > 2 * DEPTH and text.count("[") + text.count("{") > DEPTH
+    """The nesting guard on the text a text-mode read gives: whether its
+    brackets outside strings nest deeper than ``DEPTH``."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            escaped, in_string = (False, True) if escaped else (ch == "\\", ch != '"')
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest > DEPTH
 
 
 # A file of ``opening`` brackets and then ``filler``, 2 * DEPTH + ``extra``
@@ -872,3 +885,30 @@ def test_nesting_deeper_than_orjson_can_take_goes_to_json(tmp_path):
         timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("RecursionError")
+
+
+def test_brackets_in_strings_do_not_hide_the_nesting(tmp_path):
+    # a valid document: a string of an escaped quote and 200,000 closing
+    # brackets, then nesting 200,000 deep, which only json can take
+    path = tmp_path / "hidden.json"
+    path.write_text('["\\"' + "]" * 200_000 + '", '
+                    + "[" * 200_000 + "]" * 200_000 + "]")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from gframes.cli import run; run()",
+         "analyze", str(path)], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("RecursionError")
+
+
+def test_large_shallow_file_goes_to_orjson(tmp_path, calls):
+    # each complex entry is a bracket pair, so this file holds far more
+    # brackets than orjson can nest, at a depth of 5
+    path = tmp_path / "large.json"
+    assert main(["generate", "--spec", '{"seed": 7, "n": 8, "d": 8, "m": 128, '
+                 '"flavor": "commuting"}', "--out", str(path)]) == 0
+    assert path.read_bytes().count(b"[") > DEPTH
+    del calls["orjson.loads"][:]
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls["orjson.loads"]) == 1 and calls["json.loads"] == []

@@ -248,3 +248,14 @@ def test_verdicts_of_a_repeated_operator_match_one_at_a_time():
     alone = [_verdicts((op,))[0] for op in (s, t, s, s)]
     assert [(v.kind, v.witnesses) for v in got] == [(v.kind, v.witnesses)
                                                    for v in alone]
+
+
+@pytest.mark.parametrize("verdict", [classify, optimal_bounds])
+@pytest.mark.parametrize("tol", [np.nan, -1e-9])
+def test_frame_verdicts_refuse_a_nan_or_negative_tol(verdict, tol):
+    # a negative tol used to call this Bessel-only family a frame, with a
+    # lower bound of 3e-16
+    fam = generate(GeneratorSpec(seed=3, n=2, d=2, m=4, flavor="bessel_only")).family
+    assert classify(fam).kind == BESSEL_ONLY
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        verdict(fam, tol)

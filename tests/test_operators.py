@@ -235,3 +235,19 @@ def test_make_positive_invertible_rejects_non_hermitian():
 def test_make_positive_invertible_rejects_singular():
     with pytest.raises(NotPositiveDefinite):
         make_positive_invertible(diag_op(1.0, 0.0))
+
+
+@pytest.mark.parametrize("action", [-np.eye(2), np.array([[1.0, 5.0], [0.0, 1.0]])],
+                         ids=["negative", "not_hermitian"])
+def test_make_positive_invertible_refuses_a_nan_tol(action):
+    # NaN fails every comparison, so both matrices used to be certified
+    with pytest.raises(ValueError, match="tol must be nonnegative, got nan"):
+        make_positive_invertible(ModuleOperator(1, 2, 2, action), tol=np.nan)
+
+
+@pytest.mark.parametrize("check", [is_bounded_below, is_surjective])
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_bounded_below_and_surjective_refuse_a_nan_or_negative_tol(check, tol):
+    # at tol -1 a zero singular value used to clear the floor
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        check(diag_op(1.0, 0.0), tol)

@@ -238,6 +238,115 @@ def test_dumps_float_pairs_reject_non_finite(obj):
         ser.dumps(obj)
 
 
+def reference_dumps(obj) -> str:
+    """The emitter as it stood before one recursion both decided and
+    rendered inline numeric lists: a whole-list numeric test, then a
+    second walk to render."""
+
+    def number(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, int):
+            return str(x)
+        v = float(x)
+        if not math.isfinite(v):
+            raise ValueError("non-finite number in JSON output")
+        return format(v, ".17g")
+
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def all_numeric(x):
+        if is_number(x):
+            return True
+        return isinstance(x, (list, tuple)) and all(all_numeric(v) for v in x)
+
+    def inline(x):
+        return number(x) if is_number(x) else "[" + ", ".join(map(inline, x)) + "]"
+
+    def emit(x, out, level):
+        pad = "  " * level
+        if x is None:
+            out.append("null")
+        elif isinstance(x, bool):
+            out.append("true" if x else "false")
+        elif is_number(x):
+            out.append(number(x))
+        elif isinstance(x, str):
+            out.append(json.dumps(x, ensure_ascii=False))
+        elif isinstance(x, (list, tuple)):
+            if len(x) == 0:
+                out.append("[]")
+            elif (pairs := ser._float_pairs(x)) is not None:
+                out.append(pairs)
+            elif all_numeric(x):
+                out.append("[" + ", ".join(inline(v) for v in x) + "]")
+            else:
+                out.append("[\n")
+                for i, v in enumerate(x):
+                    out.append(pad + "  ")
+                    emit(v, out, level + 1)
+                    out.append(",\n" if i + 1 < len(x) else "\n")
+                out.append(pad + "]")
+        elif isinstance(x, dict):
+            if not x:
+                out.append("{}")
+            else:
+                out.append("{\n")
+                items = list(x.items())
+                for i, (k, v) in enumerate(items):
+                    if not isinstance(k, str):
+                        raise TypeError(f"JSON keys must be strings, got {k!r}")
+                    out.append(pad + "  " + json.dumps(k, ensure_ascii=False) + ": ")
+                    emit(v, out, level + 1)
+                    out.append(",\n" if i + 1 < len(items) else "\n")
+                out.append(pad + "}")
+        else:
+            raise TypeError(f"cannot serialize {type(x).__name__}")
+
+    out = []
+    emit(obj, out, 0)
+    return "".join(out) + "\n"
+
+
+def emitted(dumps, obj):
+    """The text ``dumps`` gives for ``obj``, or the type and message of
+    what it raises."""
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.integers(2**63, 2**70) | st.integers(-2**70, -2**63)
+               | json_floats | st.text(max_size=5)
+               | st.builds(np.float64, json_floats)
+               | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+               | st.builds(object)
+               | st.lists(st.lists(json_floats, min_size=2, max_size=2), max_size=3))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=3) | st.integers(0, 3), kids,
+                                    max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_trees)
+def test_dumps_matches_the_two_walk_emitter(obj):
+    assert emitted(ser.dumps, obj) == emitted(reference_dumps, obj)
+
+
+@pytest.mark.parametrize("obj,error", [([object(), math.nan], TypeError),
+                                       ([math.nan, object()], ValueError)])
+def test_dumps_raises_at_the_first_bad_entry(obj, error):
+    with pytest.raises(error):
+        ser.dumps(obj)
+
+
 def test_vector_round_trip():
     x = ModuleVector(2, 3, complex_normal(stream(3, 0), (2, 6)))
     back = ser.vector_from_obj(ser.vector_to_obj(x))

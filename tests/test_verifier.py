@@ -353,8 +353,9 @@ def test_sandwich_per_slice_bound_pairs_match_the_fold_bit_for_bit():
 
 
 def test_sandwich_upper_only_matches_the_fold_bit_for_bit():
-    # the op_energy_bound form: a bound per case and point, broadcast over
-    # that case's samples
+    # the upper side only, with a bound per case and slice broadcast over
+    # that case's samples; op_energy_bound passes one bound per case, a
+    # point operator
     k = 2
     xx = psd_stack(40, (3, 1, 5), k)
     val = psd_stack(70, (3, 2, 5), k)
@@ -1002,3 +1003,11 @@ def test_group_cap_keeps_default_groups_whole_and_large_scenarios_alone(
                                        "bessel_only"))])
     assert [[seed for *_, seed in g] for g in groups] == [
         [900, 901], [902, 903], [904], [905], [906], [907]]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_run_suite_refuses_a_nan_or_negative_tol_before_generating(tol, monkeypatch):
+    monkeypatch.setattr(verifier, "_generate_batch",
+                        lambda *a, **k: pytest.fail("generated a batch"))
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        run_suite(default_batch()[:2], tol)

@@ -29,12 +29,16 @@ this script and runs ``gframes.cli.main`` in-process on:
 * ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
   1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
   (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32);
+* ``generate``, ``analyze`` and ``reconstruct --random 3`` of one commuting
+  (8, 8, 128) spec, whose 6.5 MB file holds more brackets than orjson can
+  nest, at a depth of 5;
 * the JSON reader's edge corpus: each of ``EDGE_TOKENS`` in place of the
   first weight of the commuting (3, 2, 3) scenario, through ``analyze`` and
   ``reconstruct --random 3``, and in place of a spec's seed and of its upper
   spectrum bound, through ``generate --spec FILE``; the same files with a
-  byte order mark in front and with a trailing comma before the closing
-  brace.  The files are written under ``OUT/edge/``;
+  byte order mark in front, with a trailing comma before the closing brace
+  and cut short after the seed.  Each spec text also goes inline, through
+  ``generate --spec TEXT``.  The files are written under ``OUT/edge/``;
 * the byte-level edge corpus, through ``analyze`` and ``reconstruct
   --random 3``: the commuting (3, 2, 3) scenario with one byte that is not
   UTF-8, with a syntax error on line 3 and CRLF or CR-only line ends, and
@@ -179,6 +183,11 @@ def sweep() -> None:
             run(f"analyze_stdout_{tag}", ["analyze", scen])
             run(f"analyze_1e-18_{tag}", ["analyze", scen, "--tol", "1e-18"], "report.json")
             run(f"reconstruct_{tag}", ["reconstruct", scen, "--random", "3"])
+    spec = json.dumps({"seed": 966, "n": 8, "d": 8, "m": 128, "flavor": "commuting"})
+    run("generate_commuting_8x8x128", ["generate", "--spec", spec], "scenario.json")
+    scen = "generate_commuting_8x8x128/scenario.json"
+    run("analyze_commuting_8x8x128", ["analyze", scen], "report.json")
+    run("reconstruct_commuting_8x8x128", ["reconstruct", scen, "--random", "3"])
     small = Path("generate_commuting_3x2x3/scenario.json").read_text(encoding="utf-8")
     edge_sweep(small)
     byte_edge_sweep(small, Path("generate_commuting_8x4x16/scenario.json").read_text(
@@ -213,6 +222,7 @@ def edge_sweep(scenario: str) -> None:
     for texts, base in ((scenarios, scenario), (specs, spec % (1, 2))):
         texts["bom"] = "\ufeff" + base
         texts["trailing_comma"] = re.sub(r"\s*}\s*$", ",}\n", base)
+    specs["cut_short"] = spec.partition(",")[0] % 1
     Path("edge").mkdir()
     for kind, texts in (("scenario", scenarios), ("spec", specs)):
         for key, text in texts.items():
@@ -223,6 +233,7 @@ def edge_sweep(scenario: str) -> None:
                 run(f"edge_reconstruct_{key}", ["reconstruct", path, "--random", "3"])
             else:
                 run(f"edge_generate_{key}", ["generate", "--spec", path])
+                run(f"edge_generate_inline_{key}", ["generate", "--spec", text])
 
 
 def byte_edge_sweep(small: str, large: str) -> None:
