@@ -73,9 +73,9 @@ def _check_same_dim(a: AlgebraElement, b: AlgebraElement) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is NaN or negative."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    """Refuse a tolerance that is NaN, negative or infinite."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
 
 
 def _scale(*norms: float) -> float:
@@ -103,6 +103,17 @@ def _top_singular(stack: np.ndarray) -> list:
     """``spectral_norm`` of each matrix in a stack, as nested lists of Python
     floats, from one SVD: LAPACK takes each slice alone."""
     return np.linalg.svd(stack, compute_uv=False)[..., 0].tolist()
+
+
+def _per_shape(f, mats) -> list:
+    """``f`` of each matrix of ``mats``, in input order, from one call of
+    ``f`` on the stack of each shape, shapes in first-seen order."""
+    out = [None] * len(mats)
+    for shape in dict.fromkeys(m.shape for m in mats):
+        idx = [i for i, m in enumerate(mats) if m.shape == shape]
+        for i, v in zip(idx, f(np.stack([mats[i] for i in idx]))):
+            out[i] = v
+    return out
 
 
 def alg_adjoint(a: AlgebraElement) -> AlgebraElement:

@@ -210,6 +210,7 @@ def validate_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
                          tol: float = DEFAULT_TOL) -> CommutationReport:
     """Every relative commutator of ``_relative_commutators``, each exact,
     and the verdict that all are at most ``tol``."""
+    _check_tol(tol)
     entries = list(_relative_commutators(family, c, cp))
     rows = tuple(zip(entries[1::2], entries[2::2]))
     return CommutationReport(entries[0], rows, tol,
@@ -222,6 +223,7 @@ def decide_commutation(family: GFrameFamily, c: PositiveInvertibleOperator,
     """``validate_commutation(family, c, cp, tol).passed``, with a spectral
     norm only where the Frobenius bound does not decide; stops at the first
     failing commutator."""
+    _check_tol(tol)
     return all(v <= tol for v in _relative_commutators(family, c, cp, tol))
 
 
@@ -263,6 +265,7 @@ def controlled_classify(scenario: ControlledScenario,
     spectral edge, so both Bessel bounds are reported side by side.  Both
     spectra come from one stacked ``eigvalsh``.
     """
+    _check_tol(tol)
     plain, verdict = _verdicts((frame_operator(scenario.family),
                                 controlled_frame_operator(scenario)), tol)
     verdict.witnesses["uncontrolled_bessel_bound"] = plain.witnesses["lambda_max"]
@@ -346,6 +349,7 @@ def synthesis_norm_check(scenario: ControlledScenario,
                          tol: float = NORM_BOUND_TOL) -> bool:
     """Check the synthesis norm against the controlled upper bound:
     ``op_norm(synthesis) <= sqrt(lambda_max) + tol * scale``."""
+    _check_tol(tol)
     hi = _verdict(controlled_frame_operator(scenario)).witnesses["lambda_max"]
     return _norm_bound(op_norm(synthesis_operator(scenario)), hi, tol)[0]
 
@@ -405,6 +409,7 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     controls also commute with the mixed products, which the certificate does
     not guarantee.  Both residuals are reported rather than picking one.
     """
+    _check_tol(tol)
     adj = op_adjoint(cross_operator(lam, gam, pair))
     return adj, _adjoint_diagnostics([(adj, lam, gam, pair)], tol)[0]
 
@@ -470,6 +475,7 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     fails.  Raises ``PreconditionViolated`` naming the failing hypothesis,
     or ``CommutationViolated`` from the certificate.
     """
+    _check_tol(tol)
     _, diag = cross_adjoint_resolve(lam, gam, pair)
     scen_lam, scen_gam = ControlledScenario(lam, pair), ControlledScenario(gam, pair)
     v_lam, v_gam = _verdicts((controlled_frame_operator(scen_lam),

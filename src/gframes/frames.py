@@ -176,6 +176,7 @@ def check_sandwich(family: GFrameFamily, lower: float, upper: float,
                    samples: int, seed: int, tol: float = DEFAULT_TOL) -> bool:
     """Test the algebra-valued two-sided bound on ``samples`` seeded random
     vectors: ``lower * inner(x,x) <= sandwich_sum(x) <= upper * inner(x,x)``."""
+    _check_tol(tol)
     if lower <= 0 or upper <= 0:
         raise ValueError("bounds must be positive")
     if samples < 1:

@@ -41,11 +41,11 @@ stacks.  ``generate`` and ``generate_pair`` are the one-spec case, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import _hermitian_part
+from .algebra import _hermitian_part, _per_shape
 from .controlled import ControlPair, ControlledScenario
 from .errors import InvalidSpec
 from .frames import GFrameFamily, MeasurePoint, frame_operator
@@ -127,29 +127,21 @@ class GeneratorSpec:
 
 @dataclass(eq=False)
 class _Drawn:
-    """One spec's draws from the batch sweep.  Until the batch's unitaries
-    are taken, ``unitaries`` holds the (size, position) of the basis and then
-    of each point's codomain unitary in the size stacks; after, views into
-    those stacks.  A generic spec draws only its measure here."""
+    """One spec's draws from the batch sweep.  ``unitaries`` holds the
+    basis's and then each point's codomain unitary; ``_draw`` leaves there
+    the complex normal matrices they are the QR factors of.  A generic spec
+    draws only its measure here."""
 
     spec: GeneratorSpec
     dws: list
     weights: list
     eigs: tuple | None = None       # control eigenvalues c, cp
     sings: list | None = None       # per point: primary singular values
-    unitaries: list | None = None
+    unitaries: list | tuple = ()
 
 
-def _draw(rng: np.random.Generator, spec: GeneratorSpec,
-          normals: dict) -> _Drawn:
-    """Every draw a spec's unitaries need, stream 0 to its end first; each
-    complex normal matrix to be factored goes to ``normals`` by size."""
-
-    def stacked(z: np.ndarray) -> tuple:
-        group = normals.setdefault(z.shape[0], [])
-        group.append(z)
-        return z.shape[0], len(group) - 1
-
+def _draw(rng: np.random.Generator, spec: GeneratorSpec) -> _Drawn:
+    """Every draw a spec's unitaries need, stream 0 to its end first."""
     seed, n = spec.seed, spec.n
     _rekey(rng, seed, 0)
     lo, hi = spec.dw_range
@@ -158,15 +150,15 @@ def _draw(rng: np.random.Generator, spec: GeneratorSpec,
     if spec.flavor == "generic":
         return _Drawn(spec, dws, weights)
     dn = spec.d * n
-    unitaries = [stacked(complex_normal(rng, (dn, dn)))]
+    normals = [complex_normal(rng, (dn, dn))]
     eigs = (rng.uniform(*spec.spectrum_range, size=dn),
             rng.uniform(*spec.spectrum_range, size=dn))
     sings = []
     for w, dw in enumerate(dws):
         _rekey(rng, seed, 1 + w)
-        unitaries.append(stacked(complex_normal(rng, (dw * n, dw * n))))
+        normals.append(complex_normal(rng, (dw * n, dw * n)))
         sings.append(rng.uniform(_SING_LO, _SING_HI, size=min(dn, dw * n)))
-    return _Drawn(spec, dws, weights, eigs, sings, unitaries)
+    return _Drawn(spec, dws, weights, eigs, sings, normals)
 
 
 def _unitaries(z: np.ndarray) -> np.ndarray:
@@ -253,18 +245,15 @@ def _assemble(rng: np.random.Generator, drawn: _Drawn,
 def _generate_batch(specs, twins: bool):
     """``(scenario, twin)`` of each spec in order, ``twin`` None unless
     ``twins``.  Every spec is drawn first, from the batch's one Philox; its
-    unitaries come from one QR per size for the whole batch, each size's
-    normals let go once it is factored, and stay as views into those size
-    stacks.  Each pair is built when it is read, and then the batch lets go
-    of that spec's draws; a size stack goes with the last view into it."""
+    unitaries come from one QR per size for the whole batch and stay as
+    views into those size stacks, and its normals go once they are
+    factored.  Each pair is built when it is read, and then the batch lets
+    go of that spec's draws; a size stack goes with the last view into it."""
     rng = stream(0)
-    normals: dict = {}
-    drawn = [_draw(rng, spec, normals) for spec in specs]
-    stacks = {k: _unitaries(np.stack(normals.pop(k))) for k in list(normals)}
-    for dr in drawn:
-        if dr.unitaries is not None:
-            dr.unitaries = [stacks[k][i] for k, i in dr.unitaries]
-    stacks = dr = None  # a paused generator would hold them to its end
+    drawn = [_draw(rng, spec) for spec in specs]
+    qs = _per_shape(_unitaries, [z for dr in drawn for z in dr.unitaries])[::-1]
+    # popped in a comprehension: no name of a paused generator keeps a view
+    drawn = [replace(dr, unitaries=[qs.pop() for _ in dr.unitaries]) for dr in drawn]
     drawn.reverse()
     while drawn:
         yield _assemble(rng, drawn.pop(), twins)

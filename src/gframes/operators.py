@@ -90,6 +90,7 @@ def energy_bound_check(t: ModuleOperator, x: ModuleVector,
                        tol: float = DEFAULT_TOL) -> bool:
     """Check ``inner(t x, t x) <= op_norm(t)**2 * inner(x, x)`` in the
     semidefinite order at ``tol``.  Holds for every adjointable operator."""
+    _check_tol(tol)
     tx = op_apply(t, x)
     bound = (op_norm(t) ** 2) * inner(x, x)
     return loewner_leq(inner(tx, tx), bound, tol)
@@ -130,6 +131,7 @@ def gram_sandwich_check(t: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
 
     Raises ``NotSurjective`` when the precondition fails.
     """
+    _check_tol(tol)
     if not is_surjective(t):
         raise NotSurjective("gram sandwich requires a surjective operator")
     g = op_compose(t, op_adjoint(t))

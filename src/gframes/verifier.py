@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _scale, _top_singular,
-                      spectral_norm)
+from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _per_shape, _scale,
+                      _top_singular, spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _check_same_measure, _norm_bound,
                          _require_certificate, _same_control, _transfer,
@@ -120,16 +120,6 @@ def _sample_vectors(rng: np.random.Generator, seeds, n: int, d: int,
     z = np.stack([_rekey(rng, seed, _CHECK_STREAM + offset).standard_normal(
         (count, 2, n, d * n)) for seed in seeds])
     return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
-
-
-def _point_norms(actions) -> list:
-    """``op_norm`` of each of ``actions``, in order, one SVD per shape."""
-    norms = [0.0] * len(actions)
-    for shape in dict.fromkeys(a.shape for a in actions):
-        idx = [i for i, a in enumerate(actions) if a.shape == shape]
-        for i, v in zip(idx, _top_singular(np.stack([actions[i] for i in idx]))):
-            norms[i] = v
-    return norms
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -267,8 +257,8 @@ def _evaluate_group(cases: list, tol: float) -> list:
     acts = [p.lam.action for f in families for p in f.points]
     grams = np.stack([_gram(xs[i] @ a) for i, a in zip(owner, acts)])
     viols = [0.0] * k
-    for i, viol in zip(owner, _sandwich(None, [v ** 2 for v in _point_norms(acts)],
-                                        _gram(xs)[owner], grams)):
+    for i, viol in zip(owner, _sandwich(None, [v ** 2 for v in _per_shape(
+            _top_singular, acts)], _gram(xs)[owner], grams)):
         viols[i] = max(viols[i], viol)
     for o, viol in zip(out, viols):
         o["op_energy_bound"] = _Outcome(viol <= tol, viol, "energy bound violated")
@@ -325,7 +315,6 @@ def _evaluate_group(cases: list, tol: float) -> list:
                 scale = _scale(hi_c[i] * nx2)
                 viol = max(viol, (lo_c[i] * nx2 - nv) / scale,
                            (nv - hi_c[i] * nx2) / scale)
-            viol = max(viol, 0.0)
             out[i]["norm_characterization"] = _Outcome(
                 viol <= tol, viol, "norm characterization violated")
 

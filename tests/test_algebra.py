@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gframes import (AlgebraElement, NotPositive, alg_adjoint, alg_norm,
                      alg_sqrt, is_positive, loewner_leq)
-from gframes.algebra import spectral_norm
+from gframes.algebra import _per_shape, _top_singular, spectral_norm
+from gframes.generators import _unitaries
 from gframes.rng import complex_normal, stream
 
 TOL = 1e-10
@@ -185,6 +186,30 @@ def test_norm_subadditive(seed):
     a = random_elem(seed, 3)
     b = random_elem(seed + 1, 3)
     assert alg_norm(a + b) <= alg_norm(a) + alg_norm(b) + 1e-12
+
+
+@pytest.mark.parametrize("f", [_top_singular, _unitaries])
+def test_per_shape_is_the_per_matrix_map_from_one_call_per_shape(f):
+    # interleaved shapes, square and not; a QR takes the square ones
+    rng = stream(31, 0)
+    shapes = [(2, 2), (3, 3), (2, 3), (2, 2), (1, 1), (3, 3), (2, 3), (2, 2)]
+    if f is _unitaries:
+        shapes = [s for s in shapes if s[0] == s[1]]
+    mats = [complex_normal(rng, s) for s in shapes]
+    stacks = []
+
+    def recording(stack):
+        stacks.append(stack)
+        return f(stack)
+
+    got = _per_shape(recording, mats)
+    assert [s.shape[1:] for s in stacks] == list(dict.fromkeys(shapes))
+    for s in stacks:
+        assert s.tobytes() == np.stack([m for m in mats if m.shape == s.shape[1:]]).tobytes()
+    want = [f(m[None])[0] for m in mats]
+    assert len(got) == len(mats)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-9])

@@ -241,7 +241,7 @@ def test_make_positive_invertible_rejects_singular():
                          ids=["negative", "not_hermitian"])
 def test_make_positive_invertible_refuses_a_nan_tol(action):
     # NaN fails every comparison, so both matrices used to be certified
-    with pytest.raises(ValueError, match="tol must be nonnegative, got nan"):
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite, got nan"):
         make_positive_invertible(ModuleOperator(1, 2, 2, action), tol=np.nan)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
                      generate_pair, op_norm, run_suite, suite_passed,
                      surjectivity_transfer)
-from gframes.algebra import _top_singular, spectral_norm
+from gframes.algebra import _per_shape, _top_singular, spectral_norm
 from gframes.rng import _rekey, complex_normal, stream
 from gframes import controlled, verifier
 from gframes import serialization as ser
@@ -459,7 +459,7 @@ def test_point_norms_are_op_norms_bit_for_bit():
     # op_energy_bound takes the point norms from one stacked SVD per rank
     points = generate(GeneratorSpec(seed=12, n=2, d=2, m=6)).family.points
     assert len({p.codomain_rank for p in points}) == 3
-    assert verifier._point_norms([p.lam.action for p in points]) == \
+    assert _per_shape(_top_singular, [p.lam.action for p in points]) == \
         [op_norm(p.lam) for p in points]
 
 

@@ -16,7 +16,10 @@ this script and runs ``gframes.cli.main`` in-process on:
   tolerance and 1e-18;
 * ``verify --batch`` of 8 mixed-size specs (seeds 970-977, (n, d, m) in
   {(3, 3, 5), (8, 2, 6)}, dw_range [1, 3], every flavor), whose bases and
-  codomain unitaries share size stacks across specs and across roles;
+  codomain unitaries share size stacks across specs and across roles, at
+  the default tolerance and 1e-18, and in reverse order at 1e-18, which
+  must give the forward report: reversal changes which matrices share each
+  stack, not the slices;
 * ``verify --batch`` of 11 specs (seeds 980-989, flavors in turn) at the
   default tolerance and 1e-18, whose shapes (n, d, m) come in no cyclic
   order: (1, 1, 1), (2, 2, 4) and (3, 2, 3) with dw_range [1, 3], and four
@@ -53,10 +56,11 @@ this script and runs ``gframes.cli.main`` in-process on:
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``; a command that raises records the
 exception's type in ``exit``.  Paths are relative to ``OUT``, so no
-output names the directory.  ``OUT/environment`` records the BLAS thread
-variables, which the sweep does not set: a threaded LAPACK SVD may move the
-last bit of a spectral norm, so compare two sweeps run under the same
-setting, as in
+output names the directory.  The sweep exits 1, naming them, when two
+reports that must be byte-identical differ (``SAME_REPORTS``).
+``OUT/environment`` records the BLAS thread variables, which the sweep does
+not set: a threaded LAPACK SVD may move the last bit of a spectral norm, so
+compare two sweeps run under the same setting, as in
 
     python3 tools/byte_sweep.py /tmp/before    # in the parent checkout
     python3 tools/byte_sweep.py /tmp/after     # in the changed checkout
@@ -111,6 +115,12 @@ MIXED_M_BATCH = [{"seed": 990 + i, "n": 2, "d": 2, "m": m, "dw_range": [1, 3],
                      (m, fl) for m in range(1, 7) for fl in FLAVORS
                      if fl != "parseval" or m >= 2)]
 
+# Runs whose reports must be byte-identical: the verifier folds a batch's
+# outcomes back in batch order, so a reversed batch gives the forward report.
+SAME_REPORTS = (("verify_default_tol", "verify_default_reversed_tol"),
+                ("verify_default_1e-18", "verify_default_reversed_1e-18"),
+                ("verify_mixed_1e-18", "verify_mixed_reversed_1e-18"))
+
 # Number and string tokens the JSON reader must take exactly as ``json``
 # does: tokens only ``json`` accepts, numbers at the edges of the doubles and
 # of the 64-bit integers, and text a strict parser refuses.
@@ -161,7 +171,14 @@ def sweep() -> None:
             ["verify", "--batch", "ladder.json"] + (["--tol", tol] if tol else []),
             "report.json")
     Path("mixed.json").write_text(json.dumps(MIXED_BATCH), encoding="utf-8")
-    run("verify_mixed_tol", ["verify", "--batch", "mixed.json"], "report.json")
+    Path("mixed_reversed.json").write_text(json.dumps(MIXED_BATCH[::-1]),
+                                           encoding="utf-8")
+    for tol in (None, "1e-18"):
+        run(f"verify_mixed_{tol or 'tol'}",
+            ["verify", "--batch", "mixed.json"] + (["--tol", tol] if tol else []),
+            "report.json")
+    run("verify_mixed_reversed_1e-18",
+        ["verify", "--batch", "mixed_reversed.json", "--tol", "1e-18"], "report.json")
     Path("shape_order.json").write_text(json.dumps(SHAPE_ORDER_BATCH), encoding="utf-8")
     for tol in (None, "1e-18"):
         run(f"verify_shape_order_{tol or 'tol'}",
@@ -278,7 +295,11 @@ def cli() -> int:
     os.chdir(out)
     record_environment()
     sweep()
-    return 0
+    differ = [(a, b) for a, b in SAME_REPORTS
+              if Path(a, "report.json").read_bytes() != Path(b, "report.json").read_bytes()]
+    for a, b in differ:
+        sys.stderr.write(f"byte_sweep: the reports of {a} and {b} differ\n")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
