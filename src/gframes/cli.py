@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -363,6 +364,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     handler = {"analyze": cmd_analyze, "verify": cmd_verify,
                "generate": cmd_generate, "reconstruct": cmd_reconstruct}[args.command]
+    # no command makes a reference cycle, so the cyclic collector would only
+    # walk a scenario file's many small lists, and in a long-lived process
+    # set off full collections over them; a caller's setting is kept
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.command in ("analyze", "reconstruct"):
             # finite file entries can still overflow once multiplied; stop at
@@ -380,6 +386,9 @@ def main(argv=None) -> int:
     except (GFrameError, ValueError) as exc:
         sys.stderr.write(f"gframes: error: {exc}\n")
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run() -> None:

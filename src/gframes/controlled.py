@@ -528,8 +528,15 @@ def reconstruct(scenario: ControlledScenario,
         raise NotAFrame("reconstruction requires a controlled frame")
     # the round trip on flattened arrays: analysis, then synthesis
     y = _synthesize(scenario, _analyze(scenario, x))
-    # y @ inverse(sc.action), via a solve against the transposed action
-    xhat_flat = np.linalg.solve(sc.action.T, y.T).T
+    # LAPACK's solve gives non-finite values on subnormal entries, so a
+    # largest entry below 1/2 is lifted into [1/2, 1), and y with it, by one
+    # power of two: that scaling is exact and moves no bit of the solution
+    s = sc.action
+    k = max(0, -int(np.frexp(np.abs(s).max())[1]))
+    if k:
+        s, y = (np.ldexp(a.view(np.float64), k).view(np.complex128) for a in (s, y))
+    # y @ inverse(s), via a solve against the transposed action
+    xhat_flat = np.linalg.solve(s.T, y.T).T
     xhat = ModuleVector(x.algebra_dim, x.rank, xhat_flat)
     return ReconstructionResult(xhat, vec_norm(x - xhat),
                                 verdict.bounds.upper / verdict.bounds.lower)

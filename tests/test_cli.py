@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, schemas, reports, determinism."""
 
+import gc
 import json
 import os
 import re
@@ -175,11 +176,6 @@ def scaled(obj, factor):
     return obj * factor
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="controls below the generators' spectrum floor "
-                   "(CHANGES.md FOUND line on scenario files below "
-                   "SPECTRUM_FLOOR): analyze says frame, reconstruct "
-                   "fails with non-finite vector entries")
 def test_analyze_frame_below_the_spectrum_floor_reconstructs(tmp_path, capsys):
     # roadmap item 5's invariant: a file analyze calls a frame reconstructs
     spec = {"seed": 0, "n": 2, "d": 2, "m": 4, "flavor": "commuting",
@@ -670,6 +666,117 @@ def test_analyze_report_is_canonical_json(scen, tmp_path):
     text = out.read_text()
     obj = json.loads(text)
     assert text == ser.dumps(obj)
+
+
+# ------------------------------------------------------ cyclic collector
+
+
+def test_document_commands_start_no_collection(tmp_path, capsys):
+    # an (8, 4, 16) file holds some 10,000 pair lists, which set off 13
+    # collections per command, one of the middle generation, with the
+    # collector on
+    spec = '{"seed": 11, "n": 8, "d": 4, "m": 16, "flavor": "commuting"}'
+    scen = tmp_path / "scen.json"
+    assert main(["generate", "--spec", spec, "--out", str(scen)]) == 0
+    commands = {
+        "generate": ["generate", "--spec", spec, "--out", str(tmp_path / "again.json")],
+        "analyze": ["analyze", str(scen), "--out", str(tmp_path / "report.json")],
+        "reconstruct": ["reconstruct", str(scen), "--random", "3",
+                        "--out", str(tmp_path / "round.json")],
+    }
+    started = {name: [] for name in commands}
+    for name, argv in commands.items():
+        def count(phase, info, starts=started[name]):
+            if phase == "start":
+                starts.append(info["generation"])
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+    assert started == {name: [] for name in commands}
+
+
+def raise_runtime_error(args):
+    assert not gc.isenabled()
+    raise RuntimeError("handler failed")
+
+
+def collector_case(case, tmp_path, monkeypatch):
+    """The arguments and exit code of one way for ``main`` to end; None for
+    an exception that propagates."""
+    scen = tmp_path / "scen.json"
+    if case in ("success", "schema_error", "overflow", "runtime_error"):
+        assert main(["generate", "--spec", COMMUTING_SPEC, "--out", str(scen)]) == 0
+    if case == "success":
+        return ["analyze", str(scen)], 0
+    if case == "schema_error":
+        obj = read(scen)
+        obj["points"][0]["weight"] = -1
+        scen.write_text(json.dumps(obj))
+        return ["analyze", str(scen)], 1
+    if case == "gframe_error":
+        return ["analyze", str(tmp_path / "missing.json")], 1
+    if case == "overflow":
+        obj = read(scen)
+        obj["points"][0]["lambda"] = [[v * 1e160 for v in row]
+                                      for row in obj["points"][0]["lambda"]]
+        scen.write_text(json.dumps(obj))
+        return ["reconstruct", str(scen), "--random", "1"], 1
+    if case == "not_a_frame":
+        assert main(["generate", "--spec", BESSEL_SPEC, "--out", str(scen)]) == 0
+        return ["analyze", str(scen)], 2
+    monkeypatch.setattr(cli, "cmd_analyze", raise_runtime_error)
+    return ["analyze", str(scen)], None
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["success", "schema_error", "gframe_error",
+                                  "overflow", "not_a_frame", "runtime_error"])
+def test_main_restores_the_collector_state(case, enabled, tmp_path, capsys,
+                                           monkeypatch):
+    argv, code = collector_case(case, tmp_path, monkeypatch)
+    if not enabled:
+        gc.disable()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_commands_create_no_reference_cycle(tmp_path, capsys):
+    # what makes pausing the collector in main safe: no command leaves
+    # garbage that only the cyclic collector could free
+    specs = {fl: json.dumps({"seed": 120 + i, "n": 3, "d": 2, "m": 3, "flavor": fl})
+             for i, fl in enumerate(FLAVORS)}
+    batch = write_batch(tmp_path, SMALL_BATCH[:2])
+    obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=119, n=3, d=2, m=3,
+                                                     flavor="commuting")))
+    obj["points"][0]["weight"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    commands = [("verify --default", ["verify", "--default"]),
+                ("verify --batch", ["verify", "--batch", str(batch)])]
+    for fl, spec in specs.items():
+        path = str(tmp_path / f"{fl}.json")
+        commands += [(f"generate {fl}", ["generate", "--spec", spec, "--out", path]),
+                     (f"analyze {fl}", ["analyze", path]),
+                     (f"reconstruct {fl}", ["reconstruct", path, "--random", "3"])]
+    commands.append(("analyze schema error", ["analyze", str(bad)]))
+    gc.collect()
+    gc.disable()
+    try:
+        for name, argv in commands:
+            assert main(argv) in (0, 1, 2, 3), name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- JSON reader

@@ -986,6 +986,21 @@ def test_reconstruct_round_trip_on_arrays_keeps_every_bit(flavor, shape, calls):
     assert len(calls["ModuleVector"]) - before == 2
 
 
+@pytest.mark.parametrize("k", [1, 2, 53, 300, 700, 1000])
+@pytest.mark.parametrize("size", [2, 16, 64])
+def test_solve_moves_no_bit_under_a_power_of_two_lift(size, k):
+    # reconstruct lifts a small controlled operator and its right-hand side
+    # by one power of two before the solve; in normal range that is exact
+    rng = stream(173, size)
+    s = complex_normal(rng, (size, size)) + size * np.eye(size)
+    y = complex_normal(rng, (size, 3))
+
+    def lift(a):
+        return np.ldexp(a.view(np.float64), k).view(np.complex128)
+    assert (np.linalg.solve(lift(s), lift(y)).tobytes()
+            == np.linalg.solve(s, y).tobytes())
+
+
 # ----------------------------- two-family operations against the reference
 
 

@@ -49,6 +49,11 @@ this script and runs ``gframes.cli.main`` in-process on:
   scenario, over 131,072 bytes, with ``true`` as the first entry of the
   first point's ``lambda`` and -1 as the last point's weight.  These files
   are written under ``OUT/edge/`` too;
+* ``analyze`` and ``reconstruct --random 3`` of a scenario whose controls
+  lie below the generators' spectrum floor: the commuting (2, 2, 4) seed-0
+  spec at spectrum [1e-150, 2e-150], generated, with ``C`` and ``Cprime``
+  then multiplied by 1e-5 in the file (written as ``below_floor.json``), so
+  that the controlled operator's entries are subnormal;
 * the argument edge corpus: ``reconstruct --random`` with seeds -1 and
   2**64, and ``analyze``, ``generate`` and ``verify --batch`` of one spec
   with ``--out`` in a directory that does not exist.
@@ -209,7 +214,23 @@ def sweep() -> None:
     edge_sweep(small)
     byte_edge_sweep(small, Path("generate_commuting_8x4x16/scenario.json").read_text(
         encoding="utf-8"))
+    below_floor_sweep()
     argument_edge_sweep("generate_commuting_3x2x3/scenario.json")
+
+
+def below_floor_sweep() -> None:
+    """Run ``analyze`` and ``reconstruct`` on a scenario whose controls,
+    and so the entries of its controlled operator, lie below what the
+    generators emit."""
+    spec = json.dumps({"seed": 0, "n": 2, "d": 2, "m": 4, "flavor": "commuting",
+                       "spectrum_range": [1e-150, 2e-150]})
+    run("generate_below_floor", ["generate", "--spec", spec], "scenario.json")
+    obj = json.loads(Path("generate_below_floor/scenario.json").read_text(encoding="utf-8"))
+    for key in ("C", "Cprime"):
+        obj[key] = (np.array(obj[key]) * 1e-5).tolist()
+    Path("below_floor.json").write_text(json.dumps(obj), encoding="utf-8")
+    run("analyze_below_floor", ["analyze", "below_floor.json"], "report.json")
+    run("reconstruct_below_floor", ["reconstruct", "below_floor.json", "--random", "3"])
 
 
 def argument_edge_sweep(scenario: str) -> None:
