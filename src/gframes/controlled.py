@@ -114,16 +114,6 @@ class ControlPair:
                               _psd_sqrt(product))
 
 
-def _same_control(pair: ControlPair) -> ControlPair:
-    """``ControlPair(pair.c, pair.c, pair.tol)``, already passed on every
-    family ``pair`` passed on.  Its certificate's commutators are a subset of
-    ``pair``'s: ``[c, c]`` is an exact zero, and each ``[c, gram_w]`` takes
-    the same Frobenius or spectral decision in both walks."""
-    cc = ControlPair(pair.c, pair.c, pair.tol)
-    cc._verdicts.update((f, True) for f, ok in pair._verdicts.items() if ok)
-    return cc
-
-
 @dataclass(frozen=True, eq=False)
 class ControlledScenario:
     """A family together with a control pair, certified against this family
@@ -411,16 +401,15 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     """
     _check_tol(tol)
     adj = op_adjoint(cross_operator(lam, gam, pair))
-    return adj, _adjoint_diagnostics([(adj, lam, gam, pair)], tol)[0]
+    return adj, _adjoint_diagnostics([(adj.action, lam, gam, pair)], tol)[0]
 
 
 def _adjoint_diagnostics(cases, tol: float = ADJOINT_TOL) -> list:
     """``cross_adjoint_resolve``'s diagnostic of each ``(adj, lam, gam,
-    pair)``, the true adjoint ``adj`` of the cross operator of ``lam``
-    against ``gam`` under ``pair``, all over one module: the adjoints'
-    extreme singular values and both differences' norms, from one stacked
-    SVD."""
-    a = np.stack([adj.action for adj, _, _, _ in cases])
+    pair)``, ``adj`` the action of the true adjoint of the cross operator of
+    ``lam`` against ``gam`` under ``pair``, all over one module: the adjoints'
+    extreme singular values and both differences' norms, from one stacked SVD."""
+    a = np.stack([adj for adj, _, _, _ in cases])
     mixed = np.stack([gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
                       for _, lam, gam, _ in cases])
     ca = np.stack([pair.c.base.action for *_, pair in cases])

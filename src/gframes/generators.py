@@ -107,7 +107,7 @@ class GeneratorSpec:
             if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in raw):
                 raise TypeError
             slo, shi = (float(v) for v in raw)
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, IndexError, OverflowError):
             raise InvalidSpec(f"spectrum_range must be a pair of reals, got {self.spectrum_range}") from None
         if not (np.isfinite(slo) and np.isfinite(shi) and 0 < slo <= shi):
             raise InvalidSpec(f"spectrum_range must be a positive ordered interval, got {self.spectrum_range}")

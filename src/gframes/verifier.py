@@ -7,19 +7,20 @@ non-normative entry is ``bound_product_probe``, whose claimed lower bound is
 known to fail off the diagonal; its status is permanently ``empirical`` and
 its pass fraction is information, not a verdict.
 
-Scenarios are evaluated in groups that share (n, d): each check makes one
-stacked call per group for its decompositions and sample draws, while its
-products are taken per point, the sampled energies by ``sandwich_sum``'s
-own kernel.  ``run_suite`` takes a batch in a stable (n, d) order and holds
-one group at a time, evaluated when the next scenario has another shape,
-when the synthesis matrices of its families and twins reach
-``_GROUP_BYTES``, or at the end.  Samples are keyed by seed and numpy's
-stacked ``svd``, ``eigvalsh`` and ``matmul`` run on each slice alone, so
-every value has the bits of a one-scenario run and no report byte moves.
-Outcomes are folded in batch order and failure lists sorted stably by
-(seed, detail).  Each scenario is certified as it is read, so a failing
-certificate raises as in a one-at-a-time run in (n, d) order.  Results are
-ordered by check id, so reports are byte-identical across runs.
+Scenarios are evaluated in groups that share (n, d): a check makes one
+stacked call per group for its draws and its decompositions but two, the
+synthesis norm and the transfer's smallest eigenvalue, taken per case; its
+products and sampled energies, by ``sandwich_sum``'s kernel, per point.
+``run_suite`` takes a batch in a stable (n, d) order and holds one group at
+a time, evaluated when the next scenario has another shape, when the
+synthesis matrices of its families and twins reach ``_GROUP_BYTES``, or at
+the end.  Samples are keyed by seed and numpy's stacked ``svd``,
+``eigvalsh`` and ``matmul`` run on each slice alone, so every value has the
+bits of a one-scenario run and no report byte moves.  Outcomes are folded
+in batch order and failure lists sorted stably by (seed, detail).  Each
+scenario is certified as it is read, so a failing certificate raises as in
+a one-at-a-time run in (n, d) order.  Results are ordered by check id, so
+reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _per_shape, _scale,
                       _top_singular, spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _check_same_measure, _norm_bound,
-                         _require_certificate, _same_control, _transfer,
+                         _require_certificate, _transfer,
                          bounds_cc_from_plain, bounds_plain_from_cc,
                          controlled_frame_operator, cross_operator,
                          synthesis_operator)
 from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
 from .generators import GeneratorSpec, _generate_batch
-from .operators import SURJECTIVITY_TOL, op_adjoint
+from .operators import SURJECTIVITY_TOL, ModuleOperator
 from .rng import _rekey, stream
 
 # One entry per verified statement; the suite emits exactly these ids.
@@ -218,8 +219,9 @@ def _evaluate_scenario(scenario: ControlledScenario, twin: GFrameFamily,
 
 def _evaluate_group(cases: list, tol: float) -> list:
     """Every check on certified cases ``(scenario, twin, seed)`` of one
-    (n, d), by check id per case.  Decompositions and sample draws take one
-    stacked call for the group; products and energies are taken per point."""
+    (n, d), by check id per case.  Sample draws and decompositions take one
+    stacked call for the group but the synthesis norm and the transfer's
+    smallest eigenvalue, taken per case; products and energies per point."""
     k = len(cases)
     scenarios = [sc for sc, _, _ in cases]
     families = [sc.family for sc in scenarios]
@@ -234,11 +236,15 @@ def _evaluate_group(cases: list, tol: float) -> list:
                                _SAMPLES)
 
     # The plain, controlled, same-control and twin operators, with every
-    # scenario's four verdicts from one stacked spectrum.
-    ops = [(frame_operator(sc.family), controlled_frame_operator(sc),
-            controlled_frame_operator(ControlledScenario(
-                sc.family, _same_control(sc.pair))),
-            controlled_frame_operator(st)) for sc, st in zip(scenarios, scen_twins)]
+    # scenario's four verdicts from one stacked spectrum.  The same-control
+    # operator is C S C, certified by the scenario's own pair.
+    ops = []
+    for sc, st in zip(scenarios, scen_twins):
+        s, c = frame_operator(sc.family), sc.pair.c
+        s_cc = s if c.is_identity else ModuleOperator(
+            n, d, d, c.base.action @ s.action @ c.base.action)
+        ops.append((s, controlled_frame_operator(sc), s_cc,
+                    controlled_frame_operator(st)))
     verdicts = _verdicts([op for quad in ops for op in quad])
     plain, ctrl, same, twin_v = (verdicts[j::4] for j in range(4))
     frames = [i for i, v in enumerate(ctrl) if v.kind == FRAME]
@@ -357,7 +363,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
     # Two-family checks against the twin, all on one cross operator each;
     # an operator and its adjoint have the same norm.
     diags = _adjoint_diagnostics([
-        (op_adjoint(cross_operator(f, tw, p)), f, tw, p)
+        (cross_operator(f, tw, p).action.conj().T, f, tw, p)
         for f, (_, tw, _), p in zip(families, cases, pairs)])
     for o, diag, hi, tv in zip(out, diags, hi_c, twin_v):
         o["cross_operator_norm_bound"] = _Outcome(

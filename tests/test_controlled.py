@@ -22,7 +22,7 @@ from gframes import (FRAME, DEFAULT_TOL, AlgebraElement, ControlledScenario,
                      validate_commutation, vec_norm)
 from gframes.algebra import spectral_norm
 from gframes.controlled import (CommutationReport, TransferResult,
-                                _frobenius_passes, _same_control)
+                                _frobenius_passes)
 from gframes.errors import (CommutationViolated, GFrameError,
                             PreconditionViolated)
 from gframes.frames import _verdict
@@ -329,30 +329,6 @@ def test_suite_certifies_each_control_pair_and_family_once(certificate_calls,
     run_suite([GeneratorSpec(seed=191, n=2, d=2, m=4, flavor=flavor)])
     family, twin = certificate_calls
     assert twin is not family
-
-
-def test_same_control_pair_takes_only_passed_verdicts(certificate_calls):
-    sc, twin = generate_pair(GeneratorSpec(seed=195, n=2, d=2, m=4,
-                                           flavor="commuting"))
-    pair = sc.pair
-    rng = stream(196, 0)
-    other = GFrameFamily(2, 2, tuple(
-        MeasurePoint(p.weight, ModuleOperator(
-            2, 2, p.codomain_rank, complex_normal(rng, (4, 2 * p.codomain_rank))))
-        for p in sc.family.points))
-    assert pair.passed_on(sc.family) and not pair.passed_on(other)
-    cc = _same_control(pair)
-    assert (cc.c, cc.cp, cc.tol) == (pair.c, pair.c, pair.tol)
-    del certificate_calls[:]
-    assert cc.passed_on(sc.family)
-    assert certificate_calls == []
-    # the verdict it took is the one its own certificate gives
-    assert decide_commutation(sc.family, pair.c, pair.c, pair.tol)
-    # a family the pair failed on, or never saw, takes its own certificate
-    del certificate_calls[:]
-    assert not cc.passed_on(other)
-    assert cc.passed_on(twin)
-    assert certificate_calls == [other, twin]
 
 
 def test_pair_certifies_each_family_on_first_use(certificate_calls):

@@ -107,6 +107,15 @@ def test_spec_spectrum_range_refuses_numpy_bools(entry):
     assert all(type(v) is float for v in spec.spectrum_range)
 
 
+@pytest.mark.parametrize("rng", [(1, 10**400), (10**400, 10**401),
+                                 (1, 2**1100)])
+def test_spec_spectrum_range_refuses_ints_past_the_doubles(rng):
+    # float() of such an int raises OverflowError, as int() of inf does for
+    # dw_range; both name the field
+    with pytest.raises(InvalidSpec, match="spectrum_range must be a pair of reals"):
+        GeneratorSpec(seed=1, n=1, d=1, m=1, spectrum_range=rng)
+
+
 def test_spectrum_ceiling():
     assert SPECTRUM_CEILING ** 2 < 1e300
     for lo, hi in ((1.0, SPECTRUM_CEILING), (SPECTRUM_CEILING, SPECTRUM_CEILING),

@@ -185,8 +185,9 @@ def test_empty_batch_rejected():
 # included.  A plain frame operator is built once per family and kept, so
 # its builds are the distinct families it is called on.  Left after
 # sharing: the parseval generator normalizes family and twin; the
-# scenario, its same-control pair and the twin each take one controlled
-# operator, which conjugates the plain operator of its family; one cross
+# scenario and the twin each take one controlled operator, which
+# conjugates the plain operator of its family, and the same-control
+# operator C S C is formed from the plain one by hand; one cross
 # operator serves every two-family check, its norm taken once by the
 # adjoint diagnostic, and the transfer step of a frame
 # builds the twin's synthesis.  op_norm is left with the control norms
@@ -196,13 +197,13 @@ def test_empty_batch_rejected():
 # is a spectral_norm, and the point norms and the Hermitian-ness norms
 # come from stacked SVDs, none of which op_norm sees.
 SCENARIO_BUILDS = {
-    "generic": {"frame_operator": 2, "controlled_frame_operator": 3,
+    "generic": {"frame_operator": 2, "controlled_frame_operator": 2,
                 "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
-    "commuting": {"frame_operator": 2, "controlled_frame_operator": 3,
+    "commuting": {"frame_operator": 2, "controlled_frame_operator": 2,
                   "synthesis_operator": 2, "cross_operator": 1, "op_norm": 1},
-    "parseval": {"frame_operator": 4, "controlled_frame_operator": 3,
+    "parseval": {"frame_operator": 4, "controlled_frame_operator": 2,
                  "synthesis_operator": 2, "cross_operator": 1, "op_norm": 2},
-    "bessel_only": {"frame_operator": 2, "controlled_frame_operator": 3,
+    "bessel_only": {"frame_operator": 2, "controlled_frame_operator": 2,
                     "synthesis_operator": 1, "cross_operator": 1, "op_norm": 0},
 }
 
@@ -215,6 +216,50 @@ def test_scenario_builds_each_operator_once(calls, flavor):
     # the call log keeps every family alive, so no two share an id
     counts["frame_operator"] = len({id(f) for f in calls["frame_operator"]})
     assert counts == expected
+
+
+def test_same_control_operator_is_the_library_one(monkeypatch):
+    # the verifier's C S C has the bits of controlled_frame_operator on the
+    # pair (C, C), and an identity C leaves the plain operator itself
+    groups, quads = [], []
+
+    def record_group(cases, tol):
+        groups.extend(cases)
+        return real_group(cases, tol)
+
+    def record_verdicts(ops, *args):
+        quads.extend(zip(*[iter(ops)] * 4))
+        return real_verdicts(ops, *args)
+
+    real_group, real_verdicts = verifier._evaluate_group, verifier._verdicts
+    monkeypatch.setattr(verifier, "_evaluate_group", record_group)
+    monkeypatch.setattr(verifier, "_verdicts", record_verdicts)
+    run_suite(default_batch())
+    assert len(groups) == len(quads) == 200
+    identities = 0
+    for (sc, _, _), (plain, _, same, _) in zip(groups, quads):
+        c = sc.pair.c
+        assert plain is verifier.frame_operator(sc.family)
+        cc = ControlledScenario(sc.family, ControlPair(c, c, sc.pair.tol))
+        assert (same.action.tobytes()
+                == controlled.controlled_frame_operator(cc).action.tobytes())
+        if c.is_identity:
+            identities += 1
+            assert same is plain
+    assert 0 < identities < 200
+
+
+def test_suite_builds_one_control_pair_per_scenario(monkeypatch):
+    built = []
+    real = ControlPair.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(ControlPair, "__post_init__", counting)
+    run_suite(default_batch())
+    assert len(built) == 200
 
 
 # Spectral norms, SVDs and eigvalsh calls of the same scenario.  The

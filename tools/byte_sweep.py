@@ -120,6 +120,20 @@ MIXED_M_BATCH = [{"seed": 990 + i, "n": 2, "d": 2, "m": m, "dw_range": [1, 3],
                      (m, fl) for m in range(1, 7) for fl in FLAVORS
                      if fl != "parseval" or m >= 2)]
 
+# The verify runs, in order: each batch's name, its specs (None for
+# ``--default``), written to ``NAME.json``, and its tolerances (None for the
+# default), each run as ``verify_NAME_TOL``.
+VERIFY_BATCHES = (
+    ("default", None, (None, "1e-14", "1e-18")),
+    ("default_reversed", [ser.spec_to_obj(s) for s in default_batch()[::-1]],
+     (None, "1e-18")),
+    ("ladder", LADDER_BATCH, (None, "1e-18")),
+    ("mixed", MIXED_BATCH, (None, "1e-18")),
+    ("mixed_reversed", MIXED_BATCH[::-1], ("1e-18",)),
+    ("shape_order", SHAPE_ORDER_BATCH, (None, "1e-18")),
+    ("mixed_m", MIXED_M_BATCH, (None, "1e-18")),
+)
+
 # Runs whose reports must be byte-identical: the verifier folds a batch's
 # outcomes back in batch order, so a reversed batch gives the forward report.
 SAME_REPORTS = (("verify_default_tol", "verify_default_reversed_tol"),
@@ -160,40 +174,15 @@ def run(name: str, args: list, out: str | None = None) -> None:
 
 
 def sweep() -> None:
-    for tol in (None, "1e-14", "1e-18"):
-        run(f"verify_default_{tol or 'tol'}",
-            ["verify", "--default"] + (["--tol", tol] if tol else []), "report.json")
-    Path("default_reversed.json").write_text(
-        json.dumps([ser.spec_to_obj(s) for s in default_batch()[::-1]]),
-        encoding="utf-8")
-    for tol in (None, "1e-18"):
-        run(f"verify_default_reversed_{tol or 'tol'}",
-            ["verify", "--batch", "default_reversed.json"]
-            + (["--tol", tol] if tol else []), "report.json")
-    Path("ladder.json").write_text(json.dumps(LADDER_BATCH), encoding="utf-8")
-    for tol in (None, "1e-18"):
-        run(f"verify_ladder_{tol or 'tol'}",
-            ["verify", "--batch", "ladder.json"] + (["--tol", tol] if tol else []),
-            "report.json")
-    Path("mixed.json").write_text(json.dumps(MIXED_BATCH), encoding="utf-8")
-    Path("mixed_reversed.json").write_text(json.dumps(MIXED_BATCH[::-1]),
-                                           encoding="utf-8")
-    for tol in (None, "1e-18"):
-        run(f"verify_mixed_{tol or 'tol'}",
-            ["verify", "--batch", "mixed.json"] + (["--tol", tol] if tol else []),
-            "report.json")
-    run("verify_mixed_reversed_1e-18",
-        ["verify", "--batch", "mixed_reversed.json", "--tol", "1e-18"], "report.json")
-    Path("shape_order.json").write_text(json.dumps(SHAPE_ORDER_BATCH), encoding="utf-8")
-    for tol in (None, "1e-18"):
-        run(f"verify_shape_order_{tol or 'tol'}",
-            ["verify", "--batch", "shape_order.json"] + (["--tol", tol] if tol else []),
-            "report.json")
-    Path("mixed_m.json").write_text(json.dumps(MIXED_M_BATCH), encoding="utf-8")
-    for tol in (None, "1e-18"):
-        run(f"verify_mixed_m_{tol or 'tol'}",
-            ["verify", "--batch", "mixed_m.json"] + (["--tol", tol] if tol else []),
-            "report.json")
+    for name, specs, tols in VERIFY_BATCHES:
+        if specs is None:
+            args = ["verify", "--default"]
+        else:
+            Path(f"{name}.json").write_text(json.dumps(specs), encoding="utf-8")
+            args = ["verify", "--batch", f"{name}.json"]
+        for tol in tols:
+            run(f"verify_{name}_{tol or 'tol'}",
+                args + (["--tol", tol] if tol else []), "report.json")
     for j, (n, d, m) in enumerate(SHAPES):
         for i, fl in enumerate(FLAVORS):
             tag = f"{fl}_{n}x{d}x{m}"
