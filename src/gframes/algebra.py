@@ -3,8 +3,9 @@ square roots and norms of square complex matrices, and the spectral
 kernels and the one relative scale, ``_scale``, that every module shares.
 
 The norm is the largest singular value, so the C*-identity
-``alg_norm(a* a) == alg_norm(a)**2`` holds up to roundoff.  Positivity is
-decided on the Hermitian part with a tolerance scaled by ``max(1, norm)``.
+``alg_norm(a* a) == alg_norm(a)**2`` holds up to roundoff.  The order
+``a <= b`` has one rule, ``_order_violations``, shared with the verifier:
+``-lambda_min(b - a)`` relative to ``max(1, norm(a), norm(b))``.
 """
 
 from __future__ import annotations
@@ -126,22 +127,47 @@ def alg_norm(a: AlgebraElement) -> float:
     return spectral_norm(a.entries)
 
 
+def _order_violations(a: np.ndarray, b: np.ndarray) -> list:
+    """How far ``a <= b`` fails in the semidefinite order, relative, for
+    each index of the leading axis: the largest violation over the matrices
+    of ``a[i]`` and ``b[i]``, two equal-shape stacks.
+
+    A finite slice of ``b - a`` with no negative eigenvalue gives 0.0 whatever
+    the scale, so the scale ``max(1, norm(a_s), norm(b_s))`` is taken only
+    for the others, the norms of all of them from one stacked SVD.  A slice
+    whose difference is not finite, or whose smallest eigenvalue is NaN,
+    cannot show the order and gives inf; it still reaches that SVD, which
+    raises ``LinAlgError`` on NaN.  The violation is a maximum, so neither
+    the order of the slices nor slices of exact zeros change it.
+    """
+    diff = b - a
+    h = _hmin(diff)
+    finite = np.isfinite(diff).all(axis=(-2, -1)) & ~np.isnan(h)
+    bad = ~((h >= 0) & finite)
+    viol = [0.0] * len(a)
+    if not bad.any():
+        return viol
+    norms_a, norms_b = _top_singular(np.stack((a[bad], b[bad])))
+    for i, hb, fb, na, nb in zip(np.nonzero(bad)[0].tolist(), h[bad].tolist(),
+                                 finite[bad].tolist(), norms_a, norms_b):
+        viol[i] = max(viol[i], -hb / _scale(na, nb) if fb else np.inf)
+    return viol
+
+
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefinite within ``tol``: Hermitian up to ``tol * max(1, norm)``
-    and smallest eigenvalue of the Hermitian part >= ``-tol * max(1, norm)``."""
-    _check_tol(tol)
-    m = a.entries
-    nrm, asym = _top_singular(np.stack((m, m - m.conj().T)))
-    scale = _scale(nrm)
-    if asym > tol * scale:
-        return False
-    return float(_hmin(m)) >= -tol * scale
+    """Positive semidefinite within ``tol``: ``loewner_leq(0, a, tol)``."""
+    return loewner_leq(AlgebraElement.zero(a.dim), a, tol)
 
 
 def loewner_leq(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Semidefinite order: true iff ``b - a`` is positive within ``tol``."""
-    _check_same_dim(a, b)
-    return is_positive(b - a, tol)
+    """Semidefinite order within ``tol``: ``b - a`` is Hermitian up to
+    ``tol * max(1, norm(a), norm(b))`` and ``_order_violations`` of the pair
+    is at most ``tol``."""
+    _check_tol(tol)
+    diff = (b - a).entries
+    asym, na, nb = _top_singular(np.stack((diff - diff.conj().T, a.entries, b.entries)))
+    return (asym <= tol * _scale(na, nb)
+            and _order_violations(a.entries[None], b.entries[None])[0] <= tol)
 
 
 def alg_sqrt(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:

@@ -31,7 +31,7 @@ from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _psd_sqrt, _scale,
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
-                     _verdict, _verdicts, frame_operator)
+                     _check_bounds, _verdict, _verdicts, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, _clears_floor, op_adjoint, op_norm)
@@ -429,8 +429,7 @@ def bounds_plain_from_cc(lower: float, upper: float,
                          c: PositiveInvertibleOperator) -> FrameBounds:
     """Transfer bounds of a same-control controlled frame to the plain family:
     ``(lower / norm(c)^2, upper * norm(c^-1)^2)``.  Valid, not tight."""
-    if lower <= 0 or upper <= 0:
-        raise ValueError("bounds must be positive")
+    _check_bounds(lower, upper)
     nc, ninv = c.norm, c.inverse_norm
     return FrameBounds(lower / (nc * nc), upper * (ninv * ninv))
 
@@ -439,8 +438,7 @@ def bounds_cc_from_plain(lower: float, upper: float,
                          c: PositiveInvertibleOperator) -> FrameBounds:
     """Transfer plain frame bounds to the same-control controlled family:
     ``(lower / norm(c^-1)^2, upper * norm(c)^2)``.  Valid, not tight."""
-    if lower <= 0 or upper <= 0:
-        raise ValueError("bounds must be positive")
+    _check_bounds(lower, upper)
     nc, ninv = c.norm, c.inverse_norm
     return FrameBounds(lower / (ninv * ninv), upper * (nc * nc))
 

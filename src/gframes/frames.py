@@ -89,6 +89,12 @@ class FrameBounds:
     upper: float
 
 
+def _check_bounds(lower: float, upper: float) -> None:
+    """Refuse frame bounds that are not both positive and finite."""
+    if not (0 < lower < np.inf and 0 < upper < np.inf):
+        raise ValueError("bounds must be positive and finite")
+
+
 @dataclass(frozen=True, eq=False)
 class FrameVerdict:
     """Classification outcome; ``bounds`` is present exactly for frames and
@@ -177,10 +183,11 @@ def check_sandwich(family: GFrameFamily, lower: float, upper: float,
     """Test the algebra-valued two-sided bound on ``samples`` seeded random
     vectors: ``lower * inner(x,x) <= sandwich_sum(x) <= upper * inner(x,x)``."""
     _check_tol(tol)
-    if lower <= 0 or upper <= 0:
-        raise ValueError("bounds must be positive")
+    _check_bounds(lower, upper)
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be a 64-bit nonnegative integer, got {seed}")
     n, d = family.algebra_dim, family.module_rank
     rng = stream(seed, 0)
     for _ in range(samples):

@@ -25,13 +25,12 @@ reports are byte-identical across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _per_shape, _scale,
-                      _top_singular, spectral_norm)
+from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _order_violations,
+                      _per_shape, _scale, _top_singular, spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _check_same_measure, _norm_bound,
                          _require_certificate, _transfer,
@@ -82,33 +81,6 @@ class CheckResult:
     passes: int = 0
     failures: list = field(default_factory=list)
     status: str = "pass"
-
-
-def _order_violations(a: np.ndarray, b: np.ndarray) -> list:
-    """How far ``a <= b`` fails in the semidefinite order, relative, for
-    each index of the leading axis: the largest violation over the matrices
-    of ``a[i]`` and ``b[i]``, two equal-shape stacks.
-
-    A finite slice of ``b - a`` with no negative eigenvalue gives 0.0 whatever
-    the scale, so the scale ``max(1, norm(a_s), norm(b_s))`` is taken only
-    for the others, the norms of all of them from one stacked SVD.  A slice
-    whose difference is not finite, or whose smallest eigenvalue is NaN,
-    cannot show the order and gives inf; it still reaches that SVD, which
-    raises ``LinAlgError`` on NaN.  The violation is a maximum, so neither
-    the order of the slices nor slices of exact zeros change it.
-    """
-    diff = b - a
-    h = _hmin(diff)
-    finite = np.isfinite(diff).all(axis=(-2, -1)) & ~np.isnan(h)
-    bad = ~((h >= 0) & finite)
-    viol = [0.0] * len(a)
-    if not bad.any():
-        return viol
-    norms_a, norms_b = _top_singular(np.stack((a[bad], b[bad])))
-    for i, hb, fb, na, nb in zip(np.nonzero(bad)[0].tolist(), h[bad].tolist(),
-                                 finite[bad].tolist(), norms_a, norms_b):
-        viol[i] = max(viol[i], -hb / _scale(na, nb) if fb else math.inf)
-    return viol
 
 
 def _sample_vectors(rng: np.random.Generator, seeds, n: int, d: int,

@@ -10,6 +10,7 @@ from gframes import (AlgebraElement, NotPositive, alg_adjoint, alg_norm,
 from gframes.algebra import _per_shape, _top_singular, spectral_norm
 from gframes.generators import _unitaries
 from gframes.rng import complex_normal, stream
+from gframes.verifier import _order_violations
 
 TOL = 1e-10
 
@@ -71,6 +72,50 @@ def test_loewner_rank_one_scaling():
     g = AlgebraElement(x @ x.conj().T)
     assert loewner_leq(g, 2.0 * g, tol=TOL)
     assert not loewner_leq(2.0 * g, g, tol=TOL)
+
+
+def reference_is_positive(m, tol):
+    """The positivity rule as stated before the order had one kernel:
+    Hermitian up to ``tol * max(1, norm)`` and smallest eigenvalue of the
+    Hermitian part at least ``-tol * max(1, norm)``."""
+    scale = max(1.0, np.linalg.norm(m, 2))
+    asym = np.linalg.norm(m - m.conj().T, 2)
+    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
+    return bool(asym <= tol * scale and lam >= -tol * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1e2, 1e6])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-14])
+def test_is_positive_keeps_its_rule_near_the_boundary(tol, scale):
+    # Hermitian matrices whose smallest eigenvalue, and half of them an
+    # anti-Hermitian part, sit within a factor 2 of the threshold.
+    rng = stream(31, 0)
+    verdicts = []
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        q = np.linalg.qr(complex_normal(rng, (n, n)))[0]
+        lam = scale * rng.uniform(0.5, 2.0, n)
+        thresh = tol * max(1.0, lam.max())
+        lam[0] = -rng.uniform(-1.0, 2.0) * thresh
+        m = (q * lam) @ q.conj().T
+        if rng.random() < 0.5:
+            e = complex_normal(rng, (n, n))
+            e = e - e.conj().T
+            m = m + rng.uniform(0.0, 2.0) * thresh * e / np.linalg.norm(e, 2)
+        verdicts.append(is_positive(AlgebraElement(m), tol))
+        assert verdicts[-1] == reference_is_positive(m, tol)
+    assert 10 < sum(verdicts) < 90
+
+
+def test_loewner_leq_judges_an_indefinite_pair_by_their_own_norms():
+    # b - a = diag(2e3, -1.5e-6): a violation of 7.5e-10 relative to the
+    # difference, but of 1.5e-9 relative to max(norm(a), norm(b)) = 1e3,
+    # which is what the verifier's order check reads too
+    a = elem([[-1e3, 0], [0, 0]])
+    b = elem([[1e3, 0], [0, -1.5e-6]])
+    assert not loewner_leq(a, b, tol=1e-9)
+    assert _order_violations(a.entries[None], b.entries[None])[0] > 1e-9
+    assert loewner_leq(a, b, tol=2e-9)
 
 
 def test_sqrt_diagonal():

@@ -144,16 +144,33 @@ GUARDS = {
         ValueError, "coefficient shape (2, 4) does not match point codomain (2, 1)"),
     "bounds_plain_from_cc": (
         lambda o: bounds_plain_from_cc(0.0, 1.0, o[0].pair.c),
-        ValueError, "bounds must be positive"),
+        ValueError, "bounds must be positive and finite"),
+    "bounds_plain_from_cc_nan": (
+        lambda o: bounds_plain_from_cc(np.nan, 1.0, o[0].pair.c),
+        ValueError, "bounds must be positive and finite"),
     "bounds_cc_from_plain": (
         lambda o: bounds_cc_from_plain(1.0, -1.0, o[0].pair.c),
-        ValueError, "bounds must be positive"),
+        ValueError, "bounds must be positive and finite"),
+    "bounds_cc_from_plain_inf": (
+        lambda o: bounds_cc_from_plain(1.0, np.inf, o[0].pair.c),
+        ValueError, "bounds must be positive and finite"),
     "empty_family": (
         lambda o: GFrameFamily(2, 2, ()),
         ValueError, "a family needs at least one point"),
     "check_sandwich_bounds": (
         lambda o: check_sandwich(o[0].family, 0.0, 1.0, 2, 0),
-        ValueError, "bounds must be positive"),
+        ValueError, "bounds must be positive and finite"),
+    # NaN bounds once reached the order check as non-finite matrix entries
+    "check_sandwich_nan_bound": (
+        lambda o: check_sandwich(o[0].family, np.nan, 1.0, 2, 0),
+        ValueError, "bounds must be positive and finite"),
+    # a seed outside 64 bits once wrapped round to another seed's vectors
+    "check_sandwich_negative_seed": (
+        lambda o: check_sandwich(o[0].family, 0.5, 2.0, 2, -1),
+        ValueError, "seed must be a 64-bit nonnegative integer, got -1"),
+    "check_sandwich_seed_over_64_bits": (
+        lambda o: check_sandwich(o[0].family, 0.5, 2.0, 2, 1 << 64),
+        ValueError, "seed must be a 64-bit nonnegative integer, got 18446744073709551616"),
     "check_sandwich_samples": (
         lambda o: check_sandwich(o[0].family, 0.5, 2.0, 0, 0),
         ValueError, "need at least one sample"),

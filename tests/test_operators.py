@@ -138,6 +138,9 @@ def test_energy_bound_identity_and_zero():
     x = random_vec(stream(11, 0), 2, 3)
     assert energy_bound_check(ModuleOperator.identity(2, 3), x)
     assert energy_bound_check(ModuleOperator.zero(2, 3, 2), x)
+    # a tight bound at 5e7, where b - a is a roundoff of -7.5e-9
+    assert energy_bound_check(ModuleOperator(1, 1, 1, [[1e4 * (0.6 + 0.8j)]]),
+                              ModuleVector(1, 1, [[0.1 + 0.7j]]))
 
 
 def test_energy_bound_random_batch():
@@ -178,6 +181,8 @@ def test_gram_sandwich_scalar_row_map():
     t = ModuleOperator(1, 2, 1, np.array([[1.0], [1.0]], dtype=np.complex128))
     # gram is the scalar 2; both bounds coincide there
     assert gram_sandwich_check(t)
+    # and the scalar 6.5e7, where they coincide only up to roundoff
+    assert gram_sandwich_check(ModuleOperator(1, 2, 1, [[1e3], [8e3j]]))
 
 
 def test_gram_sandwich_identity():
@@ -201,6 +206,20 @@ def test_gram_sandwich_random_surjective_batch():
             continue
         assert gram_sandwich_check(t)
         count += 1
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-14])
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_tight_scalar_bounds_hold_far_above_unit_scale(k, tol):
+    # For scalar maps both bounds are tight, so the difference they order
+    # is roundoff of size eps * |t|^2; it must be judged against the size
+    # of the compared quantities, not against its own size.
+    rng = stream(40 + k, 0)
+    for _ in range(50):
+        t = ModuleOperator(1, 1, 1, 10.0**k * complex_normal(rng, (1, 1)))
+        assert energy_bound_check(t, random_vec(rng, 1, 1), tol)
+        t = ModuleOperator(1, 2, 1, 10.0**k * complex_normal(rng, (2, 1)))
+        assert gram_sandwich_check(t, tol)
 
 
 def test_make_positive_invertible_identity():

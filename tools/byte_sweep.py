@@ -56,7 +56,16 @@ this script and runs ``gframes.cli.main`` in-process on:
   that the controlled operator's entries are subnormal;
 * the argument edge corpus: ``reconstruct --random`` with seeds -1 and
   2**64, and ``analyze``, ``generate`` and ``verify --batch`` of one spec
-  with ``--out`` in a directory that does not exist.
+  with ``--out`` in a directory that does not exist;
+* the library verdict corpus, called in-process, not through the CLI:
+  ``is_positive``, ``loewner_leq``, ``energy_bound_check``,
+  ``gram_sandwich_check`` and ``check_sandwich`` on ``LIBRARY_CASES``
+  cases each, drawn by ``np.random.default_rng(LIBRARY_SEED)`` at scales
+  10**k for k in [-8, 8] (see ``library_corpus``), each at the tolerances
+  ``LIBRARY_TOLS``.  ``OUT/library/verdicts.txt`` holds one ``predicate
+  tol index verdict`` line per case and tolerance, the verdict being
+  ``True``, ``False`` or the class name of the exception raised, so the
+  diff of two sweeps lists every library verdict that moves.
 
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``; a command that raises records the
@@ -86,6 +95,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gframes import (AlgebraElement, GFrameFamily, MeasurePoint,  # noqa: E402
+                     ModuleOperator, ModuleVector, check_sandwich,
+                     energy_bound_check, frame_operator, gram_sandwich_check,
+                     is_positive, loewner_leq)
 from gframes import serialization as ser  # noqa: E402
 from gframes.cli import main  # noqa: E402
 from gframes.verifier import default_batch  # noqa: E402
@@ -156,6 +169,17 @@ EDGE_TOKENS = {
 }
 
 
+# The library verdict corpus: cases per predicate, the tolerances each case
+# is decided at, and the seed of the ``default_rng`` that draws every case.
+LIBRARY_CASES = 300
+LIBRARY_TOLS = (1e-9, 1e-14, 1e-16)
+LIBRARY_SEED = 31
+
+# The predicates of the corpus, each called on one case's arguments and a tol.
+LIBRARY_PREDICATES = (is_positive, loewner_leq, energy_bound_check,
+                      gram_sandwich_check, check_sandwich)
+
+
 def run(name: str, args: list, out: str | None = None) -> None:
     """Run one command, with ``--out NAME/OUT`` when ``out`` is given, and
     keep its stdout, stderr and exit code under ``NAME``."""
@@ -205,6 +229,84 @@ def sweep() -> None:
         encoding="utf-8"))
     below_floor_sweep()
     argument_edge_sweep("generate_commuting_3x2x3/scenario.json")
+    library_sweep()
+
+
+def _normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _near_psd(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
+    """An n x n matrix of norm about ``s`` on the edge of positivity: its
+    smallest eigenvalue, and for half of them its anti-Hermitian part, lie
+    within a factor 2 of 10**-j * max(1, s) for j in {9, 14, 16}."""
+    q = np.linalg.qr(_normal(rng, (n, n)))[0]
+    lam = s * rng.uniform(0.5, 2.0, n)
+    edge = 10.0 ** -int(rng.choice((9, 14, 16))) * max(1.0, lam.max())
+    lam[0] = -rng.uniform(-1.0, 2.0) * edge
+    m = (q * lam) @ q.conj().T
+    if rng.random() < 0.5:
+        e = _normal(rng, (n, n))
+        e = e - e.conj().T
+        m = m + rng.uniform(0.0, 2.0) * edge * e / np.linalg.norm(e, 2)
+    return m
+
+
+def library_corpus() -> dict:
+    """``LIBRARY_CASES`` argument tuples per predicate of
+    ``LIBRARY_PREDICATES``, keyed by its name, each at a scale 10**k, k in
+    [-8, 8]: elements on the edge of positivity; pairs of an indefinite
+    Hermitian element and its sum with such a matrix, at independent
+    scales; operators with n, d, e <= 3, and vectors; operators with
+    e <= d; and families of up to three weighted points with n, d <= 2,
+    with the extreme eigenvalues of their frame operators as bounds, two
+    samples and the case index as seed."""
+    rng = np.random.default_rng(LIBRARY_SEED)
+
+    def scale() -> float:
+        return 10.0 ** int(rng.integers(-8, 9))
+
+    def operator(n: int, d: int, e: int) -> ModuleOperator:
+        return ModuleOperator(n, d, e, scale() * _normal(rng, (d * n, e * n)))
+
+    corpus = {f.__name__: [] for f in LIBRARY_PREDICATES}
+    for i in range(LIBRARY_CASES):
+        n, d = (int(v) for v in rng.integers(1, 4, 2))
+        corpus["is_positive"].append((AlgebraElement(_near_psd(rng, n, scale())),))
+        h = _normal(rng, (n, n))
+        a = scale() * (h + h.conj().T) / 2
+        corpus["loewner_leq"].append((AlgebraElement(a),
+                                      AlgebraElement(a + _near_psd(rng, n, scale()))))
+        x = ModuleVector(n, d, _normal(rng, (n, d * n)))
+        corpus["energy_bound_check"].append(
+            (operator(n, d, int(rng.integers(1, 4))), x))
+        corpus["gram_sandwich_check"].append(
+            (operator(n, d, int(rng.integers(1, d + 1))),))
+        n, d = (int(v) for v in rng.integers(1, 3, 2))
+        fam = GFrameFamily(n, d, tuple(
+            MeasurePoint(rng.uniform(0.5, 2.0), operator(n, d, int(rng.integers(1, d + 1))))
+            for _ in range(int(rng.integers(1, 4)))))
+        w = np.linalg.eigvalsh(frame_operator(fam).action)
+        corpus["check_sandwich"].append((fam, float(w[0]), float(w[-1]), 2, i))
+    return corpus
+
+
+def library_sweep() -> None:
+    """Write ``library/verdicts.txt``: one ``predicate tol index verdict``
+    line per case of ``library_corpus``, the verdict being ``True``,
+    ``False`` or the class name of the exception raised."""
+    lines = []
+    corpus = library_corpus()
+    for f in LIBRARY_PREDICATES:
+        for tol in LIBRARY_TOLS:
+            for i, args in enumerate(corpus[f.__name__]):
+                try:
+                    verdict = f(*args, tol)
+                except Exception as exc:
+                    verdict = type(exc).__name__
+                lines.append(f"{f.__name__} {tol!r} {i} {verdict}\n")
+    Path("library").mkdir()
+    Path("library/verdicts.txt").write_text("".join(lines), encoding="utf-8")
 
 
 def below_floor_sweep() -> None:
