@@ -186,13 +186,40 @@ def _parse(doc: str | bytes, source: str, lines: bool):
         raise SchemaError(source, f"integer longer than {sys.get_int_max_str_digits()} digits")
 
 
-def _load_json(path: str):
+def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise GFrameError(f"cannot read {path}: {exc.strerror or exc}")
-    return _parse(data, path, lines=True)
+
+
+def _load_json(path: str):
+    return _parse(_read(path), path, lines=True)
+
+
+# The last scenario built by ``_load_scenario``, as (file bytes, tol, scenario).
+_held = None
+
+
+def _load_scenario(path: str, tol: float = DEFAULT_TOL):
+    """The scenario in the file at ``path``, its pair certified at ``tol``.
+
+    A scenario is a function of the file's bytes and ``tol`` alone, and no
+    command changes it, so the last one built is kept and returned again
+    while both match.  The bytes are compared, not hashed, so a file of
+    another length costs one length check.  On a miss the kept scenario is
+    released before the file is parsed and built; a file that fails is
+    never kept.
+    """
+    global _held
+    data = _read(path)
+    if _held is not None and _held[1] == tol and _held[0] == data:
+        return _held[2]
+    _held = None
+    scenario = ser.scenario_from_obj(_parse(data, path, lines=True), tol)
+    _held = data, tol, scenario
+    return scenario
 
 
 @contextlib.contextmanager
@@ -229,7 +256,7 @@ def _condition(bounds):
 
 def cmd_analyze(args) -> int:
     tol = _resolve_tol(args.tol, DEFAULT_TOL)
-    scenario = ser.scenario_from_obj(_load_json(args.path), tol)
+    scenario = _load_scenario(args.path, tol)
     family, pair = scenario.family, scenario.pair
     commutation = pair.report_on(family)
     verdict = classify(family, tol)
@@ -321,7 +348,7 @@ def cmd_reconstruct(args) -> int:
     if args.random is not None and not 0 <= args.random < 1 << 64:
         raise GFrameError(f"--random must be a 64-bit nonnegative integer, "
                           f"got {args.random}")
-    scenario = ser.scenario_from_obj(_load_json(args.path))
+    scenario = _load_scenario(args.path)
     family = scenario.family
     if args.vector is not None:
         x = ser.vector_from_obj(_load_json(args.vector))
@@ -357,6 +384,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def main(argv=None) -> int:
+    global _held
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -364,6 +392,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     handler = {"analyze": cmd_analyze, "verify": cmd_verify,
                "generate": cmd_generate, "reconstruct": cmd_reconstruct}[args.command]
+    if args.command not in ("analyze", "reconstruct"):
+        _held = None  # no other command reads it, so it only takes memory
     # no command makes a reference cycle, so the cyclic collector would only
     # walk a scenario file's many small lists, and in a long-lived process
     # set off full collections over them; a caller's setting is kept

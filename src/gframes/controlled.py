@@ -252,13 +252,12 @@ def controlled_classify(scenario: ControlledScenario,
     relative threshold of ``classify`` and its default ``DEFAULT_TOL``.
 
     Witnesses carry the controlled extremes plus the plain family's upper
-    spectral edge, so both Bessel bounds are reported side by side.  Both
-    spectra come from one stacked ``eigvalsh``.
+    spectral edge, which the family keeps, so both Bessel bounds are
+    reported side by side.
     """
     _check_tol(tol)
-    plain, verdict = _verdicts((frame_operator(scenario.family),
-                                controlled_frame_operator(scenario)), tol)
-    verdict.witnesses["uncontrolled_bessel_bound"] = plain.witnesses["lambda_max"]
+    verdict = _verdict(controlled_frame_operator(scenario), tol)
+    verdict.witnesses["uncontrolled_bessel_bound"] = scenario.family._frame_spectrum[1]
     return verdict
 
 

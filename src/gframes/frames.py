@@ -6,7 +6,8 @@ the weighted sum of gram terms ``adjoint(lam) o lam``; the family is a frame
 exactly when that operator's spectrum is bounded away from zero, and the
 optimal bounds are its extreme eigenvalues.  It is built as ``L L^H`` from
 the family's weighted synthesis matrix ``L``; both are kept on the family,
-so every caller of ``frame_operator`` shares one build.
+and so are its extreme eigenvalues, so every caller of ``frame_operator``
+shares one build and every verdict on the family one decomposition.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ class GFrameFamily:
         d = self.module_rank
         return ModuleOperator(self.algebra_dim, d, d, l @ l.conj().T)
 
+    @cached_property
+    def _frame_spectrum(self) -> tuple[float, float]:
+        """The extreme eigenvalues of ``S``, taken on first use."""
+        return _extremes((self._frame_operator,))[0]
+
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -111,25 +117,32 @@ def frame_operator(family: GFrameFamily) -> ModuleOperator:
     return family._frame_operator
 
 
+def _extremes(ops) -> list[tuple[float, float]]:
+    """The smallest and largest eigenvalue of each operator in ``ops``, all
+    of one shape, from one ``eigvalsh`` over their stack.  LAPACK takes each
+    slice alone, so every value is the one-operator one."""
+    stack = np.stack([op.action for op in ops])
+    return [(float(w[0]), float(w[-1]))
+            for w in np.linalg.eigvalsh(_hermitian_part(stack))]
+
+
+def _verdict_from(lo: float, hi: float, tol: float) -> FrameVerdict:
+    """The verdict of a frame operator with extreme eigenvalues ``lo`` and
+    ``hi``: a frame when ``lo > tol * hi``, witnessed by both."""
+    wit = {"lambda_min": lo, "lambda_max": hi}
+    return (FrameVerdict(FRAME, FrameBounds(lo, hi), wit) if lo > tol * hi
+            else FrameVerdict(BESSEL_ONLY, None, wit))
+
+
 def _verdicts(ops, tol: float = DEFAULT_TOL) -> list[FrameVerdict]:
     """Frame / Bessel-only verdict of each frame operator in ``ops``, all of
-    one shape, from one ``eigvalsh`` over their stack: a frame when
-    ``lambda_min > tol * lambda_max``.  LAPACK takes each slice alone, so
-    every value is the one-operator one.  The threshold is relative, so
-    rescaling an operator leaves its verdict alone; its default,
-    ``DEFAULT_TOL``, is the one frame threshold of the library, the verifier
-    and every CLI command.  Each verdict's witnesses are the extreme
-    eigenvalues.
+    one shape, from the ``_extremes`` of their stack.  The threshold is
+    relative, so rescaling an operator leaves its verdict alone; its
+    default, ``DEFAULT_TOL``, is the one frame threshold of the library, the
+    verifier and every CLI command.
     """
     _check_tol(tol)
-    out = []
-    stack = np.stack([op.action for op in ops])
-    for w in np.linalg.eigvalsh(_hermitian_part(stack)):
-        lo, hi = float(w[0]), float(w[-1])
-        wit = {"lambda_min": lo, "lambda_max": hi}
-        out.append(FrameVerdict(FRAME, FrameBounds(lo, hi), wit) if lo > tol * hi
-                   else FrameVerdict(BESSEL_ONLY, None, wit))
-    return out
+    return [_verdict_from(lo, hi, tol) for lo, hi in _extremes(ops)]
 
 
 def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL) -> FrameVerdict:
@@ -140,7 +153,7 @@ def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL) -> FrameVerdict:
 def optimal_bounds(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; ``NotAFrame`` if the lower
     one does not clear ``tol`` (default ``DEFAULT_TOL``) times the upper one."""
-    verdict = _verdict(frame_operator(family), tol)
+    verdict = classify(family, tol)
     if verdict.bounds is None:
         raise NotAFrame(f"lower spectral edge {verdict.witnesses['lambda_min']:.3e} "
                         f"is not positive")
@@ -150,8 +163,9 @@ def optimal_bounds(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameBound
 def classify(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameVerdict:
     """Frame / Bessel-only verdict from the frame operator's spectrum: a
     frame when its smallest eigenvalue exceeds ``tol`` (default
-    ``DEFAULT_TOL``) times its largest."""
-    return _verdict(frame_operator(family), tol)
+    ``DEFAULT_TOL``) times its largest.  The family keeps both."""
+    _check_tol(tol)
+    return _verdict_from(*family._frame_spectrum, tol)
 
 
 def _energy(points, x: np.ndarray, y: np.ndarray) -> np.ndarray:

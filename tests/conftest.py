@@ -8,11 +8,19 @@ import orjson
 import pytest
 
 import gframes.algebra as algebra_mod
+import gframes.cli as cli_mod
 import gframes.controlled as controlled_mod
 import gframes.frames as frames_mod
 import gframes.operators as operators_mod
 from gframes.algebra import AlgebraElement
 from gframes.module_space import ModuleVector
+
+@pytest.fixture(autouse=True)
+def no_held_scenario(monkeypatch):
+    """Each test starts with no scenario held by the CLI, so no test reads
+    one that an earlier test built from a file of the same bytes."""
+    monkeypatch.setattr(cli_mod, "_held", None)
+
 
 # Counted library functions and the module that defines each.
 COUNTED = {

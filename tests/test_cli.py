@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ from gframes import (GeneratorSpec, ModuleVector, SchemaError,
                      controlled_classify, generate)
 from gframes import cli
 from gframes import serialization as ser
+from gframes.algebra import _hermitian_part
 from gframes.cli import main
 from gframes.errors import GFrameError
 from gframes.rng import complex_normal, stream
+from test_report_bytes import HANDWRITTEN
 
 COMMUTING_SPEC = '{"seed": 42, "n": 2, "d": 2, "m": 4, "flavor": "commuting"}'
 PARSEVAL_SPEC = '{"seed": 6, "n": 2, "d": 2, "m": 4, "flavor": "parseval"}'
@@ -119,20 +122,29 @@ def test_analyze_builds_the_plain_frame_operator_once(scen, tmp_path, calls):
         controlled_classify(sc, tol=1e-9).witnesses
 
 
-def test_analyze_takes_each_spectrum_once(scen, tmp_path, calls):
-    # classify takes S's spectrum; controlled_classify stacks S and Sc
-    assert main(["analyze", str(scen)]) == 0
-    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4), (2, 4, 4)]
+def test_analyze_takes_each_spectrum_once(tmp_path, calls):
+    # classify takes S's spectrum, which the family keeps, so
+    # controlled_classify takes Sc's alone; a held scenario has S's already
+    path = tmp_path / "s.json"
+    assert main(["generate", "--spec", '{"seed": 5, "n": 2, "d": 2, "m": 4, '
+                 '"flavor": "commuting"}', "--out", str(path)]) == 0
+    s = _hermitian_part(ser.scenario_from_obj(read(path)).family._frame_operator.action)
+
+    def decompositions_of_s():
+        return sum(np.array_equal(a, s) for stack in calls["eigvalsh"] for a in stack)
+
+    assert main(["analyze", str(path)]) == 0
+    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4), (1, 4, 4)]
+    assert decompositions_of_s() == 1
+    held = cli._held[2]
+    del calls["eigvalsh"][:]
+    assert main(["analyze", str(path)]) == 0
+    assert cli._held[2] is held
+    assert decompositions_of_s() == 0
 
 
 def test_analyze_takes_no_controlled_spectrum_without_certificate(tmp_path, calls):
-    # a control that commutes with no gram term of a generic family
-    obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
-                                                     flavor="generic")))
-    a = complex_normal(stream(11, 0), (4, 4))
-    obj["C"] = ser.matrix_to_obj(a @ a.conj().T + np.eye(4))
-    path = tmp_path / "noncommuting.json"
-    path.write_text(ser.dumps(obj))
+    path = scenario_file("noncommuting", tmp_path)
     out = tmp_path / "report.json"
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     assert read(out)["commutation"]["passed"] is False
@@ -767,7 +779,8 @@ def test_commands_create_no_reference_cycle(tmp_path, capsys):
         path = str(tmp_path / f"{fl}.json")
         commands += [(f"generate {fl}", ["generate", "--spec", spec, "--out", path]),
                      (f"analyze {fl}", ["analyze", path]),
-                     (f"reconstruct {fl}", ["reconstruct", path, "--random", "3"])]
+                     (f"reconstruct {fl}", ["reconstruct", path, "--random", "3"]),
+                     (f"reconstruct {fl} held", ["reconstruct", path, "--random", "3"])]
     commands.append(("analyze schema error", ["analyze", str(bad)]))
     gc.collect()
     gc.disable()
@@ -777,6 +790,133 @@ def test_commands_create_no_reference_cycle(tmp_path, capsys):
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------- held scenario
+
+
+def scenario_file(case, tmp_path) -> Path:
+    """A scenario file: a generated (3, 2, 3) file of a flavor, the
+    hand-written file, or a generic file whose control commutes with no
+    gram term, so that its certificate fails."""
+    path = tmp_path / f"{case}.json"
+    if case == "handwritten":
+        path.write_text(json.dumps(HANDWRITTEN))
+    elif case == "noncommuting":
+        obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
+                                                         flavor="generic")))
+        a = complex_normal(stream(11, 0), (4, 4))
+        obj["C"] = ser.matrix_to_obj(a @ a.conj().T + np.eye(4))
+        path.write_text(ser.dumps(obj))
+    else:
+        spec = json.dumps({"seed": 130 + FLAVORS.index(case), "n": 3, "d": 2,
+                           "m": 3, "flavor": case})
+        assert main(["generate", "--spec", spec, "--out", str(path)]) == 0
+    return path
+
+
+HELD_COMMANDS = (["analyze"], ["reconstruct", "--random", "3"],
+                 ["reconstruct", "--random", "3"], ["analyze", "--tol", "1e-18"],
+                 ["reconstruct", "--random", "5"])
+
+
+def run_captured(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", FLAVORS + ("handwritten", "noncommuting"))
+def test_held_scenario_gives_the_bytes_of_a_fresh_read(case, tmp_path, capsys,
+                                                       monkeypatch):
+    path = scenario_file(case, tmp_path)
+    argvs = [[argv[0], str(path), *argv[1:]] for argv in HELD_COMMANDS]
+    runs, scenarios = [], []
+    for argv in argvs:
+        runs.append(run_captured(argv, capsys))
+        scenarios.append(cli._held[2])
+    # the reconstructs after the first analyze take its scenario
+    assert scenarios[1] is scenarios[0] and scenarios[2] is scenarios[0]
+    for argv, run in zip(argvs, runs):
+        monkeypatch.setattr(cli, "_held", None)
+        assert run_captured(argv, capsys) == run, argv
+    codes = [code for code, _, _ in runs]
+    if case == "bessel_only":
+        # its lower spectral edge is small, not zero: a frame at tol 1e-18
+        assert codes == [2, 2, 2, 0, 2]
+    if case == "noncommuting":
+        assert codes == [0, 1, 1, 0, 1]
+        assert runs[2][2].startswith("gframes: error: commutation certificate "
+                                     "failed (worst relative commutator ")
+
+
+def one_digit_changed(text: str) -> str:
+    """``text`` with the first digit of its first weight changed, at the
+    same length."""
+    at = text.index('"weight": ') + len('"weight": ')
+    digit = text[at]
+    assert digit.isdigit()
+    return text[:at] + str((int(digit) + 1) % 9 + 1) + text[at + 1:]
+
+
+def test_held_scenario_follows_the_file_bytes_not_its_size_or_time(tmp_path, capsys,
+                                                                   monkeypatch):
+    path = scenario_file("commuting", tmp_path)
+    assert main(["analyze", str(path)]) == 0
+    before = capsys.readouterr().out
+    stat = path.stat()
+    text = one_digit_changed(path.read_text())
+    path.write_text(text)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+    assert main(["analyze", str(path)]) == 0
+    after = capsys.readouterr().out
+    assert after != before
+    monkeypatch.setattr(cli, "_held", None)
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == after
+
+
+def test_held_scenario_is_not_read_over_a_schema_error(tmp_path, capsys):
+    path = scenario_file("commuting", tmp_path)
+    assert main(["analyze", str(path)]) == 0
+    obj = read(path)
+    obj["points"][0]["weight"] = -1
+    path.write_text(json.dumps(obj))
+    for argv in (["analyze", str(path)], ["reconstruct", str(path), "--random", "3"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "gframes: schema error: points[0].weight")
+        assert cli._held is None
+
+
+def test_held_scenario_is_built_again_at_another_tol(tmp_path, capsys, monkeypatch):
+    path = scenario_file("commuting", tmp_path)
+    assert main(["analyze", str(path)]) == 0
+    held = cli._held[2]
+    monkeypatch.setenv("GFRAME_TOL", "1e-12")
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["commutation"]["tol"] == 1e-12
+    assert cli._held[2] is not held and cli._held[2].pair.tol == 1e-12
+
+
+@pytest.mark.parametrize("then", ["read another", "generate", "verify"])
+def test_held_scenario_is_released(then, tmp_path, capsys):
+    path = scenario_file("commuting", tmp_path)
+    assert main(["analyze", str(path)]) == 0
+    held = weakref.ref(cli._held[2])
+    if then == "read another":
+        argv = ["analyze", str(scenario_file("generic", tmp_path))]
+    elif then == "generate":
+        argv = ["generate", "--spec", COMMUTING_SPEC]
+    else:
+        argv = ["verify", "--batch", str(write_batch(tmp_path, SMALL_BATCH[:1]))]
+    assert main(argv) == 0
+    assert held() is None
 
 
 # ------------------------------------------------------------- JSON reader

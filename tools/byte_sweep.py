@@ -57,6 +57,16 @@ this script and runs ``gframes.cli.main`` in-process on:
 * the argument edge corpus: ``reconstruct --random`` with seeds -1 and
   2**64, and ``analyze``, ``generate`` and ``verify --batch`` of one spec
   with ``--out`` in a directory that does not exist;
+* the re-read corpus: the commuting (8, 4, 16) and the bessel_only
+  (3, 2, 3) scenarios, each through ``analyze``, ``reconstruct --random
+  3`` twice, ``analyze --tol 1e-18``, ``reconstruct --random 3`` and
+  ``analyze`` again, every output to its own ``--out`` file.  A process
+  keeps the last scenario file it read, so the first ``analyze`` builds
+  its scenario and the two ``reconstruct`` runs after it reuse it, while
+  the ``reconstruct`` after ``--tol 1e-18`` builds it again and the last
+  ``analyze`` reuses that build: each repeated run is in ``SAME_REPORTS``
+  with its first run, so a reused scenario must give the bytes of a
+  fresh read;
 * the library verdict corpus, called in-process, not through the CLI:
   ``is_positive``, ``loewner_leq``, ``energy_bound_check``,
   ``gram_sandwich_check`` and ``check_sandwich`` on ``LIBRARY_CASES``
@@ -71,7 +81,7 @@ Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``; a command that raises records the
 exception's type in ``exit``.  Paths are relative to ``OUT``, so no
 output names the directory.  The sweep exits 1, naming them, when two
-reports that must be byte-identical differ (``SAME_REPORTS``).
+runs whose outputs must be byte-identical differ (``SAME_REPORTS``).
 ``OUT/environment`` records the BLAS thread variables, which the sweep does
 not set: a threaded LAPACK SVD may move the last bit of a spectral norm, so
 compare two sweeps run under the same setting, as in
@@ -147,11 +157,31 @@ VERIFY_BATCHES = (
     ("mixed_m", MIXED_M_BATCH, (None, "1e-18")),
 )
 
-# Runs whose reports must be byte-identical: the verifier folds a batch's
-# outcomes back in batch order, so a reversed batch gives the forward report.
+# The scenarios of the re-read corpus, by the tag of their generate run.
+REREAD_TAGS = ("commuting_8x4x16", "bessel_only_3x2x3")
+
+# The re-read corpus's commands on one scenario, each run as
+# ``reread_TAG_NAME``.
+REREAD_COMMANDS = (
+    ("analyze", ["analyze"]),
+    ("reconstruct", ["reconstruct", "--random", "3"]),
+    ("reconstruct_again", ["reconstruct", "--random", "3"]),
+    ("analyze_1e-18", ["analyze", "--tol", "1e-18"]),
+    ("reconstruct_after_1e-18", ["reconstruct", "--random", "3"]),
+    ("analyze_again", ["analyze"]),
+)
+
+# Runs whose outputs must be byte-identical: the verifier folds a batch's
+# outcomes back in batch order, so a reversed batch gives the forward
+# report, and a scenario the process kept gives the output of a fresh read.
 SAME_REPORTS = (("verify_default_tol", "verify_default_reversed_tol"),
                 ("verify_default_1e-18", "verify_default_reversed_1e-18"),
-                ("verify_mixed_1e-18", "verify_mixed_reversed_1e-18"))
+                ("verify_mixed_1e-18", "verify_mixed_reversed_1e-18"),
+                *((f"reread_{tag}_{first}", f"reread_{tag}_{again}")
+                  for tag in REREAD_TAGS
+                  for first, again in (("reconstruct", "reconstruct_again"),
+                                       ("reconstruct", "reconstruct_after_1e-18"),
+                                       ("analyze", "analyze_again"))))
 
 # Number and string tokens the JSON reader must take exactly as ``json``
 # does: tokens only ``json`` accepts, numbers at the edges of the doubles and
@@ -228,6 +258,7 @@ def sweep() -> None:
     byte_edge_sweep(small, Path("generate_commuting_8x4x16/scenario.json").read_text(
         encoding="utf-8"))
     below_floor_sweep()
+    reread_sweep()
     argument_edge_sweep("generate_commuting_3x2x3/scenario.json")
     library_sweep()
 
@@ -324,6 +355,21 @@ def below_floor_sweep() -> None:
     run("reconstruct_below_floor", ["reconstruct", "below_floor.json", "--random", "3"])
 
 
+def reread_sweep() -> None:
+    """Run ``REREAD_COMMANDS`` in turn on each scenario of ``REREAD_TAGS``."""
+    for tag in REREAD_TAGS:
+        scen = f"generate_{tag}/scenario.json"
+        for name, (command, *flags) in REREAD_COMMANDS:
+            run(f"reread_{tag}_{name}", [command, scen, *flags], "report.json")
+
+
+def same_outputs(a: str, b: str) -> bool:
+    """Whether runs ``a`` and ``b`` wrote the same files with the same bytes."""
+    names = sorted(p.name for p in Path(a).iterdir())
+    return (names == sorted(p.name for p in Path(b).iterdir())
+            and all(Path(a, n).read_bytes() == Path(b, n).read_bytes() for n in names))
+
+
 def argument_edge_sweep(scenario: str) -> None:
     """Run the commands on arguments they must refuse: seeds outside 64 bits
     and an ``--out`` path whose directory is missing."""
@@ -407,10 +453,9 @@ def cli() -> int:
     os.chdir(out)
     record_environment()
     sweep()
-    differ = [(a, b) for a, b in SAME_REPORTS
-              if Path(a, "report.json").read_bytes() != Path(b, "report.json").read_bytes()]
+    differ = [(a, b) for a, b in SAME_REPORTS if not same_outputs(a, b)]
     for a, b in differ:
-        sys.stderr.write(f"byte_sweep: the reports of {a} and {b} differ\n")
+        sys.stderr.write(f"byte_sweep: the outputs of {a} and {b} differ\n")
     return 1 if differ else 0
 
 
