@@ -198,19 +198,26 @@ def _load_json(path: str):
     return _parse(_read(path), path, lines=True)
 
 
-# The last scenario built by ``_load_scenario``, as (file bytes, tol, scenario).
+# The last scenario built by ``_load_scenario`` or written by ``generate``,
+# as (file bytes, tol, scenario).
 _held = None
+
+
+def _hold(data: bytes, tol: float, scenario) -> None:
+    """Keep ``scenario`` as what a read of the bytes ``data`` at ``tol`` builds."""
+    global _held
+    _held = data, tol, scenario
 
 
 def _load_scenario(path: str, tol: float = DEFAULT_TOL):
     """The scenario in the file at ``path``, its pair certified at ``tol``.
 
     A scenario is a function of the file's bytes and ``tol`` alone, and no
-    command changes it, so the last one built is kept and returned again
-    while both match.  The bytes are compared, not hashed, so a file of
-    another length costs one length check.  On a miss the kept scenario is
-    released before the file is parsed and built; a file that fails is
-    never kept.
+    command changes it, so the last one built or written is kept and
+    returned again while both match.  The bytes are compared, not hashed,
+    so a file of another length costs one length check.  On a miss the kept
+    scenario is released before the file is parsed and built; a file that
+    fails is never kept.
     """
     global _held
     data = _read(path)
@@ -218,7 +225,7 @@ def _load_scenario(path: str, tol: float = DEFAULT_TOL):
         return _held[2]
     _held = None
     scenario = ser.scenario_from_obj(_parse(data, path, lines=True), tol)
-    _held = data, tol, scenario
+    _hold(data, tol, scenario)
     return scenario
 
 
@@ -233,13 +240,16 @@ def _report_file(out_path: str, mode: str = "w"):
         raise GFrameError(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
-def _write_report(obj, out_path: str | None) -> None:
+def _write_report(obj, out_path: str | None) -> str:
+    """Write ``obj``'s canonical text to ``out_path``, or to stdout when it
+    is None, and return that text."""
     text = ser.dumps(obj)
     if out_path is None:
         sys.stdout.write(text)
-        return
+        return text
     with _report_file(out_path) as fh:
         fh.write(text)
+    return text
 
 
 def _bounds_obj(bounds):
@@ -332,13 +342,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if suite_passed(results) else EXIT_CHECK_FAILED
 
 
+def _has_negative_zero(scenario) -> bool:
+    """Whether an entry of a matrix of ``scenario`` has a -0.0 part.
+
+    A read of a scenario's file rebuilds it bit for bit, but for this: the
+    emitter writes -0.0 as -0, which the reader takes for +0.0, and a
+    control equal to the identity up to the sign of its zeros is written as
+    ``"identity"``.  One scan of all the entries costs far less than a
+    search of the text.
+    """
+    mats = [p.lam.action for p in scenario.family.points]
+    mats += [scenario.pair.c.base.action, scenario.pair.cp.base.action]
+    parts = np.concatenate([m.reshape(-1) for m in mats]).view(np.float64)
+    return bool(np.signbit(parts[parts == 0]).any())
+
+
 def cmd_generate(args) -> int:
     raw = args.spec.strip()
     obj = (_parse(raw, "--spec", lines=False) if raw.startswith("{")
            else _load_json(args.spec))
     spec = ser.spec_from_obj(obj)
     scenario = generate(spec)
-    _write_report(ser.scenario_to_obj(scenario), args.out)
+    text = _write_report(ser.scenario_to_obj(scenario), args.out)
+    if args.out is not None and not _has_negative_zero(scenario):
+        _hold(text.encode(), scenario.pair.tol, scenario)
     return EXIT_OK
 
 
@@ -393,7 +420,9 @@ def main(argv=None) -> int:
     handler = {"analyze": cmd_analyze, "verify": cmd_verify,
                "generate": cmd_generate, "reconstruct": cmd_reconstruct}[args.command]
     if args.command not in ("analyze", "reconstruct"):
-        _held = None  # no other command reads it, so it only takes memory
+        # no other command reads it, so it only takes memory; a generate
+        # holds what it writes, once the entry read before it is released
+        _held = None
     # no command makes a reference cycle, so the cyclic collector would only
     # walk a scenario file's many small lists, and in a long-lived process
     # set off full collections over them; a caller's setting is kept

@@ -31,7 +31,8 @@ from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _psd_sqrt, _scale,
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
-                     _check_bounds, _verdict, _verdicts, frame_operator)
+                     _check_bounds, _extremes, _verdict_from, _verdicts,
+                     frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, _clears_floor, op_adjoint, op_norm)
@@ -117,7 +118,9 @@ class ControlPair:
 @dataclass(frozen=True, eq=False)
 class ControlledScenario:
     """A family together with a control pair, certified against this family
-    on first controlled use; ``ControlledScenario(other, pair)`` is safe."""
+    on first controlled use; ``ControlledScenario(other, pair)`` is safe.
+    The scenario keeps its controlled operator and that operator's extreme
+    eigenvalues, each taken on first use."""
 
     family: GFrameFamily
     pair: ControlPair
@@ -126,6 +129,26 @@ class ControlledScenario:
         f, c = self.family, self.pair.c.base
         if c.algebra_dim != f.algebra_dim or c.domain_rank != f.module_rank:
             raise ValueError("control shape does not match the family")
+
+    @cached_property
+    def _controlled_operator(self) -> ModuleOperator:
+        """``R S R``, or ``S`` for two identity controls, taken on the first
+        use that finds the certificate passed; read it through
+        ``controlled_frame_operator``."""
+        _require_certificate(self.family, self.pair)
+        s = frame_operator(self.family)
+        pair = self.pair
+        if pair.c.is_identity and pair.cp.is_identity:
+            return s
+        r = pair.product_sqrt.action
+        return ModuleOperator(s.algebra_dim, s.domain_rank, s.domain_rank,
+                              r @ s.action @ r)
+
+    @cached_property
+    def _controlled_spectrum(self) -> tuple[float, float]:
+        """The extreme eigenvalues of the controlled operator, taken on
+        first use."""
+        return _extremes((self._controlled_operator,))[0]
 
 
 # A Frobenius norm below this may have lost squares to underflow, so it
@@ -236,14 +259,9 @@ def _require_certificate(family: GFrameFamily, pair: ControlPair,
 def controlled_frame_operator(scenario: ControlledScenario) -> ModuleOperator:
     """``sum_w weight * c (gram_w) c'`` once the certificate passes, built as
     ``R S R`` for ``R = sqrt(c c')`` and ``S``, the family's frame operator;
-    ``S`` itself for two identity controls."""
-    _require_certificate(scenario.family, scenario.pair)
-    s = frame_operator(scenario.family)
-    pair = scenario.pair
-    if pair.c.is_identity and pair.cp.is_identity:
-        return s
-    r = pair.product_sqrt.action
-    return ModuleOperator(s.algebra_dim, s.domain_rank, s.domain_rank, r @ s.action @ r)
+    ``S`` itself for two identity controls; built once per scenario and
+    then kept, as are its extreme eigenvalues."""
+    return scenario._controlled_operator
 
 
 def controlled_classify(scenario: ControlledScenario,
@@ -256,7 +274,7 @@ def controlled_classify(scenario: ControlledScenario,
     reported side by side.
     """
     _check_tol(tol)
-    verdict = _verdict(controlled_frame_operator(scenario), tol)
+    verdict = _verdict_from(*scenario._controlled_spectrum, tol)
     verdict.witnesses["uncontrolled_bessel_bound"] = scenario.family._frame_spectrum[1]
     return verdict
 
@@ -339,7 +357,7 @@ def synthesis_norm_check(scenario: ControlledScenario,
     """Check the synthesis norm against the controlled upper bound:
     ``op_norm(synthesis) <= sqrt(lambda_max) + tol * scale``."""
     _check_tol(tol)
-    hi = _verdict(controlled_frame_operator(scenario)).witnesses["lambda_max"]
+    hi = scenario._controlled_spectrum[1]
     return _norm_bound(op_norm(synthesis_operator(scenario)), hi, tol)[0]
 
 
@@ -508,8 +526,7 @@ def reconstruct(scenario: ControlledScenario,
 
     Raises ``NotAFrame`` when the controlled verdict is not a frame.
     """
-    sc = controlled_frame_operator(scenario)
-    verdict = _verdict(sc)
+    verdict = _verdict_from(*scenario._controlled_spectrum, DEFAULT_TOL)
     if verdict.kind != FRAME:
         raise NotAFrame("reconstruction requires a controlled frame")
     # the round trip on flattened arrays: analysis, then synthesis
@@ -517,7 +534,7 @@ def reconstruct(scenario: ControlledScenario,
     # LAPACK's solve gives non-finite values on subnormal entries, so a
     # largest entry below 1/2 is lifted into [1/2, 1), and y with it, by one
     # power of two: that scaling is exact and moves no bit of the solution
-    s = sc.action
+    s = controlled_frame_operator(scenario).action
     k = max(0, -int(np.frexp(np.abs(s).max())[1]))
     if k:
         s, y = (np.ldexp(a.view(np.float64), k).view(np.complex128) for a in (s, y))

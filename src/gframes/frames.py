@@ -145,11 +145,6 @@ def _verdicts(ops, tol: float = DEFAULT_TOL) -> list[FrameVerdict]:
     return [_verdict_from(lo, hi, tol) for lo, hi in _extremes(ops)]
 
 
-def _verdict(op: ModuleOperator, tol: float = DEFAULT_TOL) -> FrameVerdict:
-    """``_verdicts`` of the one operator ``op``."""
-    return _verdicts((op,), tol)[0]
-
-
 def optimal_bounds(family: GFrameFamily, tol: float = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; ``NotAFrame`` if the lower
     one does not clear ``tol`` (default ``DEFAULT_TOL``) times the upper one."""

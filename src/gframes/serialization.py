@@ -284,11 +284,13 @@ def scenario_from_obj(obj, tol: float = DEFAULT_TOL) -> ControlledScenario:
                               f"{pp}.lambda", swept)
         points.append(MeasurePoint(weight, ModuleOperator(n, d, dw, mat)))
     family = GFrameFamily(n, d, tuple(points))
-    controls = []
+    # two identity controls are one object, as the generators build them
+    controls, eye = [], None
     for key in ("C", "Cprime"):
         v = _get(obj, key, "")
         if v == "identity":
-            controls.append(identity_control(n, d))
+            eye = eye or identity_control(n, d)
+            controls.append(eye)
         else:
             mat = matrix_from_obj(v, d * n, d * n, key, swept)
             controls.append(make_positive_invertible(ModuleOperator(n, d, d, mat)))

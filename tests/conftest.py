@@ -18,7 +18,7 @@ from gframes.module_space import ModuleVector
 @pytest.fixture(autouse=True)
 def no_held_scenario(monkeypatch):
     """Each test starts with no scenario held by the CLI, so no test reads
-    one that an earlier test built from a file of the same bytes."""
+    one that an earlier test built or wrote for a file of the same bytes."""
     monkeypatch.setattr(cli_mod, "_held", None)
 
 

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gframes import (GeneratorSpec, ModuleVector, SchemaError,
-                     controlled_classify, generate)
+from gframes import (ControlledScenario, ControlPair, GeneratorSpec,
+                     GFrameFamily, MeasurePoint, ModuleOperator, ModuleVector,
+                     SchemaError, controlled_classify, controlled_frame_operator,
+                     generate, make_positive_invertible)
 from gframes import cli
 from gframes import serialization as ser
 from gframes.algebra import _hermitian_part
@@ -141,6 +143,27 @@ def test_analyze_takes_each_spectrum_once(tmp_path, calls):
     assert main(["analyze", str(path)]) == 0
     assert cli._held[2] is held
     assert decompositions_of_s() == 0
+
+
+@pytest.mark.parametrize("source", ["fresh read", "written"])
+def test_analyze_and_reconstructs_take_one_controlled_spectrum(source, tmp_path, calls,
+                                                               monkeypatch):
+    # the scenario keeps the controlled operator and its extreme
+    # eigenvalues, so the reconstructs after analyze decompose nothing
+    path = tmp_path / "s.json"
+    assert main(["generate", "--spec", '{"seed": 5, "n": 2, "d": 2, "m": 4, '
+                 '"flavor": "commuting"}', "--out", str(path)]) == 0
+    if source == "fresh read":
+        monkeypatch.setattr(cli, "_held", None)
+    sc = ser.scenario_from_obj(read(path))
+    controlled = _hermitian_part(controlled_frame_operator(sc).action)
+    del calls["eigvalsh"][:]
+    assert main(["analyze", str(path)]) == 0
+    for _ in range(2):
+        assert main(["reconstruct", str(path), "--random", "3"]) == 0
+    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4), (1, 4, 4)]
+    assert sum(np.array_equal(a, controlled)
+               for stack in calls["eigvalsh"] for a in stack) == 1
 
 
 def test_analyze_takes_no_controlled_spectrum_without_certificate(tmp_path, calls):
@@ -778,7 +801,8 @@ def test_commands_create_no_reference_cycle(tmp_path, capsys):
     for fl, spec in specs.items():
         path = str(tmp_path / f"{fl}.json")
         commands += [(f"generate {fl}", ["generate", "--spec", spec, "--out", path]),
-                     (f"analyze {fl}", ["analyze", path]),
+                     (f"analyze {fl} held from generate", ["analyze", path]),
+                     (f"analyze {fl}", ["analyze", path, "--tol", "1e-12"]),
                      (f"reconstruct {fl}", ["reconstruct", path, "--random", "3"]),
                      (f"reconstruct {fl} held", ["reconstruct", path, "--random", "3"])]
     commands.append(("analyze schema error", ["analyze", str(bad)]))
@@ -904,6 +928,104 @@ def test_held_scenario_is_built_again_at_another_tol(tmp_path, capsys, monkeypat
     assert cli._held[2] is not held and cli._held[2].pair.tol == 1e-12
 
 
+@pytest.mark.parametrize("spectrum", [[0.5, 2.0], [1e-150, 1e150]])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 3)])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_generated_scenario_gives_the_bytes_of_a_fresh_read(flavor, shape, spectrum,
+                                                            tmp_path, capsys,
+                                                            monkeypatch):
+    n, d, m = shape
+    path = tmp_path / "s.json"
+    spec = json.dumps({"seed": 140 + FLAVORS.index(flavor), "n": n, "d": d, "m": m,
+                       "dw_range": [1, 3], "spectrum_range": spectrum,
+                       "flavor": flavor})
+    for argv in HELD_COMMANDS:
+        argv = [argv[0], str(path), *argv[1:]]
+        assert main(["generate", "--spec", spec, "--out", str(path)]) == 0
+        written = cli._held[2]
+        run = run_captured(argv, capsys)
+        # every command at the certificate tol of generate takes its scenario
+        assert (cli._held[2] is written) == ("--tol" not in argv), argv
+        monkeypatch.setattr(cli, "_held", None)
+        assert run_captured(argv, capsys) == run, argv
+
+
+def test_analyze_after_generate_parses_nothing(tmp_path, calls):
+    path = tmp_path / "s.json"
+    assert main(["generate", "--spec", COMMUTING_SPEC, "--out", str(path)]) == 0
+    written = cli._held[2]
+    assert cli._held[:2] == (path.read_bytes(), 1e-9)
+    del calls["orjson.loads"][:]
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls["orjson.loads"] == [] and calls["json.loads"] == []
+    assert cli._held[2] is written
+
+
+@pytest.mark.parametrize("where", ["real part", "imaginary part", "identity control"])
+def test_generated_scenario_with_a_negative_zero_is_not_held(where, tmp_path, capsys,
+                                                             monkeypatch):
+    # the emitter writes -0.0 as -0, which the reader takes for +0.0, and a
+    # control that is the identity up to the sign of a zero as "identity"
+    def generate_with_negative_zero(spec):
+        sc = generate(spec)
+        first, *rest = sc.family.points
+        action = first.lam.action.copy()
+        pair = sc.pair
+        if where == "identity control":
+            n, d = sc.family.algebra_dim, sc.family.module_rank
+            eye = np.eye(d * n, dtype=complex)
+            eye[0, 1] = complex(-0.0, 0.0)
+            k = make_positive_invertible(ModuleOperator(n, d, d, eye))
+            pair = ControlPair(k, k)
+        else:
+            action[0, 0] = (complex(-0.0, 1.0) if where == "real part"
+                            else complex(1.0, -0.0))
+        lam = ModuleOperator(first.lam.algebra_dim, first.lam.domain_rank,
+                             first.lam.codomain_rank, action)
+        family = GFrameFamily(sc.family.algebra_dim, sc.family.module_rank,
+                              (MeasurePoint(first.weight, lam), *rest))
+        return ControlledScenario(family, pair)
+
+    monkeypatch.setattr(cli, "generate", generate_with_negative_zero)
+    path = tmp_path / "s.json"
+    assert main(["generate", "--spec", COMMUTING_SPEC, "--out", str(path)]) == 0
+    text = path.read_text()
+    assert cli._held is None
+    assert main(["analyze", str(path)]) == 0
+    built = cli._held[2]
+    if where == "identity control":
+        assert text.count('"identity"') == 2
+        assert not np.signbit(built.pair.c.base.action[0, 1].real)
+    else:
+        assert ("[-0, 1]" if where == "real part" else "[1, -0]") in text
+        entry = built.family.points[0].lam.action[0, 0]
+        assert not np.signbit(entry.real if where == "real part" else entry.imag)
+
+
+@pytest.mark.parametrize("out", ["stdout", "missing directory"])
+def test_generate_holds_nothing_it_did_not_write(out, tmp_path, capsys):
+    path = scenario_file("commuting", tmp_path)
+    assert main(["analyze", str(path)]) == 0
+    argv = ["generate", "--spec", COMMUTING_SPEC]
+    if out == "stdout":
+        assert main(argv) == 0
+    else:
+        assert main(argv + ["--out", str(tmp_path / "missing" / "s.json")]) == 1
+    assert cli._held is None
+
+
+def test_generated_scenario_is_built_again_at_another_tol(tmp_path, capsys,
+                                                          monkeypatch):
+    path = tmp_path / "s.json"
+    monkeypatch.setenv("GFRAME_TOL", "1e-12")
+    assert main(["generate", "--spec", COMMUTING_SPEC, "--out", str(path)]) == 0
+    written = cli._held[2]
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["commutation"]["tol"] == 1e-12
+    assert cli._held[2] is not written and cli._held[2].pair.tol == 1e-12
+
+
 @pytest.mark.parametrize("then", ["read another", "generate", "verify"])
 def test_held_scenario_is_released(then, tmp_path, capsys):
     path = scenario_file("commuting", tmp_path)
@@ -979,16 +1101,25 @@ def test_parser_reads_numbers_as_json_does(calls):
     assert same_json(got, json.loads(text))
 
 
-def test_analyze_parses_its_file_once_with_orjson(scen, tmp_path, calls):
-    assert main(["analyze", str(scen), "--out", str(tmp_path / "r.json")]) == 0
+@pytest.fixture
+def unheld_scen(scen, monkeypatch):
+    """``scen`` with the scenario its ``generate`` wrote released, so that
+    the next read parses the file."""
+    monkeypatch.setattr(cli, "_held", None)
+    return scen
+
+
+def test_analyze_parses_its_file_once_with_orjson(unheld_scen, tmp_path, calls):
+    assert main(["analyze", str(unheld_scen), "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls["orjson.loads"]) == 1
     assert calls["json.loads"] == []
 
 
-def test_files_reach_orjson_as_bytes_and_inline_specs_as_text(scen, tmp_path, calls):
-    assert main(["reconstruct", str(scen), "--random", "1",
+def test_files_reach_orjson_as_bytes_and_inline_specs_as_text(unheld_scen, tmp_path,
+                                                               calls):
+    assert main(["reconstruct", str(unheld_scen), "--random", "1",
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert calls["orjson.loads"] == [scen.read_bytes()]
+    assert calls["orjson.loads"] == [unheld_scen.read_bytes()]
     assert main(["generate", "--spec", COMMUTING_SPEC,
                  "--out", str(tmp_path / "s.json")]) == 0
     assert [type(a) for a in calls["orjson.loads"]] == [bytes, str]
@@ -1149,12 +1280,13 @@ def test_brackets_in_strings_do_not_hide_the_nesting(tmp_path):
     assert proc.stderr.splitlines()[-1].startswith("RecursionError")
 
 
-def test_large_shallow_file_goes_to_orjson(tmp_path, calls):
+def test_large_shallow_file_goes_to_orjson(tmp_path, calls, monkeypatch):
     # each complex entry is a bracket pair, so this file holds far more
     # brackets than orjson can nest, at a depth of 5
     path = tmp_path / "large.json"
     assert main(["generate", "--spec", '{"seed": 7, "n": 8, "d": 8, "m": 128, '
                  '"flavor": "commuting"}', "--out", str(path)]) == 0
+    monkeypatch.setattr(cli, "_held", None)  # so that analyze parses the file
     assert path.read_bytes().count(b"[") > DEPTH
     del calls["orjson.loads"][:]
     assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 0

@@ -25,7 +25,7 @@ from gframes.controlled import (CommutationReport, TransferResult,
                                 _frobenius_passes)
 from gframes.errors import (CommutationViolated, GFrameError,
                             PreconditionViolated)
-from gframes.frames import _verdict
+from gframes.frames import _verdicts
 from gframes.generators import FLAVORS, GeneratorSpec
 from gframes.operators import SURJECTIVITY_TOL, is_bounded_below, op_adjoint
 from gframes.rng import complex_normal, stream
@@ -920,11 +920,24 @@ def test_reconstruct_builds_one_controlled_operator(calls):
     assert calls["frame_operator"] == [sc.family]
 
 
+def test_a_scenario_decomposes_its_controlled_operator_once(calls):
+    # the scenario keeps the controlled operator's extreme eigenvalues
+    sc = generate(GeneratorSpec(seed=171, n=2, d=2, m=5, flavor="commuting"))
+    v = controlled_classify(sc)
+    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4), (1, 4, 4)]
+    del calls["eigvalsh"][:]
+    assert synthesis_norm_check(sc)
+    result = reconstruct(sc, random_vec(stream(172, 0), 2, 2))
+    assert controlled_classify(sc, tol=1e-12).witnesses == v.witnesses
+    assert calls["eigvalsh"] == []
+    assert result.condition_number == v.bounds.upper / v.bounds.lower
+
+
 def reference_reconstruct(sc, x):
     """The round trip of ``reconstruct`` through one ``ModuleVector`` per
     point: ``xhat``'s flattened array, the error and the condition number."""
     s = controlled_frame_operator(sc)
-    verdict = _verdict(s)
+    verdict, = _verdicts((s,))
     if verdict.kind != FRAME:
         raise NotAFrame("not a frame")
     f = sc.family
@@ -1023,7 +1036,9 @@ def reference_adjoint(lam, gam, pair, tol):
 
 def reference_transfer(lam, gam, pair, tol=SURJECTIVITY_TOL):
     """Surjectivity transfer step by step, every operator built afresh."""
-    if _verdict(as_operator(lam, reference_controlled(lam, pair))).kind != FRAME:
+    v_lam, v_gam = _verdicts([as_operator(f, reference_controlled(f, pair))
+                              for f in (lam, gam)])
+    if v_lam.kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     adj = reference_cross(lam, gam, pair).conj().T
     ok, _ = is_bounded_below(as_operator(lam, adj), tol)
@@ -1032,8 +1047,7 @@ def reference_transfer(lam, gam, pair, tol=SURJECTIVITY_TOL):
     k = stacked(gam).conj().T @ pair.product_sqrt.action
     gram = k.conj().T @ k
     m = max(float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]), 0.0)
-    lo = _verdict(as_operator(gam, reference_controlled(gam, pair))
-                  ).witnesses["lambda_min"]
+    lo = v_gam.witnesses["lambda_min"]
     if lo < m - tol * max(1.0, m):
         raise ArithmeticError(
             f"derived bound {m:.6e} exceeds the spectral floor {lo:.6e}")

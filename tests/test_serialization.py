@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from gframes import (ControlledScenario, ControlPair, GeneratorSpec,
                      GFrameError, GFrameFamily, MeasurePoint, ModuleOperator,
-                     ModuleVector, SchemaError, generate, identity_control,
+                     ModuleVector, SchemaError, controlled_frame_operator,
+                     frame_operator, generate, identity_control,
                      make_positive_invertible)
 from gframes import serialization as ser
 from gframes.rng import complex_normal, stream
@@ -386,6 +387,38 @@ def test_scenario_explicit_controls_survive():
     back = ser.scenario_from_obj(obj)
     np.testing.assert_allclose(back.pair.c.base.action, sc.pair.c.base.action,
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("shape,dw_range", [((1, 1, 1), (1, 3)), ((3, 2, 3), (1, 3)),
+                                            ((8, 4, 16), (2, 2))])
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval", "bessel_only"])
+def test_scenario_read_back_is_the_generated_one_bit_for_bit(flavor, shape, dw_range):
+    # what lets the CLI hand the scenario generate wrote to the next read
+    n, d, m = shape
+    sc = generate(GeneratorSpec(seed=43, n=n, d=d, m=m, dw_range=dw_range,
+                                flavor=flavor))
+    back = ser.scenario_from_obj(orjson.loads(ser.dumps(ser.scenario_to_obj(sc))))
+
+    def bits(a):
+        return np.ascontiguousarray(a).tobytes()
+
+    assert len(back.family.points) == len(sc.family.points)
+    for p, q in zip(sc.family.points, back.family.points):
+        assert p.weight.hex() == q.weight.hex()
+        assert bits(p.lam.action) == bits(q.lam.action)
+    for k, kb in ((sc.pair.c, back.pair.c), (sc.pair.cp, back.pair.cp)):
+        assert bits(k.base.action) == bits(kb.base.action)
+        assert bits(k.inverse.action) == bits(kb.inverse.action)
+        assert [k.norm.hex(), k.inverse_norm.hex(), k.condition_number.hex()] == \
+            [kb.norm.hex(), kb.inverse_norm.hex(), kb.condition_number.hex()]
+    # two identity controls are one object either way
+    assert (back.pair.cp is back.pair.c) == (sc.pair.cp is sc.pair.c)
+    assert bits(back.pair.product_sqrt.action) == bits(sc.pair.product_sqrt.action)
+    assert bits(frame_operator(back.family).action) == bits(frame_operator(sc.family).action)
+    assert bits(controlled_frame_operator(back).action) == \
+        bits(controlled_frame_operator(sc).action)
+    # repr keeps the sign of a zero, which == does not
+    assert repr(back.pair.report_on(back.family)) == repr(sc.pair.report_on(sc.family))
 
 
 def test_scenario_schema_paths():

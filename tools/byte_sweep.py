@@ -31,7 +31,9 @@ this script and runs ``gframes.cli.main`` in-process on:
   different numbers of points;
 * ``generate``, ``analyze`` (to ``--out`` and to stdout), ``analyze --tol
   1e-18`` and ``reconstruct --random 3`` of one spec per flavor and shape
-  (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32);
+  (n, d, m) in (1, 1, 1), (3, 2, 3), (8, 4, 16), (8, 8, 32).  The two
+  ``analyze`` runs reuse the scenario ``generate`` wrote, so comparing
+  with a checkout that builds it from the file checks that reuse;
 * ``generate``, ``analyze`` and ``reconstruct --random 3`` of one commuting
   (8, 8, 128) spec, whose 6.5 MB file holds more brackets than orjson can
   nest, at a depth of 5;
@@ -60,13 +62,17 @@ this script and runs ``gframes.cli.main`` in-process on:
 * the re-read corpus: the commuting (8, 4, 16) and the bessel_only
   (3, 2, 3) scenarios, each through ``analyze``, ``reconstruct --random
   3`` twice, ``analyze --tol 1e-18``, ``reconstruct --random 3`` and
-  ``analyze`` again, every output to its own ``--out`` file.  A process
-  keeps the last scenario file it read, so the first ``analyze`` builds
-  its scenario and the two ``reconstruct`` runs after it reuse it, while
-  the ``reconstruct`` after ``--tol 1e-18`` builds it again and the last
-  ``analyze`` reuses that build: each repeated run is in ``SAME_REPORTS``
-  with its first run, so a reused scenario must give the bytes of a
-  fresh read;
+  ``analyze`` again, every output to its own ``--out`` file, and then
+  ``generate`` of the same spec to a new file and ``reconstruct --random
+  3`` of that file.  A process keeps the last scenario file it read or
+  generated, so the first ``analyze`` builds its scenario and the two
+  ``reconstruct`` runs after it reuse it, while the ``reconstruct`` after
+  ``--tol 1e-18`` builds it again, the last ``analyze`` reuses that build
+  and the last ``reconstruct`` reuses the scenario ``generate`` wrote:
+  each repeated run is in ``SAME_REPORTS`` with its first run, the last
+  ``reconstruct`` with the one after ``--tol 1e-18`` and the second
+  ``generate`` with the first, so a reused scenario must give the bytes
+  of a fresh read;
 * the library verdict corpus, called in-process, not through the CLI:
   ``is_positive``, ``loewner_leq``, ``energy_bound_check``,
   ``gram_sandwich_check`` and ``check_sandwich`` on ``LIBRARY_CASES``
@@ -157,8 +163,9 @@ VERIFY_BATCHES = (
     ("mixed_m", MIXED_M_BATCH, (None, "1e-18")),
 )
 
-# The scenarios of the re-read corpus, by the tag of their generate run.
-REREAD_TAGS = ("commuting_8x4x16", "bessel_only_3x2x3")
+# The scenarios of the re-read corpus, by flavor and shape.
+REREAD_SCENARIOS = (("commuting", (8, 4, 16)), ("bessel_only", (3, 2, 3)))
+REREAD_TAGS = tuple(f"{fl}_{n}x{d}x{m}" for fl, (n, d, m) in REREAD_SCENARIOS)
 
 # The re-read corpus's commands on one scenario, each run as
 # ``reread_TAG_NAME``.
@@ -173,7 +180,8 @@ REREAD_COMMANDS = (
 
 # Runs whose outputs must be byte-identical: the verifier folds a batch's
 # outcomes back in batch order, so a reversed batch gives the forward
-# report, and a scenario the process kept gives the output of a fresh read.
+# report, a scenario the process kept or wrote gives the output of a fresh
+# read, and equal specs give equal scenario files.
 SAME_REPORTS = (("verify_default_tol", "verify_default_reversed_tol"),
                 ("verify_default_1e-18", "verify_default_reversed_1e-18"),
                 ("verify_mixed_1e-18", "verify_mixed_reversed_1e-18"),
@@ -181,7 +189,10 @@ SAME_REPORTS = (("verify_default_tol", "verify_default_reversed_tol"),
                   for tag in REREAD_TAGS
                   for first, again in (("reconstruct", "reconstruct_again"),
                                        ("reconstruct", "reconstruct_after_1e-18"),
-                                       ("analyze", "analyze_again"))))
+                                       ("analyze", "analyze_again"),
+                                       ("reconstruct_after_1e-18",
+                                        "reconstruct_after_generate"))),
+                *((f"generate_{tag}", f"reread_{tag}_generate") for tag in REREAD_TAGS))
 
 # Number and string tokens the JSON reader must take exactly as ``json``
 # does: tokens only ``json`` accepts, numbers at the edges of the doubles and
@@ -208,6 +219,13 @@ LIBRARY_SEED = 31
 # The predicates of the corpus, each called on one case's arguments and a tol.
 LIBRARY_PREDICATES = (is_positive, loewner_leq, energy_bound_check,
                       gram_sandwich_check, check_sandwich)
+
+
+def shape_spec(flavor: str, shape) -> str:
+    """The spec text of the per-flavor-and-shape corpus."""
+    n, d, m = shape
+    return json.dumps({"seed": 950 + 4 * SHAPES.index(shape) + FLAVORS.index(flavor),
+                       "n": n, "d": d, "m": m, "flavor": flavor})
 
 
 def run(name: str, args: list, out: str | None = None) -> None:
@@ -237,11 +255,10 @@ def sweep() -> None:
         for tol in tols:
             run(f"verify_{name}_{tol or 'tol'}",
                 args + (["--tol", tol] if tol else []), "report.json")
-    for j, (n, d, m) in enumerate(SHAPES):
-        for i, fl in enumerate(FLAVORS):
+    for n, d, m in SHAPES:
+        for fl in FLAVORS:
             tag = f"{fl}_{n}x{d}x{m}"
-            spec = json.dumps({"seed": 950 + 4 * j + i, "n": n, "d": d, "m": m,
-                               "flavor": fl})
+            spec = shape_spec(fl, (n, d, m))
             run(f"generate_{tag}", ["generate", "--spec", spec], "scenario.json")
             scen = f"generate_{tag}/scenario.json"
             run(f"analyze_{tag}", ["analyze", scen], "report.json")
@@ -356,11 +373,18 @@ def below_floor_sweep() -> None:
 
 
 def reread_sweep() -> None:
-    """Run ``REREAD_COMMANDS`` in turn on each scenario of ``REREAD_TAGS``."""
-    for tag in REREAD_TAGS:
+    """Run ``REREAD_COMMANDS`` in turn on each scenario of
+    ``REREAD_SCENARIOS``, then generate it again and reconstruct from the
+    new file."""
+    for (fl, shape), tag in zip(REREAD_SCENARIOS, REREAD_TAGS):
         scen = f"generate_{tag}/scenario.json"
         for name, (command, *flags) in REREAD_COMMANDS:
             run(f"reread_{tag}_{name}", [command, scen, *flags], "report.json")
+        run(f"reread_{tag}_generate", ["generate", "--spec", shape_spec(fl, shape)],
+            "scenario.json")
+        run(f"reread_{tag}_reconstruct_after_generate",
+            ["reconstruct", f"reread_{tag}_generate/scenario.json", "--random", "3"],
+            "report.json")
 
 
 def same_outputs(a: str, b: str) -> bool:
