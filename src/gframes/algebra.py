@@ -5,7 +5,8 @@ kernels and the one relative scale, ``_scale``, that every module shares.
 The norm is the largest singular value, so the C*-identity
 ``alg_norm(a* a) == alg_norm(a)**2`` holds up to roundoff.  The order
 ``a <= b`` has one rule, ``_order_violations``, shared with the verifier:
-``-lambda_min(b - a)`` relative to ``max(1, norm(a), norm(b))``.
+``-lambda_min(b - a)`` relative to ``max(1, norm(a), norm(b))``, and by it
+``_sandwich`` decides every two-sided bound of the library and the verifier.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class AlgebraElement:
         arr = np.array(self.entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+        _finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -71,6 +71,12 @@ class AlgebraElement:
 def _check_same_dim(a: AlgebraElement, b: AlgebraElement) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def _finite(*arrays: np.ndarray, what: str = "matrix") -> None:
+    """Refuse arrays with an entry that is not finite, as every wrapper does."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} entries must be finite")
 
 
 def _check_tol(tol: float) -> None:
@@ -152,6 +158,31 @@ def _order_violations(a: np.ndarray, b: np.ndarray) -> list:
                                  finite[bad].tolist(), norms_a, norms_b):
         viol[i] = max(viol[i], -hb / _scale(na, nb) if fb else np.inf)
     return viol
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``x x^H`` for each matrix in a stack."""
+    return x @ x.conj().swapaxes(-1, -2)
+
+
+def _sandwich(lo, hi, xx: np.ndarray, val: np.ndarray) -> list:
+    """Violation of ``lo * xx <= val <= hi * xx`` for each case, the leading
+    axis of ``val``: the largest over its slices.  A bound holds one value
+    per case, or per case and slice, and broadcasts over the leading axes of
+    ``val``, as ``xx`` does.  A ``lo`` of None checks the upper side only; a
+    None entry of ``lo`` leaves its case's lower side exact zeros."""
+
+    def spread(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape + (1,) * (val.ndim - a.ndim))
+
+    upper = spread(np.asarray(hi, dtype=float)) * xx
+    if lo is None:
+        return _order_violations(val, upper)
+    has_lo = np.not_equal(lo, None)
+    lo_xx = spread(np.where(has_lo, lo, 0.0).astype(float)) * xx
+    return _order_violations(
+        np.stack((lo_xx, val), axis=1),
+        np.stack((np.where(spread(has_lo), val, 0.0), upper), axis=1))
 
 
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, alg_norm, alg_sqrt
+from .algebra import AlgebraElement, _finite, alg_norm, alg_sqrt
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +33,7 @@ class ModuleVector:
         arr = np.array(self.flat, dtype=np.complex128)
         if arr.shape != (n, d * n):
             raise ValueError(f"flat must have shape {(n, d * n)}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector entries must be finite")
+        _finite(arr, what="vector")
         arr.flags.writeable = False
         object.__setattr__(self, "flat", arr)
 

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, AlgebraElement, _check_tol, _hermitian_part,
-                      _hmin, _scale, _top_singular, loewner_leq, spectral_norm)
+from .algebra import (DEFAULT_TOL, _check_tol, _finite, _gram, _hermitian_part,
+                      _hmin, _sandwich, _top_singular, spectral_norm)
 from .errors import NotHermitian, NotPositiveDefinite, NotSurjective
-from .module_space import ModuleVector, inner
+from .module_space import ModuleVector
 
 # Relative threshold under which a smallest singular value counts as zero.
 SURJECTIVITY_TOL = 1e-8
@@ -40,8 +40,7 @@ class ModuleOperator:
         arr = np.array(self.action, dtype=np.complex128)
         if arr.shape != (d * n, e * n):
             raise ValueError(f"action must have shape {(d * n, e * n)}, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("action entries must be finite")
+        _finite(arr, what="action")
         arr.flags.writeable = False
         object.__setattr__(self, "action", arr)
 
@@ -89,33 +88,34 @@ def op_norm(t: ModuleOperator) -> float:
 def energy_bound_check(t: ModuleOperator, x: ModuleVector,
                        tol: float = DEFAULT_TOL) -> bool:
     """Check ``inner(t x, t x) <= op_norm(t)**2 * inner(x, x)`` in the
-    semidefinite order at ``tol``.  Holds for every adjointable operator."""
+    semidefinite order at ``tol`` by ``_sandwich``, as the verifier does, with
+    no separate Hermitian test.  Holds for every adjointable operator."""
     _check_tol(tol)
-    tx = op_apply(t, x)
-    bound = (op_norm(t) ** 2) * inner(x, x)
-    return loewner_leq(inner(tx, tx), bound, tol)
+    val = _gram(op_apply(t, x).flat)
+    hi, xx = op_norm(t) ** 2, _gram(x.flat)
+    _finite(hi * xx - val)
+    return _sandwich(None, hi, xx[None], val[None])[0] <= tol
 
 
 def is_bounded_below(t: ModuleOperator,
                      tol: float = SURJECTIVITY_TOL) -> tuple[bool, float]:
     """Smallest singular value of the action, seen from the domain side.
 
-    Returns ``(m > tol * max(1, sigma_max), m)``.  When the domain dimension
+    Returns ``(m > tol * sigma_max, m)``.  When the domain dimension
     exceeds the codomain dimension the map compresses and m is zero by
     convention (deficient directions count), which makes the boolean agree
     exactly with surjectivity of ``op_adjoint(t)``.
     """
     _check_tol(tol)
     s = np.linalg.svd(t.action, compute_uv=False)
-    top = float(s[0]) if s.size else 0.0
     m = 0.0 if t.action.shape[0] > t.action.shape[1] else float(s[-1])
-    return (_clears_floor(m, top, tol), m)
+    return (_clears_floor(m, float(s[0]), tol), m)
 
 
 def _clears_floor(m: float, top: float, tol: float) -> bool:
     """Whether ``m``, a smallest singular value, counts as nonzero next to
-    the largest, ``top``: ``m > tol * max(1, top)``."""
-    return m > tol * _scale(top)
+    the largest, ``top``: ``m > tol * top``, so a zero operator fails it."""
+    return m > tol * top
 
 
 def is_surjective(t: ModuleOperator, tol: float = SURJECTIVITY_TOL) -> bool:
@@ -126,19 +126,14 @@ def is_surjective(t: ModuleOperator, tol: float = SURJECTIVITY_TOL) -> bool:
 
 
 def gram_sandwich_check(t: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
-    """For surjective ``t``, check the two-sided bound on the Gram operator
-    ``g = t t*``: ``norm(g^-1)^-1 * id <= g <= op_norm(t)**2 * id``.
-
-    Raises ``NotSurjective`` when the precondition fails.
-    """
+    """For surjective ``t`` (else ``NotSurjective``), check by ``_sandwich``,
+    as the verifier does, with no separate Hermitian test, the two-sided bound
+    on ``g = t t*``: ``norm(g^-1)^-1 * id <= g <= op_norm(t)**2 * id``."""
     _check_tol(tol)
     if not is_surjective(t):
         raise NotSurjective("gram sandwich requires a surjective operator")
-    g = op_compose(t, op_adjoint(t))
-    gm = AlgebraElement(g.action)
-    lo, hi = float(_hmin(g.action)), float(op_norm(t) ** 2)
-    eye = AlgebraElement.identity(g.action.shape[0])
-    return loewner_leq(lo * eye, gm, tol) and loewner_leq(gm, hi * eye, tol)
+    g = op_compose(t, op_adjoint(t)).action
+    return _sandwich(_hmin(g), op_norm(t) ** 2, np.eye(len(g)), g[None])[0] <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +165,7 @@ def make_positive_invertible(m: ModuleOperator,
                              tol: float = DEFAULT_TOL) -> PositiveInvertibleOperator:
     """Certify ``m`` Hermitian positive definite and cache its inverse.
 
-    Hermitian within ``tol * max(1, norm)`` (else ``NotHermitian``); smallest
+    Hermitian within ``tol * norm`` (else ``NotHermitian``); smallest
     eigenvalue > ``tol * norm`` (else ``NotPositiveDefinite``).
     """
     if not m.is_square:
@@ -179,7 +174,7 @@ def make_positive_invertible(m: ModuleOperator,
     a = m.action
     # op_norm(m) and the asymmetry's norm, from one stacked SVD
     nrm, asym = _top_singular(np.stack((a, a - a.conj().T)))
-    if asym > tol * _scale(nrm):
+    if asym > tol * nrm:
         raise NotHermitian(f"operator is not Hermitian within tol={tol}")
     w, v = np.linalg.eigh(_hermitian_part(a))
     lo, hi = float(w[0]), float(w[-1])

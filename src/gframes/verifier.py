@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _order_violations,
-                      _per_shape, _scale, _top_singular, spectral_norm)
+from .algebra import (DEFAULT_TOL, _check_tol, _gram, _hmin, _per_shape,
+                      _sandwich, _scale, _top_singular, spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _check_same_measure, _norm_bound,
                          _require_certificate, _transfer,
@@ -93,31 +93,6 @@ def _sample_vectors(rng: np.random.Generator, seeds, n: int, d: int,
     z = np.stack([_rekey(rng, seed, _CHECK_STREAM + offset).standard_normal(
         (count, 2, n, d * n)) for seed in seeds])
     return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    """``x x^H`` for each matrix in a stack."""
-    return x @ x.conj().swapaxes(-1, -2)
-
-
-def _sandwich(lo, hi, xx: np.ndarray, val: np.ndarray) -> list:
-    """Violation of ``lo * xx <= val <= hi * xx`` for each case, the leading
-    axis of ``val``: the largest over its slices.  A bound holds one value
-    per case, or per case and slice, and broadcasts over the leading axes of
-    ``val``, as ``xx`` does.  A ``lo`` of None checks the upper side only; a
-    None entry of ``lo`` leaves its case's lower side exact zeros."""
-
-    def spread(a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape + (1,) * (val.ndim - a.ndim))
-
-    upper = spread(np.asarray(hi, dtype=float)) * xx
-    if lo is None:
-        return _order_violations(val, upper)
-    has_lo = np.not_equal(lo, None)
-    lo_xx = spread(np.where(has_lo, lo, 0.0).astype(float)) * xx
-    return _order_violations(
-        np.stack((lo_xx, val), axis=1),
-        np.stack((np.where(spread(has_lo), val, 0.0), upper), axis=1))
 
 
 @dataclass

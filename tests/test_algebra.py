@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from gframes import (AlgebraElement, NotPositive, alg_adjoint, alg_norm,
                      alg_sqrt, is_positive, loewner_leq)
-from gframes.algebra import _per_shape, _top_singular, spectral_norm
+from gframes.algebra import (_order_violations, _per_shape, _top_singular,
+                             spectral_norm)
 from gframes.generators import _unitaries
 from gframes.rng import complex_normal, stream
-from gframes.verifier import _order_violations
 
 TOL = 1e-10
 

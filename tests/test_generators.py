@@ -166,9 +166,6 @@ def test_spectrum_floor_is_the_lowest_verifiable_end(flavor):
     assert suite_passed(run_suite(specs))
 
 
-@pytest.mark.xfail(strict=True, reason="the surjectivity floor is absolute "
-                   "(roadmap item 3): sigma_min is held to tol * max(1, "
-                   "sigma_max), which the tiny mixed operator cannot clear")
 def test_controls_at_the_spectrum_floor_keep_the_surjectivity_transfer():
     spec = GeneratorSpec(seed=0, n=2, d=2, m=4, flavor="commuting",
                          spectrum_range=(SPECTRUM_FLOOR, 2 * SPECTRUM_FLOOR))

@@ -195,17 +195,29 @@ def test_gram_sandwich_requires_surjective():
         gram_sandwich_check(t)
 
 
-def test_gram_sandwich_random_surjective_batch():
+def surjective_batch(count=500):
+    """The first ``count`` surjective operators of stream 16 with n = 2."""
     rng = stream(16, 0)
-    count = 0
-    while count < 500:
+    while count:
         d = int(rng.integers(1, 4))
         e = int(rng.integers(1, d + 1))
         t = random_op(rng, 2, d, e)
-        if not is_surjective(t):
-            continue
+        if is_surjective(t):
+            count -= 1
+            yield t
+
+
+def test_gram_sandwich_random_surjective_batch():
+    for t in surjective_batch():
         assert gram_sandwich_check(t)
-        count += 1
+
+
+def test_gram_sandwich_holds_on_the_surjective_batch_scaled_down():
+    # The surjectivity floor is relative, so scaling by 1e-8 leaves every
+    # operator surjective; an absolute floor refused 337 of the 500.
+    for t in surjective_batch():
+        assert gram_sandwich_check(ModuleOperator(2, t.domain_rank, t.codomain_rank,
+                                                  1e-8 * t.action))
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-14])
@@ -249,6 +261,16 @@ def test_make_positive_invertible_rejects_non_hermitian():
                                          dtype=np.complex128))
     with pytest.raises(NotHermitian):
         make_positive_invertible(t)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9])
+def test_make_positive_invertible_rejects_non_hermitian_at_any_scale(scale):
+    # The Hermitian test is relative: an absolute floor accepted this
+    # matrix at scale 1e-9.
+    m = np.diag([1.0, 2.0])
+    m[0, 1] = 0.3
+    with pytest.raises(NotHermitian):
+        make_positive_invertible(ModuleOperator(1, 2, 2, scale * m))
 
 
 def test_make_positive_invertible_rejects_singular():

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from gframes import (CHECKS, GeneratorSpec, default_batch, generate,
                      generate_pair, op_norm, run_suite, suite_passed,
                      surjectivity_transfer)
-from gframes.algebra import _per_shape, _top_singular, spectral_norm
+from gframes.algebra import (_hmin, _order_violations, _per_shape, _sandwich,
+                             _top_singular, spectral_norm)
 from gframes.rng import _rekey, complex_normal, stream
-from gframes import controlled, verifier
+from gframes import algebra, controlled, verifier
 from gframes import serialization as ser
 from gframes.controlled import ControlledScenario, ControlPair, controlled_classify
 from gframes.errors import CommutationViolated, MeasureMismatch
@@ -23,8 +24,7 @@ from gframes.frames import (FRAME, GFrameFamily, MeasurePoint, classify,
 from gframes.module_space import ModuleVector, inner
 from gframes.operators import (ModuleOperator, identity_control,
                                make_positive_invertible)
-from gframes.verifier import (EMPIRICAL_CHECKS, _hmin, _order_violations,
-                              _sandwich)
+from gframes.verifier import EMPIRICAL_CHECKS
 
 from test_report_bytes import HANDWRITTEN
 
@@ -560,7 +560,7 @@ def test_default_batch_eigh_count(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
                             counting(seen[name], getattr(np.linalg, name)))
-    monkeypatch.setattr(verifier, "_order_violations",
+    monkeypatch.setattr(algebra, "_order_violations",
                         counting(seen["order"], _order_violations))
     run_suite(default_batch())
     assert {name: len(log) for name, log in seen.items()} == \

@@ -76,12 +76,17 @@ this script and runs ``gframes.cli.main`` in-process on:
 * the library verdict corpus, called in-process, not through the CLI:
   ``is_positive``, ``loewner_leq``, ``energy_bound_check``,
   ``gram_sandwich_check`` and ``check_sandwich`` on ``LIBRARY_CASES``
-  cases each, drawn by ``np.random.default_rng(LIBRARY_SEED)`` at scales
-  10**k for k in [-8, 8] (see ``library_corpus``), each at the tolerances
+  cases each, drawn by ``np.random.default_rng(LIBRARY_SEED)``, and
+  ``make_positive_invertible`` on near-Hermitian controls and
+  ``is_surjective`` on operators with a small smallest singular value,
+  ``LIBRARY_CASES`` each, drawn by their own
+  ``np.random.default_rng(CERTIFICATE_SEED)``, all at scales 10**k for k in
+  [-8, 8] (see ``library_corpus``), each at the tolerances
   ``LIBRARY_TOLS``.  ``OUT/library/verdicts.txt`` holds one ``predicate
   tol index verdict`` line per case and tolerance, the verdict being
-  ``True``, ``False`` or the class name of the exception raised, so the
-  diff of two sweeps lists every library verdict that moves.
+  ``True``, ``False`` or the class name of the exception raised (a control
+  that ``make_positive_invertible`` certifies reads ``True``), so the diff
+  of two sweeps lists every library verdict that moves.
 
 Each command writes ``OUT/NAME/``: ``stdout``, ``stderr``, ``exit`` and the
 file it was given with ``--out``; a command that raises records the
@@ -112,9 +117,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gframes import (AlgebraElement, GFrameFamily, MeasurePoint,  # noqa: E402
-                     ModuleOperator, ModuleVector, check_sandwich,
-                     energy_bound_check, frame_operator, gram_sandwich_check,
-                     is_positive, loewner_leq)
+                     ModuleOperator, ModuleVector, PositiveInvertibleOperator,
+                     check_sandwich, energy_bound_check, frame_operator,
+                     gram_sandwich_check, is_positive, is_surjective,
+                     loewner_leq, make_positive_invertible)
 from gframes import serialization as ser  # noqa: E402
 from gframes.cli import main  # noqa: E402
 from gframes.verifier import default_batch  # noqa: E402
@@ -211,14 +217,18 @@ EDGE_TOKENS = {
 
 
 # The library verdict corpus: cases per predicate, the tolerances each case
-# is decided at, and the seed of the ``default_rng`` that draws every case.
+# is decided at, the seed of the ``default_rng`` that draws the order cases
+# and the seed of the one that draws the certificate cases, so adding the
+# latter left the draws of the former alone.
 LIBRARY_CASES = 300
 LIBRARY_TOLS = (1e-9, 1e-14, 1e-16)
 LIBRARY_SEED = 31
+CERTIFICATE_SEED = 32
 
 # The predicates of the corpus, each called on one case's arguments and a tol.
 LIBRARY_PREDICATES = (is_positive, loewner_leq, energy_bound_check,
-                      gram_sandwich_check, check_sandwich)
+                      gram_sandwich_check, check_sandwich,
+                      make_positive_invertible, is_surjective)
 
 
 def shape_spec(flavor: str, shape) -> str:
@@ -284,11 +294,15 @@ def _normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.linalg.qr(_normal(rng, (n, n)))[0]
+
+
 def _near_psd(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
     """An n x n matrix of norm about ``s`` on the edge of positivity: its
     smallest eigenvalue, and for half of them its anti-Hermitian part, lie
     within a factor 2 of 10**-j * max(1, s) for j in {9, 14, 16}."""
-    q = np.linalg.qr(_normal(rng, (n, n)))[0]
+    q = _unitary(rng, n)
     lam = s * rng.uniform(0.5, 2.0, n)
     edge = 10.0 ** -int(rng.choice((9, 14, 16))) * max(1.0, lam.max())
     lam[0] = -rng.uniform(-1.0, 2.0) * edge
@@ -300,6 +314,28 @@ def _near_psd(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
     return m
 
 
+def _near_hermitian(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
+    """A positive definite n x n matrix with eigenvalues in s * [0.5, 2] plus
+    an anti-Hermitian part of norm within a factor 2 of 10**-j * s, for j in
+    {9, 14, 16}."""
+    q = _unitary(rng, n)
+    m = (q * (s * rng.uniform(0.5, 2.0, n))) @ q.conj().T
+    e = _normal(rng, (n, n))
+    e = e - e.conj().T
+    edge = 10.0 ** -int(rng.choice((9, 14, 16))) * s
+    return m + rng.uniform(0.5, 2.0) * edge * e / np.linalg.norm(e, 2)
+
+
+def _near_deficient(rng: np.random.Generator, rows: int, cols: int,
+                    s: float) -> np.ndarray:
+    """A rows x cols matrix with singular values in s * [0.5, 2] but the
+    smallest, which lies within a factor 2 of 10**-j * s for j in {9, 14, 16}."""
+    r = min(rows, cols)
+    sv = s * rng.uniform(0.5, 2.0, r)
+    sv[-1] = 10.0 ** -int(rng.choice((9, 14, 16))) * s * rng.uniform(0.5, 2.0)
+    return (_unitary(rng, rows)[:, :r] * sv) @ _unitary(rng, cols)[:, :r].conj().T
+
+
 def library_corpus() -> dict:
     """``LIBRARY_CASES`` argument tuples per predicate of
     ``LIBRARY_PREDICATES``, keyed by its name, each at a scale 10**k, k in
@@ -308,7 +344,9 @@ def library_corpus() -> dict:
     scales; operators with n, d, e <= 3, and vectors; operators with
     e <= d; and families of up to three weighted points with n, d <= 2,
     with the extreme eigenvalues of their frame operators as bounds, two
-    samples and the case index as seed."""
+    samples and the case index as seed.  Then, from a generator seeded with
+    ``CERTIFICATE_SEED``: near-Hermitian controls and operators on the edge
+    of surjectivity, with n, d, e <= 3."""
     rng = np.random.default_rng(LIBRARY_SEED)
 
     def scale() -> float:
@@ -336,13 +374,21 @@ def library_corpus() -> dict:
             for _ in range(int(rng.integers(1, 4)))))
         w = np.linalg.eigvalsh(frame_operator(fam).action)
         corpus["check_sandwich"].append((fam, float(w[0]), float(w[-1]), 2, i))
+    rng = np.random.default_rng(CERTIFICATE_SEED)
+    for _ in range(LIBRARY_CASES):
+        n, d, e = (int(v) for v in rng.integers(1, 4, 3))
+        corpus["make_positive_invertible"].append(
+            (ModuleOperator(n, d, d, _near_hermitian(rng, d * n, scale())),))
+        corpus["is_surjective"].append(
+            (ModuleOperator(n, d, e, _near_deficient(rng, d * n, e * n, scale())),))
     return corpus
 
 
 def library_sweep() -> None:
     """Write ``library/verdicts.txt``: one ``predicate tol index verdict``
     line per case of ``library_corpus``, the verdict being ``True``,
-    ``False`` or the class name of the exception raised."""
+    ``False`` or the class name of the exception raised; a certified
+    control counts as ``True``."""
     lines = []
     corpus = library_corpus()
     for f in LIBRARY_PREDICATES:
@@ -352,6 +398,8 @@ def library_sweep() -> None:
                     verdict = f(*args, tol)
                 except Exception as exc:
                     verdict = type(exc).__name__
+                if isinstance(verdict, PositiveInvertibleOperator):
+                    verdict = True
                 lines.append(f"{f.__name__} {tol!r} {i} {verdict}\n")
     Path("library").mkdir()
     Path("library/verdicts.txt").write_text("".join(lines), encoding="utf-8")
