@@ -1,6 +1,7 @@
 """Matrix *-algebra layer: adjoints, positivity, the semidefinite order,
 square roots and norms of square complex matrices, and the spectral
-kernels and the one relative scale, ``_scale``, that every module shares.
+kernels and the two relative scales every module shares: ``_scale``,
+absolute below unit scale, and ``_rel``, relative at every scale.
 
 The norm is the largest singular value, so the C*-identity
 ``alg_norm(a* a) == alg_norm(a)**2`` holds up to roundoff.  The order
@@ -11,6 +12,7 @@ The norm is the largest singular value, so the C*-identity
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +88,15 @@ def _check_tol(tol: float) -> None:
 
 
 def _scale(*norms: float) -> float:
-    """``max(1, *norms)``: what every relative tolerance is scaled by."""
+    """``max(1, *norms)``: what a relative tolerance is scaled by where a
+    rule is absolute below unit scale."""
     return max(1.0, *norms)
+
+
+def _rel(*norms: float) -> float:
+    """``max(tiny, *norms)``, tiny the smallest normal double: the scale of
+    a rule that is relative at every scale."""
+    return max(sys.float_info.min, *norms)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

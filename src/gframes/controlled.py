@@ -26,13 +26,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _psd_sqrt, _scale,
-                      spectral_norm)
+from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _psd_sqrt, _rel,
+                      _scale, spectral_norm)
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
-                     _check_bounds, _extremes, _verdict_from, _verdicts,
-                     frame_operator)
+                     _check_bounds, _extremes, _verdict_from, frame_operator)
 from .module_space import ModuleVector, vec_norm
 from .operators import (ModuleOperator, PositiveInvertibleOperator,
                         SURJECTIVITY_TOL, _clears_floor, op_adjoint, op_norm)
@@ -171,7 +170,7 @@ def _frobenius_passes(c: PositiveInvertibleOperator, x: np.ndarray,
     fro = math.sqrt(np.vdot(x, x).real)
     if fro == 0.0:
         return not x.any()
-    return (_FROBENIUS_FLOOR <= fro <= 0.5 * tol * _scale(c.norm * lo_b)
+    return (_FROBENIUS_FLOOR <= fro <= 0.5 * tol * _rel(c.norm * lo_b)
             and fro < math.inf)
 
 
@@ -180,7 +179,7 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
                           tol: float = 0.0) -> Iterator[float]:
     """Yield every relative commutator the controlled formulas rely on, in
     report order: ``[c, cp]``, then ``[c, gram_w]`` and ``[cp, gram_w]`` for
-    each point ``w``, each ``norm([k, b]) / max(1, norm(k) * norm(b))``.
+    each point ``w``, each ``norm([k, b]) / _rel(norm(k) * norm(b))``.
 
     A commutator that ``_frobenius_passes`` at ``tol`` yields 0.0 and takes
     no SVD (the lower bound there is ``norm(cp)`` for ``[c, cp]`` and a gram
@@ -201,7 +200,7 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
     ca, cpa = c.base.action, cp.base.action
     x = ca @ cpa - cpa @ ca
     yield (0.0 if _frobenius_passes(c, x, cp.norm, tol)
-           else spectral_norm(x) / _scale(c.norm * cp.norm))
+           else spectral_norm(x) / _rel(c.norm * cp.norm))
     for p in family.points:
         l = p.lam.action
         gram = l @ l.conj().T
@@ -214,7 +213,7 @@ def _relative_commutators(family: GFrameFamily, c: PositiveInvertibleOperator,
             if not _frobenius_passes(k, x, g_lo, tol):
                 if ng is None:
                     ng = spectral_norm(gram)
-                r = spectral_norm(x) / _scale(k.norm * ng)
+                r = spectral_norm(x) / _rel(k.norm * ng)
             yield r
 
 
@@ -417,16 +416,16 @@ def cross_adjoint_resolve(lam: GFrameFamily, gam: GFrameFamily,
     not guarantee.  Both residuals are reported rather than picking one.
     """
     _check_tol(tol)
-    adj = op_adjoint(cross_operator(lam, gam, pair))
-    return adj, _adjoint_diagnostics([(adj.action, lam, gam, pair)], tol)[0]
+    cross = cross_operator(lam, gam, pair)
+    return op_adjoint(cross), _adjoint_diagnostics([(cross, lam, gam, pair)], tol)[0]
 
 
 def _adjoint_diagnostics(cases, tol: float = ADJOINT_TOL) -> list:
-    """``cross_adjoint_resolve``'s diagnostic of each ``(adj, lam, gam,
-    pair)``, ``adj`` the action of the true adjoint of the cross operator of
-    ``lam`` against ``gam`` under ``pair``, all over one module: the adjoints'
-    extreme singular values and both differences' norms, from one stacked SVD."""
-    a = np.stack([adj for adj, _, _, _ in cases])
+    """``cross_adjoint_resolve``'s diagnostic of each ``(cross, lam, gam,
+    pair)``, ``cross`` the cross operator of ``lam`` against ``gam`` under
+    ``pair``, all over one module: the adjoints' extreme singular values and
+    both differences' norms, from one stacked SVD."""
+    a = np.stack([cross.action for cross, *_ in cases]).conj().swapaxes(-1, -2)
     mixed = np.stack([gam.synthesis_matrix @ lam.synthesis_matrix.conj().T
                       for _, lam, gam, _ in cases])
     ca = np.stack([pair.c.base.action for *_, pair in cases])
@@ -480,13 +479,11 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     or ``CommutationViolated`` from the certificate.
     """
     _check_tol(tol)
-    _, diag = cross_adjoint_resolve(lam, gam, pair)
+    diag, = _adjoint_diagnostics([(cross_operator(lam, gam, pair), lam, gam, pair)])
     scen_lam, scen_gam = ControlledScenario(lam, pair), ControlledScenario(gam, pair)
-    v_lam, v_gam = _verdicts((controlled_frame_operator(scen_lam),
-                              controlled_frame_operator(scen_gam)))
-    if v_lam.kind != FRAME:
+    if _verdict_from(*scen_lam._controlled_spectrum, DEFAULT_TOL).kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
-    lo_gam = v_gam.witnesses["lambda_min"]
+    lo_gam = scen_gam._controlled_spectrum[0]
     res, at_floor = _transfer(diag, scen_gam, lo_gam, tol)
     if not at_floor:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "

@@ -18,9 +18,9 @@ the end.  Samples are keyed by seed and numpy's stacked ``svd``,
 ``eigvalsh`` and ``matmul`` run on each slice alone, so every value has the
 bits of a one-scenario run and no report byte moves.  Outcomes are folded
 in batch order and failure lists sorted stably by (seed, detail).  Each
-scenario is certified as it is read, so a failing certificate raises as in
-a one-at-a-time run in (n, d) order.  Results are ordered by check id, so
-reports are byte-identical across runs.
+scenario is certified as it is read, by building its cross operator, so a
+failing certificate raises as in a one-at-a-time run in (n, d) order.
+Results are ordered by check id, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ import numpy as np
 from .algebra import (DEFAULT_TOL, _check_tol, _gram, _hmin, _per_shape,
                       _sandwich, _scale, _top_singular, spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
-                         _check_same_measure, _norm_bound,
-                         _require_certificate, _transfer,
-                         bounds_cc_from_plain, bounds_plain_from_cc,
-                         controlled_frame_operator, cross_operator,
-                         synthesis_operator)
+                         _norm_bound, _transfer, bounds_cc_from_plain,
+                         bounds_plain_from_cc, controlled_frame_operator,
+                         cross_operator, synthesis_operator)
 from .frames import FRAME, GFrameFamily, _energy, _verdicts, frame_operator
 from .generators import GeneratorSpec, _generate_batch
 from .operators import SURJECTIVITY_TOL, ModuleOperator
@@ -104,17 +102,6 @@ class _Outcome:
     detail: str
 
 
-def _certify(scenario: ControlledScenario, twin: GFrameFamily) -> None:
-    """Raise what evaluating this scenario alone raises first, if anything:
-    ``CommutationViolated`` for a pair failing its certificate on the
-    family, then a twin's shape, certificate or measure error.  The
-    verdicts stay on the pair, so the checks take no certificate again."""
-    pair = scenario.pair
-    _require_certificate(scenario.family, pair)
-    _require_certificate(ControlledScenario(twin, pair).family, pair)
-    _check_same_measure(scenario.family, twin)
-
-
 # The open shape group is evaluated as soon as the synthesis matrices of
 # its families and twins hold this many bytes, so a scenario that large is
 # evaluated alone.  Without the cap, the tracemalloc peak of ``run_suite``
@@ -127,10 +114,11 @@ def _evaluate(cases, tol: float) -> list:
     ``cases``, as a dict by check id, in input order; a check that does not
     apply has no entry.
 
-    Each case is certified as it is read, so a twin over another measure
-    raises ``MeasureMismatch`` and a pair failing its certificate on either
-    family ``CommutationViolated``, from the first such case; a family is a
-    valid twin of itself.  Certified cases wait in one open group of one
+    Each case is certified as it is read, by building its cross operator,
+    so a twin over another module or measure raises ``MeasureMismatch`` and
+    a pair failing its certificate on either family ``CommutationViolated``,
+    from the first such case; a family is a valid twin of itself.  Certified
+    cases wait, with their cross operators, in one open group of one
     (n, d), whose checks are evaluated together when the next case has
     another (n, d), when it reaches ``_GROUP_BYTES`` or when the cases end.
     Samples are keyed by seed and every stacked call works slice by slice,
@@ -138,18 +126,16 @@ def _evaluate(cases, tol: float) -> list:
     """
     out: list = []
     group: list = []
-    for case in cases:
-        scenario, twin, _ = case
-        _certify(scenario, twin)
+    for scenario, twin, seed in cases:
         family = scenario.family
+        cross = cross_operator(family, twin, scenario.pair)
         if group and (family.algebra_dim, family.module_rank) != shape:
             out += _evaluate_group(group, tol)
             group = []
         if not group:
             shape, size = (family.algebra_dim, family.module_rank), 0
-        group.append(case)
-        # the bytes of both synthesis matrices, before either is built
-        size += sum(p.lam.action.nbytes for f in (family, twin) for p in f.points)
+        group.append((scenario, twin, seed, cross))
+        size += family.synthesis_matrix.nbytes + twin.synthesis_matrix.nbytes
         if size >= _GROUP_BYTES:
             out += _evaluate_group(group, tol)
             group = []
@@ -165,15 +151,16 @@ def _evaluate_scenario(scenario: ControlledScenario, twin: GFrameFamily,
 
 
 def _evaluate_group(cases: list, tol: float) -> list:
-    """Every check on certified cases ``(scenario, twin, seed)`` of one
-    (n, d), by check id per case.  Sample draws and decompositions take one
+    """Every check on certified cases ``(scenario, twin, seed, cross)`` of
+    one (n, d), ``cross`` the cross operator of the family against the
+    twin, by check id per case.  Sample draws and decompositions take one
     stacked call for the group but the synthesis norm and the transfer's
     smallest eigenvalue, taken per case; products and energies per point."""
     k = len(cases)
-    scenarios = [sc for sc, _, _ in cases]
+    scenarios = [sc for sc, *_ in cases]
     families = [sc.family for sc in scenarios]
     pairs = [sc.pair for sc in scenarios]
-    scen_twins = [ControlledScenario(tw, p) for (_, tw, _), p in zip(cases, pairs)]
+    scen_twins = [ControlledScenario(tw, p) for (_, tw, *_), p in zip(cases, pairs)]
     n, d = families[0].algebra_dim, families[0].module_rank
     out = [{} for _ in cases]
     rng = stream(0, _CHECK_STREAM)  # re-keyed for every draw
@@ -307,11 +294,10 @@ def _evaluate_group(cases: list, tol: float) -> list:
         o["synthesis_norm_bound"] = _Outcome(*_norm_bound(sg, hi),
                                              "synthesis norm above bound")
 
-    # Two-family checks against the twin, all on one cross operator each;
+    # Two-family checks against the twin, all on its case's cross operator;
     # an operator and its adjoint have the same norm.
-    diags = _adjoint_diagnostics([
-        (cross_operator(f, tw, p).action.conj().T, f, tw, p)
-        for f, (_, tw, _), p in zip(families, cases, pairs)])
+    diags = _adjoint_diagnostics([(cross, f, tw, p) for f, (_, tw, _, cross), p
+                                  in zip(families, cases, pairs)])
     for o, diag, hi, tv in zip(out, diags, hi_c, twin_v):
         o["cross_operator_norm_bound"] = _Outcome(
             *_norm_bound(diag.adjoint_norm, hi * tv.witnesses["lambda_max"]),

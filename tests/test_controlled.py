@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ def reference_rel_commutator(a, b):
     """The certificate's relative commutator with every norm taken afresh:
     three spectral norms per commutator."""
     num = float(np.linalg.norm(a @ b - b @ a, 2))
-    scale = max(1.0, float(np.linalg.norm(a, 2)) * float(np.linalg.norm(b, 2)))
+    scale = max(sys.float_info.min,
+                float(np.linalg.norm(a, 2)) * float(np.linalg.norm(b, 2)))
     return num / scale
 
 
@@ -233,26 +235,34 @@ def test_frobenius_bound_decides_nothing_it_cannot_see():
     assert _frobenius_passes(c, np.zeros((2, 2), dtype=np.complex128), 0.0, 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="the max(1, .) floor makes the "
-                   "certificate absolute once norm(k) * norm(gram) < 1")
-def test_certificate_ignores_family_scale():
-    # C and C' = C^2 commute to roundoff, but not with the gram terms of a
-    # generic family, so the pair fails on it.  With every point action
-    # times 1e-6, each relative commutator falls under the floor and the
-    # pair passes, though the controlled operator then differs from its
-    # definition sum by 2.3e-2 relative.
-    fam = generate(GeneratorSpec(seed=3, n=2, d=2, m=4, flavor="generic")).family
-    small = GFrameFamily(2, 2, tuple(
-        MeasurePoint(p.weight, ModuleOperator(2, 2, p.codomain_rank,
-                                              1e-6 * p.lam.action))
-        for p in fam.points))
-    a = complex_normal(stream(11, 0), (4, 4))
-    m = a @ a.conj().T + np.eye(4)
+def scaled_family(family, s):
+    """``family`` with every point action times ``s``."""
+    n, d = family.algebra_dim, family.module_rank
+    return GFrameFamily(n, d, tuple(
+        MeasurePoint(p.weight, ModuleOperator(n, d, p.codomain_rank,
+                                              s * p.lam.action))
+        for p in family.points))
+
+
+def dense_pair(n, d):
+    """C of norm 2 and C' = C^2, which commute to roundoff, though C
+    commutes with no generic gram term unless n = d = 1."""
+    a = complex_normal(stream(11, 0), (d * n, d * n))
+    m = a @ a.conj().T + np.eye(d * n)
     m *= 2 / spectral_norm(m)
-    c = make_positive_invertible(ModuleOperator(2, 2, 2, m))
-    cp = make_positive_invertible(ModuleOperator(2, 2, 2, m @ m))
+    return (make_positive_invertible(ModuleOperator(n, d, d, m)),
+            make_positive_invertible(ModuleOperator(n, d, d, m @ m)))
+
+
+def test_certificate_ignores_family_scale():
+    # the dense pair fails on a generic family.  With every point action
+    # times 1e-6 it must still fail: under a max(1, .) floor each relative
+    # commutator fell below tol and the pair passed, though the controlled
+    # operator then differed from its definition sum by 2.3e-2 relative.
+    fam = generate(GeneratorSpec(seed=3, n=2, d=2, m=4, flavor="generic")).family
+    c, cp = dense_pair(2, 2)
     assert not decide_commutation(fam, c, cp)
-    assert not decide_commutation(small, c, cp)
+    assert not decide_commutation(scaled_family(fam, 1e-6), c, cp)
 
 
 def test_identity_controls_take_no_norm(calls):
@@ -1071,6 +1081,21 @@ def pair_specs(draw):
     hi = draw(st.one_of(st.just(lo), st.floats(lo, 1e3)))
     return GeneratorSpec(seed=draw(st.integers(0, 2**32)), n=n, d=d, m=m,
                          spectrum_range=(lo, hi), flavor=flavor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_specs(), st.integers(-12, 12))
+@example(GeneratorSpec(seed=3, n=1, d=1, m=2, flavor="generic"), -12)
+@example(GeneratorSpec(seed=3, n=2, d=2, m=4, flavor="generic"), -6)
+def test_certificate_verdicts_ignore_family_scale(spec, e):
+    # the generated pair and the dense pair (C, C^2) reach each verdict at
+    # every scale 10**e of the point actions as at scale 1
+    sc = generate(spec)
+    fam, scaled = sc.family, scaled_family(sc.family, 10.0 ** e)
+    for c, cp in ((sc.pair.c, sc.pair.cp), dense_pair(spec.n, spec.d)):
+        assert decide_commutation(scaled, c, cp) == decide_commutation(fam, c, cp)
+        assert (validate_commutation(scaled, c, cp).passed
+                == validate_commutation(fam, c, cp).passed)
 
 
 @settings(max_examples=40, deadline=None,

@@ -120,10 +120,10 @@ GUARDS = {
     "cross_operator_rank": (
         lambda o: cross_operator(o[0].family, _twins(o)["rank"], o[0].pair),
         MeasureMismatch, "codomain ranks differ at point 0"),
-    # the evaluator puts the twin under the pair first, whose shape refuses it
+    # the evaluator certifies a case by building its cross operator
     "evaluator_modules": (
         lambda o: _evaluate_scenario(o[0], _twins(o)["module"], 3, DEFAULT_TOL),
-        ValueError, "control shape does not match the family"),
+        MeasureMismatch, "families live over different modules"),
     "evaluator_count": (
         lambda o: _evaluate_scenario(o[0], _twins(o)["count"], 3, DEFAULT_TOL),
         MeasureMismatch, "point counts differ: 4 vs 3"),

@@ -168,6 +168,24 @@ def test_transfer_off_its_floor_is_recorded(monkeypatch):
         surjectivity_transfer(sc.family, twin, sc.pair)
 
 
+def test_a_mixed_operator_that_is_not_surjective_is_recorded():
+    # a twin whose actions all lose their last row: the mixed operator
+    # misses one direction, so the transfer has no bound to give, while
+    # every other check passes
+    sc, twin = generate_pair(GeneratorSpec(seed=7, n=2, d=2, m=4))
+    cut = np.diag([1.0, 1.0, 1.0, 0.0]).astype(np.complex128)
+    twin = GFrameFamily(2, 2, tuple(
+        MeasurePoint(p.weight, ModuleOperator(2, 2, p.codomain_rank,
+                                              cut @ p.lam.action))
+        for p in twin.points))
+    out = verifier._evaluate_scenario(sc, twin, 7, verifier.DEFAULT_TOL)
+    assert out.pop("surjectivity_transfer") == verifier._Outcome(
+        False, 1.0, "mixed operator not surjective")
+    assert all(o.ok for o in out.values())
+    assert surjectivity_transfer(sc.family, twin, sc.pair) == \
+        controlled.TransferResult(False, None)
+
+
 def test_probe_is_always_empirical():
     results = run_suite(small_batch())
     by_id = {r.check_id: r for r in results}
@@ -237,7 +255,7 @@ def test_same_control_operator_is_the_library_one(monkeypatch):
     run_suite(default_batch())
     assert len(groups) == len(quads) == 200
     identities = 0
-    for (sc, _, _), (plain, _, same, _) in zip(groups, quads):
+    for (sc, *_), (plain, _, same, _) in zip(groups, quads):
         c = sc.pair.c
         assert plain is verifier.frame_operator(sc.family)
         cc = ControlledScenario(sc.family, ControlPair(c, c, sc.pair.tol))
@@ -855,6 +873,14 @@ def test_tensor_products_compose_spectra_and_verdicts(spec_a, spec_b):
         assert abs(prod.witnesses["lambda_max"] - top) <= 1e-12 * top
         assert abs(prod.witnesses["lambda_min"] - low) <= 1e-12 * top
         assert (prod.kind == FRAME) == (a.kind == b.kind == FRAME)
+    # [C x D, G x G'] = [C, G] x D G' + G C x [D, G'], so each relative
+    # commutator of a product point is at most the sum of its factors'
+    ra, rb, rp = (sc.pair.report_on(sc.family) for sc in (sa, sb, scenario))
+    rows = iter(rp.per_point)
+    for row_a in ra.per_point:
+        for row_b in rb.per_point:
+            for r, x, y in zip(next(rows), row_a, row_b):
+                assert r <= x + y + 1e-15
 
 
 # Grouped evaluation: ``_evaluate`` takes cases of any shapes in any order,
@@ -1032,7 +1058,7 @@ def test_group_cap_keeps_default_groups_whole_and_large_scenarios_alone(
 
     def record(cases, tol):
         groups.append([(sc.family.algebra_dim, sc.family.module_rank, seed)
-                       for sc, _, seed in cases])
+                       for sc, _, seed, _ in cases])
         return [{} for _ in cases]
     monkeypatch.setattr(verifier, "_evaluate_group", record)
     run_suite(default_batch())

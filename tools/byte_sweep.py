@@ -80,7 +80,10 @@ this script and runs ``gframes.cli.main`` in-process on:
   ``make_positive_invertible`` on near-Hermitian controls and
   ``is_surjective`` on operators with a small smallest singular value,
   ``LIBRARY_CASES`` each, drawn by their own
-  ``np.random.default_rng(CERTIFICATE_SEED)``, all at scales 10**k for k in
+  ``np.random.default_rng(CERTIFICATE_SEED)``, and ``decide_commutation``
+  on generated families under their own pair or a dense pair (C, C^2),
+  ``LIBRARY_CASES`` of them, drawn by
+  ``np.random.default_rng(COMMUTATION_SEED)``, all at scales 10**k for k in
   [-8, 8] (see ``library_corpus``), each at the tolerances
   ``LIBRARY_TOLS``.  ``OUT/library/verdicts.txt`` holds one ``predicate
   tol index verdict`` line per case and tolerance, the verdict being
@@ -116,11 +119,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gframes import (AlgebraElement, GFrameFamily, MeasurePoint,  # noqa: E402
-                     ModuleOperator, ModuleVector, PositiveInvertibleOperator,
-                     check_sandwich, energy_bound_check, frame_operator,
-                     gram_sandwich_check, is_positive, is_surjective,
-                     loewner_leq, make_positive_invertible)
+from gframes import (AlgebraElement, GeneratorSpec, GFrameFamily,  # noqa: E402
+                     MeasurePoint, ModuleOperator, ModuleVector,
+                     PositiveInvertibleOperator, check_sandwich,
+                     decide_commutation, energy_bound_check, frame_operator,
+                     generate, gram_sandwich_check, is_positive,
+                     is_surjective, loewner_leq, make_positive_invertible)
 from gframes import serialization as ser  # noqa: E402
 from gframes.cli import main  # noqa: E402
 from gframes.verifier import default_batch  # noqa: E402
@@ -217,18 +221,21 @@ EDGE_TOKENS = {
 
 
 # The library verdict corpus: cases per predicate, the tolerances each case
-# is decided at, the seed of the ``default_rng`` that draws the order cases
-# and the seed of the one that draws the certificate cases, so adding the
-# latter left the draws of the former alone.
+# is decided at, the seed of the ``default_rng`` that draws the order cases,
+# the seed of the one that draws the control and surjectivity cases and the
+# seed of the one that draws the commutation cases, so adding a later draw
+# left the draws of the earlier ones alone.
 LIBRARY_CASES = 300
 LIBRARY_TOLS = (1e-9, 1e-14, 1e-16)
 LIBRARY_SEED = 31
 CERTIFICATE_SEED = 32
+COMMUTATION_SEED = 33
 
 # The predicates of the corpus, each called on one case's arguments and a tol.
 LIBRARY_PREDICATES = (is_positive, loewner_leq, energy_bound_check,
                       gram_sandwich_check, check_sandwich,
-                      make_positive_invertible, is_surjective)
+                      make_positive_invertible, is_surjective,
+                      decide_commutation)
 
 
 def shape_spec(flavor: str, shape) -> str:
@@ -336,6 +343,23 @@ def _near_deficient(rng: np.random.Generator, rows: int, cols: int,
     return (_unitary(rng, rows)[:, :r] * sv) @ _unitary(rng, cols)[:, :r].conj().T
 
 
+def _dense_pair(rng: np.random.Generator, n: int, d: int) -> tuple:
+    """C = A A^H + I scaled to norm 2, and C^2: a pair that commutes to
+    roundoff, though C commutes with no generic gram term unless n = d = 1."""
+    a = _normal(rng, (d * n, d * n))
+    m = a @ a.conj().T + np.eye(d * n)
+    m *= 2 / np.linalg.norm(m, 2)
+    return tuple(make_positive_invertible(ModuleOperator(n, d, d, x)) for x in (m, m @ m))
+
+
+def _scaled_family(family: GFrameFamily, s: float) -> GFrameFamily:
+    """``family`` with every point action times ``s``."""
+    n, d = family.algebra_dim, family.module_rank
+    return GFrameFamily(n, d, tuple(
+        MeasurePoint(p.weight, ModuleOperator(n, d, p.codomain_rank, s * p.lam.action))
+        for p in family.points))
+
+
 def library_corpus() -> dict:
     """``LIBRARY_CASES`` argument tuples per predicate of
     ``LIBRARY_PREDICATES``, keyed by its name, each at a scale 10**k, k in
@@ -346,7 +370,10 @@ def library_corpus() -> dict:
     with the extreme eigenvalues of their frame operators as bounds, two
     samples and the case index as seed.  Then, from a generator seeded with
     ``CERTIFICATE_SEED``: near-Hermitian controls and operators on the edge
-    of surjectivity, with n, d, e <= 3."""
+    of surjectivity, with n, d, e <= 3.  Then, from a generator seeded with
+    ``COMMUTATION_SEED``: generated families of every flavor with n, d <= 3
+    and m <= 4, each scaled and under its own pair or, for half of them, a
+    ``_dense_pair``."""
     rng = np.random.default_rng(LIBRARY_SEED)
 
     def scale() -> float:
@@ -381,6 +408,15 @@ def library_corpus() -> dict:
             (ModuleOperator(n, d, d, _near_hermitian(rng, d * n, scale())),))
         corpus["is_surjective"].append(
             (ModuleOperator(n, d, e, _near_deficient(rng, d * n, e * n, scale())),))
+    rng = np.random.default_rng(COMMUTATION_SEED)
+    for _ in range(LIBRARY_CASES):
+        flavor = FLAVORS[int(rng.integers(len(FLAVORS)))]
+        n, d = (int(v) for v in rng.integers(1, 4, 2))
+        m = int(rng.integers(d if flavor == "parseval" else 1, 5))
+        sc = generate(GeneratorSpec(seed=int(rng.integers(2**32)), n=n, d=d, m=m,
+                                    flavor=flavor))
+        pair = (sc.pair.c, sc.pair.cp) if rng.random() < 0.5 else _dense_pair(rng, n, d)
+        corpus["decide_commutation"].append((_scaled_family(sc.family, scale()), *pair))
     return corpus
 
 
