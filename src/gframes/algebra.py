@@ -1,12 +1,12 @@
 """Matrix *-algebra layer: adjoints, positivity, the semidefinite order,
 square roots and norms of square complex matrices, and the spectral
-kernels and the two relative scales every module shares: ``_scale``,
-absolute below unit scale, and ``_rel``, relative at every scale.
+kernels and the one relative scale every module shares, ``_rel``, so that
+every tolerance rule holds alike at every scale.
 
 The norm is the largest singular value, so the C*-identity
 ``alg_norm(a* a) == alg_norm(a)**2`` holds up to roundoff.  The order
 ``a <= b`` has one rule, ``_order_violations``, shared with the verifier:
-``-lambda_min(b - a)`` relative to ``max(1, norm(a), norm(b))``, and by it
+``-lambda_min(b - a)`` relative to ``max(norm(a), norm(b))``, and by it
 ``_sandwich`` decides every two-sided bound of the library and the verifier.
 """
 
@@ -87,15 +87,10 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
 
 
-def _scale(*norms: float) -> float:
-    """``max(1, *norms)``: what a relative tolerance is scaled by where a
-    rule is absolute below unit scale."""
-    return max(1.0, *norms)
-
-
 def _rel(*norms: float) -> float:
-    """``max(tiny, *norms)``, tiny the smallest normal double: the scale of
-    a rule that is relative at every scale."""
+    """``max(tiny, *norms)``, tiny the smallest normal double: what every
+    relative tolerance and residual is scaled by, so that a rule is relative
+    at every scale."""
     return max(sys.float_info.min, *norms)
 
 
@@ -148,7 +143,7 @@ def _order_violations(a: np.ndarray, b: np.ndarray) -> list:
     of ``a[i]`` and ``b[i]``, two equal-shape stacks.
 
     A finite slice of ``b - a`` with no negative eigenvalue gives 0.0 whatever
-    the scale, so the scale ``max(1, norm(a_s), norm(b_s))`` is taken only
+    the scale, so the scale ``_rel(norm(a_s), norm(b_s))`` is taken only
     for the others, the norms of all of them from one stacked SVD.  A slice
     whose difference is not finite, or whose smallest eigenvalue is NaN,
     cannot show the order and gives inf; it still reaches that SVD, which
@@ -165,7 +160,7 @@ def _order_violations(a: np.ndarray, b: np.ndarray) -> list:
     norms_a, norms_b = _top_singular(np.stack((a[bad], b[bad])))
     for i, hb, fb, na, nb in zip(np.nonzero(bad)[0].tolist(), h[bad].tolist(),
                                  finite[bad].tolist(), norms_a, norms_b):
-        viol[i] = max(viol[i], -hb / _scale(na, nb) if fb else np.inf)
+        viol[i] = max(viol[i], -hb / _rel(na, nb) if fb else np.inf)
     return viol
 
 
@@ -201,12 +196,12 @@ def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
 
 def loewner_leq(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     """Semidefinite order within ``tol``: ``b - a`` is Hermitian up to
-    ``tol * max(1, norm(a), norm(b))`` and ``_order_violations`` of the pair
+    ``tol * _rel(norm(a), norm(b))`` and ``_order_violations`` of the pair
     is at most ``tol``."""
     _check_tol(tol)
     diff = (b - a).entries
     asym, na, nb = _top_singular(np.stack((diff - diff.conj().T, a.entries, b.entries)))
-    return (asym <= tol * _scale(na, nb)
+    return (asym <= tol * _rel(na, nb)
             and _order_violations(a.entries[None], b.entries[None])[0] <= tol)
 
 

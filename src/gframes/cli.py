@@ -30,7 +30,7 @@ from .frames import FRAME, FrameVerdict, classify
 from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
-from .algebra import DEFAULT_TOL, _scale
+from .algebra import DEFAULT_TOL, _rel
 from .verifier import SCALAR_TIGHT_TOL, default_batch, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -392,10 +392,9 @@ def cmd_reconstruct(args) -> int:
         sys.stderr.write(f"gframes: not a frame: {exc}\n")
         return EXIT_NOT_FRAME
     err = result.error
-    scale = _scale(vec_norm(x))
-    rel = err / scale
+    rel = err / _rel(vec_norm(x))
     cond = result.condition_number
-    passed = rel <= tol * _scale(cond)
+    passed = rel <= tol * cond
     report = {
         "version": ser.REPORT_VERSION,
         "error": err,

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, _check_tol, _hmin, _psd_sqrt, _rel,
-                      _scale, spectral_norm)
+                      spectral_norm)
 from .errors import (CommutationViolated, MeasureMismatch, NotAFrame,
                      PreconditionViolated)
 from .frames import (FRAME, FrameBounds, FrameVerdict, GFrameFamily,
@@ -343,21 +343,24 @@ def synthesis_operator(scenario: ControlledScenario) -> ModuleOperator:
 NORM_BOUND_TOL = 1e-8
 
 
-def _norm_bound(norm: float, upper: float,
+def _norm_bound(norm: float, *uppers: float,
                 tol: float = NORM_BOUND_TOL) -> tuple[bool, float]:
-    """Whether ``norm <= sqrt(upper)`` holds within ``tol * max(1,
-    sqrt(upper))``, and by how much ``norm`` exceeds ``sqrt(upper)``."""
-    root = float(np.sqrt(max(upper, 0.0)))
-    return norm - root - tol * _scale(root) <= 0, max(0.0, norm - root)
+    """Whether ``norm <= root`` holds within ``tol``, relative, ``root`` the
+    product of the square roots of ``uppers``, so that no product of bounds
+    underflows, and the residual it is decided by: ``max(0, norm - root) /
+    _rel(root)``."""
+    root = math.prod(math.sqrt(max(u, 0.0)) for u in uppers)
+    excess = max(0.0, norm - root) / _rel(root)
+    return excess <= tol, excess
 
 
 def synthesis_norm_check(scenario: ControlledScenario,
                          tol: float = NORM_BOUND_TOL) -> bool:
     """Check the synthesis norm against the controlled upper bound:
-    ``op_norm(synthesis) <= sqrt(lambda_max) + tol * scale``."""
+    ``op_norm(synthesis) <= sqrt(lambda_max)`` within ``tol``, relative."""
     _check_tol(tol)
     hi = scenario._controlled_spectrum[1]
-    return _norm_bound(op_norm(synthesis_operator(scenario)), hi, tol)[0]
+    return _norm_bound(op_norm(synthesis_operator(scenario)), hi, tol=tol)[0]
 
 
 # Largest relative residual at which the adjoint matches a closed form.
@@ -435,7 +438,7 @@ def _adjoint_diagnostics(cases, tol: float = ADJOINT_TOL) -> list:
     out = []
     for (norm, d_stmt, d_proof), low in zip(s[:, :, 0].tolist(),
                                             s[:, 0, -1].tolist()):
-        r_stmt, r_proof = (d / _scale(norm) for d in (d_stmt, d_proof))
+        r_stmt, r_proof = (d / _rel(norm) for d in (d_stmt, d_proof))
         out.append(CrossAdjointDiagnostic(r_stmt, r_proof, r_stmt <= tol,
                                           r_proof <= tol, norm, low))
     return out
@@ -484,25 +487,26 @@ def surjectivity_transfer(lam: GFrameFamily, gam: GFrameFamily,
     if _verdict_from(*scen_lam._controlled_spectrum, DEFAULT_TOL).kind != FRAME:
         raise PreconditionViolated("first family is not a controlled frame")
     lo_gam = scen_gam._controlled_spectrum[0]
-    res, at_floor = _transfer(diag, scen_gam, lo_gam, tol)
-    if not at_floor:
+    res, excess = _transfer(diag, scen_gam, lo_gam, tol)
+    if excess > tol:
         raise ArithmeticError(f"derived bound {res.gamma_lower_bound:.6e} "
                               f"exceeds the spectral floor {lo_gam:.6e}")
     return res
 
 
 def _transfer(diag: CrossAdjointDiagnostic, scen_gam: ControlledScenario,
-              lo_gam: float, tol: float) -> tuple[TransferResult, bool]:
+              lo_gam: float, tol: float) -> tuple[TransferResult, float]:
     """Transfer from a known controlled frame to the second scenario, with
     controlled floor ``lo_gam``, when ``diag``'s cross adjoint is bounded
-    below at ``tol`` by the rule of ``is_bounded_below``, and whether the
-    derived bound stays at that floor within ``tol * max(1, bound)``; a
-    transfer with no bound stays there."""
+    below at ``tol`` by the rule of ``is_bounded_below``, and the relative
+    excess of the derived bound over that floor, ``max(0, bound - lo_gam) /
+    _rel(bound)``: the bound stays at the floor when it is at most ``tol``.
+    A transfer with no bound has excess 0."""
     if not _clears_floor(diag.adjoint_min_singular, diag.adjoint_norm, tol):
-        return TransferResult(False, None), True
+        return TransferResult(False, None), 0.0
     k = synthesis_operator(scen_gam).action
     m = max(float(_hmin(k.conj().T @ k)), 0.0)
-    return TransferResult(True, m), not lo_gam < m - tol * _scale(m)
+    return TransferResult(True, m), max(0.0, m - lo_gam) / _rel(m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, _check_tol, _gram, _hmin, _per_shape,
-                      _sandwich, _scale, _top_singular, spectral_norm)
+                      _rel, _sandwich, _top_singular, spectral_norm)
 from .controlled import (ControlledScenario, _adjoint_diagnostics,
                          _norm_bound, _transfer, bounds_cc_from_plain,
                          bounds_plain_from_cc, controlled_frame_operator,
@@ -229,7 +229,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
     tops = _top_singular(np.stack([m for plain_op, ctrl_op, _, _ in ops
                                    for x in (plain_op.action, ctrl_op.action)
                                    for m in (x - x.conj().T, x)]))
-    herm = [max(asym / _scale(nrm), asym_c / _scale(nrm_c))
+    herm = [max(asym / _rel(nrm), asym_c / _rel(nrm_c))
             for asym, nrm, asym_c, nrm_c in zip(*[iter(tops)] * 4)]
     xs = samples(2, range(k))
     viols = _sandwich([lo if v.kind == FRAME else None for v, lo in zip(ctrl, lo_c)],
@@ -252,7 +252,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
             for gn, nv in zip(gns, nvs):
                 # vec_norm(x) ** 2, through the square root as vec_norm takes it
                 nx2 = float(np.sqrt(gn)) ** 2
-                scale = _scale(hi_c[i] * nx2)
+                scale = _rel(hi_c[i] * nx2)
                 viol = max(viol, (lo_c[i] * nx2 - nv) / scale,
                            (nv - hi_c[i] * nx2) / scale)
             out[i]["norm_characterization"] = _Outcome(
@@ -272,10 +272,10 @@ def _evaluate_group(cases: list, tol: float) -> list:
             highs.append((pb.upper, cb.upper))
             mats.append((ops[i][0].action, ops[i][2].action))
             if (n, d) == (1, 1):
-                tight[i] = max(abs(pb.lower - a_pl) / _scale(a_pl),
-                               abs(pb.upper - b_pl) / _scale(b_pl),
-                               abs(cb.lower - a_cc) / _scale(a_cc),
-                               abs(cb.upper - b_cc) / _scale(b_cc))
+                tight[i] = max(abs(pb.lower - a_pl) / _rel(a_pl),
+                               abs(pb.upper - b_pl) / _rel(b_pl),
+                               abs(cb.lower - a_cc) / _rel(a_cc),
+                               abs(cb.upper - b_cc) / _rel(b_cc))
     # lower bounds <= (S, S_cc) <= upper bounds, one bound pair a slice
     viols = dict(zip(checked, _sandwich(lows, highs, np.eye(n * d),
                                         np.array(mats)) if checked else ()))
@@ -300,7 +300,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
                                   in zip(families, cases, pairs)])
     for o, diag, hi, tv in zip(out, diags, hi_c, twin_v):
         o["cross_operator_norm_bound"] = _Outcome(
-            *_norm_bound(diag.adjoint_norm, hi * tv.witnesses["lambda_max"]),
+            *_norm_bound(diag.adjoint_norm, hi, tv.witnesses["lambda_max"]),
             "cross norm above bound")
         amax = max(diag.statement_residual, diag.proof_residual)
         aok = diag.matches_proof and diag.matches_statement
@@ -310,15 +310,14 @@ def _evaluate_group(cases: list, tol: float) -> list:
     # surjectivity_transfer: first family must be a controlled frame.
     lo_twin = [v.witnesses["lambda_min"] for v in twin_v]
     for i in frames:
-        res, at_floor = _transfer(diags[i], scen_twins[i], lo_twin[i],
-                                  SURJECTIVITY_TOL)
+        res, excess = _transfer(diags[i], scen_twins[i], lo_twin[i],
+                                SURJECTIVITY_TOL)
         if not res.surjective:
             out[i]["surjectivity_transfer"] = _Outcome(
                 False, 1.0, "mixed operator not surjective")
         else:
             out[i]["surjectivity_transfer"] = _Outcome(
-                at_floor and twin_v[i].kind == FRAME,
-                abs(res.gamma_lower_bound - lo_twin[i]),
+                excess <= SURJECTIVITY_TOL and twin_v[i].kind == FRAME, excess,
                 "derived bound does not certify the twin")
 
     # bound_product_probe (empirical): claimed bounds scaled by control norms.
@@ -329,7 +328,7 @@ def _evaluate_group(cases: list, tol: float) -> list:
         ncp = pair.cp.norm
         lo_gap = pv.bounds.lower * nc * ncp - lo
         hi_gap = hi - pv.bounds.upper * nc * ncp
-        scale = _scale(hi)
+        scale = _rel(hi)
         sides = []
         if lo_gap > tol * scale:
             sides.append("claimed lower bound exceeds the spectrum")

@@ -1,5 +1,7 @@
 """Matrix algebra layer: adjoint, positivity, square root, norm."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,10 +77,11 @@ def test_loewner_rank_one_scaling():
 
 
 def reference_is_positive(m, tol):
-    """The positivity rule as stated before the order had one kernel:
-    Hermitian up to ``tol * max(1, norm)`` and smallest eigenvalue of the
-    Hermitian part at least ``-tol * max(1, norm)``."""
-    scale = max(1.0, np.linalg.norm(m, 2))
+    """The positivity rule as stated before the order had one kernel, on
+    the one relative scale: Hermitian up to ``tol * norm`` and smallest
+    eigenvalue of the Hermitian part at least ``-tol * norm``, the norm
+    floored at the smallest normal double."""
+    scale = max(sys.float_info.min, np.linalg.norm(m, 2))
     asym = np.linalg.norm(m - m.conj().T, 2)
     lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
     return bool(asym <= tol * scale and lam >= -tol * scale)
@@ -95,7 +98,7 @@ def test_is_positive_keeps_its_rule_near_the_boundary(tol, scale):
         n = int(rng.integers(1, 4))
         q = np.linalg.qr(complex_normal(rng, (n, n)))[0]
         lam = scale * rng.uniform(0.5, 2.0, n)
-        thresh = tol * max(1.0, lam.max())
+        thresh = tol * max(sys.float_info.min, lam.max())
         lam[0] = -rng.uniform(-1.0, 2.0) * thresh
         m = (q * lam) @ q.conj().T
         if rng.random() < 0.5:
@@ -116,6 +119,13 @@ def test_loewner_leq_judges_an_indefinite_pair_by_their_own_norms():
     assert not loewner_leq(a, b, tol=1e-9)
     assert _order_violations(a.entries[None], b.entries[None])[0] > 1e-9
     assert loewner_leq(a, b, tol=2e-9)
+    # a 1% violation is one at every scale: the order has no absolute floor
+    for e in range(-12, 13):
+        s = 10.0 ** e
+        a, b = elem([[s, 0], [0, s]]), elem([[0.99 * s, 0], [0, s]])
+        assert not loewner_leq(a, b)
+        assert _order_violations(a.entries[None], b.entries[None])[0] == \
+            pytest.approx(1e-2)
 
 
 def test_sqrt_diagonal():

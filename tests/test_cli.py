@@ -16,7 +16,7 @@ import pytest
 from gframes import (ControlledScenario, ControlPair, GeneratorSpec,
                      GFrameFamily, MeasurePoint, ModuleOperator, ModuleVector,
                      SchemaError, controlled_classify, controlled_frame_operator,
-                     generate, make_positive_invertible)
+                     generate, make_positive_invertible, vec_norm)
 from gframes import cli
 from gframes import serialization as ser
 from gframes.algebra import _hermitian_part
@@ -509,7 +509,7 @@ def test_reconstruct_random_seed(scen, tmp_path):
     report = read(out)
     assert report["passed"] is True
     assert report["error"] >= 0.0
-    assert report["relative_error"] <= 1e-8 * max(1.0, report["condition_number"])
+    assert report["relative_error"] <= 1e-8 * report["condition_number"]
 
 
 def test_reconstruct_parseval_tiny_error(parseval_scen, tmp_path):
@@ -527,6 +527,27 @@ def test_reconstruct_explicit_vector(scen, tmp_path):
     assert main(["reconstruct", str(scen), "--vector", str(vec_path),
                  "--out", str(out)]) == 0
     assert read(out)["passed"] is True
+
+
+def test_reconstruct_relative_error_ignores_vector_scale(scen, tmp_path):
+    # one vector at scales 1, 1e-6 and 1e-12: each report's relative error
+    # is its error over the vector's own norm, so the three read alike and
+    # give one verdict
+    x = complex_normal(stream(77, 0), (2, 4))
+    reports = []
+    for s in (1.0, 1e-6, 1e-12):
+        xs = ModuleVector(2, 2, s * x)
+        vec_path, out = tmp_path / f"x_{s}.json", tmp_path / f"rec_{s}.json"
+        vec_path.write_text(ser.dumps(ser.vector_to_obj(xs)))
+        main(["reconstruct", str(scen), "--vector", str(vec_path), "--out", str(out)])
+        r = read(out)
+        assert r["relative_error"] == pytest.approx(r["error"] / vec_norm(xs),
+                                                   rel=1e-12, abs=0)
+        reports.append(r)
+    rels = [r["relative_error"] for r in reports]
+    # each run rounds its own bits, so the errors agree to roundoff only
+    assert max(rels) <= 10 * min(rels)
+    assert len({r["passed"] for r in reports}) == 1
 
 
 def test_reconstruct_vector_shape_mismatch(scen, tmp_path, capsys):

@@ -17,20 +17,20 @@ from gframes import (FRAME, DEFAULT_TOL, AlgebraElement, ControlledScenario,
                      controlled_frame_operator, cross_adjoint_resolve,
                      cross_operator, decide_commutation, frame_operator,
                      generate, generate_pair, identity_control, inner,
-                     loewner_leq, make_positive_invertible, op_apply, op_norm,
-                     optimal_bounds, reconstruct, surjectivity_transfer,
-                     synthesis, synthesis_norm_check, synthesis_operator,
-                     validate_commutation, vec_norm)
+                     is_positive, loewner_leq, make_positive_invertible,
+                     op_apply, op_norm, optimal_bounds, reconstruct,
+                     surjectivity_transfer, synthesis, synthesis_norm_check,
+                     synthesis_operator, validate_commutation, vec_norm)
 from gframes.algebra import spectral_norm
 from gframes.controlled import (CommutationReport, TransferResult,
-                                _frobenius_passes)
+                                _frobenius_passes, _norm_bound)
 from gframes.errors import (CommutationViolated, GFrameError,
                             PreconditionViolated)
 from gframes.frames import _verdicts
 from gframes.generators import FLAVORS, GeneratorSpec
 from gframes.operators import SURJECTIVITY_TOL, is_bounded_below, op_adjoint
 from gframes.rng import complex_normal, stream
-from gframes.verifier import default_batch, run_suite
+from gframes.verifier import _evaluate_scenario, default_batch, run_suite
 
 
 def diag_control(n, d, *vals):
@@ -230,7 +230,7 @@ def test_frobenius_bound_decides_nothing_it_cannot_see():
     overflowed = np.full((4, 4), 1e308, dtype=np.complex128)
     for x, lo_b, tol in ((lost, 0.0, 1e-170), (one_kept, 0.0, 1e-161),
                          (overflowed, np.inf, 0.5)):
-        assert not spectral_norm(x) / max(1.0, c.norm * lo_b) <= tol
+        assert not spectral_norm(x) / max(sys.float_info.min, c.norm * lo_b) <= tol
         assert not _frobenius_passes(c, x, lo_b, tol)
     assert _frobenius_passes(c, np.zeros((2, 2), dtype=np.complex128), 0.0, 0.0)
 
@@ -433,7 +433,8 @@ def test_replaced_control_gets_its_own_product_root():
             <= 1e-12 * np.linalg.norm(s, 2))
     x = random_vec(stream(212, 0), 2, 2)
     res = reconstruct(scen, x)
-    assert res.error / max(1.0, vec_norm(x)) <= 1e-8 * res.condition_number
+    assert (res.error / max(sys.float_info.min, vec_norm(x))
+            <= 1e-8 * res.condition_number)
 
 
 def noncommuting_family_like(family, seed):
@@ -657,6 +658,18 @@ def test_synthesis_norm_batch():
         flavor = "commuting" if i % 2 else "generic"
         sc = generate(GeneratorSpec(seed=200 + i, n=2, d=2, m=4, flavor=flavor))
         assert synthesis_norm_check(sc)
+
+
+def test_norm_bound_residual_is_the_relative_excess_it_decides_by():
+    # a norm 1e-6 above its bound reads 1e-6 at every scale, and a product
+    # of bounds that would underflow keeps its root
+    for e in range(-12, 13):
+        s = 10.0 ** e
+        ok, excess = _norm_bound(s * (1 + 1e-6), s * s)
+        assert not ok and excess == pytest.approx(1e-6, rel=1e-6)
+        assert _norm_bound(s, s * s) == (True, 0.0)
+    assert _norm_bound(1.0000001e-300, 1e-300, 1e-300, tol=1e-6) == \
+        (True, pytest.approx(1e-7, rel=1e-6))
 
 
 # --------------------------------------------------------- cross operator
@@ -905,7 +918,7 @@ def test_reconstruct_error_within_condition_number(seed, log_c, log_cp, reverse)
         result = reconstruct(scen, x)
     except GFrameError:
         return
-    rel = result.error / max(1.0, vec_norm(x))
+    rel = result.error / max(sys.float_info.min, vec_norm(x))
     assert rel <= 1e-8 * result.condition_number
 
 
@@ -1038,7 +1051,7 @@ def reference_adjoint(lam, gam, pair, tol):
     mixed = stacked(gam) @ stacked(lam).conj().T
     stmt = ca @ mixed @ cpa
     proof = cpa @ mixed @ ca
-    scale = max(1.0, float(np.linalg.norm(adj, 2)))
+    scale = max(sys.float_info.min, float(np.linalg.norm(adj, 2)))
     r_stmt = float(np.linalg.norm(adj - stmt, 2)) / scale
     r_proof = float(np.linalg.norm(adj - proof, 2)) / scale
     return adj, (r_stmt, r_proof, r_stmt <= tol, r_proof <= tol)
@@ -1058,7 +1071,7 @@ def reference_transfer(lam, gam, pair, tol=SURJECTIVITY_TOL):
     gram = k.conj().T @ k
     m = max(float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]), 0.0)
     lo = v_gam.witnesses["lambda_min"]
-    if lo < m - tol * max(1.0, m):
+    if max(0.0, m - lo) / max(sys.float_info.min, m) > tol:
         raise ArithmeticError(
             f"derived bound {m:.6e} exceeds the spectral floor {lo:.6e}")
     return TransferResult(True, m)
@@ -1131,6 +1144,52 @@ def test_two_family_operations_match_reference(certificate_calls, spec):
     assert certificate_calls == [twin, lam]
 
 
+def verdict(call, *args):
+    """Result of ``call``, or the type of what it raised."""
+    try:
+        return call(*args)
+    except (GFrameError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def scale_verdicts(spec, e):
+    """The pair of ``spec`` with its family and twin scaled by ``10**e``:
+    each check's ``ok`` under ``_evaluate_scenario``, then the order,
+    certificate, norm and transfer verdicts of its operators."""
+    sc, twin = generate_pair(spec)
+    s = 10.0 ** e
+    fam, twin, pair = scaled_family(sc.family, s), scaled_family(twin, s), sc.pair
+    scen = ControlledScenario(fam, pair)
+    oks = {cid: o.ok for cid, o in
+           _evaluate_scenario(scen, twin, spec.seed, DEFAULT_TOL).items()}
+    ops = (frame_operator(fam), controlled_frame_operator(scen))
+    plain, ctrl = (AlgebraElement(op.action) for op in ops)
+    adj, diag = cross_adjoint_resolve(fam, twin, pair)
+    return oks, (is_positive(ctrl), loewner_leq(plain, ctrl),
+                 loewner_leq(ctrl, plain), is_bounded_below(adj)[0],
+                 verdict(lambda: make_positive_invertible(ops[1]) is not None),
+                 synthesis_norm_check(scen),
+                 verdict(lambda: surjectivity_transfer(fam, twin, pair).surjective),
+                 diag.matches_statement, diag.matches_proof,
+                 [v.kind for v in _verdicts(ops)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_specs(), st.integers(-12, 12))
+@example(GeneratorSpec(seed=20_001, n=1, d=2, m=3, flavor="commuting"), -8)
+@example(GeneratorSpec(seed=20_000, n=1, d=1, m=1, flavor="generic"), -12)
+@example(GeneratorSpec(seed=20_001, n=1, d=1, m=1, flavor="commuting"), -12)
+@example(GeneratorSpec(seed=20_002, n=1, d=1, m=1, flavor="parseval"), 12)
+@example(GeneratorSpec(seed=20_003, n=1, d=1, m=1, flavor="bessel_only"), -12)
+def test_verdicts_ignore_family_scale(spec, e):
+    # the paper's bounds are homogeneous: scaling every point action of the
+    # family and the twin by s scales each operator and bound by s**2, so
+    # no verdict of the verifier or of the library may move with s
+    (oks, verdicts), (oks_1, verdicts_1) = (scale_verdicts(spec, k) for k in (e, 0))
+    assert oks == oks_1
+    assert verdicts == verdicts_1
+
+
 # ------------------------------ product forms against the definition sums
 
 
@@ -1178,7 +1237,7 @@ def test_product_forms_match_definition_sums(spec):
                       definition_sum(lam, twin, ca, cpa)))
     # the adjoint's closed forms, through the residuals against each
     adj, diag = cross_adjoint_resolve(lam, twin, pair)
-    scale = max(1.0, spectral_norm(adj.action))
+    scale = max(sys.float_info.min, spectral_norm(adj.action))
     for residual, (left, right) in ((diag.statement_residual, (ca, cpa)),
                                     (diag.proof_residual, (cpa, ca))):
         ref, terms = definition_sum(twin, lam, left, right)

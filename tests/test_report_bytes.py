@@ -70,7 +70,7 @@ EXPLICIT_IDENTITY_SPEC = {"seed": 890, "n": 2, "d": 2, "m": 4, "flavor": "commut
 # name -> (exit code, sha256 of the report bytes, None when none is written)
 DIGESTS = {
     "verify": (0, "3889c4c1f324b2bafc130c408d2a978c0b95201783ae2491e2fa5c042e56a474"),
-    "verify_1e-18": (3, "731f35fc1047dc8814534322eae65507f8db76d5198fe9df03a160f2c78cf071"),
+    "verify_1e-18": (3, "8b45890f13f58acfcfdf9388ec06cb4329cda39396b0ad41e3a1e2658b6fad46"),
     "verify_wide": (0, "30378dbe8b68b9fca8bb2d6bf8ebbd23d8437d4fb1a317d72cb6b71a65c2a745"),
     "verify_wide_1e-18": (3, "18e700255f1c3c648f4d4a31ae2acd883f5742378a7cdc18dc251384a829e07e"),
     "generate_generic": (0, "87022ca4fc0bddc0b954d21ea4fa68086e9ef2c5691cf6ece841930c0254e2d0"),

@@ -73,6 +73,13 @@ this script and runs ``gframes.cli.main`` in-process on:
   ``reconstruct`` with the one after ``--tol 1e-18`` and the second
   ``generate`` with the first, so a reused scenario must give the bytes
   of a fresh read;
+* the sub-unit corpus, whose norms lie below 1, so a rule that turns
+  absolute below unit scale shows: ``reconstruct --vector`` of one vector,
+  drawn by ``np.random.default_rng(SUB_UNIT_SEED)``, at each scale of
+  ``SUB_UNIT_SCALES`` against the commuting (3, 2, 3) scenario, and
+  ``analyze`` of that scenario with every point action multiplied by
+  ``SUB_UNIT_ACTION_SCALE`` in the file.  The files are written under
+  ``OUT/sub_unit/``;
 * the library verdict corpus, called in-process, not through the CLI:
   ``is_positive``, ``loewner_leq``, ``energy_bound_check``,
   ``gram_sandwich_check`` and ``check_sandwich`` on ``LIBRARY_CASES``
@@ -220,6 +227,13 @@ EDGE_TOKENS = {
 }
 
 
+# The sub-unit corpus: the scales of its one vector, the seed of the
+# ``default_rng`` that draws that vector, and the factor of the point
+# actions of its scaled scenario.
+SUB_UNIT_SCALES = ("1", "1e-6", "1e-12")
+SUB_UNIT_SEED = 34
+SUB_UNIT_ACTION_SCALE = 1e-8
+
 # The library verdict corpus: cases per predicate, the tolerances each case
 # is decided at, the seed of the ``default_rng`` that draws the order cases,
 # the seed of the one that draws the control and surjectivity cases and the
@@ -294,6 +308,7 @@ def sweep() -> None:
     below_floor_sweep()
     reread_sweep()
     argument_edge_sweep("generate_commuting_3x2x3/scenario.json")
+    sub_unit_sweep("generate_commuting_3x2x3/scenario.json")
     library_sweep()
 
 
@@ -454,6 +469,27 @@ def below_floor_sweep() -> None:
     Path("below_floor.json").write_text(json.dumps(obj), encoding="utf-8")
     run("analyze_below_floor", ["analyze", "below_floor.json"], "report.json")
     run("reconstruct_below_floor", ["reconstruct", "below_floor.json", "--random", "3"])
+
+
+def sub_unit_sweep(scenario: str) -> None:
+    """Run ``reconstruct --vector`` of one vector at each scale of
+    ``SUB_UNIT_SCALES`` against ``scenario``, and ``analyze`` of
+    ``scenario`` with its point actions times ``SUB_UNIT_ACTION_SCALE``."""
+    Path("sub_unit").mkdir()
+    obj = json.loads(Path(scenario).read_text(encoding="utf-8"))
+    n, d = obj["n"], obj["d"]
+    x = _normal(np.random.default_rng(SUB_UNIT_SEED), (n, d * n))
+    for s in SUB_UNIT_SCALES:
+        path = f"sub_unit/vector_{s}.json"
+        Path(path).write_text(ser.dumps(ser.vector_to_obj(
+            ModuleVector(n, d, float(s) * x))), encoding="utf-8")
+        run(f"sub_unit_reconstruct_{s}", ["reconstruct", scenario, "--vector", path],
+            "report.json")
+    for p in obj["points"]:
+        p["lambda"] = (np.array(p["lambda"]) * SUB_UNIT_ACTION_SCALE).tolist()
+    scaled = f"sub_unit/scenario_{SUB_UNIT_ACTION_SCALE!r}.json"
+    Path(scaled).write_text(json.dumps(obj), encoding="utf-8")
+    run("sub_unit_analyze", ["analyze", scaled], "report.json")
 
 
 def reread_sweep() -> None:
