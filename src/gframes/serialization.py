@@ -2,9 +2,11 @@
 
 Complex matrices serialize as flat row-major lists of ``[re, im]`` pairs;
 shapes are never stored because every matrix's shape follows from the
-``n`` / ``d`` / ``dw`` context it appears in.  All numbers are emitted with 17
-significant digits, which round-trips IEEE doubles exactly, so parsing a
-report and re-serializing it reproduces the bytes.
+``n`` / ``d`` / ``dw`` context it appears in.  A document built for output
+holds each matrix as its array, which the emitter writes as that pair list;
+the reader takes parsed JSON, where each matrix is the list.  All numbers
+are emitted with 17 significant digits, which round-trips IEEE doubles
+exactly, so parsing a report and re-serializing it reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -43,19 +45,15 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _float_pairs(obj) -> str | None:
-    """Inline text of a sequence of ``[float, float]`` pairs in one ``%``
-    call, or None when any entry is something else.  ``'%.17g' % v`` equals
-    ``format(v, '.17g')`` for every float, but not for bools or large ints,
-    so only exact floats qualify."""
-    if set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(obj))
-    if set(map(type, flat)) != {float}:
-        return None
-    if not all(map(math.isfinite, flat)):
+def _pairs(a: np.ndarray) -> str:
+    """Inline text of an array as its flat row-major list of ``[re, im]``
+    pairs, in one ``%`` call.  ``'%.17g' % v`` equals ``format(v, '.17g')``
+    for every float, so these are the bytes of the pair list itself."""
+    if not np.isfinite(a).all():
         raise ValueError("non-finite number in JSON output")
-    return ("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) + "]") % flat
+    flat = tuple(np.ascontiguousarray(a, dtype=np.complex128)
+                 .reshape(-1).view(np.float64).tolist())
+    return ("[" + ", ".join(["[%.17g, %.17g]"] * (len(flat) // 2)) + "]") % flat
 
 
 def _emit(obj, out: list, level: int) -> None:
@@ -68,9 +66,8 @@ def _emit(obj, out: list, level: int) -> None:
         out.append(_fmt_number(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (list, tuple)):
-        text = _float_pairs(obj) or _inline(obj)
-        if text is not None:
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if (text := _inline(obj)) is not None:
             out.append(text)
         else:
             out.append("[\n")
@@ -97,10 +94,12 @@ def _emit(obj, out: list, level: int) -> None:
 
 
 def _inline(obj) -> str | None:
-    """One-line text of a number, or of a list or tuple of numbers nested to
-    any depth; None at the first entry that is neither."""
+    """One-line text of a number or an array, or of a list or tuple of them
+    nested to any depth; None at the first entry that is neither."""
     if _is_number(obj):
         return _fmt_number(obj)
+    if isinstance(obj, np.ndarray):
+        return _pairs(obj)
     if not isinstance(obj, (list, tuple)):
         return None
     parts = []
@@ -113,7 +112,7 @@ def _inline(obj) -> str | None:
 
 def dumps(obj) -> str:
     """Canonical text: insertion-ordered keys, 17-significant-digit floats,
-    trailing newline."""
+    each array as its pair list, trailing newline."""
     out: list[str] = []
     _emit(obj, out, 0)
     out.append("\n")
@@ -149,12 +148,6 @@ def _as_real(v, path: str) -> float:
         f = math.inf
     _want(math.isfinite(f), path, "must be finite")
     return f
-
-
-def matrix_to_obj(mat: np.ndarray) -> list:
-    """Flat row-major list of [re, im] pairs."""
-    flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1)
-    return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
 def _sweep(mats: list) -> dict | None:
@@ -219,9 +212,9 @@ def matrix_from_obj(obj, rows: int, cols: int, path: str,
 
 
 def vector_to_obj(x: ModuleVector) -> dict:
-    n = x.algebra_dim
-    return {"n": n, "d": x.rank,
-            "blocks": [matrix_to_obj(x.block(i).entries) for i in range(x.rank)]}
+    """The document of ``x`` for ``dumps``: each block is its array."""
+    return {"n": x.algebra_dim, "d": x.rank,
+            "blocks": [x.block(i).entries for i in range(x.rank)]}
 
 
 def vector_from_obj(obj, path: str = "") -> ModuleVector:
@@ -241,13 +234,15 @@ def vector_from_obj(obj, path: str = "") -> ModuleVector:
 
 
 def scenario_to_obj(s: ControlledScenario) -> dict:
+    """The document of ``s`` for ``dumps``: each point action and explicit
+    control is its array.  ``scenario_from_obj`` reads the parsed file."""
     f = s.family
     n, d = f.algebra_dim, f.module_rank
     obj = {"version": SCENARIO_VERSION, "n": n, "d": d,
            "points": [{"weight": p.weight, "dw": p.codomain_rank,
-                       "lambda": matrix_to_obj(p.lam.action)} for p in f.points]}
+                       "lambda": p.lam.action} for p in f.points]}
     for key, ctrl in (("C", s.pair.c), ("Cprime", s.pair.cp)):
-        obj[key] = "identity" if ctrl.is_identity else matrix_to_obj(ctrl.base.action)
+        obj[key] = "identity" if ctrl.is_identity else ctrl.base.action
     return obj
 
 

@@ -12,8 +12,24 @@ import gframes.cli as cli_mod
 import gframes.controlled as controlled_mod
 import gframes.frames as frames_mod
 import gframes.operators as operators_mod
+from gframes import serialization as ser
 from gframes.algebra import AlgebraElement
 from gframes.module_space import ModuleVector
+
+
+def file_form(doc):
+    """``doc`` as a file holds it: its emitted text, parsed.  A document
+    built for output holds each matrix as its array; the reader takes the
+    parsed pair lists."""
+    return orjson.loads(ser.dumps(doc))
+
+
+def pair_list(a) -> list:
+    """The flat row-major list of ``[re, im]`` float pairs of the entries
+    of ``a``, the form a file gives a matrix."""
+    return [[float(z.real), float(z.imag)]
+            for z in np.asarray(a, dtype=np.complex128).reshape(-1)]
+
 
 @pytest.fixture(autouse=True)
 def no_held_scenario(monkeypatch):

@@ -23,6 +23,7 @@ from gframes.algebra import _hermitian_part
 from gframes.cli import main
 from gframes.errors import GFrameError
 from gframes.rng import complex_normal, stream
+from conftest import file_form, pair_list
 from test_report_bytes import HANDWRITTEN
 
 COMMUTING_SPEC = '{"seed": 42, "n": 2, "d": 2, "m": 4, "flavor": "commuting"}'
@@ -176,8 +177,8 @@ def test_analyze_takes_no_controlled_spectrum_without_certificate(tmp_path, call
 
 def weights_times_1e12():
     """Generic (2, 2, 4) seed 3 with every weight times 1e-12."""
-    obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
-                                                     flavor="generic")))
+    obj = file_form(ser.scenario_to_obj(generate(GeneratorSpec(
+        seed=3, n=2, d=2, m=4, flavor="generic"))))
     for point in obj["points"]:
         point["weight"] *= 1e-12
     return obj
@@ -812,8 +813,8 @@ def test_commands_create_no_reference_cycle(tmp_path, capsys):
     specs = {fl: json.dumps({"seed": 120 + i, "n": 3, "d": 2, "m": 3, "flavor": fl})
              for i, fl in enumerate(FLAVORS)}
     batch = write_batch(tmp_path, SMALL_BATCH[:2])
-    obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=119, n=3, d=2, m=3,
-                                                     flavor="commuting")))
+    obj = file_form(ser.scenario_to_obj(generate(GeneratorSpec(
+        seed=119, n=3, d=2, m=3, flavor="commuting"))))
     obj["points"][0]["weight"] = -1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -851,7 +852,7 @@ def scenario_file(case, tmp_path) -> Path:
         obj = ser.scenario_to_obj(generate(GeneratorSpec(seed=3, n=2, d=2, m=4,
                                                          flavor="generic")))
         a = complex_normal(stream(11, 0), (4, 4))
-        obj["C"] = ser.matrix_to_obj(a @ a.conj().T + np.eye(4))
+        obj["C"] = pair_list(a @ a.conj().T + np.eye(4))
         path.write_text(ser.dumps(obj))
     else:
         spec = json.dumps({"seed": 130 + FLAVORS.index(case), "n": 3, "d": 2,

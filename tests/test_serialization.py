@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -17,6 +18,7 @@ from gframes import (ControlledScenario, ControlPair, GeneratorSpec,
                      make_positive_invertible)
 from gframes import serialization as ser
 from gframes.rng import complex_normal, stream
+from conftest import file_form, pair_list
 
 
 def test_dumps_17_digit_floats():
@@ -66,7 +68,7 @@ def test_dumps_escapes_strings():
 
 def test_matrix_codec_round_trip():
     m = complex_normal(stream(2, 0), (3, 4))
-    obj = ser.matrix_to_obj(m)
+    obj = file_form(m)
     assert len(obj) == 12
     back = ser.matrix_from_obj(obj, 3, 4, "m")
     np.testing.assert_array_equal(back, m)
@@ -74,7 +76,7 @@ def test_matrix_codec_round_trip():
 
 def test_matrix_codec_row_major():
     m = np.array([[1 + 2j, 3 + 4j]], dtype=np.complex128)
-    assert ser.matrix_to_obj(m) == [[1.0, 2.0], [3.0, 4.0]]
+    assert file_form(m) == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_matrix_wrong_length():
@@ -116,7 +118,7 @@ EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 
 def test_matrix_from_obj_bit_for_bit():
     rng = stream(12, 0)
-    cases = [ser.matrix_to_obj(complex_normal(rng, (r, c)))
+    cases = [pair_list(complex_normal(rng, (r, c)))
              for r, c in ((1, 1), (3, 4), (16, 8), (32, 32))]
     edge = [[a, b] for a in EDGE_NUMBERS for b in EDGE_NUMBERS]
     cases += [edge, edge[::-1], [[v, -v] for v in EDGE_NUMBERS]]
@@ -159,13 +161,14 @@ def test_matrix_from_obj_takes_json_numbers_only(entry):
     assert str(err.value) == "m[1]: expected a real number"
 
 
-def test_matrix_to_obj_keeps_bits():
+def test_dumps_of_an_array_keeps_bits():
     m = complex_normal(stream(13, 0), (4, 6))
     m[0, 0] = complex(-0.0, -0.0)
     m[1, 2] = complex(5e-324, -1.7976931348623157e308)
     for mat in (m, m.T, m[::2, 1::3]):
-        obj = ser.matrix_to_obj(mat)
-        want = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+        # every entry, -0 included, read as the float its text names
+        obj = json.loads(ser.dumps(mat), parse_int=float)
+        want = pair_list(mat)
         assert [type(v) for pair in obj for v in pair] == [float] * (2 * mat.size)
         assert np.array_equal(np.array(obj).view(np.uint64),
                               np.array(want).view(np.uint64))
@@ -257,6 +260,16 @@ def reference_dumps(obj) -> str:
     def is_number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
+    def float_pairs(x):
+        if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
+            return None
+        flat = tuple(chain.from_iterable(x))
+        if set(map(type, flat)) != {float}:
+            return None
+        if not all(map(math.isfinite, flat)):
+            raise ValueError("non-finite number in JSON output")
+        return ("[" + ", ".join(["[%.17g, %.17g]"] * len(x)) + "]") % flat
+
     def all_numeric(x):
         if is_number(x):
             return True
@@ -278,7 +291,7 @@ def reference_dumps(obj) -> str:
         elif isinstance(x, (list, tuple)):
             if len(x) == 0:
                 out.append("[]")
-            elif (pairs := ser._float_pairs(x)) is not None:
+            elif (pairs := float_pairs(x)) is not None:
                 out.append(pairs)
             elif all_numeric(x):
                 out.append("[" + ", ".join(inline(v) for v in x) + "]")
@@ -348,15 +361,87 @@ def test_dumps_raises_at_the_first_bad_entry(obj, error):
         ser.dumps(obj)
 
 
+# ------------------------------------------------------ arrays as pair lists
+
+# finite floats, the edges of the doubles, far exponents and integral floats
+array_entries = (finite | st.integers(-2**60, 2**60).map(float)
+                 | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308, 1e150, 1e-150]))
+
+
+@st.composite
+def arrays(draw):
+    """A complex 1x1 to 8x8 array, a transposed, strided or real (float64)
+    view of one, or an empty 0x3 array."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    parts = draw(st.lists(array_entries, min_size=2 * rows * cols,
+                          max_size=2 * rows * cols))
+    a = np.array(parts).view(np.complex128).reshape(rows, cols)
+    return draw(st.sampled_from(
+        [a, a.T, a[::2, ::-1], a.T[1::2], a.real, np.empty((0, 3))]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays())
+def test_dumps_writes_an_array_as_its_pair_list(a):
+    text = ser._inline(pair_list(a))
+    assert ser.dumps(a) == text + "\n"
+    assert ser.dumps({"m": a}) == '{\n  "m": ' + text + "\n}\n"
+    # a list of matrices, as a vector's blocks, stays on one line
+    assert ser.dumps([a, pair_list(a)]) == "[" + text + ", " + text + "]\n"
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_refuses_a_non_finite_array_as_its_pair_list(bad, part):
+    a = complex_normal(stream(15, 0), (2, 3))
+    a[1, 2] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    want = emitted(ser.dumps, pair_list(a))
+    assert want == (ValueError, "non-finite number in JSON output")
+    assert emitted(ser.dumps, a) == want
+    assert emitted(ser.dumps, {"m": a}) == want
+
+
+def list_document(sc) -> dict:
+    """The document of ``sc`` with each matrix as its pair list, the form
+    ``scenario_to_obj`` built before documents held arrays."""
+    f = sc.family
+    obj = {"version": ser.SCENARIO_VERSION, "n": f.algebra_dim, "d": f.module_rank,
+           "points": [{"weight": p.weight, "dw": p.codomain_rank,
+                       "lambda": pair_list(p.lam.action)} for p in f.points]}
+    for key, ctrl in (("C", sc.pair.c), ("Cprime", sc.pair.cp)):
+        obj[key] = "identity" if ctrl.is_identity else pair_list(ctrl.base.action)
+    return obj
+
+
+@pytest.mark.parametrize("spectrum", [(0.5, 2.0), (1e-150, 1e150), (1e150, 1e150)],
+                         ids=["0.5-2", "1e-150-1e150", "1e150-1e150"])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 3), (8, 4, 16)],
+                         ids=["1x1x1", "3x2x3", "8x4x16"])
+@pytest.mark.parametrize("flavor", ["generic", "commuting", "parseval", "bessel_only"])
+def test_scenario_document_writes_the_bytes_of_its_pair_lists(flavor, shape, spectrum):
+    n, d, m = shape
+    sc = generate(GeneratorSpec(seed=44, n=n, d=d, m=m, spectrum_range=spectrum,
+                                flavor=flavor))
+    obj = ser.scenario_to_obj(sc)
+    # the document holds the scenario's own arrays, and no list built of them
+    assert all(q["lambda"] is p.lam.action
+               for p, q in zip(sc.family.points, obj["points"]))
+    for key, ctrl in (("C", sc.pair.c), ("Cprime", sc.pair.cp)):
+        assert (obj[key] == "identity") if ctrl.is_identity else (
+            obj[key] is ctrl.base.action)
+    assert ser.dumps(obj) == reference_dumps(list_document(sc))
+
+
 def test_vector_round_trip():
     x = ModuleVector(2, 3, complex_normal(stream(3, 0), (2, 6)))
-    back = ser.vector_from_obj(ser.vector_to_obj(x))
+    back = ser.vector_from_obj(file_form(ser.vector_to_obj(x)))
     np.testing.assert_array_equal(back.flat, x.flat)
 
 
 def test_scenario_weight_path_in_error():
-    obj = ser.scenario_to_obj(generate(GeneratorSpec(
-        seed=6, n=1, d=1, m=2, flavor="generic")))
+    obj = file_form(ser.scenario_to_obj(generate(GeneratorSpec(
+        seed=6, n=1, d=1, m=2, flavor="generic"))))
     obj["points"][1]["weight"] = -3.0
     with pytest.raises(SchemaError) as err:
         ser.scenario_from_obj(obj)
@@ -373,7 +458,7 @@ def test_scenario_round_trip_bytes():
 
 def test_scenario_identity_shorthand():
     sc = generate(GeneratorSpec(seed=8, n=2, d=2, m=3, flavor="generic"))
-    obj = ser.scenario_to_obj(sc)
+    obj = file_form(ser.scenario_to_obj(sc))
     assert obj["C"] == "identity"
     assert obj["Cprime"] == "identity"
     back = ser.scenario_from_obj(obj)
@@ -382,7 +467,7 @@ def test_scenario_identity_shorthand():
 
 def test_scenario_explicit_controls_survive():
     sc = generate(GeneratorSpec(seed=9, n=2, d=2, m=3, flavor="commuting"))
-    obj = ser.scenario_to_obj(sc)
+    obj = file_form(ser.scenario_to_obj(sc))
     assert obj["C"] != "identity"
     back = ser.scenario_from_obj(obj)
     np.testing.assert_allclose(back.pair.c.base.action, sc.pair.c.base.action,
@@ -397,7 +482,7 @@ def test_scenario_read_back_is_the_generated_one_bit_for_bit(flavor, shape, dw_r
     n, d, m = shape
     sc = generate(GeneratorSpec(seed=43, n=n, d=d, m=m, dw_range=dw_range,
                                 flavor=flavor))
-    back = ser.scenario_from_obj(orjson.loads(ser.dumps(ser.scenario_to_obj(sc))))
+    back = ser.scenario_from_obj(file_form(ser.scenario_to_obj(sc)))
 
     def bits(a):
         return np.ascontiguousarray(a).tobytes()
@@ -423,7 +508,7 @@ def test_scenario_read_back_is_the_generated_one_bit_for_bit(flavor, shape, dw_r
 
 def test_scenario_schema_paths():
     sc = generate(GeneratorSpec(seed=10, n=1, d=1, m=1, flavor="generic"))
-    base = ser.scenario_to_obj(sc)
+    base = file_form(ser.scenario_to_obj(sc))
 
     missing = dict(base)
     del missing["points"]
@@ -536,8 +621,8 @@ def outcome(read, obj):
 
 
 # (1, 1, 2) generic carries identity controls, (2, 2, 3) commuting explicit ones
-SWEEP_BASES = [ser.scenario_to_obj(generate(GeneratorSpec(
-    seed=23, n=n, d=d, m=m, dw_range=(1, 2), flavor=flavor)))
+SWEEP_BASES = [file_form(ser.scenario_to_obj(generate(GeneratorSpec(
+    seed=23, n=n, d=d, m=m, dw_range=(1, 2), flavor=flavor))))
     for n, d, m, flavor in ((1, 1, 2, "generic"), (2, 2, 3, "commuting"))]
 
 # entries that are no JSON real number, or no finite double; json reads

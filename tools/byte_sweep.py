@@ -37,6 +37,10 @@ this script and runs ``gframes.cli.main`` in-process on:
 * ``generate``, ``analyze`` and ``reconstruct --random 3`` of one commuting
   (8, 8, 128) spec, whose 6.5 MB file holds more brackets than orjson can
   nest, at a depth of 5;
+* ``generate`` of the commuting and the bessel_only (3, 2, 3) specs at each
+  ``spectrum_range`` of ``SPECTRUM_ENDS``, each to its own ``--out`` file,
+  so the emitter's exponent forms at both ends of the doubles are
+  compared;
 * the JSON reader's edge corpus: each of ``EDGE_TOKENS`` in place of the
   first weight of the commuting (3, 2, 3) scenario, through ``analyze`` and
   ``reconstruct --random 3``, and in place of a spec's seed and of its upper
@@ -79,7 +83,8 @@ this script and runs ``gframes.cli.main`` in-process on:
   ``SUB_UNIT_SCALES`` against the commuting (3, 2, 3) scenario, and
   ``analyze`` of that scenario with every point action multiplied by
   ``SUB_UNIT_ACTION_SCALE`` in the file.  The files are written under
-  ``OUT/sub_unit/``;
+  ``OUT/sub_unit/``; the vector files, written by ``ser.dumps`` of
+  ``ser.vector_to_obj``, compare the emitter's vector path too;
 * the library verdict corpus, called in-process, not through the CLI:
   ``is_positive``, ``loewner_leq``, ``energy_bound_check``,
   ``gram_sandwich_check`` and ``check_sandwich`` on ``LIBRARY_CASES``
@@ -227,6 +232,11 @@ EDGE_TOKENS = {
 }
 
 
+# The ``spectrum_range`` values the commuting and bessel_only (3, 2, 3)
+# specs are generated at: controls of norm 1e150, and controls whose
+# spectrum spans the doubles from 1e-150 to 1e150.
+SPECTRUM_ENDS = ((1e150, 1e150), (1e-150, 1e150))
+
 # The sub-unit corpus: the scales of its one vector, the seed of the
 # ``default_rng`` that draws that vector, and the factor of the point
 # actions of its scaled scenario.
@@ -252,11 +262,12 @@ LIBRARY_PREDICATES = (is_positive, loewner_leq, energy_bound_check,
                       decide_commutation)
 
 
-def shape_spec(flavor: str, shape) -> str:
-    """The spec text of the per-flavor-and-shape corpus."""
+def shape_spec(flavor: str, shape, **extra) -> str:
+    """The spec text of the per-flavor-and-shape corpus, with the ``extra``
+    fields."""
     n, d, m = shape
     return json.dumps({"seed": 950 + 4 * SHAPES.index(shape) + FLAVORS.index(flavor),
-                       "n": n, "d": d, "m": m, "flavor": flavor})
+                       "n": n, "d": d, "m": m, "flavor": flavor, **extra})
 
 
 def run(name: str, args: list, out: str | None = None) -> None:
@@ -301,6 +312,12 @@ def sweep() -> None:
     scen = "generate_commuting_8x8x128/scenario.json"
     run("analyze_commuting_8x8x128", ["analyze", scen], "report.json")
     run("reconstruct_commuting_8x8x128", ["reconstruct", scen, "--random", "3"])
+    for fl in ("commuting", "bessel_only"):
+        for lo, hi in SPECTRUM_ENDS:
+            run(f"generate_{fl}_3x2x3_spectrum_{lo!r}_{hi!r}",
+                ["generate", "--spec", shape_spec(fl, (3, 2, 3),
+                                                  spectrum_range=[lo, hi])],
+                "scenario.json")
     small = Path("generate_commuting_3x2x3/scenario.json").read_text(encoding="utf-8")
     edge_sweep(small)
     byte_edge_sweep(small, Path("generate_commuting_8x4x16/scenario.json").read_text(
@@ -323,10 +340,12 @@ def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def _near_psd(rng: np.random.Generator, n: int, s: float) -> np.ndarray:
     """An n x n matrix of norm about ``s`` on the edge of positivity: its
     smallest eigenvalue, and for half of them its anti-Hermitian part, lie
-    within a factor 2 of 10**-j * max(1, s) for j in {9, 14, 16}."""
+    within a factor 2 of 10**-j * lam_max for j in {9, 14, 16}, lam_max
+    being the largest eigenvalue drawn, about ``s``.  So they sit at the
+    relative threshold at every scale."""
     q = _unitary(rng, n)
     lam = s * rng.uniform(0.5, 2.0, n)
-    edge = 10.0 ** -int(rng.choice((9, 14, 16))) * max(1.0, lam.max())
+    edge = 10.0 ** -int(rng.choice((9, 14, 16))) * lam.max()
     lam[0] = -rng.uniform(-1.0, 2.0) * edge
     m = (q * lam) @ q.conj().T
     if rng.random() < 0.5:
