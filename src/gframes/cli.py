@@ -27,11 +27,9 @@ from .controlled import (ADJOINT_TOL, NORM_BOUND_TOL, controlled_classify,
                          reconstruct)
 from .errors import GFrameError, NotAFrame, SchemaError
 from .frames import FRAME, FrameVerdict, classify
-from .generators import generate
 from .module_space import ModuleVector, vec_norm
 from .rng import complex_normal, stream
 from .algebra import DEFAULT_TOL, _rel
-from .verifier import SCALAR_TIGHT_TOL, default_batch, run_suite, suite_passed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,26 +228,28 @@ def _load_scenario(path: str, tol: float = DEFAULT_TOL):
 
 
 @contextlib.contextmanager
-def _report_file(out_path: str, mode: str = "w"):
-    """``out_path`` open for writing in ``mode``; an ``OSError`` on opening,
-    writing or closing it is a ``GFrameError`` that names the file."""
+def _report_file(out_path: str, mode: str = "wb"):
+    """``out_path`` open for writing in the binary ``mode``; an ``OSError``
+    on opening, writing or closing it is a ``GFrameError`` that names the
+    file."""
     try:
-        with open(out_path, mode, encoding="utf-8") as fh:
+        with open(out_path, mode) as fh:
             yield fh
     except OSError as exc:
         raise GFrameError(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
-def _write_report(obj, out_path: str | None) -> str:
-    """Write ``obj``'s canonical text to ``out_path``, or to stdout when it
-    is None, and return that text."""
+def _write_report(obj, out_path: str | None) -> bytes:
+    """Write ``obj``'s canonical text to ``out_path`` as UTF-8 bytes, or to
+    stdout when it is None, and return those bytes."""
     text = ser.dumps(obj)
+    data = text.encode()
     if out_path is None:
         sys.stdout.write(text)
-        return text
+        return data
     with _report_file(out_path) as fh:
-        fh.write(text)
-    return text
+        fh.write(data)
+    return data
 
 
 def _bounds_obj(bounds):
@@ -300,6 +300,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that no other command loads the verifier
+    from .verifier import SCALAR_TIGHT_TOL, default_batch, run_suite, suite_passed
+
     tol = _resolve_tol(args.tol, DEFAULT_TOL)
     if args.batch is not None and args.default:
         raise GFrameError("--batch and --default are mutually exclusive")
@@ -314,9 +317,9 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         # an --out that cannot be written fails here, before the suite runs;
         # a file that only this check made goes again if the suite raises
-        with contextlib.suppress(GFrameError), _report_file(args.out, "x"):
+        with contextlib.suppress(GFrameError), _report_file(args.out, "xb"):
             made = True
-        with _report_file(args.out, "a"):
+        with _report_file(args.out, "ab"):
             pass
     try:
         results = run_suite(batch, tol)
@@ -358,14 +361,17 @@ def _has_negative_zero(scenario) -> bool:
 
 
 def cmd_generate(args) -> int:
+    # imported here, so that analyze and reconstruct load no generator
+    from .generators import generate
+
     raw = args.spec.strip()
     obj = (_parse(raw, "--spec", lines=False) if raw.startswith("{")
            else _load_json(args.spec))
     spec = ser.spec_from_obj(obj)
     scenario = generate(spec)
-    text = _write_report(ser.scenario_to_obj(scenario), args.out)
+    data = _write_report(ser.scenario_to_obj(scenario), args.out)
     if args.out is not None and not _has_negative_zero(scenario):
-        _hold(text.encode(), scenario.pair.tol, scenario)
+        _hold(data, scenario.pair.tol, scenario)
     return EXIT_OK
 
 

@@ -146,8 +146,12 @@ class ControlledScenario:
     @cached_property
     def _controlled_spectrum(self) -> tuple[float, float]:
         """The extreme eigenvalues of the controlled operator, taken on
-        first use."""
-        return _extremes((self._controlled_operator,))[0]
+        first use; the family's own for two identity controls, whose
+        controlled operator is the frame operator itself."""
+        op = self._controlled_operator
+        if op is self.family._frame_operator:
+            return self.family._frame_spectrum
+        return _extremes((op,))[0]
 
 
 # A Frobenius norm below this may have lost squares to underflow, so it

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,10 +22,12 @@ from .algebra import DEFAULT_TOL
 from .controlled import ControlPair, ControlledScenario
 from .errors import SchemaError
 from .frames import GFrameFamily, MeasurePoint
-from .generators import GeneratorSpec
 from .module_space import ModuleVector
 from .operators import (ModuleOperator, identity_control,
                         make_positive_invertible)
+
+if TYPE_CHECKING:
+    from .generators import GeneratorSpec
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = 1
@@ -303,6 +306,9 @@ def spec_to_obj(spec: GeneratorSpec) -> dict:
 
 
 def spec_from_obj(obj, path: str = "") -> GeneratorSpec:
+    # imported here, so that a command that reads no spec loads no generator
+    from .generators import GeneratorSpec
+
     p = path or "spec"
     _want(isinstance(obj, dict), p, "expected an object")
     seed = _as_int(_get(obj, "seed", p), f"{p}.seed", 0)

@@ -17,7 +17,7 @@ from gframes import (ControlledScenario, ControlPair, GeneratorSpec,
                      GFrameFamily, MeasurePoint, ModuleOperator, ModuleVector,
                      SchemaError, controlled_classify, controlled_frame_operator,
                      generate, make_positive_invertible, vec_norm)
-from gframes import cli
+from gframes import cli, generators, verifier
 from gframes import serialization as ser
 from gframes.algebra import _hermitian_part
 from gframes.cli import main
@@ -165,6 +165,27 @@ def test_analyze_and_reconstructs_take_one_controlled_spectrum(source, tmp_path,
     assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4), (1, 4, 4)]
     assert sum(np.array_equal(a, controlled)
                for stack in calls["eigvalsh"] for a in stack) == 1
+
+
+def test_analyze_with_identity_controls_takes_one_spectrum(tmp_path, calls,
+                                                           monkeypatch):
+    # two identity controls make the frame operator the controlled one, so
+    # its spectrum is taken once and serves both verdicts
+    path = tmp_path / "s.json"
+    assert main(["generate", "--spec", '{"seed": 3, "n": 2, "d": 2, "m": 4, '
+                 '"flavor": "generic"}', "--out", str(path)]) == 0
+    monkeypatch.setattr(cli, "_held", None)
+    sc = ser.scenario_from_obj(read(path))
+    assert sc.pair.c.is_identity and sc.pair.cp.is_identity
+    w = np.linalg.eigvalsh(_hermitian_part(controlled_frame_operator(sc).action))
+    del calls["eigvalsh"][:]
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    assert [a.shape for a in calls["eigvalsh"]] == [(1, 4, 4)]
+    report = read(out)
+    extremes = {"lambda_min": float(w[0]), "lambda_max": float(w[-1])}
+    assert report["witnesses"] == extremes
+    assert {k: report["controlled_witnesses"][k] for k in extremes} == extremes
 
 
 def test_analyze_takes_no_controlled_spectrum_without_certificate(tmp_path, calls):
@@ -658,7 +679,7 @@ def test_verify_out_keeps_its_bytes_when_the_suite_raises(tmp_path, capsys,
                                                           monkeypatch):
     def broken(*args, **kwargs):
         raise GFrameError("suite failed")
-    monkeypatch.setattr(cli, "run_suite", broken)
+    monkeypatch.setattr(verifier, "run_suite", broken)
     out = tmp_path / "r.json"
     out.write_bytes(b"kept\n")
     assert main(["verify", "--default", "--out", str(out)]) == 1
@@ -670,7 +691,7 @@ def test_verify_out_made_for_a_suite_that_raises_is_removed(tmp_path, capsys,
                                                             monkeypatch):
     def broken(*args, **kwargs):
         raise GFrameError("suite failed")
-    monkeypatch.setattr(cli, "run_suite", broken)
+    monkeypatch.setattr(verifier, "run_suite", broken)
     out = tmp_path / "new.json"
     assert main(["verify", "--default", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "gframes: error: suite failed\n"
@@ -682,7 +703,7 @@ def test_verify_unwritable_out_fails_before_the_suite(source, tmp_path, capsys,
                                                       monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("run_suite called")
-    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(verifier, "run_suite", never)
     if source is None:
         source = ["--batch", str(write_batch(tmp_path, SMALL_BATCH[:1]))]
     out = tmp_path / "missing" / "report.json"
@@ -1008,7 +1029,7 @@ def test_generated_scenario_with_a_negative_zero_is_not_held(where, tmp_path, ca
                               (MeasurePoint(first.weight, lam), *rest))
         return ControlledScenario(family, pair)
 
-    monkeypatch.setattr(cli, "generate", generate_with_negative_zero)
+    monkeypatch.setattr(generators, "generate", generate_with_negative_zero)
     path = tmp_path / "s.json"
     assert main(["generate", "--spec", COMMUTING_SPEC, "--out", str(path)]) == 0
     text = path.read_text()
